@@ -108,10 +108,12 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 (* Same pump over a Unix-domain stream socket (both ends hosted in this
-   process: node 0 writes, node 1 reads; poll 0 flushes, poll 1 drains).
-   Returns (frames_sent, bytes_sent, write_syscalls, read_syscalls) —
-   one poll now flushes a whole batch with a single write(2), where the
-   pre-refactor path paid one write(2) per frame. *)
+   process: node 0 writes, node 1 reads). A zero-timeout wait adopts
+   both nodes before the first poll; then each batch is flushed by
+   poll 0, reported readable by a zero-timeout wait, and drained by
+   poll 1. Returns (frames_sent, bytes_sent, write_syscalls,
+   read_syscalls) — one poll flushes a whole batch with a single
+   write(2), where the pre-refactor path paid one write(2) per frame. *)
 let pump_uds ~total () =
   with_temp_dir (fun dir ->
       let clock = Clock.create ~unit_s:1e-3 () in
@@ -125,6 +127,7 @@ let pump_uds ~total () =
         | Ok _ -> incr received
         | Error _ -> failwith "net_bench: uds decode error"
       in
+      Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
       while !received < total do
         let k = Stdlib.min batch (total - !sent) in
         for _ = 1 to k do
@@ -136,8 +139,10 @@ let pump_uds ~total () =
           Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0 frame;
           incr sent
         done;
-        (* Flush node 0's coalesced buffer, then drain node 1's socket. *)
+        (* Flush node 0's coalesced buffer, let the wait report node 1's
+           socket, then drain it. *)
         Transport.poll t ~owner:0 (fun _ -> ());
+        Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
         Transport.poll t ~owner:1 on_frame
       done;
       let stats = Transport.stats t in
@@ -263,34 +268,30 @@ let fleet_case ~procs ~n ~duration_units =
         ~avg_ready:None)
 
 (* ------------------------------------------------------------------ *)
-(* Syscall floor: completion backend, spin-wait and the inproc path    *)
+(* Syscall floor: the in-process path against the socket hop          *)
 (* ------------------------------------------------------------------ *)
 
-(* The PR6 epoll transport pays ~3 syscalls per grant on a closed ring
-   (one write, one read, one epoll_wait per hop). These rows measure
-   how far the completion backend (batched io_uring submissions, one
-   enter per wait), the adaptive spin window (a hit skips the blocking
-   enter; gated off loudly on single-CPU hosts) and the in-process
-   delivery path (co-hosted hops bypass the kernel, and a wait with
-   work already in hand elides the kernel visit entirely) push below
-   that floor, against an epoll baseline from the same harness. One
-   shard, all nodes self-hosted, like the live_scaling rows. Best of 2
-   runs per config: single-shot grants/s on a shared host carries
-   ~10-20% scheduling noise, which would swamp the baseline
-   comparison. The epoll row is the denominator for
+(* The epoll transport pays ~3 syscalls per grant on a closed ring (one
+   write, one read, one epoll_wait per hop). These rows measure how far
+   the in-process delivery path (co-hosted hops bypass the kernel, and a
+   wait with work already in hand elides the kernel visit entirely)
+   pushes below that floor, against an epoll baseline from the same
+   harness. One shard, all nodes self-hosted, like the live_scaling
+   rows. Best of 2 runs per config: single-shot grants/s on a shared
+   host carries ~10-20% scheduling noise, which would swamp the
+   baseline comparison. The epoll row is the denominator for
    [reduction_vs_baseline]. *)
-let floor_case ~label ~backend ~spin ~inproc ~n ~grants =
+let floor_case ~label ~inproc ~n ~grants =
   with_temp_dir (fun dir ->
       Format.eprintf "syscall floor n=%d %s (%d grants, best of 2)...@." n
         label grants;
       let addrs = Transport.uds_addrs ~dir ~n in
       let config =
         {
-          (scaling_config ~n ~readiness:(Some backend)
+          (scaling_config ~n ~readiness:(Some Readiness.Epoll)
              ~stop:(Cluster.Grants grants)
              ~max_wall_s:300.0)
           with
-          spin;
           inproc;
         }
       in
@@ -309,78 +310,36 @@ let floor_case ~label ~backend ~spin ~inproc ~n ~grants =
       let a = one () in
       let b = one () in
       let best = if a.Cluster.wall_s <= b.Cluster.wall_s then a else b in
-      (label, spin, inproc, best))
+      (label, inproc, best))
 
 let floor_rows ~n ~grants =
-  let cases =
-    (* The epoll baseline must come first: it is every row's
-       denominator. Uring rows degrade to the actual backend loudly
-       (recorded in the row's "readiness" field) when this kernel
-       cannot create a ring. Plain uring is deliberately absent: on a
-       single-CPU host the completion path's ~1 enter/grant costs
-       slightly more wall time than epoll's 3 cheap syscalls, so it
-       reduces the syscall bill without beating baseline throughput —
-       the configurations here are the ones that deliver both. *)
-    [ ("epoll", Readiness.Epoll, false, false);
-      ("epoll+inproc", Readiness.Epoll, false, true);
-      ("uring+inproc", Readiness.Uring, false, true);
-      ("uring+spin+inproc", Readiness.Uring, true, true);
-    ]
-    |> List.filter (fun (_, b, _, _) -> Readiness.available b)
-  in
+  (* The epoll baseline must come first: it is every row's denominator. *)
   let runs =
     List.map
-      (fun (label, backend, spin, inproc) ->
-        floor_case ~label ~backend ~spin ~inproc ~n ~grants)
-      cases
+      (fun (label, inproc) -> floor_case ~label ~inproc ~n ~grants)
+      [ ("epoll", false); ("epoll+inproc", true) ]
   in
-  match runs with
-  | [] -> []
-  | (_, _, _, base) :: _ ->
-      let base_spg = base.Cluster.syscalls_per_grant in
-      let base_gps =
-        float_of_int base.Cluster.grants /. Float.max 1e-9 base.Cluster.wall_s
+  let _, _, base = List.hd runs in
+  let base_spg = base.Cluster.syscalls_per_grant in
+  let base_gps =
+    float_of_int base.Cluster.grants /. Float.max 1e-9 base.Cluster.wall_s
+  in
+  List.map
+    (fun (label, inproc, (r : Cluster.report)) ->
+      let gps =
+        float_of_int r.Cluster.grants /. Float.max 1e-9 r.Cluster.wall_s
       in
-      List.map
-        (fun (label, spin, inproc, (r : Cluster.report)) ->
-          let gps =
-            float_of_int r.Cluster.grants /. Float.max 1e-9 r.Cluster.wall_s
-          in
-          Printf.sprintf
-            {|    { "config": %S, "n": %d, "readiness": %S, "spin": %b, "inproc": %b,
+      Printf.sprintf
+        {|    { "config": %S, "n": %d, "readiness": %S, "inproc": %b,
       "grants": %d, "wall_s": %.3f, "grants_per_s": %.0f,
-      "syscalls_per_grant": %.3f, "wait_calls": %d, "sqes_submitted": %d,
-      "spin_hits": %d, "spin_misses": %d, "inproc_frames": %d,
+      "syscalls_per_grant": %.3f, "wait_calls": %d, "inproc_frames": %d,
       "reduction_vs_baseline": %.2f, "grants_per_s_vs_baseline": %.3f }|}
-            label n r.Cluster.readiness spin inproc r.Cluster.grants
-            r.Cluster.wall_s gps r.Cluster.syscalls_per_grant
-            r.Cluster.wait_calls r.Cluster.sqes_submitted r.Cluster.spin_hits
-            r.Cluster.spin_misses r.Cluster.inproc_frames
-            (base_spg /. Float.max 1e-9 r.Cluster.syscalls_per_grant)
-            (gps /. Float.max 1e-9 base_gps))
-        runs
-
-(* Demonstrate the select wall rather than assert it: a 512-node
-   self-hosted ring builds ~1537 fds once the token has visited the
-   whole ring (connections dial lazily, ~2 fds per first-time hop), at
-   which point fd values pass FD_SETSIZE and Unix.select refuses. The
-   grants target forces at least a full circulation. Record the error
-   string verbatim. *)
-let select_wall_probe () =
-  with_temp_dir (fun dir ->
-      let n = 512 in
-      let addrs = Transport.uds_addrs ~dir ~n in
-      let config =
-        scaling_config ~n ~readiness:(Some Readiness.Select)
-          ~stop:(Cluster.Grants 5_000) ~max_wall_s:20.0
-      in
-      match
-        Cluster.run_packed
-          ~backend:(Cluster.Sockets { owned = List.init n Fun.id; addrs })
-          config (Codecs.find_exn "ring")
-      with
-      | (_ : Cluster.report) -> "completed (unexpected)"
-      | exception e -> Printexc.to_string e)
+        label n r.Cluster.readiness inproc r.Cluster.grants
+        r.Cluster.wall_s gps r.Cluster.syscalls_per_grant
+        r.Cluster.wait_calls r.Cluster.inproc_frames
+        (base_spg /. Float.max 1e-9 r.Cluster.syscalls_per_grant)
+        (gps /. Float.max 1e-9 base_gps))
+    runs
 
 (* ------------------------------------------------------------------ *)
 (* Readiness wait cost: K idle registered fds + one hot one            *)
@@ -389,9 +348,8 @@ let select_wall_probe () =
 (* ns per wait with [k] idle socketpair read-ends registered plus one
    holding an unread byte (level-triggered, so every wait reports
    exactly that fd). Isolates what one poll costs as the registration
-   count grows — the number that separates O(registered) select/poll
-   from O(ready) epoll. Select is capped below K=512: its fd values
-   must stay under FD_SETSIZE=1024 and each idle entry burns a pair. *)
+   count grows — the number that separates O(registered) poll from
+   O(ready) epoll. *)
 let wait_cost_ns ~backend ~k =
   let rd = Readiness.create ~backend () in
   let pairs =
@@ -435,21 +393,11 @@ let wait_cost_ns ~backend ~k =
   ns
 
 let wait_cost_rows () =
+  let ks = if quick then [ 64 ] else [ 64; 256; 448; 1024; 4096 ] in
   let combos =
-    if quick then
-      List.filter_map
-        (fun b -> if Readiness.available b then Some (b, 64) else None)
-        [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
-    else
-      List.concat_map
-        (fun b ->
-          let ks =
-            match b with
-            | Readiness.Select -> [ 64; 256; 448 ]
-            | _ -> [ 64; 256; 448; 1024; 4096 ]
-          in
-          if Readiness.available b then List.map (fun k -> (b, k)) ks else [])
-        [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
+    List.concat_map
+      (fun b -> if Readiness.available b then List.map (fun k -> (b, k)) ks else [])
+      [ Readiness.Epoll; Readiness.Poll ]
   in
   List.map
     (fun (b, k) ->
@@ -619,11 +567,9 @@ let () =
           ns)
       [ "ring"; "binsearch" ]
   in
-  (* Live scaling sweep: forced backends where each can run at all.
-     select is honest only up to N=256 (a 512-node self-hosted ring
-     needs ~1537 fds and Unix.select EINVALs past FD_SETSIZE — probed
-     below and recorded verbatim). The N=4096 epoll row is the
-     million-grant acceptance run; N=10000 runs as a 2-process fleet. *)
+  (* Live scaling sweep: each available backend. The N=4096 epoll row
+     is the million-grant acceptance run; N=10000 runs as a 2-process
+     fleet. *)
   let scaling_rows =
     if quick then
       List.filter_map
@@ -631,7 +577,7 @@ let () =
           if Readiness.available b then
             Some (scaling_case ~backend:b ~n:64 ~grants:2_000)
           else None)
-        [ Readiness.Epoll; Readiness.Poll; Readiness.Select ]
+        [ Readiness.Epoll; Readiness.Poll ]
     else
       List.map
         (fun (b, n, grants) -> scaling_case ~backend:b ~n ~grants)
@@ -642,8 +588,6 @@ let () =
            (Readiness.Poll, 64, 50_000);
            (Readiness.Poll, 256, 50_000);
            (Readiness.Poll, 1024, 20_000);
-           (Readiness.Select, 64, 50_000);
-           (Readiness.Select, 256, 20_000);
          ]
         |> List.filter (fun (b, _, _) -> Readiness.available b))
       @ fleet_rows
@@ -652,7 +596,6 @@ let () =
     if quick then floor_rows ~n:64 ~grants:2_000
     else floor_rows ~n:1024 ~grants:50_000
   in
-  let select_wall = if quick then "not probed (quick mode)" else select_wall_probe () in
   let wait_rows = wait_cost_rows () in
   let json =
     Printf.sprintf
@@ -672,7 +615,6 @@ let () =
   "syscall_floor": [
 %s
   ],
-  "select_wall_at_n512": %S,
   "wait_cost": [
 %s
   ]
@@ -696,7 +638,6 @@ let () =
       (String.concat ",\n" grant_rows)
       (String.concat ",\n" scaling_rows)
       (String.concat ",\n" syscall_floor_rows)
-      select_wall
       (String.concat ",\n" wait_rows)
   in
   let oc = open_out "BENCH_net.json" in

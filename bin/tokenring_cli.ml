@@ -596,21 +596,20 @@ let readiness_arg =
     value & opt (some string) None
     & info [ "readiness" ] ~docv:"BACKEND"
         ~doc:
-          "Force the socket wait backend: uring, epoll, poll or select. \
-           uring switches the transport into io_uring completion mode \
-           (batched submissions, one enter per wait). Default picks the \
-           best available of epoll/poll (TR_READINESS also honoured); an \
-           unavailable forced backend falls back loudly.")
+          "Force the socket wait backend: epoll or poll. Default is epoll \
+           where available, else poll (TR_READINESS also honoured); a \
+           forced epoll on a platform without it falls back loudly to \
+           poll.")
 
 let spin_arg =
   Arg.(
     value & flag
     & info [ "spin" ]
         ~doc:
-          "Adaptive spin-then-block before each shard wait: busy-poll \
-           user-space signals (completion queue, in-process mailboxes) \
-           for a window sized by the recent inter-event gap (TR_SPIN \
-           also honoured).")
+          "Adaptive spin-then-block before each shard wait: busy-poll the \
+           in-process mailboxes (so it only arms with --inproc) for a \
+           window sized by the recent inter-event gap; off on single-CPU \
+           hosts (TR_SPIN also honoured).")
 
 let inproc_arg =
   Arg.(
@@ -683,10 +682,11 @@ let find_packed name =
       die "unknown protocol %S; known: %s" name
         (String.concat ", " Tr_wire.Codecs.names)
 
+(* Transport setup reports caller errors (an unbindable --uds path, a
+   bad TR_READINESS) as [Failure]: print them like any other misuse. *)
 let run_live ?backend config packed =
-  match backend with
-  | None -> Cluster.run_packed config packed
-  | Some b -> Cluster.run_packed ~backend:b config packed
+  try Cluster.run_packed ?backend config packed
+  with Failure msg -> die "%s" msg
 
 (* ---------------- serve ---------------- *)
 
@@ -1385,14 +1385,16 @@ let chaos_cmd =
             | Some d -> d
             | None -> die "--backend uds needs --uds DIR"
           in
-          Tr_chaos_run.Chaos_run.run_live ~protocol ~n ~seed ~spec
-            ~backend:
-              (Cluster.Sockets
-                 {
-                   owned = List.init n Fun.id;
-                   addrs = Live_transport.uds_addrs ~dir ~n;
-                 })
-            ~mean ?deadline ~unit_s ~shards ()
+          (try
+             Tr_chaos_run.Chaos_run.run_live ~protocol ~n ~seed ~spec
+               ~backend:
+                 (Cluster.Sockets
+                    {
+                      owned = List.init n Fun.id;
+                      addrs = Live_transport.uds_addrs ~dir ~n;
+                    })
+               ~mean ?deadline ~unit_s ~shards ()
+           with Failure msg -> die "%s" msg)
       | b -> die "unknown --backend %S (expected sim, loopback or uds)" b
     in
     if json then print_string (Tr_chaos_run.Chaos_run.outcome_json outcome)

@@ -81,7 +81,6 @@ type report = {
   avg_ready_per_wait : float;
   spin_hits : int;
   spin_misses : int;
-  sqes_submitted : int;
   inproc_frames : int;
   syscalls_per_grant : float;
   corrupt_frames_detected : int;
@@ -601,7 +600,9 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
         Queue.add i q
       end
     in
-    (* First pass sweeps everything: init sends are still unflushed. *)
+    (* Adopt every owner into the shard's readiness set before the first
+       poll, then sweep everything once: init sends are still unflushed. *)
+    Transport.wait transport ~owners:my_ids ~timeout_s:0.0 ();
     List.iter activate my_ids;
     try
       while not (Atomic.get stop_flag) do
@@ -711,7 +712,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
        else float_of_int s.Transport.snap_fds_ready /. float_of_int wait_calls);
     spin_hits = s.Transport.snap_spin_hits;
     spin_misses = s.Transport.snap_spin_misses;
-    sqes_submitted = s.Transport.snap_sqes_submitted;
     inproc_frames = s.Transport.snap_inproc_frames;
     syscalls_per_grant =
       (if grants = 0 then 0.0

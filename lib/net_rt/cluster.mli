@@ -45,14 +45,13 @@ type config = {
           shard index modulo core count). Advisory: pinning failure is
           ignored. *)
   readiness : Readiness.backend option;
-      (** Force the sockets readiness backend; [None] picks the best
-          available (honouring [TR_READINESS] — see
-          {!Readiness.default_backend}). Forcing [Uring] puts the
-          transport in completion mode (see {!Transport.sockets}).
-          Ignored on loopback. *)
+      (** Force the sockets readiness backend; [None] picks epoll where
+          available, else poll (honouring [TR_READINESS] — see
+          {!Readiness.default_backend}). Ignored on loopback. *)
   spin : bool;
-      (** Adaptive spin-then-block before each shard wait (sockets
-          only; see {!Transport.sockets}). Default off. *)
+      (** Adaptive spin-then-block before each shard wait, polling the
+          in-process mailbox (sockets with [inproc] only; see
+          {!Transport.sockets}). Default off. *)
   inproc : bool;
       (** In-process delivery fast path between co-hosted nodes
           (sockets only; see {!Transport.sockets}). Default off. *)
@@ -102,9 +101,9 @@ type report = {
   seed : int;
   backend : string;
   readiness : string;
-      (** Backend the shards waited in: ["uring"], ["epoll"], ["poll"],
-          ["select"], or ["none"] for loopback — always the backend
-          {e actually} used, after any loud fallback. *)
+      (** Backend the shards waited in: ["epoll"], ["poll"], or ["none"]
+          for loopback — always the backend {e actually} used, after any
+          loud fallback. *)
   unit_s : float;
   shards : int;
   wall_s : float;
@@ -134,15 +133,13 @@ type report = {
           independent of [fds_registered]. *)
   spin_hits : int;  (** Spin windows that found work without blocking. *)
   spin_misses : int;  (** Spin windows that expired into a blocking wait. *)
-  sqes_submitted : int;
-      (** io_uring submissions queued (completion mode only). *)
   inproc_frames : int;
       (** Frames delivered through the in-process fast path. *)
   syscalls_per_grant : float;
       (** (write + read + wait syscalls) / grants — the per-grant
-          syscall floor this run actually paid. On the readiness
-          backends a hop costs ~3 (write, wait, read); completion mode
-          collapses it toward 1 and the in-process path toward 0. *)
+          syscall floor this run actually paid. A socket hop costs ~3
+          (write, wait, read); the in-process path collapses it toward
+          0. *)
   corrupt_frames_detected : int;
       (** Cluster-level corruption roll-up: [decode_errors +
           resync_skips] — every frame the wire layer had to reject or

@@ -87,7 +87,6 @@ let json_of_report (r : Cluster.report) =
       ("avg_ready_per_wait", json_float r.avg_ready_per_wait);
       ("spin_hits", string_of_int r.spin_hits);
       ("spin_misses", string_of_int r.spin_misses);
-      ("sqes_submitted", string_of_int r.sqes_submitted);
       ("inproc_frames", string_of_int r.inproc_frames);
       ("syscalls_per_grant", json_float r.syscalls_per_grant);
       ("corrupt_frames_detected", string_of_int r.corrupt_frames_detected);

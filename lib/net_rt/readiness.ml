@@ -1,4 +1,4 @@
-type backend = Uring | Epoll | Poll | Select
+type backend = Epoll | Poll
 
 (* Interest/result bits shared with readiness_stubs.c. *)
 let bit_read = 1
@@ -24,57 +24,29 @@ external pin_cpu : int -> bool = "tr_rd_pin_cpu"
    fd->peer table by this int. *)
 external fd_int : Unix.file_descr -> int = "%identity"
 
-let backend_name = function
-  | Uring -> "uring"
-  | Epoll -> "epoll"
-  | Poll -> "poll"
-  | Select -> "select"
+let backend_name = function Epoll -> "epoll" | Poll -> "poll"
 
 let backend_of_string s =
   match String.lowercase_ascii (String.trim s) with
-  | "uring" | "io_uring" -> Ok Uring
   | "epoll" -> Ok Epoll
   | "poll" -> Ok Poll
-  | "select" -> Ok Select
   | other ->
       Error
-        (Printf.sprintf
-           "unknown readiness backend %S (expected uring, epoll, poll or \
-            select)"
+        (Printf.sprintf "unknown readiness backend %S (expected epoll or poll)"
            other)
 
-let available = function
-  | Uring -> Completion.available ()
-  | Epoll -> has_epoll ()
-  | Poll | Select -> true
+let available = function Epoll -> has_epoll () | Poll -> true
 
-(* The degradation order for forced-but-unavailable backends. Unforced
-   defaults deliberately start at Epoll: uring changes the transport's
-   whole submission model, so it is opt-in (TR_READINESS=uring /
-   --readiness uring), never a silent default. *)
-let fallback_chain = [ Uring; Epoll; Poll; Select ]
-
-let fallback_from b =
-  let rec after = function
-    | [] -> [ Select ]
-    | x :: rest -> if x = b then rest else after rest
-  in
-  let rec pick = function
-    | [] -> Select
-    | x :: rest -> if available x then x else pick rest
-  in
-  pick (after fallback_chain)
-
+(* Poll is always available, so it is the whole fallback chain. *)
 let resolve ?(source = "forced") b =
   if available b then b
   else begin
-    let b' = fallback_from b in
     Printf.eprintf
       "Readiness: %s backend %s is unavailable on this system; falling back \
-       to %s\n\
+       to poll\n\
        %!"
-      source (backend_name b) (backend_name b');
-    b'
+      source (backend_name b);
+    Poll
   end
 
 let default_backend () =
@@ -91,7 +63,6 @@ let op_mod = 1
 let op_del = 2
 
 type slot = {
-  fd : Unix.file_descr;
   mutable interest : int;  (** bit_read / bit_write mask. *)
   mutable idx : int;  (** Position in the poll backend's dense arrays. *)
 }
@@ -113,15 +84,7 @@ type poll_state = {
   mutable porder : slot array;  (** Slot at each dense index. *)
 }
 
-type uring_state = {
-  c : Completion.t;
-  (* fd -> interest armed as a one-shot POLL_ADD (keyed by fd). A
-     completion disarms; the next [wait] re-arms whatever is live, so
-     the observable semantics stay level-triggered. *)
-  armed : (int, int) Hashtbl.t;
-}
-
-type impl = E of epoll_state | P of poll_state | S | U of uring_state
+type impl = E of epoll_state | P of poll_state
 
 type t = {
   which : backend;
@@ -154,15 +117,7 @@ let create ?backend () =
             pevents = Array.make 16 0;
             prevents = Array.make 16 0;
             pcount = 0;
-            porder = Array.make 16 { fd = Unix.stdin; interest = 0; idx = -1 };
-          }
-    | Select -> S
-    | Uring ->
-        (* Poll-only rings need no buffer arena. *)
-        U
-          {
-            c = Completion.create ~entries:1024 ~slots:0 ~slot_bytes:0 ();
-            armed = Hashtbl.create 64;
+            porder = Array.make 16 { interest = 0; idx = -1 };
           }
   in
   { which; slots = Hashtbl.create 64; impl; closed = false }
@@ -195,17 +150,9 @@ let set t fd ~read ~write =
         match t.impl with
         | E e -> epoll_ctl e.epfd op_mod key interest
         | P p -> p.pevents.(slot.idx) <- interest
-        | S -> ()
-        | U u ->
-            (* A stale one-shot poll watches the wrong mask; cancel it
-               and let the next wait re-arm with the new interest. *)
-            if Hashtbl.mem u.armed key then begin
-              Completion.prep_cancel u.c key;
-              Hashtbl.remove u.armed key
-            end
       end
   | None ->
-      let slot = { fd; interest; idx = -1 } in
+      let slot = { interest; idx = -1 } in
       Hashtbl.replace t.slots key slot;
       (match t.impl with
       | E e -> epoll_ctl e.epfd op_add key interest
@@ -215,8 +162,7 @@ let set t fd ~read ~write =
           p.pfds.(p.pcount) <- key;
           p.pevents.(p.pcount) <- interest;
           p.porder.(p.pcount) <- slot;
-          p.pcount <- p.pcount + 1
-      | S | U _ -> ())
+          p.pcount <- p.pcount + 1)
 
 let remove t fd =
   let key = fd_int fd in
@@ -235,13 +181,7 @@ let remove t fd =
             p.porder.(i) <- p.porder.(last);
             p.porder.(i).idx <- i
           end;
-          p.pcount <- last
-      | S -> ()
-      | U u ->
-          if Hashtbl.mem u.armed key then begin
-            Completion.prep_cancel u.c key;
-            Hashtbl.remove u.armed key
-          end)
+          p.pcount <- last)
 
 (* Timeouts travel to the stubs as nanoseconds (epoll_pwait2 / ppoll);
    negative would mean "forever", which the transport's lost-wakeup cap
@@ -277,79 +217,13 @@ let wait t ~timeout_s f =
               ~writable:(flags land bit_write <> 0)
         done;
       ready
-  | S ->
-      (* The wall itself: rebuild both lists and let the kernel rescan
-         them, every single wait. Kept for forced baselines. *)
-      let reads = ref [] and writes = ref [] in
-      Hashtbl.iter
-        (fun _ slot ->
-          if slot.interest land bit_read <> 0 then reads := slot.fd :: !reads;
-          if slot.interest land bit_write <> 0 then
-            writes := slot.fd :: !writes)
-        t.slots;
-      let r, w, x =
-        match Unix.select !reads !writes [] (Float.max 0.0 timeout_s) with
-        | r -> r
-        | exception Unix.Unix_error (EINTR, _, _) -> ([], [], [])
-      in
-      ignore x;
-      let tbl = Hashtbl.create 16 in
-      List.iter (fun fd -> Hashtbl.replace tbl (fd_int fd) bit_read) r;
-      List.iter
-        (fun fd ->
-          let key = fd_int fd in
-          let prev = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-          Hashtbl.replace tbl key (prev lor bit_write))
-        w;
-      Hashtbl.iter
-        (fun key flags ->
-          f ~fd:key
-            ~readable:(flags land bit_read <> 0)
-            ~writable:(flags land bit_write <> 0))
-        tbl;
-      Hashtbl.length tbl
-  | U u ->
-      (* Re-arm every live interest that lost its one-shot poll, flush
-         the batch and wait in the same enter, then report whatever the
-         CQ holds. Cancel completions (key 0) and completions for fds
-         no longer registered are skipped. *)
-      Hashtbl.iter
-        (fun key slot ->
-          if slot.interest <> 0 && not (Hashtbl.mem u.armed key) then begin
-            Completion.prep_poll u.c slot.fd slot.interest key;
-            Hashtbl.replace u.armed key slot.interest
-          end)
-        t.slots;
-      let ready = ref 0 in
-      ignore
-        (Completion.enter u.c ~timeout_ns:(timeout_ns timeout_s)
-           ~f:(fun ~key ~res ->
-             if key <> 0 then begin
-               Hashtbl.remove u.armed key;
-               match Completion.classify res with
-               | Ok -> (
-                   match Hashtbl.find_opt t.slots key with
-                   | Some slot when slot.interest <> 0 ->
-                       let flags = Completion.poll_bits res in
-                       if flags <> 0 then begin
-                         incr ready;
-                         f ~fd:key
-                           ~readable:(flags land bit_read <> 0)
-                           ~writable:(flags land bit_write <> 0)
-                       end
-                   | _ -> ())
-               | Retry | Canceled | Error -> ()
-             end)
-          : int);
-      !ready
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     match t.impl with
     | E e -> ( try Unix.close e.epfd with Unix.Unix_error _ -> ())
-    | P _ | S -> ()
-    | U u -> Completion.close u.c
+    | P _ -> ()
   end
 
 let raise_nofile =

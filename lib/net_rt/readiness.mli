@@ -2,64 +2,51 @@
 
     This is the core under {!Transport.wait}: descriptors are registered
     {e once} and the kernel reports only the ready ones, so a wait costs
-    O(ready) instead of the O(registered) rescans of [Unix.select] — the
-    difference between an 8-node demo and a 10k-node cluster.
+    O(ready) instead of rescanning every descriptor — the difference
+    between an 8-node demo and a 10k-node cluster.
 
-    Four backends share one interface:
+    Two backends share one interface:
 
-    - {b uring} (Linux 5.11+): readiness via one-shot io_uring
-      POLL_ADD submissions batched into a single [io_uring_enter] per
-      wait, re-armed on report so the observable semantics stay
-      level-triggered. Opt-in (never the unforced default) — it exists
-      so the whole fd path can be forced through {!Completion} and is
-      the selector {!Transport} uses to decide completion mode.
     - {b epoll} (Linux): persistent kernel interest list, O(ready)
       dispatch, no fd-count ceiling. Level-triggered, so a frame left
       unread keeps reporting — no edge-trigger starvation bugs.
     - {b poll}: portable [poll(2)]. The interest array is maintained
       incrementally on the OCaml side but the kernel still scans every
-      entry per wait — O(registered), no fd-count ceiling.
-    - {b select}: the pre-existing [Unix.select] path, kept as a forced
-      baseline and a last resort. O(registered) {e and} hard-capped
-      around 1024 by [FD_SETSIZE] — the wall this module exists to
-      break.
+      entry per wait — O(registered), no fd-count ceiling. Always
+      available, so it is the fallback for every platform without
+      epoll.
 
-    The default backend is the first available in the chain
-    epoll → poll → select, overridable with
-    [TR_READINESS=uring|epoll|poll|select]. An unknown forced value
-    fails loudly; a known-but-unavailable forced value falls back
-    loudly (stderr) down the chain uring → epoll → poll → select via
-    {!resolve}, so seccomp'd or old kernels degrade gracefully without
-    silently invalidating benchmark labels — the backend actually used
-    is always reported by {!backend}.
+    The default backend is epoll where available, else poll,
+    overridable with [TR_READINESS=epoll|poll]. An unknown forced value
+    fails loudly; a forced epoll on a platform without it falls back
+    loudly (stderr) to poll via {!resolve}, so benchmark labels are
+    never silently wrong — the backend actually used is always
+    reported by {!backend}.
 
     A set must only be used from one domain at a time; the transport
     gives each shard its own. *)
 
-type backend = Uring | Epoll | Poll | Select
+type backend = Epoll | Poll
 
 val backend_name : backend -> string
-(** ["uring"], ["epoll"], ["poll"] or ["select"]. *)
+(** ["epoll"] or ["poll"]. *)
 
 val backend_of_string : string -> (backend, string) result
 (** Parse a [TR_READINESS] value; [Error] explains the choices. *)
 
 val available : backend -> bool
-(** Whether this build can create the backend ([Poll] and [Select] are
-    always available; [Epoll] only on Linux; [Uring] per
-    {!Completion.available}, including the [TR_URING_DISABLE]
-    kill-switch). *)
+(** Whether this build can create the backend ([Poll] always; [Epoll]
+    only on Linux). *)
 
 val resolve : ?source:string -> backend -> backend
-(** [b] itself when available, else the first available backend after
-    [b] in the chain uring → epoll → poll → select, announced with a
-    loud one-line warning on stderr naming [source] (e.g.
-    ["TR_READINESS"], ["--readiness"]). *)
+(** [b] itself when available, else [Poll], announced with a loud
+    one-line warning on stderr naming [source] (e.g. ["TR_READINESS"],
+    ["--readiness"]). *)
 
 val default_backend : unit -> backend
 (** [TR_READINESS] if set (an empty value reads as unset; an
-    unavailable value resolves loudly down the chain), else the first
-    available of epoll → poll → select — uring stays opt-in.
+    unavailable value resolves loudly to poll), else epoll where
+    available, else poll.
     @raise Failure if [TR_READINESS] names an unknown backend. *)
 
 type t

@@ -256,622 +256,3 @@ CAMLprim value tr_rd_pin_cpu(value cpu)
   return Val_false;
 #endif
 }
-
-/* ------------------------------------------------------------------ */
-/* io_uring completion backend.
-
-   Self-contained raw-syscall bindings — no liburing, no
-   <linux/io_uring.h> (the build must not depend on kernel headers
-   newer than the toolchain's). The UAPI layouts below are frozen ABI:
-   the 64-byte SQE, 16-byte CQE and 120-byte setup params have been
-   stable since the features we require (FEAT_SINGLE_MMAP, 5.4;
-   FEAT_EXT_ARG, 5.11) existed, and tr_ur_probe refuses rings that
-   lack either, so a mismatch degrades to the epoll backend rather
-   than to corruption.
-
-   GC discipline mirrors the epoll stubs: the ring struct and the slot
-   arena live in C memory (stable across GC), kernel-visible buffers
-   are arena slots only — OCaml bytes are blitted in/out at the
-   boundary while the runtime lock is held — and the CQE drain fills
-   CAMLparam-rooted int arrays after the blocking section ends. */
-
-#ifdef __linux__
-
-#include <stdint.h>
-#include <sys/mman.h>
-#include <sys/socket.h>
-#include <sys/syscall.h>
-#include <sys/uio.h>
-
-#ifdef __NR_io_uring_setup
-#define TR_NR_io_uring_setup __NR_io_uring_setup
-#define TR_NR_io_uring_enter __NR_io_uring_enter
-#define TR_NR_io_uring_register __NR_io_uring_register
-#else
-/* asm-generic numbers, shared by x86_64/aarch64/riscv64. */
-#define TR_NR_io_uring_setup 425
-#define TR_NR_io_uring_enter 426
-#define TR_NR_io_uring_register 427
-#endif
-
-#define TR_UR_OFF_SQ_RING 0ULL
-#define TR_UR_OFF_SQES 0x10000000ULL
-
-#define TR_UR_ENTER_GETEVENTS 1u
-#define TR_UR_ENTER_EXT_ARG 8u
-
-#define TR_UR_FEAT_SINGLE_MMAP (1u << 0)
-#define TR_UR_FEAT_EXT_ARG (1u << 8)
-
-#define TR_UR_OP_READ_FIXED 4
-#define TR_UR_OP_WRITE_FIXED 5
-#define TR_UR_OP_POLL_ADD 6
-#define TR_UR_OP_ACCEPT 13
-#define TR_UR_OP_ASYNC_CANCEL 14
-#define TR_UR_OP_READ 22
-#define TR_UR_OP_WRITE 23
-
-#define TR_UR_REGISTER_BUFFERS 0
-
-struct tr_ur_sqe {
-  uint8_t opcode;
-  uint8_t flags;
-  uint16_t ioprio;
-  int32_t fd;
-  uint64_t off;
-  uint64_t addr;
-  uint32_t len;
-  uint32_t opflags; /* union of rw_flags/poll32_events/accept_flags/... */
-  uint64_t user_data;
-  uint16_t buf_index;
-  uint16_t personality;
-  int32_t splice_fd_in;
-  uint64_t pad2[2];
-};
-
-struct tr_ur_cqe {
-  uint64_t user_data;
-  int32_t res;
-  uint32_t flags;
-};
-
-struct tr_ur_sqring_offsets {
-  uint32_t head, tail, ring_mask, ring_entries, flags, dropped, array, resv1;
-  uint64_t resv2;
-};
-
-struct tr_ur_cqring_offsets {
-  uint32_t head, tail, ring_mask, ring_entries, overflow, cqes, flags, resv1;
-  uint64_t resv2;
-};
-
-struct tr_ur_params {
-  uint32_t sq_entries, cq_entries, flags, sq_thread_cpu, sq_thread_idle;
-  uint32_t features, wq_fd, resv[3];
-  struct tr_ur_sqring_offsets sq_off;
-  struct tr_ur_cqring_offsets cq_off;
-};
-
-struct tr_ur_getevents_arg {
-  uint64_t sigmask;
-  uint32_t sigmask_sz;
-  uint32_t pad;
-  uint64_t ts;
-};
-
-struct tr_ur_kts {
-  int64_t tv_sec;
-  long long tv_nsec;
-};
-
-struct tr_ur {
-  int ring_fd;
-  unsigned sq_entries, cq_entries;
-  unsigned *sq_head, *sq_tail, *sq_mask, *sq_array;
-  unsigned *cq_head, *cq_tail, *cq_mask;
-  struct tr_ur_sqe *sqes;
-  struct tr_ur_cqe *cqes;
-  void *ring_ptr;
-  size_t ring_sz;
-  void *sqes_ptr;
-  size_t sqes_sz;
-  int fixed; /* REGISTER_BUFFERS accepted: READ/WRITE_FIXED usable */
-  unsigned long long enters; /* actual io_uring_enter syscalls made */
-  char *arena;
-  long nslots, slot_bytes;
-};
-
-static int tr_ur_sys_setup(unsigned entries, struct tr_ur_params *p)
-{
-  return (int)syscall(TR_NR_io_uring_setup, entries, p);
-}
-
-static int tr_ur_sys_enter(int fd, unsigned to_submit, unsigned min_complete,
-                           unsigned flags, void *arg, size_t argsz)
-{
-  return (int)syscall(TR_NR_io_uring_enter, fd, to_submit, min_complete,
-                      flags, arg, argsz);
-}
-
-static int tr_ur_sys_register(int fd, unsigned op, void *arg, unsigned nr)
-{
-  return (int)syscall(TR_NR_io_uring_register, fd, op, arg, nr);
-}
-
-static void tr_ur_free(struct tr_ur *u)
-{
-  if (u == NULL) return;
-  if (u->sqes_ptr != NULL && u->sqes_ptr != MAP_FAILED)
-    munmap(u->sqes_ptr, u->sqes_sz);
-  if (u->ring_ptr != NULL && u->ring_ptr != MAP_FAILED)
-    munmap(u->ring_ptr, u->ring_sz);
-  if (u->ring_fd >= 0) close(u->ring_fd);
-  free(u->arena);
-  free(u);
-}
-
-/* Open a ring; NULL + errbuf on failure. Requires FEAT_SINGLE_MMAP and
-   FEAT_EXT_ARG so the mmap layout and the enter timeout path are
-   uniform; kernels predating either fall back to epoll upstream. */
-static struct tr_ur *tr_ur_open(unsigned entries, long nslots,
-                                long slot_bytes, char *errbuf, size_t errsz)
-{
-  struct tr_ur_params p;
-  struct tr_ur *u = calloc(1, sizeof(*u));
-  size_t sq_sz, cq_sz;
-  unsigned i;
-  if (u == NULL) {
-    snprintf(errbuf, errsz, "out of memory");
-    return NULL;
-  }
-  u->ring_fd = -1;
-  memset(&p, 0, sizeof(p));
-  u->ring_fd = tr_ur_sys_setup(entries, &p);
-  if (u->ring_fd < 0) {
-    snprintf(errbuf, errsz, "io_uring_setup: %s", strerror(errno));
-    tr_ur_free(u);
-    return NULL;
-  }
-  if ((p.features & TR_UR_FEAT_SINGLE_MMAP) == 0 ||
-      (p.features & TR_UR_FEAT_EXT_ARG) == 0) {
-    snprintf(errbuf, errsz, "kernel io_uring too old (features=0x%x)",
-             p.features);
-    tr_ur_free(u);
-    return NULL;
-  }
-  u->sq_entries = p.sq_entries;
-  u->cq_entries = p.cq_entries;
-  sq_sz = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-  cq_sz = p.cq_off.cqes + p.cq_entries * sizeof(struct tr_ur_cqe);
-  u->ring_sz = sq_sz > cq_sz ? sq_sz : cq_sz;
-  u->ring_ptr = mmap(NULL, u->ring_sz, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_POPULATE, u->ring_fd,
-                     TR_UR_OFF_SQ_RING);
-  if (u->ring_ptr == MAP_FAILED) {
-    snprintf(errbuf, errsz, "mmap(sq ring): %s", strerror(errno));
-    tr_ur_free(u);
-    return NULL;
-  }
-  u->sqes_sz = p.sq_entries * sizeof(struct tr_ur_sqe);
-  u->sqes_ptr = mmap(NULL, u->sqes_sz, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_POPULATE, u->ring_fd, TR_UR_OFF_SQES);
-  if (u->sqes_ptr == MAP_FAILED) {
-    snprintf(errbuf, errsz, "mmap(sqes): %s", strerror(errno));
-    tr_ur_free(u);
-    return NULL;
-  }
-  u->sq_head = (unsigned *)((char *)u->ring_ptr + p.sq_off.head);
-  u->sq_tail = (unsigned *)((char *)u->ring_ptr + p.sq_off.tail);
-  u->sq_mask = (unsigned *)((char *)u->ring_ptr + p.sq_off.ring_mask);
-  u->sq_array = (unsigned *)((char *)u->ring_ptr + p.sq_off.array);
-  u->cq_head = (unsigned *)((char *)u->ring_ptr + p.cq_off.head);
-  u->cq_tail = (unsigned *)((char *)u->ring_ptr + p.cq_off.tail);
-  u->cq_mask = (unsigned *)((char *)u->ring_ptr + p.cq_off.ring_mask);
-  u->cqes = (struct tr_ur_cqe *)((char *)u->ring_ptr + p.cq_off.cqes);
-  u->sqes = (struct tr_ur_sqe *)u->sqes_ptr;
-  /* Identity map: slot i of the indirection array names sqe i, so the
-     sqe at (tail & mask) is always the one the kernel picks up. */
-  for (i = 0; i < p.sq_entries; i++) u->sq_array[i] = i;
-  u->nslots = nslots;
-  u->slot_bytes = slot_bytes;
-  if (nslots > 0) {
-    u->arena = malloc((size_t)nslots * (size_t)slot_bytes);
-    if (u->arena == NULL) {
-      snprintf(errbuf, errsz, "slot arena allocation failed");
-      tr_ur_free(u);
-      return NULL;
-    }
-    {
-      /* Pre-registering the arena lets reads/writes use the _FIXED
-         opcodes (no per-op get_user_pages). Rejection — typically
-         RLIMIT_MEMLOCK — is not fatal: plain READ/WRITE still work. */
-      struct iovec *iov = malloc(sizeof(struct iovec) * nslots);
-      if (iov != NULL) {
-        long s;
-        for (s = 0; s < nslots; s++) {
-          iov[s].iov_base = u->arena + s * slot_bytes;
-          iov[s].iov_len = slot_bytes;
-        }
-        u->fixed = tr_ur_sys_register(u->ring_fd, TR_UR_REGISTER_BUFFERS,
-                                      iov, (unsigned)nslots) == 0;
-        free(iov);
-      }
-    }
-  }
-  return u;
-}
-
-#define Tr_ur_val(v) (*(struct tr_ur **)Data_custom_val(v))
-
-static void tr_ur_finalize(value v)
-{
-  struct tr_ur *u = Tr_ur_val(v);
-  if (u != NULL) {
-    tr_ur_free(u);
-    Tr_ur_val(v) = NULL;
-  }
-}
-
-static struct custom_operations tr_ur_ops = {
-  "tokenring.net_rt.uring",
-  tr_ur_finalize,
-  custom_compare_default,
-  custom_hash_default,
-  custom_serialize_default,
-  custom_deserialize_default,
-  custom_compare_ext_default,
-  custom_fixed_length_default
-};
-
-static struct tr_ur *tr_ur_get(value v)
-{
-  struct tr_ur *u = Tr_ur_val(v);
-  if (u == NULL) caml_failwith("Completion: ring used after close");
-  return u;
-}
-
-CAMLprim value tr_ur_probe(value unit)
-{
-  char err[128];
-  struct tr_ur *u = tr_ur_open(4, 0, 0, err, sizeof(err));
-  if (u == NULL) return Val_false;
-  tr_ur_free(u);
-  return Val_true;
-}
-
-CAMLprim value tr_ur_create(value ventries, value vnslots, value vslot_bytes)
-{
-  CAMLparam3(ventries, vnslots, vslot_bytes);
-  CAMLlocal1(res);
-  char err[256];
-  struct tr_ur *u = tr_ur_open((unsigned)Int_val(ventries),
-                               Long_val(vnslots), Long_val(vslot_bytes), err,
-                               sizeof(err));
-  if (u == NULL) {
-    char msg[320];
-    snprintf(msg, sizeof(msg), "Completion: %s", err);
-    caml_failwith(msg);
-  }
-  res = caml_alloc_custom(&tr_ur_ops, sizeof(struct tr_ur *), 0, 1);
-  Tr_ur_val(res) = u;
-  CAMLreturn(res);
-}
-
-CAMLprim value tr_ur_close_stub(value vt)
-{
-  struct tr_ur *u = Tr_ur_val(vt);
-  if (u != NULL) {
-    tr_ur_free(u);
-    Tr_ur_val(vt) = NULL;
-  }
-  return Val_unit;
-}
-
-CAMLprim value tr_ur_fixed(value vt)
-{
-  return Val_bool(tr_ur_get(vt)->fixed);
-}
-
-CAMLprim value tr_ur_enters(value vt)
-{
-  return Val_long((long)tr_ur_get(vt)->enters);
-}
-
-CAMLprim value tr_ur_sq_space(value vt)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  unsigned head = __atomic_load_n(u->sq_head, __ATOMIC_ACQUIRE);
-  return Val_int((int)(u->sq_entries - (*u->sq_tail - head)));
-}
-
-CAMLprim value tr_ur_sq_pending(value vt)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  unsigned head = __atomic_load_n(u->sq_head, __ATOMIC_ACQUIRE);
-  return Val_int((int)(*u->sq_tail - head));
-}
-
-CAMLprim value tr_ur_cq_pending(value vt)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  unsigned tail = __atomic_load_n(u->cq_tail, __ATOMIC_ACQUIRE);
-  return Val_bool(tail != *u->cq_head);
-}
-
-/* Claim the next sqe, zeroed, or NULL when the SQ is full (the caller
-   flushes with a submit-only enter and retries). The tail store is
-   RELEASE so the kernel sees a fully-written sqe. */
-static struct tr_ur_sqe *tr_ur_next_sqe(struct tr_ur *u)
-{
-  unsigned head = __atomic_load_n(u->sq_head, __ATOMIC_ACQUIRE);
-  unsigned tail = *u->sq_tail;
-  struct tr_ur_sqe *sqe;
-  if (tail - head >= u->sq_entries) return NULL;
-  sqe = &u->sqes[tail & *u->sq_mask];
-  memset(sqe, 0, sizeof(*sqe));
-  return sqe;
-}
-
-static void tr_ur_push_sqe(struct tr_ur *u)
-{
-  __atomic_store_n(u->sq_tail, *u->sq_tail + 1, __ATOMIC_RELEASE);
-}
-
-CAMLprim value tr_ur_prep_poll(value vt, value vfd, value vbits, value vkey)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  struct tr_ur_sqe *sqe = tr_ur_next_sqe(u);
-  unsigned mask = 0;
-  if (sqe == NULL) return Val_false;
-  if (Int_val(vbits) & TR_RD_READ) mask |= POLLIN | POLLRDHUP;
-  if (Int_val(vbits) & TR_RD_WRITE) mask |= POLLOUT;
-  mask |= POLLERR | POLLHUP;
-  sqe->opcode = TR_UR_OP_POLL_ADD;
-  sqe->fd = Int_val(vfd);
-  sqe->opflags = mask; /* poll32_events; LE layout matches host here */
-  sqe->user_data = (uint64_t)Long_val(vkey);
-  tr_ur_push_sqe(u);
-  return Val_true;
-}
-
-CAMLprim value tr_ur_prep_cancel(value vt, value vkey)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  struct tr_ur_sqe *sqe = tr_ur_next_sqe(u);
-  if (sqe == NULL) return Val_false;
-  sqe->opcode = TR_UR_OP_ASYNC_CANCEL;
-  sqe->fd = -1;
-  sqe->addr = (uint64_t)Long_val(vkey);
-  sqe->user_data = 0; /* key 0 = ignored by the dispatcher */
-  tr_ur_push_sqe(u);
-  return Val_true;
-}
-
-CAMLprim value tr_ur_prep_read(value vt, value vfd, value vslot, value vkey)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  struct tr_ur_sqe *sqe = tr_ur_next_sqe(u);
-  long slot = Long_val(vslot);
-  if (sqe == NULL) return Val_false;
-  if (slot < 0 || slot >= u->nslots)
-    caml_failwith("Completion: read slot out of range");
-  sqe->opcode = u->fixed ? TR_UR_OP_READ_FIXED : TR_UR_OP_READ;
-  sqe->fd = Int_val(vfd);
-  sqe->addr = (uint64_t)(uintptr_t)(u->arena + slot * u->slot_bytes);
-  sqe->len = (uint32_t)u->slot_bytes;
-  sqe->buf_index = (uint16_t)slot;
-  sqe->user_data = (uint64_t)Long_val(vkey);
-  tr_ur_push_sqe(u);
-  return Val_true;
-}
-
-CAMLprim value tr_ur_prep_write(value vt, value vfd, value vslot, value vlen,
-                                value vkey)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  struct tr_ur_sqe *sqe = tr_ur_next_sqe(u);
-  long slot = Long_val(vslot);
-  long len = Long_val(vlen);
-  if (sqe == NULL) return Val_false;
-  if (slot < 0 || slot >= u->nslots)
-    caml_failwith("Completion: write slot out of range");
-  if (len < 0 || len > u->slot_bytes)
-    caml_failwith("Completion: write length out of range");
-  sqe->opcode = u->fixed ? TR_UR_OP_WRITE_FIXED : TR_UR_OP_WRITE;
-  sqe->fd = Int_val(vfd);
-  sqe->addr = (uint64_t)(uintptr_t)(u->arena + slot * u->slot_bytes);
-  sqe->len = (uint32_t)len;
-  sqe->buf_index = (uint16_t)slot;
-  sqe->user_data = (uint64_t)Long_val(vkey);
-  tr_ur_push_sqe(u);
-  return Val_true;
-}
-
-CAMLprim value tr_ur_prep_accept(value vt, value vfd, value vkey)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  struct tr_ur_sqe *sqe = tr_ur_next_sqe(u);
-  if (sqe == NULL) return Val_false;
-  sqe->opcode = TR_UR_OP_ACCEPT;
-  sqe->fd = Int_val(vfd);
-  sqe->opflags = SOCK_NONBLOCK | SOCK_CLOEXEC; /* accept_flags */
-  sqe->user_data = (uint64_t)Long_val(vkey);
-  tr_ur_push_sqe(u);
-  return Val_true;
-}
-
-CAMLprim value tr_ur_blit_to_slot(value vt, value vslot, value vbuf,
-                                  value vpos, value vlen)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  long slot = Long_val(vslot);
-  long len = Long_val(vlen);
-  if (slot < 0 || slot >= u->nslots || len < 0 || len > u->slot_bytes)
-    caml_failwith("Completion: blit_to_slot out of range");
-  memcpy(u->arena + slot * u->slot_bytes, Bytes_val(vbuf) + Long_val(vpos),
-         (size_t)len);
-  return Val_unit;
-}
-
-CAMLprim value tr_ur_blit_from_slot(value vt, value vslot, value vbuf,
-                                    value vpos, value vlen)
-{
-  struct tr_ur *u = tr_ur_get(vt);
-  long slot = Long_val(vslot);
-  long len = Long_val(vlen);
-  if (slot < 0 || slot >= u->nslots || len < 0 || len > u->slot_bytes)
-    caml_failwith("Completion: blit_from_slot out of range");
-  memcpy(Bytes_val(vbuf) + Long_val(vpos), u->arena + slot * u->slot_bytes,
-         (size_t)len);
-  return Val_unit;
-}
-
-/* Submit everything pending and (when timeout_ns > 0) block for one
-   completion or the timeout, then drain up to [Array.length keys]
-   CQEs into keys/ress. Returns the drained count; callers loop while
-   tr_ur_cq_pending for the remainder. A timeout_ns of 0 with nothing
-   to submit makes no syscall at all — that is what lets the adaptive
-   spin window poll the CQ for free. */
-CAMLprim value tr_ur_enter(value vt, value vtimeout_ns, value vkeys,
-                           value vress)
-{
-  CAMLparam4(vt, vtimeout_ns, vkeys, vress);
-  struct tr_ur *u = tr_ur_get(vt);
-  long long ns = Long_val(vtimeout_ns);
-  int cap = Wosize_val(vkeys);
-  int need_wait = ns > 0;
-  unsigned head, tail;
-  int n = 0;
-  if (Wosize_val(vress) < (unsigned)cap) cap = Wosize_val(vress);
-  head = __atomic_load_n(u->sq_head, __ATOMIC_ACQUIRE);
-  {
-    unsigned to_submit = *u->sq_tail - head;
-    if (to_submit > 0 || need_wait) {
-      struct tr_ur_kts ts;
-      struct tr_ur_getevents_arg arg;
-      int ret, err;
-      memset(&arg, 0, sizeof(arg));
-      ts.tv_sec = ns / 1000000000LL;
-      ts.tv_nsec = ns % 1000000000LL;
-      arg.ts = (uint64_t)(uintptr_t)&ts;
-      caml_enter_blocking_section();
-      ret = tr_ur_sys_enter(
-          u->ring_fd, to_submit, need_wait ? 1 : 0,
-          need_wait ? (TR_UR_ENTER_GETEVENTS | TR_UR_ENTER_EXT_ARG) : 0,
-          need_wait ? (void *)&arg : NULL,
-          need_wait ? sizeof(arg) : 0);
-      err = errno;
-      caml_leave_blocking_section();
-      u->enters++;
-      if (ret < 0 && err != EINTR && err != ETIME && err != EBUSY &&
-          err != EAGAIN)
-        tr_rd_fail_err("io_uring_enter", err);
-      /* EINTR/ETIME: nothing consumed or already accounted — the SQ
-         head is kernel-maintained, so pending is always tail - head
-         and needs no bookkeeping here. EBUSY: CQ saturated; draining
-         below is exactly the remedy. */
-    }
-  }
-  head = *u->cq_head;
-  tail = __atomic_load_n(u->cq_tail, __ATOMIC_ACQUIRE);
-  while (head != tail && n < cap) {
-    struct tr_ur_cqe *cqe = &u->cqes[head & *u->cq_mask];
-    Field(vkeys, n) = Val_long((long)cqe->user_data);
-    Field(vress, n) = Val_long((long)cqe->res);
-    head++;
-    n++;
-  }
-  __atomic_store_n(u->cq_head, head, __ATOMIC_RELEASE);
-  CAMLreturn(Val_int(n));
-}
-
-/* Classify a CQE res: 0 = success (res >= 0), 1 = transient (retry the
-   op), 2 = canceled, 3 = hard error. */
-CAMLprim value tr_ur_res_class(value vres)
-{
-  long res = Long_val(vres);
-  if (res >= 0) return Val_int(0);
-  switch ((int)-res) {
-  case EAGAIN:
-#if EAGAIN != EWOULDBLOCK
-  case EWOULDBLOCK:
-#endif
-  case EINTR:
-    return Val_int(1);
-  case ECANCELED:
-    return Val_int(2);
-  default:
-    return Val_int(3);
-  }
-}
-
-/* Translate a poll-completion res (a poll revents mask) into TR_RD_*
-   bits, folding errors/hangups into both directions exactly like the
-   epoll and poll backends do. */
-CAMLprim value tr_ur_poll_bits(value vres)
-{
-  long res = Long_val(vres);
-  int f = 0;
-  if (res < 0) return Val_int(0);
-  if (res & (POLLIN | POLLERR | POLLHUP | POLLRDHUP | POLLNVAL))
-    f |= TR_RD_READ;
-  if (res & (POLLOUT | POLLERR | POLLHUP)) f |= TR_RD_WRITE;
-  return Val_int(f);
-}
-
-#else /* !__linux__ */
-
-CAMLprim value tr_ur_probe(value unit) { return Val_false; }
-
-static value tr_ur_unavailable(void)
-{
-  caml_failwith("Completion: io_uring unavailable on this platform");
-}
-
-CAMLprim value tr_ur_create(value a, value b, value c)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_close_stub(value a) { return tr_ur_unavailable(); }
-CAMLprim value tr_ur_fixed(value a) { return tr_ur_unavailable(); }
-CAMLprim value tr_ur_enters(value a) { return tr_ur_unavailable(); }
-CAMLprim value tr_ur_sq_space(value a) { return tr_ur_unavailable(); }
-CAMLprim value tr_ur_sq_pending(value a) { return tr_ur_unavailable(); }
-CAMLprim value tr_ur_cq_pending(value a) { return tr_ur_unavailable(); }
-CAMLprim value tr_ur_prep_poll(value a, value b, value c, value d)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_prep_cancel(value a, value b)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_prep_read(value a, value b, value c, value d)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_prep_write(value a, value b, value c, value d, value e)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_prep_accept(value a, value b, value c)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_blit_to_slot(value a, value b, value c, value d, value e)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_blit_from_slot(value a, value b, value c, value d,
-                                    value e)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_enter(value a, value b, value c, value d)
-{
-  return tr_ur_unavailable();
-}
-CAMLprim value tr_ur_res_class(value vres) { return Val_int(3); }
-CAMLprim value tr_ur_poll_bits(value vres) { return Val_int(0); }
-
-#endif /* __linux__ */

@@ -16,7 +16,6 @@ type stats = {
   fds_registered : int Atomic.t;
   spin_hits : int Atomic.t;
   spin_misses : int Atomic.t;
-  sqes_submitted : int Atomic.t;
   inproc_frames : int Atomic.t;
 }
 
@@ -37,7 +36,6 @@ let make_stats () =
     fds_registered = Atomic.make 0;
     spin_hits = Atomic.make 0;
     spin_misses = Atomic.make 0;
-    sqes_submitted = Atomic.make 0;
     inproc_frames = Atomic.make 0;
   }
 
@@ -60,7 +58,6 @@ type snapshot = {
   snap_fds_registered : int;
   snap_spin_hits : int;
   snap_spin_misses : int;
-  snap_sqes_submitted : int;
   snap_inproc_frames : int;
 }
 
@@ -81,7 +78,6 @@ let snapshot_of_stats s =
     snap_fds_registered = Atomic.get s.fds_registered;
     snap_spin_hits = Atomic.get s.spin_hits;
     snap_spin_misses = Atomic.get s.spin_misses;
-    snap_sqes_submitted = Atomic.get s.sqes_submitted;
     snap_inproc_frames = Atomic.get s.inproc_frames;
   }
 
@@ -256,18 +252,13 @@ module Sockets = struct
     try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
   (* Unix.file_descr is an int on every Unix OCaml port; the fd->peer
-     index is keyed by it, and completion-mode accepts return raw fds. *)
+     index is keyed by it. *)
   external fd_int : Unix.file_descr -> int = "%identity"
-  external fd_of_int : int -> Unix.file_descr = "%identity"
 
   type conn_in = {
     fd : Unix.file_descr;
     dec : Frame.Decoder.t;
     mutable ready : bool;  (** Queued in its node's [ready_ins]. *)
-    mutable rd_id : int;  (** Completion mode: in-flight read/poll key. *)
-    mutable rd_slot : int;
-        (** Completion mode: owned arena slot, [-1] none (poll
-            fallback), [-2] connection dead. *)
   }
 
   (* Outgoing frames coalesce into one flat buffer, flushed with a
@@ -287,10 +278,6 @@ module Sockets = struct
     mutable retry_at : float;  (** Wall time before which we won't dial. *)
     mutable in_busy : bool;  (** Queued in its node's [busy]. *)
     mutable in_retry : bool;  (** Queued in its shard set's [retry_outs]. *)
-    mutable wr_id : int;  (** Completion mode: in-flight write key. *)
-    mutable wr_slot : int;  (** Completion mode: owned arena slot or -1. *)
-    mutable wr_len : int;  (** Length of the in-flight write. *)
-    mutable po_id : int;  (** Completion mode: in-flight POLLOUT key. *)
   }
 
   let queued co = co.out_len - co.out_pos
@@ -298,16 +285,13 @@ module Sockets = struct
   (* A node is {e tracked} once its owning shard first calls [wait]: its
      fds then live in that shard's readiness set and [poll] touches only
      what the last wait reported ready — O(ready), not O(connections).
-     Untracked nodes (raw bench pumps that never wait) keep the legacy
-     scan-everything poll. *)
+     Polling a node before that is a caller error. *)
   type node = {
     id : int;
     listen : Unix.file_descr;
     nodelay : bool;
     mutable ins : conn_in list;
     outs : (int, conn_out) Hashtbl.t;  (** Keyed by destination node id. *)
-    readbuf : Bytes.t Lazy.t;  (** Untracked mode only; tracked reads share
-                                   the shard set's buffer. *)
     mutable tracked : shard_set option;
     tracked_pub : shard_set option Atomic.t;
         (** [tracked], republished for cross-domain readers: in-process
@@ -317,18 +301,16 @@ module Sockets = struct
     mutable accept_ready : bool;
     mutable ready_ins : conn_in list;
     mutable busy : conn_out list;  (** Conns with unflushed bytes. *)
-    mutable accept_id : int;  (** Completion mode: in-flight accept key. *)
     ipc : string Mailbox.t;  (** In-process fast path: inbound frames. *)
     ipc_queued : bool Atomic.t;  (** Queued in its shard's [ipc_pending]. *)
   }
 
-  (* One per waiting shard: either a readiness set all the shard's fds
-     are registered in (with the fd->peer index that turns a ready fd
-     back into work in O(1)), or a completion ring where the pending
-     operations themselves carry the peer (keyed through [utab]). *)
+  (* One per waiting shard: the readiness set all the shard's fds are
+     registered in, with the fd->peer index that turns a ready fd back
+     into work in O(1). *)
   and shard_set = {
-    rd : rd_impl;
-    fdx : (int, entry) Hashtbl.t;  (** Readiness mode only. *)
+    rd : Readiness.t;
+    fdx : (int, entry) Hashtbl.t;
     sbuf : Bytes.t;  (** Shared read buffer — one per shard, not per node. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
@@ -344,24 +326,10 @@ module Sockets = struct
         (** Hosted nodes with undrained in-process frames. *)
     mutable ewma_gap : float;  (** Recent inter-event gap estimate (s). *)
     mutable last_event : float;
-    (* Completion mode state. *)
-    mutable rearm_accepts : node list;  (** Accept arms to retry at wait. *)
-    wake_armed : (int, unit) Hashtbl.t;  (** Armed wake-fd polls. *)
-    mutable next_key : int;  (** Submission keys; 0 reserved. *)
-    utab : (int, uent) Hashtbl.t;  (** In-flight op by submission key. *)
-    mutable last_enters : int;
-        (** Ring counters already folded into the shared stats — preps
-            between waits (and SQ-full flushes) are charged at the next
-            wait by diffing the ring's cumulative counters. *)
     mutable wait_skips : int;
         (** Consecutive kernel waits elided because in-process work was
-            already in hand (bounded in readiness mode so socket fds are
-            still visited; unbounded in completion mode, where an empty
-            SQ and CQ make the elided enter provably a no-op). *)
-    mutable last_sqes : int;
+            already in hand (bounded so socket fds are still visited). *)
   }
-
-  and rd_impl = Rdy of Readiness.t | Cmp of Completion.t
 
   and entry =
     | Listener of node
@@ -370,42 +338,27 @@ module Sockets = struct
     | Wake
     | SelfWake of Wakeup.t
 
-  (* What an in-flight completion-mode submission was. *)
-  and uent =
-    | U_accept of node
-    | U_read of node * conn_in
-    | U_pollin of node * conn_in
-    | U_write of node * conn_out
-    | U_pollout of node * conn_out
-    | U_wake of Unix.file_descr
-
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
   (* Registration keeps the [fds_registered] gauge honest: an fd counts
      once, however often its interest mask changes. Removal must happen
      before the fd is closed (epoll auto-forgets closed fds, but the
-     poll/select sets would otherwise scan a dead descriptor). *)
+     poll set would otherwise scan a dead descriptor). *)
   let reg stats set fd entry ~read ~write =
-    match set.rd with
-    | Cmp _ -> () (* completion mode: interest is submission-driven *)
-    | Rdy rd ->
-        let key = fd_int fd in
-        if not (Hashtbl.mem set.fdx key) then begin
-          Hashtbl.replace set.fdx key entry;
-          Atomic.incr stats.fds_registered
-        end;
-        Readiness.set rd fd ~read ~write
+    let key = fd_int fd in
+    if not (Hashtbl.mem set.fdx key) then begin
+      Hashtbl.replace set.fdx key entry;
+      Atomic.incr stats.fds_registered
+    end;
+    Readiness.set set.rd fd ~read ~write
 
   let unreg stats set fd =
-    match set.rd with
-    | Cmp _ -> ()
-    | Rdy rd ->
-        let key = fd_int fd in
-        if Hashtbl.mem set.fdx key then begin
-          Hashtbl.remove set.fdx key;
-          Atomic.decr stats.fds_registered;
-          Readiness.remove rd fd
-        end
+    let key = fd_int fd in
+    if Hashtbl.mem set.fdx key then begin
+      Hashtbl.remove set.fdx key;
+      Atomic.decr stats.fds_registered;
+      Readiness.remove set.rd fd
+    end
 
   let reset_if_empty co =
     if queued co = 0 then begin
@@ -413,10 +366,10 @@ module Sockets = struct
       co.out_len <- 0
     end
 
-  let tear_down stats tracked co =
+  let tear_down stats set co =
     (match co.fd with
     | Some fd ->
-        (match tracked with Some set -> unreg stats set fd | None -> ());
+        unreg stats set fd;
         close_quietly fd
     | None -> ());
     co.fd <- None;
@@ -433,7 +386,7 @@ module Sockets = struct
     co.retry_at <- Unix.gettimeofday () +. co.backoff;
     Atomic.incr stats.reconnects
 
-  let dial stats node co =
+  let dial stats set node co =
     let fd = Unix.socket (Unix.domain_of_sockaddr co.addr) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     (match co.addr with
@@ -444,9 +397,7 @@ module Sockets = struct
       (* Write interest from the start: dialing only ever happens with
          bytes queued, and a connect still in progress completes as a
          writability event. *)
-      match node.tracked with
-      | Some set -> reg stats set fd (Out (node, co)) ~read:false ~write:true
-      | None -> ()
+      reg stats set fd (Out (node, co)) ~read:false ~write:true
     in
     match Unix.connect fd co.addr with
     | () -> connected ()
@@ -456,7 +407,7 @@ module Sockets = struct
     | exception Unix.Unix_error (_, _, _) ->
         close_quietly fd;
         co.fd <- None;
-        tear_down stats node.tracked co
+        tear_down stats set co
 
   (* Append [len] frame bytes to the coalescing buffer. [blit dst dstoff]
      writes them; the caller has already counted the frame. *)
@@ -502,13 +453,13 @@ module Sockets = struct
   (* One [write] covering every queued frame; a partial write means the
      kernel buffer is full, so stop rather than spin. Sends between two
      polls therefore cost at most one syscall total. *)
-  let rec flush stats node co =
+  let rec flush stats set node co =
     if queued co > 0 then
       match co.fd with
       | None ->
           if Unix.gettimeofday () >= co.retry_at then begin
-            dial stats node co;
-            if co.fd <> None then flush stats node co
+            dial stats set node co;
+            if co.fd <> None then flush stats set node co
           end
       | Some fd -> (
           match Unix.write fd co.out co.out_pos (queued co) with
@@ -526,44 +477,57 @@ module Sockets = struct
               Atomic.incr stats.write_syscalls
           | exception Unix.Unix_error (_, _, _) ->
               Atomic.incr stats.write_syscalls;
-              tear_down stats node.tracked co)
+              tear_down stats set co)
 
   let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
 
+  let describe_addr = function
+    | Unix.ADDR_UNIX path -> path
+    | Unix.ADDR_INET (ip, port) ->
+        Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) port
+
+  (* A bad address (missing UDS directory, port in use) is a caller
+     error: report it as a [Failure] naming the address and the failed
+     call, not as a bare [Unix_error] that names neither. *)
   let make_listener addr =
+    let fail err call =
+      failwith
+        (Printf.sprintf "Transport.sockets: cannot listen on %s: %s: %s"
+           (describe_addr addr) call (Unix.error_message err))
+    in
     (match addr with
     | Unix.ADDR_UNIX path -> unlink_quietly path
     | Unix.ADDR_INET _ -> ());
-    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-    (match addr with
-    | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-    | Unix.ADDR_UNIX _ -> ());
-    Unix.bind fd addr;
-    Unix.listen fd 1024;
-    Unix.set_nonblock fd;
-    fd
+    let fd =
+      try Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+      with Unix.Unix_error (err, call, _) -> fail err call
+    in
+    try
+      (match addr with
+      | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | Unix.ADDR_UNIX _ -> ());
+      Unix.bind fd addr;
+      Unix.listen fd 1024;
+      Unix.set_nonblock fd;
+      fd
+    with Unix.Unix_error (err, call, _) ->
+      close_quietly fd;
+      fail err call
 
-  let accept_all stats node =
+  let accept_all stats set node =
     let rec go () =
       match Unix.accept ~cloexec:true node.listen with
       | fd, _ ->
           Unix.set_nonblock fd;
           if node.nodelay then set_nodelay fd;
-          let ci =
-            {
-              fd;
-              dec = Frame.Decoder.create ();
-              ready = false;
-              rd_id = 0;
-              rd_slot = -1;
-            }
-          in
+          (* Peers dial only with bytes queued, so a fresh connection
+             is read in this same poll rather than after another wait.
+             Registration is level-triggered: bytes arriving later still
+             report readable. *)
+          let ci = { fd; dec = Frame.Decoder.create (); ready = true } in
           node.ins <- ci :: node.ins;
-          (* Level-triggered registration: bytes that raced in before
-             this point still report readable on the next wait. *)
-          (match node.tracked with
-          | Some set -> reg stats set fd (In (node, ci)) ~read:true ~write:false
-          | None -> ());
+          node.ready_ins <- ci :: node.ready_ins;
+          reg stats set fd (In (node, ci)) ~read:true ~write:false;
           go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     in
@@ -592,24 +556,10 @@ module Sockets = struct
     in
     go ()
 
-  let drop_in stats node (ci : conn_in) =
-    (match node.tracked with Some set -> unreg stats set ci.fd | None -> ());
+  let drop_in stats set node (ci : conn_in) =
+    unreg stats set ci.fd;
     close_quietly ci.fd;
     node.ins <- List.filter (fun c -> c != ci) node.ins
-
-  (* Legacy poll: scan every connection the node has. Only nodes whose
-     shard never waits (raw pumps) pay this. *)
-  let poll_untracked stats node f =
-    accept_all stats node;
-    let buf = Lazy.force node.readbuf in
-    node.ins <-
-      List.filter
-        (fun ci ->
-          let keep = read_conn stats buf ci f in
-          if not keep then close_quietly ci.fd;
-          keep)
-        node.ins;
-    Hashtbl.iter (fun _ co -> flush stats node co) node.outs
 
   (* In-process fast path: decode frames other co-resident nodes pushed
      straight into this node's mailbox — no fd, no syscall, no shard
@@ -632,10 +582,9 @@ module Sockets = struct
      interest tracks the busy state so an idle cluster registers no
      write-side events at all. *)
   let poll_tracked stats set node f =
-    let rd = match set.rd with Rdy rd -> rd | Cmp _ -> assert false in
     if node.accept_ready then begin
       node.accept_ready <- false;
-      accept_all stats node
+      accept_all stats set node
     end;
     (match node.ready_ins with
     | [] -> ()
@@ -644,7 +593,7 @@ module Sockets = struct
         List.iter
           (fun ci ->
             ci.ready <- false;
-            if not (read_conn stats set.sbuf ci f) then drop_in stats node ci)
+            if not (read_conn stats set.sbuf ci f) then drop_in stats set node ci)
           ris);
     match node.busy with
     | [] -> ()
@@ -652,306 +601,17 @@ module Sockets = struct
         node.busy <- [];
         List.iter
           (fun co ->
-            flush stats node co;
+            flush stats set node co;
             if queued co = 0 then begin
               co.in_busy <- false;
               match co.fd with
-              | Some fd -> Readiness.set rd fd ~read:false ~write:false
+              | Some fd -> Readiness.set set.rd fd ~read:false ~write:false
               | None -> ()
             end
             else begin
               node.busy <- co :: node.busy;
               match co.fd with
               | Some fd -> reg stats set fd (Out (node, co)) ~read:false ~write:true
-              | None ->
-                  if not co.in_retry then begin
-                    co.in_retry <- true;
-                    set.retry_outs <- (node, co) :: set.retry_outs
-                  end
-            end)
-          busy
-
-  (* ---------------------------------------------------------------- *)
-  (* Completion mode: the shard's hot path on the uring backend.       *)
-  (*                                                                   *)
-  (* Instead of readiness + read/write syscalls, every operation is a  *)
-  (* submission: an ACCEPT rides on each listener, a READ (into an     *)
-  (* owned arena slot) rides on each inbound connection, and queued    *)
-  (* output goes out as WRITE submissions from a staging slot. All of  *)
-  (* a shard's submissions flush in the single io_uring_enter of its   *)
-  (* wait, which also collects every completion — one syscall per      *)
-  (* wait, not three per hop. Slot or SQ exhaustion degrades honestly  *)
-  (* to the direct read/write path (counted as syscalls) guarded by    *)
-  (* one-shot polls.                                                   *)
-  (* ---------------------------------------------------------------- *)
-
-  let fresh_key set ent =
-    let k = set.next_key in
-    set.next_key <- k + 1;
-    Hashtbl.replace set.utab k ent;
-    k
-
-  let cancel_key set c id = Hashtbl.remove set.utab id; Completion.prep_cancel c id
-
-  let mark_ready node ci on_ready =
-    if not ci.ready then begin
-      ci.ready <- true;
-      node.ready_ins <- ci :: node.ready_ins
-    end;
-    on_ready node.id
-
-  let arm_accept set c node =
-    if node.accept_id = 0 then begin
-      let k = fresh_key set (U_accept node) in
-      Completion.prep_accept c node.listen k;
-      node.accept_id <- k
-    end
-
-  (* Keep a READ submission outstanding on an inbound connection; when
-     the arena is exhausted, degrade to a one-shot readable poll whose
-     completion routes through the direct-read fallback. *)
-  let arm_read set c node ci =
-    if ci.rd_id = 0 && ci.rd_slot <> -2 then begin
-      let slot = if ci.rd_slot >= 0 then ci.rd_slot else Completion.alloc_slot c in
-      if slot >= 0 then begin
-        ci.rd_slot <- slot;
-        let k = fresh_key set (U_read (node, ci)) in
-        Completion.prep_read c ci.fd slot k;
-        ci.rd_id <- k
-      end
-      else begin
-        let k = fresh_key set (U_pollin (node, ci)) in
-        Completion.prep_poll c ci.fd 1 k;
-        ci.rd_id <- k
-      end
-    end
-
-  let drop_in_cmp stats set c node ci =
-    if ci.rd_id <> 0 then begin
-      cancel_key set c ci.rd_id;
-      ci.rd_id <- 0
-    end;
-    if ci.rd_slot >= 0 then Completion.free_slot c ci.rd_slot;
-    ci.rd_slot <- -2;
-    close_quietly ci.fd;
-    Atomic.decr stats.fds_registered;
-    node.ins <- List.filter (fun x -> x != ci) node.ins
-
-  let tear_down_cmp stats set c co =
-    if co.wr_id <> 0 then begin
-      cancel_key set c co.wr_id;
-      co.wr_id <- 0
-    end;
-    if co.po_id <> 0 then begin
-      cancel_key set c co.po_id;
-      co.po_id <- 0
-    end;
-    if co.wr_slot >= 0 then begin
-      Completion.free_slot c co.wr_slot;
-      co.wr_slot <- -1
-    end;
-    (* [tracked = None] on purpose: there is no readiness registration
-       to unwind in completion mode. *)
-    tear_down stats None co
-
-  (* Put (more of) [co]'s queued bytes in flight. At most one WRITE
-     submission per connection is outstanding; its completion chains
-     the next chunk until the queue drains. The no-slot fallback is the
-     classic direct write, with a POLLOUT poll to finish a short
-     write. *)
-  let submit_write stats set c node co =
-    match co.fd with
-    | None -> ()
-    | Some fd ->
-        if co.wr_id = 0 && queued co > 0 then begin
-          let slot =
-            if co.wr_slot >= 0 then co.wr_slot else Completion.alloc_slot c
-          in
-          if slot >= 0 then begin
-            co.wr_slot <- slot;
-            let len = Stdlib.min (queued co) (Completion.slot_bytes c) in
-            Completion.blit_to_slot c slot co.out co.out_pos len;
-            let k = fresh_key set (U_write (node, co)) in
-            Completion.prep_write c fd slot len k;
-            co.wr_id <- k;
-            co.wr_len <- len
-          end
-          else begin
-            flush stats node co;
-            if queued co > 0 && co.fd <> None && co.po_id = 0 then begin
-              let k = fresh_key set (U_pollout (node, co)) in
-              Completion.prep_poll c fd 2 k;
-              co.po_id <- k
-            end
-          end
-        end
-
-  (* One completion event. Cancellations complete under the reserved
-     key 0, which is never in [utab], so they fall out at the lookup. *)
-  let dispatch_cqe stats set c on_ready ~key ~res =
-    match Hashtbl.find_opt set.utab key with
-    | None -> ()
-    | Some ent -> (
-        Hashtbl.remove set.utab key;
-        match ent with
-        | U_wake fd ->
-            Hashtbl.remove set.wake_armed (fd_int fd);
-            if fd_int fd = fd_int (Wakeup.read_fd set.selfwake) then
-              Wakeup.drain set.selfwake
-        | U_accept node -> (
-            node.accept_id <- 0;
-            match Completion.classify res with
-            | Completion.Ok ->
-                let nfd = fd_of_int res in
-                if node.nodelay then set_nodelay nfd;
-                let ci =
-                  {
-                    fd = nfd;
-                    dec = Frame.Decoder.create ();
-                    ready = false;
-                    rd_id = 0;
-                    rd_slot = -1;
-                  }
-                in
-                node.ins <- ci :: node.ins;
-                Atomic.incr stats.fds_registered;
-                arm_read set c node ci;
-                arm_accept set c node
-            | Completion.Retry -> arm_accept set c node
-            | Completion.Canceled -> ()
-            | Completion.Error ->
-                (* E.g. EMFILE. Retrying at the next wait keeps the
-                   listener alive without a hot error loop. *)
-                set.rearm_accepts <- node :: set.rearm_accepts)
-        | U_read (node, ci) ->
-            ci.rd_id <- 0;
-            if res > 0 then begin
-              Completion.blit_from_slot c ci.rd_slot set.sbuf 0 res;
-              Frame.Decoder.feed_sub ci.dec set.sbuf ~pos:0 ~len:res;
-              mark_ready node ci on_ready;
-              arm_read set c node ci
-            end
-            else if res = 0 then begin
-              (* EOF after whatever was already fed: deliver the tail,
-                 then drop. *)
-              mark_ready node ci on_ready;
-              drop_in_cmp stats set c node ci
-            end
-            else begin
-              match Completion.classify res with
-              | Completion.Retry -> arm_read set c node ci
-              | Completion.Canceled ->
-                  if ci.rd_slot >= 0 then begin
-                    Completion.free_slot c ci.rd_slot;
-                    ci.rd_slot <- -1
-                  end
-              | Completion.Ok | Completion.Error ->
-                  mark_ready node ci on_ready;
-                  drop_in_cmp stats set c node ci
-            end
-        | U_pollin (node, ci) -> (
-            ci.rd_id <- 0;
-            match Completion.classify res with
-            | Completion.Ok -> mark_ready node ci on_ready
-            | Completion.Retry -> arm_read set c node ci
-            | Completion.Canceled -> ()
-            | Completion.Error ->
-                mark_ready node ci on_ready;
-                drop_in_cmp stats set c node ci)
-        | U_write (node, co) ->
-            co.wr_id <- 0;
-            if res > 0 then begin
-              co.backoff <- backoff_min;
-              advance co res;
-              if queued co = 0 then begin
-                if co.wr_slot >= 0 then begin
-                  Completion.free_slot c co.wr_slot;
-                  co.wr_slot <- -1
-                end
-              end
-              else submit_write stats set c node co
-            end
-            else begin
-              match Completion.classify res with
-              | Completion.Ok | Completion.Retry ->
-                  (* res = 0 cannot happen for a non-empty write;
-                     transient errors just resubmit the same chunk. *)
-                  if queued co > 0 then begin
-                    let k = fresh_key set (U_write (node, co)) in
-                    Completion.prep_write c
-                      (match co.fd with Some fd -> fd | None -> assert false)
-                      co.wr_slot co.wr_len k;
-                    co.wr_id <- k
-                  end
-              | Completion.Canceled ->
-                  if co.wr_slot >= 0 then begin
-                    Completion.free_slot c co.wr_slot;
-                    co.wr_slot <- -1
-                  end
-              | Completion.Error -> tear_down_cmp stats set c co
-            end
-        | U_pollout (node, co) -> (
-            co.po_id <- 0;
-            match Completion.classify res with
-            | Completion.Ok ->
-                if queued co > 0 then begin
-                  if not co.in_busy then begin
-                    co.in_busy <- true;
-                    node.busy <- co :: node.busy
-                  end;
-                  on_ready node.id
-                end
-            | Completion.Retry ->
-                if queued co > 0 then begin
-                  match co.fd with
-                  | Some fd ->
-                      let k = fresh_key set (U_pollout (node, co)) in
-                      Completion.prep_poll c fd 2 k;
-                      co.po_id <- k
-                  | None -> ()
-                end
-            | Completion.Canceled -> ()
-            | Completion.Error -> tear_down_cmp stats set c co))
-
-  (* Completion-mode poll: reads were already decoded into each ready
-     connection's decoder by the dispatcher, so delivery is a pure
-     drain; poll-fallback connections do their direct read here. Busy
-     outs (re)submit writes. *)
-  let poll_tracked_cmp stats set c node f =
-    if node.accept_ready then node.accept_ready <- false;
-    (match node.ready_ins with
-    | [] -> ()
-    | ris ->
-        node.ready_ins <- [];
-        List.iter
-          (fun ci ->
-            ci.ready <- false;
-            if ci.rd_slot <> -1 || ci.rd_id <> 0 then drain_decoder stats ci.dec f
-            else if read_conn stats set.sbuf ci f then arm_read set c node ci
-            else drop_in_cmp stats set c node ci)
-          ris);
-    match node.busy with
-    | [] -> ()
-    | busy ->
-        node.busy <- [];
-        List.iter
-          (fun co ->
-            co.in_busy <- false;
-            if queued co > 0 && co.wr_id = 0 then begin
-              (match co.fd with
-              | None ->
-                  if Unix.gettimeofday () >= co.retry_at then
-                    dial stats node co
-              | Some _ -> ());
-              match co.fd with
-              | Some _ ->
-                  submit_write stats set c node co;
-                  if co.wr_id = 0 && queued co > 0 && co.fd <> None then begin
-                    (* Direct-flush fallback left bytes; stay busy so
-                       the POLLOUT completion re-drives it. *)
-                    co.in_busy <- true;
-                    node.busy <- co :: node.busy
-                  end
               | None ->
                   if not co.in_retry then begin
                     co.in_retry <- true;
@@ -975,7 +635,6 @@ module Sockets = struct
       | Some b -> Readiness.resolve ~source:"forced" b
       | None -> Readiness.default_backend ()
     in
-    let cmp_mode = rd_backend = Readiness.Uring in
     let spin_wanted =
       match spin with Some s -> s | None -> env_flag "TR_SPIN"
     in
@@ -998,30 +657,39 @@ module Sockets = struct
     List.iter (fun i -> check_node ~what:"owned" ~n i) owned;
     let stats = make_stats () in
     let hosted = Array.make n None in
-    List.iter
-      (fun i ->
-        hosted.(i) <-
-          Some
-            {
-              id = i;
-              listen = make_listener addrs.(i);
-              nodelay =
-                (match addrs.(i) with
-                | Unix.ADDR_INET _ -> true
-                | Unix.ADDR_UNIX _ -> false);
-              ins = [];
-              outs = Hashtbl.create 4;
-              readbuf = lazy (Bytes.create 65536);
-              tracked = None;
-              tracked_pub = Atomic.make None;
-              accept_ready = false;
-              ready_ins = [];
-              busy = [];
-              accept_id = 0;
-              ipc = Mailbox.create ();
-              ipc_queued = Atomic.make false;
-            })
-      owned;
+    (try
+       List.iter
+         (fun i ->
+           hosted.(i) <-
+             Some
+               {
+                 id = i;
+                 listen = make_listener addrs.(i);
+                 nodelay =
+                   (match addrs.(i) with
+                   | Unix.ADDR_INET _ -> true
+                   | Unix.ADDR_UNIX _ -> false);
+                 ins = [];
+                 outs = Hashtbl.create 4;
+                 tracked = None;
+                 tracked_pub = Atomic.make None;
+                 accept_ready = false;
+                 ready_ins = [];
+                 busy = [];
+                 ipc = Mailbox.create ();
+                 ipc_queued = Atomic.make false;
+               })
+         owned
+     with e ->
+       (* Release the listeners bound before the failing one. *)
+       Array.iter
+         (Option.iter (fun node ->
+              close_quietly node.listen;
+              match addrs.(node.id) with
+              | Unix.ADDR_UNIX path -> unlink_quietly path
+              | Unix.ADDR_INET _ -> ()))
+         hosted;
+       raise e);
     let host ~what i =
       match hosted.(i) with
       | Some node -> node
@@ -1047,10 +715,6 @@ module Sockets = struct
               retry_at = 0.0;
               in_busy = false;
               in_retry = false;
-              wr_id = 0;
-              wr_slot = -1;
-              wr_len = 0;
-              po_id = 0;
             }
           in
           Hashtbl.replace node.outs dst co;
@@ -1135,11 +799,16 @@ module Sockets = struct
       (* Socket arrival times are physical: any buffered byte arrived in
          the past, so an [upto] bound can never exclude it. *)
       let node = host ~what:"poll owner" owner in
-      if inproc then drain_ipc stats node f;
       match node.tracked with
-      | Some ({ rd = Cmp c; _ } as set) -> poll_tracked_cmp stats set c node f
-      | Some set -> poll_tracked stats set node f
-      | None -> poll_untracked stats node f
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Transport.poll: node %d is not adopted yet (wait over its \
+                owners first)"
+               owner)
+      | Some set ->
+          if inproc then drain_ipc stats node f;
+          poll_tracked stats set node f
     in
     let next_due ~owner:_ = None in
     (* Shard sets are created lazily by the first wait of each shard;
@@ -1147,13 +816,9 @@ module Sockets = struct
     let sets_mu = Mutex.create () in
     let shard_sets = ref [] in
     let make_set () =
-      let rd =
-        if cmp_mode then Cmp (Completion.create ())
-        else Rdy (Readiness.create ~backend:rd_backend ())
-      in
       let set =
         {
-          rd;
+          rd = Readiness.create ~backend:rd_backend ();
           fdx = Hashtbl.create 256;
           sbuf = Bytes.create 65536;
           retry_outs = [];
@@ -1163,30 +828,24 @@ module Sockets = struct
           ipc_pending = Mailbox.create ();
           ewma_gap = 1e-3;
           last_event = Unix.gettimeofday ();
-          rearm_accepts = [];
-          wake_armed = Hashtbl.create 4;
-          next_key = 1;
-          utab = Hashtbl.create 256;
-          last_enters = 0;
-          last_sqes = 0;
           wait_skips = 0;
         }
       in
-      (* The shard's own wake pipe rides in its set from day one; the
-         completion backend arms it lazily at each wait instead. *)
-      (match set.rd with
-      | Rdy _ ->
-          reg stats set (Wakeup.read_fd set.selfwake)
-            (SelfWake set.selfwake) ~read:true ~write:false
-      | Cmp _ -> ());
+      (* The shard's own wake pipe rides in its set from day one. *)
+      reg stats set (Wakeup.read_fd set.selfwake) (SelfWake set.selfwake)
+        ~read:true ~write:false;
       Mutex.lock sets_mu;
       shard_sets := set :: !shard_sets;
       Mutex.unlock sets_mu;
       set
     in
-    (* Move a node into a shard's readiness set. Registration is
-       once-per-fd; the conservative ready flags make the node's next
-       poll sweep everything once, after which O(ready) takes over. *)
+    (* Move a node into a shard's readiness set. Only tracked polls
+       accept or dial, so an unadopted node owns no connection yet: its
+       listener is all there is to register, and sends queued before
+       adoption already sit in [busy] for the first poll to flush. The
+       accept flag makes that first poll accept (and read) whatever
+       peers dialed before it, so a shard's first pass carries a frame
+       across as many of its nodes as it reaches, without a wait. *)
     let track_node set node =
       node.tracked <- Some set;
       Atomic.set node.tracked_pub (Some set);
@@ -1199,42 +858,8 @@ module Sockets = struct
         && (not (Mailbox.is_empty node.ipc))
         && Atomic.compare_and_set node.ipc_queued false true
       then Mailbox.push set.ipc_pending node;
-      (match set.rd with
-      | Rdy _ ->
-          reg stats set node.listen (Listener node) ~read:true ~write:false;
-          node.accept_ready <- true;
-          List.iter
-            (fun (ci : conn_in) ->
-              reg stats set ci.fd (In (node, ci)) ~read:true ~write:false;
-              if not ci.ready then begin
-                ci.ready <- true;
-                node.ready_ins <- ci :: node.ready_ins
-              end)
-            node.ins
-      | Cmp c ->
-          (* Submission-driven adoption: an ACCEPT on the listener and
-             a READ per existing connection. Bytes already buffered in
-             the kernel complete those reads immediately, so no
-             conservative ready sweep is needed. *)
-          Atomic.incr stats.fds_registered;
-          arm_accept set c node;
-          List.iter
-            (fun (ci : conn_in) ->
-              Atomic.incr stats.fds_registered;
-              arm_read set c node ci)
-            node.ins);
-      Hashtbl.iter
-        (fun _ co ->
-          (match co.fd with
-          | Some fd ->
-              reg stats set fd (Out (node, co)) ~read:false
-                ~write:(queued co > 0)
-          | None -> ());
-          if queued co > 0 && not co.in_busy then begin
-            co.in_busy <- true;
-            node.busy <- co :: node.busy
-          end)
-        node.outs
+      reg stats set node.listen (Listener node) ~read:true ~write:false;
+      node.accept_ready <- true
     in
     let ensure_tracked owners =
       let existing =
@@ -1264,36 +889,14 @@ module Sockets = struct
     let wait ~owners ~extra_fds ~timeout_s ~on_ready =
       List.iter (fun i -> check_node ~what:"wait owner" ~n i) owners;
       let set = ensure_tracked owners in
-      (match set.rd with
-      | Rdy _ ->
-          List.iter
-            (fun fd ->
-              let key = fd_int fd in
-              if not (Hashtbl.mem set.extra key) then begin
-                Hashtbl.replace set.extra key ();
-                reg stats set fd Wake ~read:true ~write:false
-              end)
-            extra_fds
-      | Cmp c ->
-          (* Wake fds (the shard's own pipe plus the caller's) ride as
-             one-shot polls; a completion unarms in dispatch and the
-             next wait re-arms here. *)
-          List.iter
-            (fun fd ->
-              let key = fd_int fd in
-              if not (Hashtbl.mem set.wake_armed key) then begin
-                Hashtbl.replace set.wake_armed key ();
-                let k = fresh_key set (U_wake fd) in
-                Completion.prep_poll c fd 1 k
-              end)
-            (Wakeup.read_fd set.selfwake :: extra_fds);
-          (* Listeners whose accept completed with a hard error retry
-             here, once per wait, instead of respinning hot. *)
-          if set.rearm_accepts <> [] then begin
-            let pending = set.rearm_accepts in
-            set.rearm_accepts <- [];
-            List.iter (fun node -> arm_accept set c node) pending
-          end);
+      List.iter
+        (fun fd ->
+          let key = fd_int fd in
+          if not (Hashtbl.mem set.extra key) then begin
+            Hashtbl.replace set.extra key ();
+            reg stats set fd Wake ~read:true ~write:false
+          end)
+        extra_fds;
       let timeout = ref (Float.max 0.0 (Float.min timeout_s max_wait_s)) in
       (* In-process frames need no fd: drain the senders' notifications
          into activations. Clearing [ipc_queued] before [on_ready]
@@ -1338,20 +941,13 @@ module Sockets = struct
             set.retry_outs
       end;
       (* Adaptive spin: before paying the blocking syscall, busy-poll
-         the signals visible from user space alone — the mapped CQ ring
-         and the in-process mailbox — for a window sized by the recent
-         inter-event gap. A hit turns the kernel wait into a free
-         zero-timeout drain; a miss costs a few microseconds of CPU.
-         Spinning adds zero syscalls either way, which is why only
-         those two signals qualify. *)
-      (if spin && !timeout > 0.0 && (cmp_mode || inproc) then begin
-         let signal () =
-           (inproc && not (Mailbox.is_empty set.ipc_pending))
-           ||
-           match set.rd with
-           | Cmp c -> Completion.cq_pending c
-           | Rdy _ -> false
-         in
+         the one signal visible from user space alone — the in-process
+         mailbox — for a window sized by the recent inter-event gap. A
+         hit turns the kernel wait into a free zero-timeout drain; a
+         miss costs a few microseconds of CPU. Spinning adds zero
+         syscalls either way. *)
+      (if spin && !timeout > 0.0 && inproc then begin
+         let signal () = not (Mailbox.is_empty set.ipc_pending) in
          let budget = Float.min 100e-6 (Float.max 2e-6 (4.0 *. set.ewma_gap)) in
          let t0 = Unix.gettimeofday () in
          let hit = ref (signal ()) in
@@ -1366,122 +962,77 @@ module Sockets = struct
          else Atomic.incr stats.spin_misses
        end);
       (* With in-process work already in hand, the kernel visit can be
-         pure overhead: there is nothing to block for (timeout 0), and
-         in completion mode an empty SQ and CQ make the elided enter
-         provably a no-op — an async completion landing meanwhile is
-         visible in the mapped CQ from user space and forces the next
-         wait in. Readiness mode cannot prove the absence of socket
-         events from user space, so its skips are bounded: every 64th
-         wait visits the kernel and picks up whatever accrued. *)
-      let skip_kernel =
-        woken > 0 && !timeout <= 0.0
-        &&
-        match set.rd with
-        | Cmp c -> Completion.sq_pending c = 0 && not (Completion.cq_pending c)
-        | Rdy _ -> set.wait_skips < 63
-      in
-      if skip_kernel then set.wait_skips <- set.wait_skips + 1
+         pure overhead: there is nothing to block for (timeout 0). The
+         absence of socket events cannot be proved from user space, so
+         skips are bounded: every 64th wait visits the kernel and picks
+         up whatever accrued. *)
+      if woken > 0 && !timeout <= 0.0 && set.wait_skips < 63 then
+        set.wait_skips <- set.wait_skips + 1
       else begin
-      set.wait_skips <- 0;
-      (* Dekker handshake with in-process senders: publish idleness,
-         then re-check the mailbox. A sender pushes first and wakes only
-         if it saw [idle]; whichever side loses the race, either the
-         recheck sees the push or the sender sees the flag — the wake
-         cannot be lost. *)
-      if inproc then begin
-        Atomic.set set.idle true;
-        if not (Mailbox.is_empty set.ipc_pending) then timeout := 0.0
-      end;
-      let ready =
-        match set.rd with
-        | Rdy rd ->
-            Atomic.incr stats.wait_calls;
-            (* Idle-Out connections torn down by the peer (ERR/HUP with
-               zero write interest) are collected here and dropped only
-               after the dispatch loop finishes: Readiness.wait's
-               callback must not mutate the set, and an eager remove
-               would swap-compact the poll backend's dense arrays
-               mid-iteration. *)
-            let dead_outs = ref [] in
-            let ready =
-              Readiness.wait rd ~timeout_s:!timeout
-                (fun ~fd ~readable ~writable ->
-                  match Hashtbl.find_opt set.fdx fd with
-                  | None | Some Wake -> ()
-                  | Some (SelfWake w) -> Wakeup.drain w
-                  | Some (Listener node) ->
-                      if readable then begin
-                        node.accept_ready <- true;
-                        on_ready node.id
-                      end
-                  | Some (In (node, ci)) ->
-                      if readable && not ci.ready then begin
-                        ci.ready <- true;
-                        node.ready_ins <- ci :: node.ready_ins;
-                        on_ready node.id
-                      end
-                  | Some (Out (node, co)) ->
-                      if queued co = 0 then begin
-                        (* Zero interest, yet an event: only ERR/HUP can
-                           land here — the peer closed an idle
-                           connection. Drop it (deferred) or
-                           level-triggered epoll reports it on every
-                           wait. *)
-                        match co.fd with
-                        | Some cfd when fd_int cfd = fd ->
-                            dead_outs := (cfd, co) :: !dead_outs
-                        | _ -> ()
-                      end
-                      else if writable then on_ready node.id)
-            in
-            List.iter
-              (fun (cfd, co) ->
-                unreg stats set cfd;
-                close_quietly cfd;
-                co.fd <- None)
-              !dead_outs;
-            ready
-        | Cmp c ->
-            (* One enter flushes every submission queued since the last
-               wait and collects every completion. [dispatch_cqe] may
-               prep (re-arms, chained writes); Completion.enter keeps
-               draining until the CQ is empty, so those complete in the
-               same wait when they finish instantly. *)
-            let timeout_ns =
-              if !timeout <= 0.0 then 0
-              else int_of_float (Float.round (!timeout *. 1e9))
-            in
-            let dispatched =
-              Completion.enter c ~timeout_ns
-                ~f:(dispatch_cqe stats set c on_ready)
-            in
-            (* Fold the ring's cumulative counters into the shared stats
-               by diffing against the last wait — this charges preps and
-               SQ-full flushes made outside the wait too, so
-               syscalls-per-grant stays honest. *)
-            let enters = Completion.enter_syscalls c
-            and sqes = Completion.sqes_submitted c in
-            ignore
-              (Atomic.fetch_and_add stats.wait_calls
-                 (enters - set.last_enters));
-            ignore
-              (Atomic.fetch_and_add stats.sqes_submitted
-                 (sqes - set.last_sqes));
-            set.last_enters <- enters;
-            set.last_sqes <- sqes;
-            dispatched
-      in
-      if inproc then begin
-        Atomic.set set.idle false;
-        ignore (drain_pending () : int)
-      end;
-      if ready > 0 then begin
-        let now = Unix.gettimeofday () in
-        let gap = Float.max 1e-6 (now -. set.last_event) in
-        set.ewma_gap <- (0.875 *. set.ewma_gap) +. (0.125 *. gap);
-        set.last_event <- now;
-        ignore (Atomic.fetch_and_add stats.fds_ready ready)
-      end
+        set.wait_skips <- 0;
+        (* Dekker handshake with in-process senders: publish idleness,
+           then re-check the mailbox. A sender pushes first and wakes
+           only if it saw [idle]; whichever side loses the race, either
+           the recheck sees the push or the sender sees the flag — the
+           wake cannot be lost. *)
+        if inproc then begin
+          Atomic.set set.idle true;
+          if not (Mailbox.is_empty set.ipc_pending) then timeout := 0.0
+        end;
+        Atomic.incr stats.wait_calls;
+        (* Idle-Out connections torn down by the peer (ERR/HUP with zero
+           write interest) are collected here and dropped only after the
+           dispatch loop finishes: Readiness.wait's callback must not
+           mutate the set, and an eager remove would swap-compact the
+           poll backend's dense arrays mid-iteration. *)
+        let dead_outs = ref [] in
+        let ready =
+          Readiness.wait set.rd ~timeout_s:!timeout
+            (fun ~fd ~readable ~writable ->
+              match Hashtbl.find_opt set.fdx fd with
+              | None | Some Wake -> ()
+              | Some (SelfWake w) -> Wakeup.drain w
+              | Some (Listener node) ->
+                  if readable then begin
+                    node.accept_ready <- true;
+                    on_ready node.id
+                  end
+              | Some (In (node, ci)) ->
+                  if readable && not ci.ready then begin
+                    ci.ready <- true;
+                    node.ready_ins <- ci :: node.ready_ins;
+                    on_ready node.id
+                  end
+              | Some (Out (node, co)) ->
+                  if queued co = 0 then begin
+                    (* Zero interest, yet an event: only ERR/HUP can land
+                       here — the peer closed an idle connection. Drop it
+                       (deferred) or level-triggered epoll reports it on
+                       every wait. *)
+                    match co.fd with
+                    | Some cfd when fd_int cfd = fd ->
+                        dead_outs := (cfd, co) :: !dead_outs
+                    | _ -> ()
+                  end
+                  else if writable then on_ready node.id)
+        in
+        List.iter
+          (fun (cfd, co) ->
+            unreg stats set cfd;
+            close_quietly cfd;
+            co.fd <- None)
+          !dead_outs;
+        if inproc then begin
+          Atomic.set set.idle false;
+          ignore (drain_pending () : int)
+        end;
+        if ready > 0 then begin
+          let now = Unix.gettimeofday () in
+          let gap = Float.max 1e-6 (now -. set.last_event) in
+          set.ewma_gap <- (0.875 *. set.ewma_gap) +. (0.125 *. gap);
+          set.last_event <- now;
+          ignore (Atomic.fetch_and_add stats.fds_ready ready)
+        end
       end
     in
     let close () =
@@ -1505,9 +1056,7 @@ module Sockets = struct
       Mutex.unlock sets_mu;
       List.iter
         (fun set ->
-          (match set.rd with
-          | Rdy rd -> Readiness.close rd
-          | Cmp c -> Completion.close c);
+          Readiness.close set.rd;
           Wakeup.close set.selfwake)
         sets
     in

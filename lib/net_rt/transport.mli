@@ -31,14 +31,14 @@
     killing the process, and raises [RLIMIT_NOFILE] as far as the
     process may so high-N clusters don't trip the soft default.
 
-    {b Readiness.} Each shard's first {!wait} moves its nodes' fds into
-    a per-shard {!Readiness} set (epoll on Linux, poll elsewhere, select
-    as a forced baseline — see {!Readiness.backend}); fds register once
-    and every subsequent wait costs O(ready), not O(connections). Ready
-    events are dispatched through a persistent fd index and surfaced to
-    the caller as [on_ready owner] activations so the shard loop knows
-    exactly which nodes to poll. Nodes whose shard never waits (raw
-    bench pumps) keep the legacy scan-everything {!poll}. *)
+    {b Readiness.} Each shard's first {!wait} adopts its nodes into a
+    per-shard {!Readiness} set (epoll on Linux, poll elsewhere — see
+    {!Readiness.backend}); fds register once and every subsequent wait
+    costs O(ready), not O(connections). Ready events are dispatched
+    through a persistent fd index and surfaced to the caller as
+    [on_ready owner] activations so the shard loop knows exactly which
+    nodes to poll. A node must be adopted before its first {!poll}: a
+    zero-timeout {!wait} over its owners is enough. *)
 
 type stats = {
   frames_sent : int Atomic.t;
@@ -74,15 +74,11 @@ type stats = {
           sets (listeners, connections, wake pipes). *)
   spin_hits : int Atomic.t;
       (** Adaptive-spin windows that ended with work already in hand
-          (mapped completion queue or in-process mailbox non-empty), so
-          the kernel wait became a free zero-timeout drain. *)
+          (in-process mailbox non-empty), so the kernel wait became a
+          free zero-timeout drain. *)
   spin_misses : int Atomic.t;
       (** Spin windows that expired empty and fell through to a blocking
           wait. *)
-  sqes_submitted : int Atomic.t;
-      (** io_uring submissions queued (completion mode only). Divided by
-          [wait_calls] this gives the average submission batch riding
-          each enter. *)
   inproc_frames : int Atomic.t;
       (** Frames delivered through the in-process fast path — no socket,
           no syscall, never counted in [write_syscalls]/[read_syscalls]. *)
@@ -109,7 +105,6 @@ type snapshot = {
   snap_fds_registered : int;
   snap_spin_hits : int;
   snap_spin_misses : int;
-  snap_sqes_submitted : int;
   snap_inproc_frames : int;
 }
 
@@ -119,9 +114,9 @@ val name : t -> string
 (** Backend name for report stamping: ["loopback"], ["tcp"] or ["unix"]. *)
 
 val readiness_backend : t -> string
-(** Backend driving {!wait}: ["uring"], ["epoll"], ["poll"] or
-    ["select"] for sockets (the backend actually in use after loud
-    fallback, not the one requested); ["none"] for loopback. *)
+(** Backend driving {!wait}: ["epoll"] or ["poll"] for sockets (the
+    backend actually in use after loud fallback, not the one
+    requested); ["none"] for loopback. *)
 
 val stats : t -> stats
 
@@ -154,10 +149,12 @@ val poll : t -> ?upto:float -> owner:int -> (Tr_wire.Frame.view -> unit) -> unit
     write syscall per busy peer per poll. [upto] caps the delivery
     horizon in clock units (loopback only) so the caller can interleave
     timers and deliveries in due-time order; socket arrivals are
-    physical and always due. Once [owner]'s shard has called {!wait},
-    this touches only the connections the last wait reported ready plus
-    those with unflushed bytes — O(ready), not O(connections). Must only
-    be called from the shard that owns the node. *)
+    physical and always due. On sockets this touches only the
+    connections the last wait reported ready plus those with unflushed
+    bytes — O(ready), not O(connections). Must only be called from the
+    shard that owns the node.
+    @raise Invalid_argument on sockets if no {!wait} over [owner] has
+    adopted it yet. *)
 
 val next_due : t -> owner:int -> float option
 (** Clock time (units) of the earliest queued delivery for [owner], if
@@ -178,9 +175,9 @@ val wait :
   unit
 (** Block until work may be available for [owners] or [timeout_s]
     elapses (capped at 0.25 s as a lost-wakeup safety net). On sockets
-    this blocks in the calling shard's readiness set — owners' fds are
-    registered on first call and stay registered, so the per-wait cost
-    is O(ready). Each ready event invokes [on_ready owner] (possibly
+    this blocks in the calling shard's readiness set — the first call
+    adopts [owners] (a zero [timeout_s] adopts without sleeping), their
+    fds stay registered, and the per-wait cost is O(ready). Each ready event invokes [on_ready owner] (possibly
     several times per owner) telling the caller which nodes to {!poll};
     [extra_fds] (read side) ride in the set as wake channels and are
     never reported through [on_ready] — an idle cluster burns no CPU.
@@ -210,31 +207,29 @@ val sockets :
     address is a Unix-domain path, ["tcp"] otherwise.
 
     [readiness] forces a wait backend; the default honours
-    [TR_READINESS] and otherwise picks the best available (epoll, then
-    poll — see {!Readiness.default_backend}). Forcing (or resolving to)
-    [Uring] switches the whole transport into completion mode: reads,
-    writes and accepts become batched io_uring submissions flushed by
-    the single enter of each {!wait}, and an unavailable uring falls
-    back loudly down the chain.
+    [TR_READINESS] and otherwise picks epoll where available, else poll
+    (see {!Readiness.default_backend}). A forced epoll that this
+    platform lacks falls back loudly to poll.
 
     [spin] (default [TR_SPIN], else off) enables the adaptive
-    spin-then-block window before each blocking wait; it only ever
-    polls user-space signals, so it never adds syscalls. On a
-    single-CPU host the window is gated off with a loud stderr notice:
-    an idle shard's busy-poll would steal the working shard's only
-    core, inverting the trade.
+    spin-then-block window before each blocking wait. It polls the one
+    user-space signal, the in-process mailbox, so it arms only with
+    [inproc] and never adds syscalls. On a single-CPU host the window
+    is gated off with a loud stderr notice: an idle shard's busy-poll
+    would steal the working shard's only core, inverting the trade.
 
     [inproc] (default [TR_INPROC], else off) routes frames between
     co-hosted nodes through lock-free in-process mailboxes — identical
     framing and delivery order, zero syscalls per hop. A {!wait} that
     drained in-process work skips the kernel visit entirely when it has
-    nothing to block for (in completion mode only when the submission
-    and completion queues are both provably empty; in readiness mode at
-    most 63 times in a row, so socket fds are still visited).
-    Cross-process peers are unaffected.
+    nothing to block for, at most 63 times in a row, so socket fds are
+    still visited. Cross-process peers are unaffected.
     @raise Invalid_argument on bad [owned] ids or array size.
-    @raise Failure on an unavailable forced backend or a bad
-    [TR_READINESS] value. *)
+    @raise Failure on a bad [TR_READINESS] value, or when a hosted
+    node's listener cannot be created (missing Unix-domain directory,
+    TCP port in use, fd exhaustion). The message names the address,
+    the failed call and the errno; listeners bound before the failing
+    one are closed again. *)
 
 val uds_addrs : dir:string -> n:int -> Unix.sockaddr array
 (** [dir/node-<i>.sock] for each node. *)

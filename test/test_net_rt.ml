@@ -296,25 +296,95 @@ let test_unix_sockets_cluster () =
       Alcotest.(check int) "zero decode errors" 0 report.Cluster.decode_errors;
       Alcotest.(check string) "backend" "unix" report.Cluster.backend)
 
+(* A listener that cannot bind (here: a missing --uds directory) is a
+   caller error, reported as a Failure naming the socket path, the
+   failed call and the errno. *)
+let test_sockets_missing_dir () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tr-net-missing-%d" (Unix.getpid ()))
+  in
+  Alcotest.(check bool) "directory absent" false (Sys.file_exists dir);
+  let addrs = Transport.uds_addrs ~dir ~n:2 in
+  let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+  match Transport.sockets ~clock ~n:2 ~owned:[ 0; 1 ] ~addrs () with
+  | t ->
+      Transport.close t;
+      Alcotest.fail "sockets bound into a missing directory"
+  | exception Failure msg ->
+      let has affix = Astring.String.is_infix ~affix msg in
+      Alcotest.(check bool)
+        ("names the socket path: " ^ msg)
+        true
+        (has (Filename.concat dir "node-0.sock"));
+      Alcotest.(check bool)
+        ("names the failed call and errno: " ^ msg)
+        true
+        (has "bind" && has (Unix.error_message Unix.ENOENT))
+
+(* The raw UDS pump, on the tracked path: one zero-timeout wait adopts
+   both nodes, then every batch is sent, flushed by polling the sender,
+   reported by a zero-timeout wait and drained by polling the receiver.
+   Every frame must arrive once, in order and in its own step, and the
+   coalescing must survive: about one write(2) per 64-frame batch, not
+   one per frame. Polling before adoption is a caller error. *)
+let test_uds_pump_batching () =
+  with_temp_dir (fun dir ->
+      let addrs = Transport.uds_addrs ~dir ~n:2 in
+      let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+      let t = Transport.sockets ~clock ~n:2 ~owned:[ 0; 1 ] ~addrs () in
+      Fun.protect
+        ~finally:(fun () -> Transport.close t)
+        (fun () ->
+          (match Transport.poll t ~owner:1 (fun _ -> ()) with
+          | () -> Alcotest.fail "poll before adoption accepted"
+          | exception Invalid_argument _ -> ());
+          let batch = 64 and batches = 16 in
+          let total = batch * batches in
+          let got = ref [] in
+          let on_frame view =
+            match Tr_wire.Codec.decode_view Codecs.ring view with
+            | Ok { Tr_wire.Codec.msg = Tr_proto.Ring.Token { stamp }; _ } ->
+                got := stamp :: !got
+            | Error _ -> Alcotest.fail "decode error"
+          in
+          let step () =
+            Transport.poll t ~owner:0 (fun _ -> ());
+            Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
+            Transport.poll t ~owner:1 on_frame
+          in
+          let scratch = Tr_wire.Codec.scratch () in
+          Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
+          for b = 0 to batches - 1 do
+            for k = 0 to batch - 1 do
+              Tr_wire.Codec.encode_frame scratch Codecs.ring ~src:0
+                ~channel:Network.Reliable
+                (Tr_proto.Ring.Token { stamp = (b * batch) + k })
+              |> Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0
+            done;
+            step ();
+            (* Unix-domain connect and write complete synchronously, and a
+               freshly accepted connection is read in the accepting poll:
+               even the first batch needs no extra wait. *)
+            Alcotest.(check int)
+              (Printf.sprintf "batch %d delivered by its own step" b)
+              ((b + 1) * batch) (List.length !got)
+          done;
+          Alcotest.(check (list int))
+            "every frame once, in order" (List.init total Fun.id)
+            (List.rev !got);
+          let s = Transport.snapshot t in
+          Alcotest.(check bool)
+            (Printf.sprintf "about one write per batch (%d writes, %d batches)"
+               s.Transport.snap_write_syscalls batches)
+            true
+            (s.Transport.snap_write_syscalls <= batches + 2)))
+
 (* ---------------- readiness backends ---------------- *)
 
-(* Uring joins the pool when this kernel can create a ring, so the
-   parity/chunking tests below cover the completion transport too. The
-   skip is loud: a CI lane silently never exercising uring is exactly
-   the kind of gap the forced-backend machinery exists to prevent. *)
-let uring_skip_notice =
-  lazy
-    (if not (Readiness.available Readiness.Uring) then
-       Printf.eprintf
-         "[test_net_rt] SKIP: io_uring unavailable on this kernel (or \
-          TR_URING_DISABLE set); uring legs of the parity/chunking tests \
-          will not run\n\
-          %!")
-
 let available_backends () =
-  Lazy.force uring_skip_notice;
-  List.filter Readiness.available
-    [ Readiness.Uring; Readiness.Epoll; Readiness.Poll; Readiness.Select ]
+  List.filter Readiness.available [ Readiness.Epoll; Readiness.Poll ]
 
 (* Register / report / level-trigger / remove, for every backend this
    build can create. *)
@@ -352,25 +422,33 @@ let test_readiness_basic () =
 
 (* Unknown backend names fail loudly (a forced backend silently
    downgrading would invalidate benchmarks), and the unforced default
-   follows the epoll -> poll fallback chain. *)
+   follows the epoll -> poll fallback chain. The names of the removed
+   uring and select backends are unknown values like any other. *)
 let test_readiness_config () =
-  (match Readiness.backend_of_string "bogus" with
-  | Error e ->
-      Alcotest.(check bool)
-        "error names the choices" true
-        (String.length e > 0)
-  | Ok _ -> Alcotest.fail "bogus backend accepted");
+  let rejected = [ "bogus"; "uring"; "io_uring"; "select" ] in
+  List.iter
+    (fun name ->
+      match Readiness.backend_of_string name with
+      | Error e ->
+          Alcotest.(check bool)
+            (name ^ ": error names the choices") true
+            (Astring.String.is_infix ~affix:"epoll or poll" e)
+      | Ok _ -> Alcotest.failf "%S backend accepted" name)
+    rejected;
   (match Readiness.backend_of_string " Poll " with
   | Ok Readiness.Poll -> ()
   | _ -> Alcotest.fail "trimmed/cased parse failed");
   let saved = Sys.getenv_opt "TR_READINESS" in
-  Unix.putenv "TR_READINESS" "bogus";
-  (match Readiness.default_backend () with
-  | exception Failure msg ->
-      Alcotest.(check bool)
-        "failure names TR_READINESS" true
-        (String.length msg >= 12 && String.sub msg 0 12 = "TR_READINESS")
-  | _ -> Alcotest.fail "unknown TR_READINESS did not fail");
+  List.iter
+    (fun name ->
+      Unix.putenv "TR_READINESS" name;
+      match Readiness.default_backend () with
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (name ^ ": failure names TR_READINESS") true
+            (String.length msg >= 12 && String.sub msg 0 12 = "TR_READINESS")
+      | _ -> Alcotest.failf "TR_READINESS=%s did not fail" name)
+    rejected;
   (* An empty value reads as unset, so restoring is always possible. *)
   Unix.putenv "TR_READINESS" (Option.value saved ~default:"");
   if saved = None || saved = Some "" then begin
@@ -434,57 +512,11 @@ let test_readiness_env_forcing () =
                 "TR_READINESS=poll forces the transport backend" "poll"
                 (Transport.readiness_backend t))))
 
-(* The uring link of the fallback chain: parsing, the TR_URING_DISABLE
-   kill-switch (simulating an ENOSYS/EPERM kernel), and the loud
-   degradation uring -> epoll -> ... reaching an actual transport. *)
-let test_uring_fallback_chain () =
-  (match Readiness.backend_of_string "uring" with
-  | Ok Readiness.Uring -> ()
-  | _ -> Alcotest.fail "\"uring\" did not parse");
-  (match Readiness.backend_of_string "io_uring" with
-  | Ok Readiness.Uring -> ()
-  | _ -> Alcotest.fail "\"io_uring\" alias did not parse");
-  let saved = Sys.getenv_opt "TR_URING_DISABLE" in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Empty reads as unset, so restoring is always possible. *)
-      Unix.putenv "TR_URING_DISABLE" (Option.value saved ~default:""))
-    (fun () ->
-      Unix.putenv "TR_URING_DISABLE" "1";
-      Alcotest.(check bool)
-        "kill-switch makes uring unavailable" false
-        (Readiness.available Readiness.Uring);
-      let next =
-        if Readiness.available Readiness.Epoll then Readiness.Epoll
-        else Readiness.Poll
-      in
-      Alcotest.(check string)
-        "resolve falls down the chain"
-        (Readiness.backend_name next)
-        (Readiness.backend_name (Readiness.resolve ~source:"test" Readiness.Uring));
-      (* End to end: a transport forced onto uring under the kill-switch
-         must come up on the fallback and say so in its report label. *)
-      with_temp_dir (fun dir ->
-          let addrs = Transport.uds_addrs ~dir ~n:2 in
-          let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
-          let t =
-            Transport.sockets ~readiness:Readiness.Uring ~clock ~n:2
-              ~owned:[ 0; 1 ] ~addrs ()
-          in
-          Fun.protect
-            ~finally:(fun () -> Transport.close t)
-            (fun () ->
-              Alcotest.(check string)
-                "forced uring fell back loudly"
-                (Readiness.backend_name next)
-                (Transport.readiness_backend t))))
-
 (* ---------------- backend parity over real sockets ---------------- *)
 
 (* The same closed-loop UDS ring, forced onto each backend in turn: the
    token is unique, so a single-shard run's processed-token sequence is
-   deterministic and must be byte-identical across epoll, poll and
-   select. Also pins the observability satellite: the report names the
+   deterministic and must be byte-identical across epoll and poll. Also pins the observability satellite: the report names the
    forced backend and carries live wait counters. *)
 let capture_sockets_ring_log ?(spin = false) ?(inproc = false) ?(shards = 1)
     ~backend ~n ~grants ~keep () =
@@ -594,7 +626,7 @@ let test_inproc_parity () =
     (fast.Cluster.syscalls_per_grant < plain.Cluster.syscalls_per_grant)
 
 (* The adaptive spin window only arms when there is a user-space signal
-   to poll (completion ring or in-process mailboxes) and the shard would
+   to poll (the in-process mailboxes) and the shard would
    otherwise block; two shards passing the token back and forth block
    between hops, so the hit/miss counters must move — except on a
    single-CPU host, where the transport gates spinning off (the idle
@@ -974,8 +1006,14 @@ let () =
             test_live_failsafe_search_regeneration;
         ] );
       ( "sockets",
-        [ Alcotest.test_case "unix-domain cluster" `Quick
-            test_unix_sockets_cluster ] );
+        [
+          Alcotest.test_case "unix-domain cluster" `Quick
+            test_unix_sockets_cluster;
+          Alcotest.test_case "missing uds directory names the path" `Quick
+            test_sockets_missing_dir;
+          Alcotest.test_case "uds pump batches on the tracked path" `Quick
+            test_uds_pump_batching;
+        ] );
       ( "readiness",
         [
           Alcotest.test_case "register/report/remove" `Quick
@@ -990,8 +1028,6 @@ let () =
             test_backend_parity;
           Alcotest.test_case "adversarial chunking per backend" `Quick
             test_adversarial_chunking;
-          Alcotest.test_case "uring fallback chain" `Quick
-            test_uring_fallback_chain;
           Alcotest.test_case "inproc fast-path parity" `Quick
             test_inproc_parity;
           Alcotest.test_case "adaptive spin counters" `Quick test_spin_smoke;
