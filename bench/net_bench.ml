@@ -108,8 +108,8 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 (* Same pump over a Unix-domain stream socket (both ends hosted in this
-   process: node 0 writes, node 1 reads). A zero-timeout wait adopts
-   both nodes before the first poll; then each batch is flushed by
+   process: node 0 writes, node 1 reads). One shard adopts both nodes
+   before the first poll; then each batch is flushed by
    poll 0, reported readable by a zero-timeout wait, and drained by
    poll 1. Returns (frames_sent, bytes_sent, write_syscalls,
    read_syscalls) — one poll flushes a whole batch with a single
@@ -127,7 +127,7 @@ let pump_uds ~total () =
         | Ok _ -> incr received
         | Error _ -> failwith "net_bench: uds decode error"
       in
-      Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
+      let shard = Transport.adopt t ~owners:[ 0; 1 ] in
       while !received < total do
         let k = Stdlib.min batch (total - !sent) in
         for _ = 1 to k do
@@ -142,7 +142,7 @@ let pump_uds ~total () =
         (* Flush node 0's coalesced buffer, let the wait report node 1's
            socket, then drain it. *)
         Transport.poll t ~owner:0 (fun _ -> ());
-        Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
+        Transport.wait t shard ~timeout_s:0.0 ();
         Transport.poll t ~owner:1 on_frame
       done;
       let stats = Transport.stats t in

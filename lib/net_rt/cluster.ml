@@ -155,13 +155,20 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let shards = Stdlib.min config.shards n_owned in
   let shard_of = Array.make n (-1) in
   Array.iteri (fun idx i -> shard_of.(i) <- idx mod shards) owned_arr;
-  (* Socket-shard plumbing: a wake pipe (riding in the shard's readiness
-     set), an activation mailbox (which nodes to step next — the shard
-     never scans its full node list), and a timer index heap (earliest
-     due time per armed timer, so an idle shard knows exactly how long
-     to sleep). Entries in the index may be stale after a cancel; the
-     cost is one spurious activation, never a missed timer. *)
-  let wakes = if use_poll then Array.init shards (fun _ -> Wakeup.create ()) else [||] in
+  (* Socket-shard plumbing: the transport's shard (adopted before any
+     domain starts, so no wake races its set), an activation mailbox
+     (which nodes to step next — the shard never scans its full node
+     list), and a timer index heap (earliest due time per armed timer,
+     so an idle shard knows exactly how long to sleep). Entries in the
+     index may be stale after a cancel; the cost is one spurious
+     activation, never a missed timer. *)
+  let tshards =
+    if use_poll then
+      Array.init shards (fun s ->
+          Transport.adopt transport
+            ~owners:(List.filter (fun i -> shard_of.(i) = s) owned))
+    else [||]
+  in
   let act_inbox : int Mailbox.t array =
     if use_poll then Array.init shards (fun _ -> Mailbox.create ()) else [||]
   in
@@ -177,10 +184,9 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let stop_flag = Atomic.make false in
   let alive = Array.init n (fun _ -> Atomic.make true) in
   let failure_box : exn option Atomic.t = Atomic.make None in
-  let wake_all () = Array.iter Wakeup.wake wakes in
   let signal_stop () =
     Atomic.set stop_flag true;
-    wake_all ()
+    Array.iter Transport.wake tshards
   in
   (* Cross-shard activation: queue the node and poke the shard's pipe
      (level-triggered: a byte written before the shard enters its wait
@@ -188,7 +194,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let wake_node i =
     if use_poll && i >= 0 && i < n && shard_of.(i) >= 0 then begin
       Mailbox.push act_inbox.(shard_of.(i)) i;
-      Wakeup.wake wakes.(shard_of.(i))
+      Transport.wake tshards.(shard_of.(i))
     end
   in
   (* Same-shard activation (a serve re-arming its own node): the shard
@@ -586,10 +592,9 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
      them. *)
   let sockets_loop ~lead ~shard shard_rts () =
     pin shard;
-    let wake = wakes.(shard) in
+    let tshard = tshards.(shard) in
     let inbox = act_inbox.(shard) in
     let tindex = timer_index.(shard) in
-    let my_ids = List.map (fun rt -> rt.id) shard_rts in
     let rt_of = Hashtbl.create (Stdlib.max 16 (List.length shard_rts)) in
     List.iter (fun rt -> Hashtbl.replace rt_of rt.id rt) shard_rts;
     let on_q = Array.make n false in
@@ -600,10 +605,8 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
         Queue.add i q
       end
     in
-    (* Adopt every owner into the shard's readiness set before the first
-       poll, then sweep everything once: init sends are still unflushed. *)
-    Transport.wait transport ~owners:my_ids ~timeout_s:0.0 ();
-    List.iter activate my_ids;
+    (* Sweep every owner once: init sends are still unflushed. *)
+    List.iter (fun rt -> activate rt.id) shard_rts;
     try
       while not (Atomic.get stop_flag) do
         if Clock.elapsed_wall clock > config.max_wall_s then signal_stop ()
@@ -615,10 +618,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
             | Grants _ -> ());
             match open_loop with Some (pump, _) -> pump now_u | None -> ()
           end;
-          (* Drain the wake pipe to EAGAIN before stepping: a burst of
-             wakes must not leave stale readability that would turn
-             every later wait into a spin. *)
-          Wakeup.drain wake;
           List.iter activate (Mailbox.drain inbox);
           while
             match Pqueue.peek_time tindex with
@@ -653,10 +652,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
               else if next = infinity then infinity
               else Float.max 0.0 ((next -. now2) *. config.unit_s)
             in
-            Transport.wait transport
-              ~extra_fds:[ Wakeup.read_fd wake ]
-              ~on_ready:activate ~owners:my_ids ~timeout_s ();
-            Wakeup.drain wake
+            Transport.wait transport tshard ~on_ready:activate ~timeout_s ()
           end
         end
       done
@@ -675,7 +671,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       shard_rts
   in
   List.iter Domain.join domains;
-  Array.iter Wakeup.close wakes;
   Transport.close transport;
   (match Atomic.get failure_box with Some e -> raise e | None -> ());
   (* One coherent snapshot, not a field-by-field walk of live atomics:

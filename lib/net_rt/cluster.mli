@@ -11,9 +11,12 @@
     oversubscribe; shards sleep when idle instead of spinning). Each
     shard runs an event loop over the nodes it owns: fire due timers,
     poll the transport for frames, decode them through the protocol's
-    codec, and process injected load. Metrics feed the {e same}
-    {!Tr_sim.Metrics} accumulator the simulator uses — responsiveness is
-    Definition 3 in both worlds, in the same units. *)
+    codec, and process injected load. On sockets each shard is
+    {!Transport.adopt}ed before any domain starts, then steps only what
+    {!Transport.wait}, other shards ({!Transport.wake}) or its timers
+    activate. Metrics feed the {e same} {!Tr_sim.Metrics} accumulator
+    the simulator uses — responsiveness is Definition 3 in both worlds,
+    in the same units. *)
 
 type load =
   | No_load  (** Token circulation only. *)
@@ -123,7 +126,7 @@ type report = {
           (bytes, sockets only) — headroom against the 4 MiB drop
           threshold. *)
   write_syscalls : int;  (** [write(2)] calls issued (sockets backends). *)
-  read_syscalls : int;  (** [read(2)] calls issued (sockets backends). *)
+  read_syscalls : int;  (** [read(2)] calls, wake-pipe drains included. *)
   wait_calls : int;  (** Readiness waits issued across all shards. *)
   fds_registered : int;
       (** Fds registered in the shards' readiness sets at run end
@@ -136,10 +139,9 @@ type report = {
   inproc_frames : int;
       (** Frames delivered through the in-process fast path. *)
   syscalls_per_grant : float;
-      (** (write + read + wait syscalls) / grants — the per-grant
-          syscall floor this run actually paid. A socket hop costs ~3
-          (write, wait, read); the in-process path collapses it toward
-          0. *)
+      (** (write + read + wait syscalls) / grants — every syscall the
+          shards paid per grant. A socket hop costs ~3 (write, wait,
+          read); the in-process path collapses it toward 0. *)
   corrupt_frames_detected : int;
       (** Cluster-level corruption roll-up: [decode_errors +
           resync_skips] — every frame the wire layer had to reject or

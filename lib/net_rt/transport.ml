@@ -81,6 +81,13 @@ let snapshot_of_stats s =
     snap_inproc_frames = Atomic.get s.inproc_frames;
   }
 
+(* A shard's handle, made once by [adopt]: everything a wait needs is
+   already resolved, so no call on it walks the shard's owners. *)
+type shard = {
+  shard_wait : timeout_s:float -> on_ready:(int -> unit) -> unit;
+  shard_wake : unit -> unit;
+}
+
 type t = {
   name : string;
   readiness : string;
@@ -90,12 +97,7 @@ type t = {
   send_frame : src:int -> dst:int -> delay:float -> Buffer.t -> unit;
   poll : owner:int -> upto:float -> (Frame.view -> unit) -> unit;
   next_due : owner:int -> float option;
-  wait :
-    owners:int list ->
-    extra_fds:Unix.file_descr list ->
-    timeout_s:float ->
-    on_ready:(int -> unit) ->
-    unit;
+  adopt : int list -> shard;
   close : unit -> unit;
 }
 
@@ -109,8 +111,12 @@ let send_frame t = t.send_frame
 let poll t ?(upto = infinity) ~owner f = t.poll ~owner ~upto f
 let next_due t = t.next_due
 
-let wait t ?(extra_fds = []) ?(on_ready = fun _ -> ()) ~owners ~timeout_s () =
-  t.wait ~owners ~extra_fds ~timeout_s ~on_ready
+let adopt t ~owners = t.adopt owners
+
+let wait (_ : t) shard ?(on_ready = fun _ -> ()) ~timeout_s () =
+  shard.shard_wait ~timeout_s ~on_ready
+
+let wake shard = shard.shard_wake ()
 
 let count_decode_error t = Atomic.incr t.stats.decode_errors
 let close t = t.close ()
@@ -206,8 +212,20 @@ module Loopback = struct
       settle node;
       Tr_sim.Pqueue.peek_time node.pending
     in
-    let wait ~owners:_ ~extra_fds:_ ~timeout_s ~on_ready:_ =
-      if timeout_s > 0.0 then Unix.sleepf (Float.min timeout_s max_wait_s)
+    (* Nothing to register: a loopback shard's wait just sleeps, and
+       [next_due] tells it for how long. *)
+    let shard =
+      {
+        shard_wait =
+          (fun ~timeout_s ~on_ready:_ ->
+            if timeout_s > 0.0 then
+              Unix.sleepf (Float.min timeout_s max_wait_s));
+        shard_wake = ignore;
+      }
+    in
+    let adopt owners =
+      List.iter (fun i -> check_node ~what:"adopt owner" ~n i) owners;
+      shard
     in
     {
       name = "loopback";
@@ -218,7 +236,7 @@ module Loopback = struct
       send_frame;
       poll;
       next_due;
-      wait;
+      adopt;
       close = (fun () -> ());
     }
 end
@@ -282,10 +300,10 @@ module Sockets = struct
 
   let queued co = co.out_len - co.out_pos
 
-  (* A node is {e tracked} once its owning shard first calls [wait]: its
-     fds then live in that shard's readiness set and [poll] touches only
-     what the last wait reported ready — O(ready), not O(connections).
-     Polling a node before that is a caller error. *)
+  (* A node is {e tracked} once [adopt] hands it to a shard: its fds
+     then live in that shard's readiness set and [poll] touches only what
+     the last wait reported ready — O(ready), not O(connections). Polling
+     a node before that is a caller error. *)
   type node = {
     id : int;
     listen : Unix.file_descr;
@@ -296,7 +314,7 @@ module Sockets = struct
     tracked_pub : shard_set option Atomic.t;
         (** [tracked], republished for cross-domain readers: in-process
             senders on other domains must see the adoption (or be seen —
-            see the salvage in [track_node]); a plain mutable read gives
+            see the salvage in [adopt]); a plain mutable read gives
             neither guarantee. *)
     mutable accept_ready : bool;
     mutable ready_ins : conn_in list;
@@ -305,7 +323,7 @@ module Sockets = struct
     ipc_queued : bool Atomic.t;  (** Queued in its shard's [ipc_pending]. *)
   }
 
-  (* One per waiting shard: the readiness set all the shard's fds are
+  (* One per adopted shard: the readiness set all the shard's fds are
      registered in, with the fd->peer index that turns a ready fd back
      into work in O(1). *)
   and shard_set = {
@@ -314,10 +332,10 @@ module Sockets = struct
     sbuf : Bytes.t;  (** Shared read buffer — one per shard, not per node. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
-    extra : (int, unit) Hashtbl.t;  (** Registered caller wake fds. *)
-    selfwake : Wakeup.t;
-        (** Transport-owned wake pipe: in-process senders on other
-            domains write here to interrupt this shard's sleep. *)
+    wake : Wakeup.t;
+        (** The shard's one wake pipe: in-process senders and the
+            caller's {!wake} write here to interrupt its sleep. Drained
+            only when the readiness set reports it. *)
     idle : bool Atomic.t;
         (** True only while blocked in the kernel — the Dekker flag of
             the in-process wake protocol: senders push the frame first,
@@ -335,8 +353,7 @@ module Sockets = struct
     | Listener of node
     | In of node * conn_in
     | Out of node * conn_out
-    | Wake
-    | SelfWake of Wakeup.t
+    | Wake of Wakeup.t
 
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -743,7 +760,7 @@ module Sockets = struct
       | Some dset ->
           if Atomic.compare_and_set dnode.ipc_queued false true then
             Mailbox.push dset.ipc_pending dnode;
-          if Atomic.get dset.idle then Wakeup.wake dset.selfwake
+          if Atomic.get dset.idle then Wakeup.wake dset.wake
     in
     (* Enqueue only — the coalesced buffer is flushed once per [poll],
        so a burst of sends inside one loop iteration shares a single
@@ -802,43 +819,14 @@ module Sockets = struct
       match node.tracked with
       | None ->
           invalid_arg
-            (Printf.sprintf
-               "Transport.poll: node %d is not adopted yet (wait over its \
-                owners first)"
-               owner)
+            (Printf.sprintf "Transport.poll: node %d is not adopted" owner)
       | Some set ->
           if inproc then drain_ipc stats node f;
           poll_tracked stats set node f
     in
     let next_due ~owner:_ = None in
-    (* Shard sets are created lazily by the first wait of each shard;
-       the list exists only so close can release the epoll fds. *)
-    let sets_mu = Mutex.create () in
+    (* Every adopted shard's set, so close can release the epoll fds. *)
     let shard_sets = ref [] in
-    let make_set () =
-      let set =
-        {
-          rd = Readiness.create ~backend:rd_backend ();
-          fdx = Hashtbl.create 256;
-          sbuf = Bytes.create 65536;
-          retry_outs = [];
-          extra = Hashtbl.create 4;
-          selfwake = Wakeup.create ();
-          idle = Atomic.make false;
-          ipc_pending = Mailbox.create ();
-          ewma_gap = 1e-3;
-          last_event = Unix.gettimeofday ();
-          wait_skips = 0;
-        }
-      in
-      (* The shard's own wake pipe rides in its set from day one. *)
-      reg stats set (Wakeup.read_fd set.selfwake) (SelfWake set.selfwake)
-        ~read:true ~write:false;
-      Mutex.lock sets_mu;
-      shard_sets := set :: !shard_sets;
-      Mutex.unlock sets_mu;
-      set
-    in
     (* Move a node into a shard's readiness set. Only tracked polls
        accept or dial, so an unadopted node owns no connection yet: its
        listener is all there is to register, and sends queued before
@@ -851,7 +839,7 @@ module Sockets = struct
       Atomic.set node.tracked_pub (Some set);
       (* Salvage half of the Dekker pair in [deliver_inproc]: frames
          that arrived while this node was unadopted carried no
-         notification — queue one now, before the wait that called us
+         notification — queue one now, before the shard's first wait
          drains [ipc_pending]. *)
       if
         inproc
@@ -861,42 +849,11 @@ module Sockets = struct
       reg stats set node.listen (Listener node) ~read:true ~write:false;
       node.accept_ready <- true
     in
-    let ensure_tracked owners =
-      let existing =
-        List.fold_left
-          (fun acc i ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match hosted.(i) with
-                | Some node -> node.tracked
-                | None -> None))
-          None owners
-      in
-      let set = match existing with Some s -> s | None -> make_set () in
-      List.iter
-        (fun i ->
-          match hosted.(i) with
-          | Some ({ tracked = None; _ } as node) -> track_node set node
-          | _ -> ())
-        owners;
-      set
-    in
     (* Block in the shard's readiness set until an owner's fd is ready;
        each event is dispatched through the fd index and surfaced to the
        caller as an [on_ready owner] activation, so the shard loop knows
        exactly which nodes to poll — no per-node scan at any point. *)
-    let wait ~owners ~extra_fds ~timeout_s ~on_ready =
-      List.iter (fun i -> check_node ~what:"wait owner" ~n i) owners;
-      let set = ensure_tracked owners in
-      List.iter
-        (fun fd ->
-          let key = fd_int fd in
-          if not (Hashtbl.mem set.extra key) then begin
-            Hashtbl.replace set.extra key ();
-            reg stats set fd Wake ~read:true ~write:false
-          end)
-        extra_fds;
+    let wait set ~timeout_s ~on_ready =
       let timeout = ref (Float.max 0.0 (Float.min timeout_s max_wait_s)) in
       (* In-process frames need no fd: drain the senders' notifications
          into activations. Clearing [ipc_queued] before [on_ready]
@@ -990,8 +947,10 @@ module Sockets = struct
           Readiness.wait set.rd ~timeout_s:!timeout
             (fun ~fd ~readable ~writable ->
               match Hashtbl.find_opt set.fdx fd with
-              | None | Some Wake -> ()
-              | Some (SelfWake w) -> Wakeup.drain w
+              | None -> ()
+              | Some (Wake w) ->
+                  let reads = Wakeup.drain w in
+                  ignore (Atomic.fetch_and_add stats.read_syscalls reads)
               | Some (Listener node) ->
                   if readable then begin
                     node.accept_ready <- true;
@@ -1035,6 +994,45 @@ module Sockets = struct
         end
       end
     in
+    (* Validate every owner before touching any, then build the shard's
+       set with its wake pipe and listeners registered, once. *)
+    let adopt owners =
+      let nodes =
+        List.map
+          (fun i ->
+            check_node ~what:"adopt owner" ~n i;
+            let node = host ~what:"adopt owner" i in
+            if Option.is_some node.tracked then
+              invalid_arg
+                (Printf.sprintf "Transport.adopt: node %d already adopted" i);
+            node)
+          owners
+      in
+      let set =
+        {
+          rd = Readiness.create ~backend:rd_backend ();
+          fdx = Hashtbl.create 256;
+          sbuf = Bytes.create 65536;
+          retry_outs = [];
+          wake = Wakeup.create ();
+          idle = Atomic.make false;
+          ipc_pending = Mailbox.create ();
+          ewma_gap = 1e-3;
+          last_event = Unix.gettimeofday ();
+          wait_skips = 0;
+        }
+      in
+      reg stats set (Wakeup.read_fd set.wake) (Wake set.wake)
+        ~read:true ~write:false;
+      List.iter
+        (fun node -> if Option.is_none node.tracked then track_node set node)
+        nodes;
+      shard_sets := set :: !shard_sets;
+      {
+        shard_wait = wait set;
+        shard_wake = (fun () -> Wakeup.wake set.wake);
+      }
+    in
     let close () =
       Array.iter
         (function
@@ -1050,15 +1048,12 @@ module Sockets = struct
               | Unix.ADDR_UNIX path -> unlink_quietly path
               | Unix.ADDR_INET _ -> ()))
         hosted;
-      Mutex.lock sets_mu;
-      let sets = !shard_sets in
-      shard_sets := [];
-      Mutex.unlock sets_mu;
       List.iter
         (fun set ->
           Readiness.close set.rd;
-          Wakeup.close set.selfwake)
-        sets
+          Wakeup.close set.wake)
+        !shard_sets;
+      shard_sets := []
     in
     let name =
       if n > 0 then
@@ -1076,7 +1071,7 @@ module Sockets = struct
       send_frame;
       poll;
       next_due;
-      wait;
+      adopt;
       close;
     }
 end

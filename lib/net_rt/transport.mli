@@ -31,14 +31,13 @@
     killing the process, and raises [RLIMIT_NOFILE] as far as the
     process may so high-N clusters don't trip the soft default.
 
-    {b Readiness.} Each shard's first {!wait} adopts its nodes into a
+    {b Readiness.} {!adopt} registers a shard's nodes once in a
     per-shard {!Readiness} set (epoll on Linux, poll elsewhere — see
-    {!Readiness.backend}); fds register once and every subsequent wait
-    costs O(ready), not O(connections). Ready events are dispatched
-    through a persistent fd index and surfaced to the caller as
-    [on_ready owner] activations so the shard loop knows exactly which
-    nodes to poll. A node must be adopted before its first {!poll}: a
-    zero-timeout {!wait} over its owners is enough. *)
+    {!Readiness.backend}); every {!wait} then costs O(ready), not
+    O(connections) or O(owners). Ready events are dispatched through a
+    persistent fd index and surfaced to the caller as [on_ready owner]
+    activations so the shard loop knows exactly which nodes to poll.
+    A node must be adopted before its first {!poll}. *)
 
 type stats = {
   frames_sent : int Atomic.t;
@@ -62,7 +61,7 @@ type stats = {
   write_syscalls : int Atomic.t;
       (** [write(2)] calls issued (sockets only) — with batching this
           stays well below [frames_sent]. *)
-  read_syscalls : int Atomic.t;  (** [read(2)] calls issued (sockets only). *)
+  read_syscalls : int Atomic.t;  (** [read(2)] calls, wake drains included. *)
   wait_calls : int Atomic.t;
       (** {!wait} invocations that reached the kernel (sockets only). *)
   fds_ready : int Atomic.t;
@@ -153,8 +152,8 @@ val poll : t -> ?upto:float -> owner:int -> (Tr_wire.Frame.view -> unit) -> unit
     connections the last wait reported ready plus those with unflushed
     bytes — O(ready), not O(connections). Must only be called from the
     shard that owns the node.
-    @raise Invalid_argument on sockets if no {!wait} over [owner] has
-    adopted it yet. *)
+    @raise Invalid_argument on sockets if no {!adopt} has handed
+    [owner] to a shard yet. *)
 
 val next_due : t -> owner:int -> float option
 (** Clock time (units) of the earliest queued delivery for [owner], if
@@ -165,24 +164,31 @@ val poll_driven : t -> bool
     shard loop should block in {!wait} for readiness; false when
     [next_due] is authoritative modulo the idle cap (loopback). *)
 
+type shard
+(** One shard: its adopted nodes, readiness set and wake pipe. *)
+
+val adopt : t -> owners:int list -> shard
+(** Hand [owners] to a new shard before its first {!wait} or {!poll}
+    (one domain at a time): on sockets, create its readiness set and
+    wake pipe and register each owner's listener.
+    @raise Invalid_argument if an owner is out of range, is not hosted
+    here, or was already adopted. *)
+
 val wait :
-  t ->
-  ?extra_fds:Unix.file_descr list ->
-  ?on_ready:(int -> unit) ->
-  owners:int list ->
-  timeout_s:float ->
-  unit ->
-  unit
-(** Block until work may be available for [owners] or [timeout_s]
-    elapses (capped at 0.25 s as a lost-wakeup safety net). On sockets
-    this blocks in the calling shard's readiness set — the first call
-    adopts [owners] (a zero [timeout_s] adopts without sleeping), their
-    fds stay registered, and the per-wait cost is O(ready). Each ready event invokes [on_ready owner] (possibly
-    several times per owner) telling the caller which nodes to {!poll};
-    [extra_fds] (read side) ride in the set as wake channels and are
-    never reported through [on_ready] — an idle cluster burns no CPU.
-    Pending reconnect deadlines bound the sleep and activate their owner
-    when due. On loopback it simply sleeps. *)
+  t -> shard -> ?on_ready:(int -> unit) -> timeout_s:float -> unit -> unit
+(** Block, from the shard's own domain, until work may be available for
+    its nodes, a {!wake}, or [timeout_s] (capped at 0.25 s as a
+    lost-wakeup safety net). On sockets this blocks in the shard's
+    readiness set at O(ready) cost. Each ready event invokes
+    [on_ready owner] (possibly several times per owner) telling the
+    caller which nodes to {!poll}. The wake pipe is drained only when
+    the set reports it, and never reaches [on_ready]. Pending
+    reconnect deadlines bound the sleep and activate their owner when
+    due. On loopback it simply sleeps. *)
+
+val wake : shard -> unit
+(** Interrupt the shard's current or next {!wait} (a wake before the
+    wait is kept), from any domain. A no-op on loopback. *)
 
 val count_decode_error : t -> unit
 (** Record an envelope-level decode failure (bad codec key/version or

@@ -1,8 +1,7 @@
-(* See wakeup.mli. The read side is what shards register in their
-   readiness set; level-triggered semantics make the race-free contract
-   simple: a byte written before the shard enters its wait still wakes
-   it, and draining to EAGAIN before sleeping guarantees a burst of
-   wakes cannot leave stale readability that spins the next wait. *)
+(* See wakeup.mli. Level-triggered readiness makes the race-free
+   contract simple: a byte written before the shard enters its wait
+   still wakes it, and draining to EAGAIN once the set reports the pipe
+   leaves no stale readability to spin the next wait. *)
 
 type t = { r : Unix.file_descr; w : Unix.file_descr; buf : Bytes.t }
 
@@ -22,15 +21,15 @@ let wake t =
   try ignore (Unix.single_write t.w byte 0 1) with Unix.Unix_error _ -> ()
 
 let drain t =
-  let rec go () =
+  let rec go reads =
     match Unix.read t.r t.buf 0 (Bytes.length t.buf) with
-    | 0 -> ()
-    | _ -> go ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (_, _, _) -> ()
+    | 0 -> reads
+    | _ -> go (reads + 1)
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> reads
+    | exception Unix.Unix_error (EINTR, _, _) -> go (reads + 1)
+    | exception Unix.Unix_error (_, _, _) -> reads
   in
-  go ()
+  go 1
 
 let close t =
   (try Unix.close t.r with Unix.Unix_error _ -> ());

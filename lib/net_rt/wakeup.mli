@@ -1,12 +1,11 @@
 (** Per-shard wake pipes.
 
     A shard sleeping in {!Transport.wait} is woken by writing a byte to
-    its pipe; the pipe's read end rides in the shard's readiness set as
-    an extra fd. The write side is safe from any domain; {!drain} must
-    be called by the owning shard after every wake-up (it reads to
-    [EAGAIN], so a burst of stop/load-inject wakes cannot leave stale
-    readability behind — stale bytes would make every subsequent wait
-    return immediately and spin the shard at 100% CPU). *)
+    its pipe, whose read end rides in the shard's readiness set. The
+    write side is safe from any domain; the owning shard calls {!drain}
+    when the set reports the pipe readable. It reads to [EAGAIN], so a
+    burst of wakes cannot leave stale readability that would make every
+    later wait return at once and spin the shard at 100% CPU. *)
 
 type t
 
@@ -20,7 +19,8 @@ val wake : t -> unit
 (** Write one wake byte. Never blocks and never raises: a full pipe
     already has readability pending, which is all a wake means. *)
 
-val drain : t -> unit
-(** Read the pipe empty (to [EAGAIN]). Owning shard only. *)
+val drain : t -> int
+(** Read the pipe empty (to [EAGAIN]); returns the [read(2)] calls
+    made, the one that hit [EAGAIN] included. Owning shard only. *)
 
 val close : t -> unit

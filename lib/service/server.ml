@@ -472,10 +472,12 @@ let run ?on_ready config =
     ignore
       (Readiness.wait rd ~timeout_s (fun ~fd ~readable ~writable ->
            ready := (fd, readable, writable) :: !ready));
-    Wakeup.drain wake;
+    (* The cluster and the app callbacks wake us through the pipe; the
+       events they queued are processed below on every pass, so the pipe
+       needs draining only when it was what woke us. *)
     List.iter
       (fun (fd, readable, writable) ->
-        if fd = wake_key then ()
+        if fd = wake_key then ignore (Wakeup.drain wake : int)
         else if fd = listen_key then begin
           if readable then accept_loop ()
         end

@@ -323,8 +323,8 @@ let test_sockets_missing_dir () =
         true
         (has "bind" && has (Unix.error_message Unix.ENOENT))
 
-(* The raw UDS pump, on the tracked path: one zero-timeout wait adopts
-   both nodes, then every batch is sent, flushed by polling the sender,
+(* The raw UDS pump, on the tracked path: one shard adopts both nodes,
+   then every batch is sent, flushed by polling the sender,
    reported by a zero-timeout wait and drained by polling the receiver.
    Every frame must arrive once, in order and in its own step, and the
    coalescing must survive: about one write(2) per 64-frame batch, not
@@ -349,13 +349,13 @@ let test_uds_pump_batching () =
                 got := stamp :: !got
             | Error _ -> Alcotest.fail "decode error"
           in
+          let shard = Transport.adopt t ~owners:[ 0; 1 ] in
           let step () =
             Transport.poll t ~owner:0 (fun _ -> ());
-            Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
+            Transport.wait t shard ~timeout_s:0.0 ();
             Transport.poll t ~owner:1 on_frame
           in
           let scratch = Tr_wire.Codec.scratch () in
-          Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.0 ();
           for b = 0 to batches - 1 do
             for k = 0 to batch - 1 do
               Tr_wire.Codec.encode_frame scratch Codecs.ring ~src:0
@@ -385,6 +385,84 @@ let test_uds_pump_batching () =
 
 let available_backends () =
   List.filter Readiness.available [ Readiness.Epoll; Readiness.Poll ]
+
+(* Adoption validates every owner before it touches any: a failed
+   adopt leaves the nodes it named free for a later one. *)
+let test_adopt_rejects () =
+  with_temp_dir (fun dir ->
+      let addrs = Transport.uds_addrs ~dir ~n:3 in
+      let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+      let t = Transport.sockets ~clock ~n:3 ~owned:[ 0; 1 ] ~addrs () in
+      Fun.protect
+        ~finally:(fun () -> Transport.close t)
+        (fun () ->
+          let rejects what owners =
+            match Transport.adopt t ~owners with
+            | _ -> Alcotest.failf "adopt accepted %s" what
+            | exception Invalid_argument _ -> ()
+          in
+          rejects "an out-of-range owner" [ 1; 3 ];
+          rejects "a negative owner" [ -1 ];
+          rejects "a node hosted elsewhere" [ 2 ];
+          ignore (Transport.adopt t ~owners:[ 0 ] : Transport.shard);
+          rejects "a node another shard adopted" [ 1; 0 ];
+          (* Node 1 was named by two failed adopts, yet is still free. *)
+          ignore (Transport.adopt t ~owners:[ 1 ] : Transport.shard);
+          rejects "a node adopted twice" [ 1 ]));
+  let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+  let t = Transport.loopback ~clock ~n:2 in
+  match Transport.adopt t ~owners:[ 2 ] with
+  | _ -> Alcotest.fail "loopback adopt accepted an out-of-range owner"
+  | exception Invalid_argument _ -> ()
+
+(* One wake pipe per shard, drained only when the set reports it: a
+   wake issued before the shard's first wait still ends that wait, the
+   wait drains the pipe (two reads, counted), and the next wait finds
+   nothing ready. Read from the counters, not from wall time: a lost
+   wake would show as a wait with zero fds ready. *)
+let test_wake_before_first_wait () =
+  List.iter
+    (fun backend ->
+      let name = Readiness.backend_name backend in
+      with_temp_dir (fun dir ->
+          let addrs = Transport.uds_addrs ~dir ~n:2 in
+          let clock = Tr_net_rt.Clock.create ~unit_s:1e-3 () in
+          let t =
+            Transport.sockets ~readiness:backend ~clock ~n:2 ~owned:[ 0; 1 ]
+              ~addrs ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Transport.close t)
+            (fun () ->
+              let shard = Transport.adopt t ~owners:[ 0; 1 ] in
+              let activations = ref 0 in
+              let on_ready _ = incr activations in
+              Transport.wake shard;
+              Transport.wake shard;
+              Transport.wait t shard ~on_ready ~timeout_s:5.0 ();
+              let a = Transport.snapshot t in
+              Alcotest.(check int) (name ^ ": one wait") 1
+                a.Transport.snap_wait_calls;
+              Alcotest.(check int) (name ^ ": the wake pipe was ready") 1
+                a.Transport.snap_fds_ready;
+              Alcotest.(check int)
+                (name ^ ": drained, reads counted")
+                2 a.Transport.snap_read_syscalls;
+              Alcotest.(check int)
+                (name ^ ": a wake activates no owner")
+                0 !activations;
+              Transport.wait t shard ~on_ready ~timeout_s:0.01 ();
+              let b = Transport.snapshot t in
+              Alcotest.(check int) (name ^ ": second wait") 2
+                b.Transport.snap_wait_calls;
+              Alcotest.(check int)
+                (name ^ ": no stale readability")
+                1 b.Transport.snap_fds_ready;
+              Alcotest.(check int)
+                (name ^ ": an unreported pipe is not read")
+                2 b.Transport.snap_read_syscalls)))
+    (available_backends ())
+
 
 (* Register / report / level-trigger / remove, for every backend this
    build can create. *)
@@ -475,7 +553,9 @@ let test_wakeup_drain () =
   Alcotest.(check int)
     "wake burst visible" 1
     (Readiness.wait rd ~timeout_s:1.0 cb);
-  Wakeup.drain wake;
+  Alcotest.(check int)
+    "drain counts the emptying read and the EAGAIN read" 2
+    (Wakeup.drain wake);
   Alcotest.(check int)
     "drained pipe is silent" 0
     (Readiness.wait rd ~timeout_s:0.0 cb);
@@ -483,10 +563,11 @@ let test_wakeup_drain () =
   Alcotest.(check int)
     "wake after drain still wakes" 1
     (Readiness.wait rd ~timeout_s:1.0 cb);
-  Wakeup.drain wake;
+  Alcotest.(check int) "second drain: two reads" 2 (Wakeup.drain wake);
   Alcotest.(check int)
     "second drain silent again" 0
     (Readiness.wait rd ~timeout_s:0.0 cb);
+  Alcotest.(check int) "empty pipe: one read" 1 (Wakeup.drain wake);
   Readiness.remove rd (Wakeup.read_fd wake);
   Readiness.close rd;
   Wakeup.close wake
@@ -672,10 +753,11 @@ let test_stats_snapshot_coherent () =
               (Tr_proto.Ring.Token { stamp })
           in
           let got = ref 0 in
+          let shard = Transport.adopt t ~owners:[ 0; 1 ] in
           Transport.send t ~src:0 ~dst:1 ~delay:0.0 (frame 1);
           let deadline = Unix.gettimeofday () +. 5.0 in
           while !got < 1 && Unix.gettimeofday () < deadline do
-            Transport.wait t ~owners:[ 0; 1 ] ~timeout_s:0.05 ();
+            Transport.wait t shard ~timeout_s:0.05 ();
             (* Polling the sender flushes its coalesced outgoing buffer. *)
             Transport.poll t ~owner:0 (fun _view -> ());
             Transport.poll t ~owner:1 (fun _view -> incr got)
@@ -765,6 +847,7 @@ let test_adversarial_chunking () =
               Fun.protect
                 ~finally:(fun () -> try Unix.close s with _ -> ())
                 (fun () ->
+                  let shard = Transport.adopt t ~owners:[ 1 ] in
                   Unix.connect s addrs.(1);
                   let frame stamp =
                     Tr_wire.Codec.encode_envelope Codecs.ring ~src:0
@@ -788,7 +871,7 @@ let test_adversarial_chunking () =
                     while
                       List.length !got < k && Unix.gettimeofday () < deadline
                     do
-                      Transport.wait t ~owners:[ 1 ] ~timeout_s:0.05 ();
+                      Transport.wait t shard ~timeout_s:0.05 ();
                       Transport.poll t ~owner:1 on_frame
                     done
                   in
@@ -801,7 +884,7 @@ let test_adversarial_chunking () =
                           in
                           ignore (Unix.write_substring s data i len);
                           (* Let the reader see this fragment alone. *)
-                          Transport.wait t ~owners:[ 1 ] ~timeout_s:0.002 ();
+                          Transport.wait t shard ~timeout_s:0.002 ();
                           Transport.poll t ~owner:1 on_frame
                         end)
                       data
@@ -1013,6 +1096,8 @@ let () =
             test_sockets_missing_dir;
           Alcotest.test_case "uds pump batches on the tracked path" `Quick
             test_uds_pump_batching;
+          Alcotest.test_case "adopt rejects bad owners" `Quick
+            test_adopt_rejects;
         ] );
       ( "readiness",
         [
@@ -1024,6 +1109,8 @@ let () =
             test_readiness_env_forcing;
           Alcotest.test_case "wake pipe drains to EAGAIN" `Quick
             test_wakeup_drain;
+          Alcotest.test_case "wake before the first wait is kept" `Quick
+            test_wake_before_first_wait;
           Alcotest.test_case "backend parity on a UDS ring" `Quick
             test_backend_parity;
           Alcotest.test_case "adversarial chunking per backend" `Quick
