@@ -4,10 +4,10 @@
    (wall-clock best of 3, committed baseline measured at the pre-refactor
    commit on the same host):
 
-   - loopback_frames: encode->send->poll->decode pipeline through the
-     in-process loopback transport, zero delay, batched pump. Measures
-     the allocation discipline of the codec/frame layers plus the
-     mailbox/heap hop.
+   - loopback_frames: encode->send->wait->poll->decode pipeline through
+     the in-process loopback transport, zero delay, batched pump on an
+     adopted shard. Measures the allocation discipline of the
+     codec/frame layers plus the mailbox/heap hop.
 
    - uds_frames: the same pump over a real Unix-domain stream socket
      pair hosted in one process. Measures syscall batching: the
@@ -66,7 +66,7 @@ let batch = 64
 
 let pump_loopback ~total () =
   let clock = Clock.create ~unit_s:1e-3 () in
-  let t = Transport.loopback ~clock ~n:2 in
+  let t = Transport.loopback ~clock ~n:2 () in
   let scratch = Codec.scratch () in
   let received = ref 0 in
   let sent = ref 0 in
@@ -75,6 +75,7 @@ let pump_loopback ~total () =
     | Ok _ -> incr received
     | Error _ -> failwith "net_bench: loopback decode error"
   in
+  let shard = Transport.adopt t ~owners:[ 0; 1 ] in
   while !received < total do
     let k = Stdlib.min batch (total - !sent) in
     for _ = 1 to k do
@@ -86,6 +87,9 @@ let pump_loopback ~total () =
       Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0 frame;
       incr sent
     done;
+    (* The wait settles the batch and reports node 1's due frames;
+       with a zero timeout it never sleeps. *)
+    Transport.wait t shard ~timeout_s:0.0 ();
     Transport.poll t ~owner:1 on_frame
   done;
   Transport.close t;

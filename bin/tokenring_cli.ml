@@ -3,6 +3,9 @@
 
 open Cmdliner
 
+(* Every caller error ends here: "error: ..." on stderr, exit 2. *)
+let die fmt = Format.kasprintf (fun msg -> Format.eprintf "error: %s@." msg; exit 2) fmt
+
 (* ---------------- shared options ---------------- *)
 
 let nodes =
@@ -82,7 +85,7 @@ let run_cmd =
       | Some spec -> Tokenring.Scenario.network_of_string spec
     in
     match (workload, network) with
-    | Error e, _ | _, Error e -> Format.printf "error: %s@." e; exit 2
+    | Error e, _ | _, Error e -> die "%s" e
     | Ok workload, Ok network ->
         let config =
           { (Tokenring.Engine.default_config ~n ~seed) with workload; network }
@@ -152,29 +155,30 @@ let run_cmd =
 
 let exp_cmd =
   let run id quick seed csv json jobs =
+    let module E = Tokenring.Experiments in
+    (* Reject an unknown id before running anything. *)
+    let runs =
+      if String.equal id "all" then List.filter_map E.find E.ids
+      else
+        match E.find id with
+        | Some run -> [ run ]
+        | None ->
+            die "unknown experiment %S; known: %s" id
+              (String.concat ", " E.ids)
+    in
     let results =
-      with_jobs jobs (fun pool -> Tokenring.Experiments.all ?pool ~quick ~seed ())
+      with_jobs jobs (fun pool ->
+          List.map (fun (run : E.run) -> run ?pool ~quick ~seed ()) runs)
     in
-    let wanted r =
-      String.equal id "all"
-      || String.equal (String.uppercase_ascii id) r.Tokenring.Experiments.id
-    in
-    let matched = List.filter wanted results in
-    if matched = [] then
-      Format.printf "unknown experiment %S; known: %s@." id
-        (String.concat ", "
-           (List.map (fun r -> r.Tokenring.Experiments.id) results))
-    else
-      List.iter
-        (fun r ->
-          if json then
-            print_string (Tokenring.Export.result_to_json r)
-          else if csv then
-            Format.printf "# %s: %s@.%s@." r.Tokenring.Experiments.id
-              r.Tokenring.Experiments.title
-              (Tokenring.Series.Table.to_csv r.Tokenring.Experiments.table)
-          else Format.printf "%a@." Tokenring.Experiments.pp_result r)
-        matched
+    List.iter
+      (fun r ->
+        if json then print_string (Tokenring.Export.result_to_json r)
+        else if csv then
+          Format.printf "# %s: %s@.%s@." r.Tokenring.Experiments.id
+            r.Tokenring.Experiments.title
+            (Tokenring.Series.Table.to_csv r.Tokenring.Experiments.table)
+        else Format.printf "%a@." Tokenring.Experiments.pp_result r)
+      results
   in
   let id =
     Arg.(
@@ -206,9 +210,7 @@ let compare_cmd =
       | Some spec -> Tokenring.Scenario.network_of_string spec
     in
     match (workload, network) with
-    | Error e, _ | _, Error e ->
-        Format.printf "error: %s@." e;
-        exit 2
+    | Error e, _ | _, Error e -> die "%s" e
     | Ok workload, Ok network ->
         let names =
           if protocols = [] then [ "ring"; "binsearch" ] else protocols
@@ -318,7 +320,7 @@ let spec_cmd =
       List.find_opt (fun (name, _, _) -> String.equal name which) (spec_systems n)
     with
     | None ->
-        Format.printf "unknown system %S; known: %s@." which
+        die "unknown system %S; known: %s" which
           (String.concat ", " (List.map (fun (s, _, _) -> s) (spec_systems n)))
     | Some (name, system, initial) -> (
         let init = initial ~data_budget:budget in
@@ -385,9 +387,8 @@ let explore_cmd =
     in
     match List.find_opt (fun (name, _, _) -> String.equal name which) systems with
     | None ->
-        Format.printf "unknown system %S; known: %s@." which
-          (String.concat ", " (List.map (fun (s, _, _) -> s) systems));
-        exit 2
+        die "unknown system %S; known: %s" which
+          (String.concat ", " (List.map (fun (s, _, _) -> s) systems))
     | Some (name, system, initial) ->
         let check =
           match name with
@@ -518,8 +519,6 @@ module Cluster = Tr_net_rt.Cluster
 module Live_export = Tr_net_rt.Live_export
 module Live_transport = Tr_net_rt.Transport
 
-let die fmt = Format.kasprintf (fun msg -> Format.eprintf "error: %s@." msg; exit 2) fmt
-
 (* "0-3,7" -> [0;1;2;3;7] *)
 let parse_id_ranges spec =
   let id s =
@@ -596,7 +595,7 @@ let readiness_arg =
     value & opt (some string) None
     & info [ "readiness" ] ~docv:"BACKEND"
         ~doc:
-          "Force the socket wait backend: epoll or poll. Default is epoll \
+          "Force the shards' wait backend: epoll or poll. Default is epoll \
            where available, else poll (TR_READINESS also honoured); a \
            forced epoll on a platform without it falls back loudly to \
            poll.")
@@ -635,7 +634,7 @@ let parse_readiness = function
 
 let live_config ?(spin = false) ?(inproc = false) ~n ~seed ~unit_s ~shards
     ~max_wall_s ~load ~grants ~duration ~readiness ~pin () =
-  if n < 1 then die "need at least one node";
+  if n < 2 then die "a live cluster needs at least two nodes (got -n %d)" n;
   let stop =
     match grants with
     | Some k -> Cluster.Grants k
@@ -662,6 +661,11 @@ let resolve_backend ~n ~own ~uds ~tcp_base ~host =
     | None -> List.init n Fun.id
     | Some spec -> parse_id_ranges spec
   in
+  List.iter
+    (fun i ->
+      if i < 0 || i >= n then
+        die "--own: node id %d is out of range for -n %d (ids 0-%d)" i n (n - 1))
+    owned;
   match (uds, tcp_base) with
   | Some _, Some _ -> die "choose one of --uds and --tcp-base"
   | Some dir, None ->
@@ -683,10 +687,11 @@ let find_packed name =
         (String.concat ", " Tr_wire.Codecs.names)
 
 (* Transport setup reports caller errors (an unbindable --uds path, a
-   bad TR_READINESS) as [Failure]: print them like any other misuse. *)
+   bad TR_READINESS) as [Failure], and config validation as
+   [Invalid_argument]: print them like any other misuse. *)
 let run_live ?backend config packed =
   try Cluster.run_packed ?backend config packed
-  with Failure msg -> die "%s" msg
+  with Failure msg | Invalid_argument msg -> die "%s" msg
 
 (* ---------------- serve ---------------- *)
 

@@ -654,22 +654,33 @@ let spec_space ?pool ?(quick = false) ?seed:_ () =
     table = Series.Table.of_series ~x_label:"n" series;
   }
 
-let all ?pool ?(quick = false) ?(seed = 42) () =
+type run = ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> result
+
+let serial f : run = fun ?pool:_ ?quick ?seed () -> f ?quick ?seed ()
+
+let registry : (string * run) list =
   [
-    fig9 ?pool ~quick ~seed ();
-    fig10 ?pool ~quick ~seed ();
-    large_n ?pool ~quick ~seed ();
-    lem4 ?pool ~quick ~seed ();
-    lem6 ?pool ~quick ~seed ();
-    thm2 ?pool ~quick ~seed ();
-    thm3 ~quick ~seed ();
-    opt_messages ~quick ~seed ();
-    tree_balance ~quick ~seed ();
-    adaptive_idle ~quick ~seed ();
-    dist ~quick ~seed ();
-    warmup ~quick ~seed ();
-    spec_space ?pool ~quick ();
+    ("FIG9", fig9);
+    ("FIG10", fig10);
+    ("LARGE-N", large_n);
+    ("LEM4", lem4);
+    ("LEM6", lem6);
+    ("THM2", thm2);
+    ("THM3", serial thm3);
+    ("OPT-MSG", serial opt_messages);
+    ("TREE", serial tree_balance);
+    ("ADAPT", serial adaptive_idle);
+    ("DIST", serial dist);
+    ("WARMUP", serial warmup);
+    ("SPACE", spec_space);
   ]
+
+let ids = List.map fst registry
+
+let find id = List.assoc_opt (String.uppercase_ascii id) registry
+
+let all ?pool ?quick ?seed () =
+  List.map (fun (_, run) -> run ?pool ?quick ?seed ()) registry
 
 let pp_result ppf r =
   let pp_plot ppf series =

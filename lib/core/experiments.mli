@@ -88,6 +88,15 @@ val spec_space : ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> resu
     (counts are deterministic, the table is byte-identical across domain
     counts); [notes] carries aggregate states/s, domains, and peak RSS. *)
 
+type run = ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> result
+(** One experiment; [pool] is ignored by those that do not sweep. *)
+
+val ids : string list
+(** Every experiment id, in DESIGN.md index order. *)
+
+val find : string -> run option
+(** The experiment with this id, matched case-insensitively. *)
+
 val all : ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> result list
 (** Every experiment, in DESIGN.md index order. *)
 

@@ -15,7 +15,13 @@ let test_all_present () =
   Alcotest.(check (list string)) "experiment index"
     [ "FIG9"; "FIG10"; "LARGE-N"; "LEM4"; "LEM6"; "THM2"; "THM3"; "OPT-MSG";
       "TREE"; "ADAPT"; "DIST"; "WARMUP"; "SPACE" ]
-    ids
+    ids;
+  (* The registry names each experiment by the id its result carries,
+     so the CLI can reject an unknown id before running anything. *)
+  Alcotest.(check (list string)) "registry ids" ids Exp.ids;
+  Alcotest.(check bool) "find is case-insensitive" true
+    (Option.is_some (Exp.find "fig9"));
+  Alcotest.(check bool) "unknown id" true (Option.is_none (Exp.find "NOPE"))
 
 let test_tables_render () =
   List.iter
