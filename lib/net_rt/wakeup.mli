@@ -17,10 +17,13 @@ val read_fd : t -> Unix.file_descr
 
 val wake : t -> unit
 (** Write one wake byte. Never blocks and never raises: a full pipe
-    already has readability pending, which is all a wake means. *)
+    already has readability pending, which is all a wake means. After
+    {!close} it does nothing: a wake racing teardown from another domain
+    never writes to an fd number the OS may have reused. *)
 
 val drain : t -> int
 (** Read the pipe empty (to [EAGAIN]); returns the [read(2)] calls
     made, the one that hit [EAGAIN] included. Owning shard only. *)
 
 val close : t -> unit
+(** Idempotent. *)
