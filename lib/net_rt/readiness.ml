@@ -19,6 +19,7 @@ external poll_stub : int array -> int array -> int array -> int -> int -> int
 external raise_nofile_stub : unit -> int = "tr_rd_raise_nofile"
 external ncpus : unit -> int = "tr_rd_ncpus"
 external pin_cpu : int -> bool = "tr_rd_pin_cpu"
+external set_timer_slack_ns : int -> bool = "tr_rd_set_timer_slack"
 
 (* Unix.file_descr is an int on every Unix port; the transport keys its
    fd->peer table by this int. *)

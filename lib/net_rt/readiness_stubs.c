@@ -32,6 +32,7 @@
 
 #ifdef __linux__
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #endif
 
 /* Interest/result bits shared with readiness.ml. */
@@ -241,6 +242,19 @@ CAMLprim value tr_rd_ncpus(value unit)
 {
   long n = sysconf(_SC_NPROCESSORS_ONLN);
   return Val_int(n > 0 ? (int)n : 1);
+}
+
+/* Timer slack is how late the kernel may fire the calling thread's
+   timed waits, to batch wakeups (50 us by default). Returns whether the
+   kernel accepted. */
+CAMLprim value tr_rd_set_timer_slack(value ns)
+{
+#ifdef __linux__
+  return Val_bool(prctl(PR_SET_TIMERSLACK, (unsigned long)Long_val(ns), 0,
+                        0, 0) == 0);
+#else
+  return Val_false;
+#endif
 }
 
 /* Pin the calling thread (a shard domain) to one CPU. Returns whether
