@@ -22,7 +22,3 @@ let now t =
   bump ()
 
 let elapsed_wall t = now t *. t.unit_s
-
-let sleep_until t units =
-  let d = (units -. now t) *. t.unit_s in
-  if d > 0.0 then Unix.sleepf d

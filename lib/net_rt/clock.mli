@@ -25,7 +25,3 @@ val now : t -> float
 
 val elapsed_wall : t -> float
 (** Wall seconds since [create]. *)
-
-val sleep_until : t -> float -> unit
-(** [sleep_until t units] sleeps until the clock reads [units] (no-op if
-    already past). *)
