@@ -161,10 +161,11 @@ let run ?on_ready config =
       (protocol : (module Tr_sim.Node_intf.PROTOCOL with type msg = m))
       (codec : m Codec.t) =
     Domain.spawn (fun () ->
-        let r = Cluster.run ~attach config.cluster protocol codec in
-        Atomic.set cluster_done true;
-        Wakeup.wake wake;
-        r)
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set cluster_done true;
+            Wakeup.wake wake)
+          (fun () -> Cluster.run ~attach config.cluster protocol codec))
   in
   let cluster_domain =
     match config.app with
@@ -198,8 +199,11 @@ let run ?on_ready config =
     match Atomic.get control_slot with
     | Some c -> c
     | None ->
-        if Atomic.get cluster_done then
-          failwith "Server.run: cluster exited before attaching control";
+        if Atomic.get cluster_done then begin
+          (* Re-raises the cluster's own exception (a config it rejected). *)
+          ignore (Domain.join cluster_domain : Cluster.report);
+          failwith "Server.run: cluster exited before attaching control"
+        end;
         Unix.sleepf 0.001;
         await_control ()
   in

@@ -81,7 +81,9 @@ val run :
     domain. [on_ready] fires once the listener is bound (with the actual
     address — useful for port 0) and the cluster control is attached;
     keeping [control] lets a test kill nodes or stop the run mid-flight.
-    @raise Invalid_argument if [cluster.load] is not [External]. *)
+    @raise Invalid_argument if [cluster.load] is not [External], and
+    re-raises whatever {!Tr_net_rt.Cluster.run} raises (e.g.
+    [Invalid_argument] for [n < 2]). *)
 
 val stats_json : outcome:outcome -> app:app -> adaptive:bool -> string
 (** One-line JSON for bench artifacts, via {!Tr_net_rt.Live_export}. *)
