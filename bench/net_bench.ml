@@ -259,17 +259,13 @@ let fleet_case ~procs ~n ~duration_units =
       in
       if List.length members < procs then
         failwith "net_bench: fleet child missing";
-      let sum f = List.fold_left (fun a m -> a + f m) 0 members in
-      let fmax f = List.fold_left (fun a m -> Float.max a (f m)) 0.0 members in
-      if sum (fun m -> m.Cluster.m_decode_errors) > 0 then
+      let t = Cluster.fleet_total members in
+      if t.Cluster.m_decode_errors > 0 then
         failwith "net_bench: fleet decode errors";
-      scaling_row ~readiness:"epoll" ~procs ~n
-        ~grants:(sum (fun m -> m.Cluster.m_grants))
-        ~wall_s:(fmax (fun m -> m.Cluster.m_wall_s))
-        ~resp_p99:(fmax (fun m -> m.Cluster.m_resp_p99))
-        ~wait_calls:(sum (fun m -> m.Cluster.m_wait_calls))
-        ~fds_registered:(sum (fun m -> m.Cluster.m_fds_registered))
-        ~avg_ready:None)
+      scaling_row ~readiness:"epoll" ~procs ~n ~grants:t.Cluster.m_grants
+        ~wall_s:t.Cluster.m_wall_s ~resp_p99:t.Cluster.m_resp_p99
+        ~wait_calls:t.Cluster.m_wait_calls
+        ~fds_registered:t.Cluster.m_fds_registered ~avg_ready:None)
 
 (* ------------------------------------------------------------------ *)
 (* Syscall floor: the in-process path against the socket hop          *)

@@ -217,3 +217,9 @@ val run_fleet :
     return fewer than [procs] members if a child died before reporting
     (callers should check). Must be called from a single-domain process
     ([fork] and OCaml domains don't mix). *)
+
+val fleet_total : fleet_member list -> fleet_member
+(** The whole fleet as one member: grants, frames, waits, fds and decode
+    errors summed; the longest wall time and the worst p99; mean
+    responsiveness weighted by each child's grants ([nan] when no child
+    served any). *)
