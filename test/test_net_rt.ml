@@ -1258,6 +1258,42 @@ let test_per_link_guard () =
   expect_invalid "bad per-link sample" (fun () ->
       Network.sample_delay net rng Network.Reliable ~src:1 ~dst:0)
 
+(* Fleet totals: counts add up, wall and p99 take the worst child, and
+   mean responsiveness weighs each child by its grants (a child that
+   served nothing carries a NaN mean and no weight). *)
+let test_fleet_total () =
+  let member ~grants ~wall ~resp ~p99 =
+    {
+      Cluster.m_grants = grants;
+      m_frames_sent = 10 * grants;
+      m_wall_s = wall;
+      m_resp_mean = resp;
+      m_resp_p99 = p99;
+      m_wait_calls = 7;
+      m_fds_registered = 3;
+      m_decode_errors = 1;
+    }
+  in
+  let t =
+    Cluster.fleet_total
+      [
+        member ~grants:100 ~wall:2.0 ~resp:4.0 ~p99:9.0;
+        member ~grants:300 ~wall:3.0 ~resp:8.0 ~p99:6.0;
+        member ~grants:0 ~wall:1.0 ~resp:Float.nan ~p99:0.0;
+      ]
+  in
+  Alcotest.(check int) "grants" 400 t.Cluster.m_grants;
+  Alcotest.(check int) "frames" 4000 t.Cluster.m_frames_sent;
+  Alcotest.(check int) "waits" 21 t.Cluster.m_wait_calls;
+  Alcotest.(check int) "fds" 9 t.Cluster.m_fds_registered;
+  Alcotest.(check int) "decode errors" 3 t.Cluster.m_decode_errors;
+  Alcotest.(check (float 1e-9)) "wall" 3.0 t.Cluster.m_wall_s;
+  Alcotest.(check (float 1e-9)) "p99" 9.0 t.Cluster.m_resp_p99;
+  Alcotest.(check (float 1e-9)) "weighted resp" 7.0 t.Cluster.m_resp_mean;
+  let idle = member ~grants:0 ~wall:1.0 ~resp:Float.nan ~p99:0.0 in
+  Alcotest.(check bool) "no grants, no mean" true
+    (Float.is_nan (Cluster.fleet_total [ idle ]).Cluster.m_resp_mean)
+
 let test_scenario_network_error () =
   match Tokenring.Scenario.network_of_string "uniform:3,1" with
   | Ok _ -> Alcotest.fail "inverted uniform accepted"
@@ -1341,4 +1377,5 @@ let () =
           Alcotest.test_case "scenario error" `Quick
             test_scenario_network_error;
         ] );
+      ("fleet", [ Alcotest.test_case "totals" `Quick test_fleet_total ]);
     ]
