@@ -321,12 +321,11 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       let t = Clock.now clock in
       let grants =
         Mutex.protect mu (fun () ->
-            (match Metrics.oldest_arrival metrics ~node with
-            | None ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Cluster: node %d served with no pending request" node)
-            | Some _ -> Metrics.on_serve metrics ~time:t ~node);
+            if Metrics.pending metrics ~node = 0 then
+              invalid_arg
+                (Printf.sprintf
+                   "Cluster: node %d served with no pending request" node);
+            Metrics.on_serve metrics ~time:t ~node;
             Metrics.serves metrics)
       in
       (match config.load with

@@ -396,6 +396,11 @@ module Sockets = struct
      framing) and counted in [frames_dropped]. *)
   let high_water = 4 * 1024 * 1024
 
+  (* Starting size of a peer's coalescing buffer. A frame is a dozen
+     bytes and a flush empties the buffer, so most peers never hold
+     more than a few frames; [append] doubles it for the ones that do. *)
+  let out_initial = 256
+
   (* [Unix.write] cannot pass MSG_NOSIGNAL, so a write to a peer that
      closed its end raises SIGPIPE and the default handler kills the
      whole process before [tear_down] can run. Ignore it once,
@@ -563,7 +568,7 @@ module Sockets = struct
         co.out_pos <- 0
       end;
       if co.out_len + len > Bytes.length co.out then begin
-        let cap = ref (Stdlib.max 4096 (2 * Bytes.length co.out)) in
+        let cap = ref (2 * Bytes.length co.out) in
         while co.out_len + len > !cap do
           cap := 2 * !cap
         done;
@@ -829,7 +834,7 @@ module Sockets = struct
             {
               addr = addrs.(dst);
               fd = None;
-              out = Bytes.create 4096;
+              out = Bytes.create out_initial;
               out_pos = 0;
               out_len = 0;
               bounds = Queue.create ();

@@ -69,6 +69,11 @@ module Make (P : Node_intf.PROTOCOL) = struct
     mutable nodes : int list; (* meaningful iff tag = Arrival *)
   }
 
+  (* The simulated time, alone in an all-float record: stored flat, so
+     advancing it per event writes a float in place instead of boxing
+     one into [t]. *)
+  type clock = { mutable now : float }
+
   (* Placeholder for the [msg] field of non-Deliver events; an immediate,
      never read (the dispatch switch only touches [msg] when the tag is
      [Deliver], and every [Deliver] sets it). *)
@@ -81,7 +86,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     mutable states : P.state array;
     mutable ctxs : P.msg Node_intf.ctx array;
     queue : event Pqueue.t;
-    mutable clock : float;
+    clock : clock;
     net_rng : Rng.t;
     workload : Workload.t;
     metrics : Metrics.t;
@@ -99,7 +104,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     mutable initialized : bool;
   }
 
-  let now t = t.clock
+  let now t = t.clock.now
   let metrics t = t.metrics
   let trace t = t.trace
   let state t i = t.states.(i)
@@ -175,7 +180,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         invalid_arg "Engine: send destination out of range";
       Metrics.on_message t.metrics channel (P.classify msg);
       if Trace.enabled t.trace then
-        Trace.record t.trace ~time:t.clock
+        Trace.record t.trace ~time:t.clock.now
           (Trace.Sent { src = node; dst; channel; label = P.label msg });
       (* Chaos interposition, delivery side: the injector decides drop /
          duplicate / extra delay / corrupt for every protocol send. The
@@ -186,7 +191,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         match t.config.chaos with
         | None -> None
         | Some inj ->
-            Some (Tr_chaos.Injector.on_send inj ~now:t.clock ~src:node ~dst)
+            Some (Tr_chaos.Injector.on_send inj ~now:t.clock.now ~src:node ~dst)
       in
       let chaos_dropped =
         match chaos_action with
@@ -198,7 +203,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         || Network.dropped t.config.network t.net_rng channel ~src:node ~dst
       then begin
         if Trace.enabled t.trace then
-          Trace.record t.trace ~time:t.clock
+          Trace.record t.trace ~time:t.clock.now
             (Trace.Dropped { src = node; dst; label = P.label msg })
       end
       else begin
@@ -218,7 +223,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
           e.dst <- dst;
           e.channel <- channel;
           e.msg <- msg;
-          Pqueue.push t.queue ~time:(t.clock +. delay +. extra_delay) e
+          Pqueue.push t.queue ~time:(t.clock.now +. delay +. extra_delay) e
         done
       end
     in
@@ -229,43 +234,43 @@ module Make (P : Node_intf.PROTOCOL) = struct
         match t.config.chaos with
         | None -> delay
         | Some inj ->
-            delay *. Tr_chaos.Injector.timer_scale inj ~now:t.clock ~node
+            delay *. Tr_chaos.Injector.timer_scale inj ~now:t.clock.now ~node
       in
       let e = acquire t in
       e.tag <- Timer;
       e.src <- node;
       e.dst <- key;
       e.epoch <- timer_epoch t ~node ~key;
-      Pqueue.push t.queue ~time:(t.clock +. delay) e
+      Pqueue.push t.queue ~time:(t.clock.now +. delay) e
     in
     let cancel_timers ~key =
       check_timer_key key;
       bump_timer_epoch t ~node ~key
     in
     let serve () =
-      match Metrics.oldest_arrival t.metrics ~node with
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Engine: node %d served with no pending request"
-               node)
-      | Some arrival ->
-          Metrics.on_serve t.metrics ~time:t.clock ~node;
-          if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock
-              (Trace.Served { node; waited = t.clock -. arrival });
-          (* A [Continuous] competitor re-requests the moment it is served
-             (Theorem 3's adversary). *)
-          if Workload.wants_immediate_rerequest t.workload node then begin
-            let e = acquire t in
-            e.tag <- Arrival;
-            e.nodes <- [ node ];
-            Pqueue.push t.queue ~time:t.clock e
-          end
+      if Metrics.pending t.metrics ~node = 0 then
+        invalid_arg
+          (Printf.sprintf "Engine: node %d served with no pending request" node);
+      (* The option is only built when a trace wants the waited time. *)
+      if Trace.enabled t.trace then begin
+        let arrival = Option.get (Metrics.oldest_arrival t.metrics ~node) in
+        Trace.record t.trace ~time:t.clock.now
+          (Trace.Served { node; waited = t.clock.now -. arrival })
+      end;
+      Metrics.on_serve t.metrics ~time:t.clock.now ~node;
+      (* A [Continuous] competitor re-requests the moment it is served
+         (Theorem 3's adversary). *)
+      if Workload.wants_immediate_rerequest t.workload node then begin
+        let e = acquire t in
+        e.tag <- Arrival;
+        e.nodes <- [ node ];
+        Pqueue.push t.queue ~time:t.clock.now e
+      end
     in
     {
       Node_intf.self = node;
       n = t.config.n;
-      now = (fun () -> t.clock);
+      now = (fun () -> t.clock.now);
       rng;
       send;
       set_timer;
@@ -276,12 +281,12 @@ module Make (P : Node_intf.PROTOCOL) = struct
         (fun () ->
           Metrics.on_token_possession t.metrics ~node;
           if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock (Trace.Token_at { node }));
+            Trace.record t.trace ~time:t.clock.now (Trace.Token_at { node }));
       search_forward = (fun () -> Metrics.on_search_forward t.metrics);
       note =
         (fun thunk ->
           if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock
+            Trace.record t.trace ~time:t.clock.now
               (Trace.Note { node; text = thunk () }));
     }
 
@@ -298,7 +303,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         states = [||];
         ctxs = [||];
         queue = Pqueue.create ();
-        clock = 0.0;
+        clock = { now = 0.0 };
         net_rng = Rng.create (config.seed lxor 0x2545F491);
         workload;
         metrics = Metrics.create ~n:config.n;
@@ -331,7 +336,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
     match Workload.next t.workload ~after with
     | None -> ()
     | Some (time, nodes) ->
-        push_arrival t ~time:(Stdlib.max time t.clock) nodes
+        let now = t.clock.now in
+        push_arrival t ~time:(if time >= now then time else now) nodes
 
   let schedule_crashes t =
     List.iter
@@ -357,12 +363,12 @@ module Make (P : Node_intf.PROTOCOL) = struct
   let chaos_down t node =
     match t.config.chaos with
     | None -> false
-    | Some inj -> Tr_chaos.Injector.node_down inj ~now:t.clock ~node
+    | Some inj -> Tr_chaos.Injector.node_down inj ~now:t.clock.now ~node
 
   let deliver t ~src ~dst ~msg =
     if not (t.crashed.(dst) || chaos_down t dst) then begin
       if Trace.enabled t.trace then
-        Trace.record t.trace ~time:t.clock
+        Trace.record t.trace ~time:t.clock.now
           (Trace.Delivered { src; dst; label = P.label msg });
       t.states.(dst) <- P.on_message t.ctxs.(dst) t.states.(dst) ~src msg
     end
@@ -374,10 +380,10 @@ module Make (P : Node_intf.PROTOCOL) = struct
          (token regeneration) resumes against its stale state. *)
       let resume =
         match t.config.chaos with
-        | None -> t.clock
-        | Some inj -> Tr_chaos.Injector.down_until inj ~now:t.clock ~node
+        | None -> t.clock.now
+        | Some inj -> Tr_chaos.Injector.down_until inj ~now:t.clock.now ~node
       in
-      if resume > t.clock then begin
+      if resume > t.clock.now then begin
         let e = acquire t in
         e.tag <- Timer;
         e.src <- node;
@@ -393,36 +399,41 @@ module Make (P : Node_intf.PROTOCOL) = struct
     List.iter
       (fun node ->
         if live node then begin
-          Metrics.on_request t.metrics ~time:t.clock ~node;
+          Metrics.on_request t.metrics ~time:t.clock.now ~node;
           if Trace.enabled t.trace then
-            Trace.record t.trace ~time:t.clock (Trace.Request { node });
+            Trace.record t.trace ~time:t.clock.now (Trace.Request { node });
           t.states.(node) <- P.on_request t.ctxs.(node) t.states.(node)
         end)
       nodes
 
   let crash t node =
     t.crashed.(node) <- true;
-    Trace.record t.trace ~time:t.clock (Trace.Crashed { node })
+    Trace.record t.trace ~time:t.clock.now (Trace.Crashed { node })
 
   let run t ~stop =
     initialize t;
     let { time_limit; serves_limit; token_limit } = compile_stop stop in
     let continue = ref true in
     while !continue do
+      (* The next event's time, read once; [infinity] on an empty queue,
+         which the [is_empty] test below stops on. *)
+      let time =
+        if Pqueue.is_empty t.queue then infinity else Pqueue.top_time_exn t.queue
+      in
       if
-        t.clock > time_limit
+        t.clock.now > time_limit
         || Metrics.serves t.metrics >= serves_limit
         || Metrics.token_messages t.metrics >= token_limit
         (* Horizon check: with an [At_time] bound we must not pop events
            past it, so the clock never overshoots a time-limited run. *)
         || Pqueue.is_empty t.queue
-        || Pqueue.top_time_exn t.queue > time_limit
+        || time > time_limit
       then continue := false
       else begin
-        let time = Pqueue.top_time_exn t.queue in
         let e = Pqueue.pop_exn t.queue in
         t.events_processed <- t.events_processed + 1;
-        t.clock <- Stdlib.max t.clock time;
+        let now = t.clock.now in
+        t.clock.now <- (if now >= time then now else time);
         (* Copy the fields out, recycle the record, then dispatch — the
            handler's own sends may reuse it immediately. *)
         match e.tag with
@@ -441,7 +452,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         | Arrival ->
             let nodes = e.nodes in
             release t e;
-            let batch_time = t.clock in
+            let batch_time = t.clock.now in
             arrive t nodes;
             schedule_next_arrival t ~after:batch_time
       end
@@ -451,5 +462,5 @@ module Make (P : Node_intf.PROTOCOL) = struct
     if node < 0 || node >= t.config.n then
       invalid_arg "Engine.request_now: node out of range";
     initialize t;
-    push_arrival t ~time:t.clock [ node ]
+    push_arrival t ~time:t.clock.now [ node ]
 end

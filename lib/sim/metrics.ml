@@ -12,37 +12,100 @@ type sketches = { q50 : P2.t; q90 : P2.t; q99 : P2.t }
 let make_sketches () =
   { q50 = P2.create ~p:0.5; q90 = P2.create ~p:0.9; q99 = P2.create ~p:0.99 }
 
-let sketch_add s x =
-  P2.add s.q50 x;
-  P2.add s.q90 x;
-  P2.add s.q99 x
+(* One sample stream: running moments, exact quantiles and sketches. *)
+type stream = { summary : Summary.t; exact : Quantile.t; sketches : sketches }
+
+let make_stream () =
+  { summary = Summary.create (); exact = Quantile.create (); sketches = make_sketches () }
+
+(* Kept out of line on purpose: a float crossing into [Tr_stats] is
+   passed boxed, and as a parameter here it is boxed once for all five
+   consumers instead of once per call. *)
+let[@inline never] stream_add st x =
+  Summary.add st.summary x;
+  Quantile.add st.exact x;
+  P2.add st.sketches.q50 x;
+  P2.add st.sketches.q90 x;
+  P2.add st.sketches.q99 x
+
+(* A FIFO of floats in a circular buffer whose power-of-two capacity
+   doubles when full: a queued arrival is a slot in a flat array, not a
+   [Queue] cell holding a boxed float. *)
+type fifo = { mutable buf : float array; mutable head : int; mutable len : int }
+
+let fifo_create cap = { buf = Array.make cap 0.0; head = 0; len = 0 }
+
+(* Ring [src] (its [len] entries from [head] on, wrapping) unwrapped
+   into the front of an array of twice its capacity: the growth step
+   of the per-node rings and of the arrival log. *)
+let regrow src ~head ~len fill =
+  let cap = Array.length src in
+  let dst = Array.make (2 * cap) fill in
+  let first = Stdlib.min len (cap - head) in
+  Array.blit src head dst 0 first;
+  Array.blit src 0 dst first (len - first);
+  dst
+
+let fifo_push q x =
+  if q.len = Array.length q.buf then begin
+    q.buf <- regrow q.buf ~head:q.head ~len:q.len 0.0;
+    q.head <- 0
+  end;
+  q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- x;
+  q.len <- q.len + 1
+
+let fifo_drop q =
+  q.head <- (q.head + 1) land (Array.length q.buf - 1);
+  q.len <- q.len - 1
+
+(* The global arrival log, three parallel rings (node, per-node index,
+   arrival time) sharing one head and length. *)
+type log = {
+  mutable nodes : int array;
+  mutable idxs : int array;
+  mutable times : float array;
+  mutable lhead : int;
+  mutable llen : int;
+}
+
+let log_push l ~node ~idx time =
+  if l.llen = Array.length l.nodes then begin
+    let head = l.lhead and len = l.llen in
+    l.nodes <- regrow l.nodes ~head ~len 0;
+    l.idxs <- regrow l.idxs ~head ~len 0;
+    l.times <- regrow l.times ~head ~len 0.0;
+    l.lhead <- 0
+  end;
+  let i = (l.lhead + l.llen) land (Array.length l.nodes - 1) in
+  l.nodes.(i) <- node;
+  l.idxs.(i) <- idx;
+  l.times.(i) <- time;
+  l.llen <- l.llen + 1
+
+(* The run's two clocks, in an all-float record so writes stay unboxed. *)
+type clocks = { mutable last_arrival : float; mutable last_service : float }
 
 type t = {
   n : int;
-  pending : float Queue.t array; (* arrival times, FIFO per node *)
+  pending : fifo array; (* arrival times, FIFO per node *)
   (* Global arrival log with lazy deletion: entries are
      [(node, per-node index, arrival)]. While arrivals come in
      non-decreasing time order (true under the engine, which processes
-     events chronologically), the queue front — after discarding entries
+     events chronologically), the log front — after discarding entries
      whose request was already served — IS the earliest outstanding
      arrival, making the responsiveness window lookup amortised O(1)
      instead of an O(n) scan per serve. If a caller ever feeds
      out-of-order arrivals directly, [fifo_monotone] trips and we fall
-     back to the scan, so the value is exact either way. *)
-  arrivals_fifo : (int * int * float) Queue.t;
+     back to a scan of every node's oldest request. *)
+  arrivals : log;
   arrival_idx : int array; (* arrivals recorded per node *)
   served_idx : int array; (* serves recorded per node *)
   mutable fifo_monotone : bool;
-  mutable last_arrival : float;
+  clocks : clocks;
   mutable total_pending : int;
   mutable serves : int;
-  mutable last_service_time : float;
-  responsiveness : Summary.t;
-  responsiveness_q : Quantile.t;
-  responsiveness_sk : sketches;
-  waiting : Summary.t;
-  waiting_q : Quantile.t;
-  waiting_sk : sketches;
+  responsiveness : stream;
+  waiting : stream;
   waiting_per_node : Summary.t array;
   mutable token_messages : int;
   mutable control_messages : int;
@@ -56,21 +119,23 @@ let create ~n =
   if n < 1 then invalid_arg "Metrics.create: n < 1";
   {
     n;
-    pending = Array.init n (fun _ -> Queue.create ());
-    arrivals_fifo = Queue.create ();
+    pending = Array.init n (fun _ -> fifo_create 4);
+    arrivals =
+      {
+        nodes = Array.make 16 0;
+        idxs = Array.make 16 0;
+        times = Array.make 16 0.0;
+        lhead = 0;
+        llen = 0;
+      };
     arrival_idx = Array.make n 0;
     served_idx = Array.make n 0;
     fifo_monotone = true;
-    last_arrival = neg_infinity;
+    clocks = { last_arrival = neg_infinity; last_service = neg_infinity };
     total_pending = 0;
     serves = 0;
-    last_service_time = neg_infinity;
-    responsiveness = Summary.create ();
-    responsiveness_q = Quantile.create ();
-    responsiveness_sk = make_sketches ();
-    waiting = Summary.create ();
-    waiting_q = Quantile.create ();
-    waiting_sk = make_sketches ();
+    responsiveness = make_stream ();
+    waiting = make_stream ();
     waiting_per_node = Array.init n (fun _ -> Summary.create ());
     token_messages = 0;
     control_messages = 0;
@@ -83,64 +148,76 @@ let create ~n =
 let n t = t.n
 
 let on_request t ~time ~node =
-  Queue.push time t.pending.(node);
-  if time < t.last_arrival then t.fifo_monotone <- false
-  else t.last_arrival <- time;
-  Queue.push (node, t.arrival_idx.(node), time) t.arrivals_fifo;
+  fifo_push t.pending.(node) time;
+  if t.fifo_monotone then begin
+    if time < t.clocks.last_arrival then begin
+      (* Serves scan from now on, so the log is dropped, not kept
+         growing: nothing would ever consume it again. *)
+      t.fifo_monotone <- false;
+      let l = t.arrivals in
+      l.nodes <- [||];
+      l.idxs <- [||];
+      l.times <- [||];
+      l.lhead <- 0;
+      l.llen <- 0
+    end
+    else begin
+      t.clocks.last_arrival <- time;
+      log_push t.arrivals ~node ~idx:t.arrival_idx.(node) time
+    end
+  end;
   t.arrival_idx.(node) <- t.arrival_idx.(node) + 1;
   t.total_pending <- t.total_pending + 1
 
-(* O(n) fallback, allocation-free (no [peek_opt] option per node). *)
-let scan_earliest t =
-  let best = ref infinity in
-  Array.iter
-    (fun q ->
-      if not (Queue.is_empty q) then begin
-        let arrival = Queue.peek q in
-        if arrival < !best then best := arrival
-      end)
-    t.pending;
-  !best
-
-let earliest_outstanding t =
-  if not t.fifo_monotone then scan_earliest t
-  else begin
-    let stale = ref true in
-    while !stale && not (Queue.is_empty t.arrivals_fifo) do
-      let node, idx, _ = Queue.peek t.arrivals_fifo in
-      if idx < t.served_idx.(node) then ignore (Queue.pop t.arrivals_fifo)
-      else stale := false
+(* Earliest oldest-request time over all nodes, [infinity] if none:
+   from the log front while arrivals have been monotone, else by an
+   O(n) scan of every node's FIFO head. Inlined so that its float
+   result is not boxed. *)
+let[@inline] earliest_outstanding t =
+  if t.fifo_monotone then begin
+    let l = t.arrivals in
+    while
+      l.llen > 0 && l.idxs.(l.lhead) < t.served_idx.(l.nodes.(l.lhead))
+    do
+      l.lhead <- (l.lhead + 1) land (Array.length l.nodes - 1);
+      l.llen <- l.llen - 1
     done;
-    if Queue.is_empty t.arrivals_fifo then infinity
-    else
-      let _, _, arrival = Queue.peek t.arrivals_fifo in
-      arrival
+    if l.llen = 0 then infinity else l.times.(l.lhead)
+  end
+  else begin
+    let best = ref infinity in
+    for v = 0 to t.n - 1 do
+      let q = t.pending.(v) in
+      if q.len > 0 && q.buf.(q.head) < !best then best := q.buf.(q.head)
+    done;
+    !best
   end
 
+(* Out of line for the same reason as [stream_add]. *)
+let[@inline never] add_waited t node x =
+  stream_add t.waiting x;
+  Summary.add t.waiting_per_node.(node) x
+
 let on_serve t ~time ~node =
-  match Queue.take_opt t.pending.(node) with
-  | None -> invalid_arg "Metrics.on_serve: no outstanding request at node"
-  | Some arrival ->
-      t.served_idx.(node) <- t.served_idx.(node) + 1;
-      (* [arrival] has already been popped, but it still bounds the window:
-         the demand window opened at the earliest outstanding request,
-         which is [min arrival (earliest remaining)]. *)
-      let window_open =
-        Stdlib.min arrival (earliest_outstanding t)
-      in
-      let window_open = Stdlib.max window_open t.last_service_time in
-      let sample = time -. window_open in
-      Summary.add t.responsiveness sample;
-      Quantile.add t.responsiveness_q sample;
-      sketch_add t.responsiveness_sk sample;
-      let waited = time -. arrival in
-      Summary.add t.waiting waited;
-      Quantile.add t.waiting_q waited;
-      sketch_add t.waiting_sk waited;
-      Summary.add t.waiting_per_node.(node) waited;
-      t.total_pending <- t.total_pending - 1;
-      t.serves <- t.serves + 1;
-      t.last_service_time <- time
+  let q = t.pending.(node) in
+  if q.len = 0 then invalid_arg "Metrics.on_serve: no outstanding request at node";
+  let arrival = q.buf.(q.head) in
+  fifo_drop q;
+  t.served_idx.(node) <- t.served_idx.(node) + 1;
+  (* [arrival] has already been popped, but it still bounds the window:
+     the demand window opened at the earliest outstanding request,
+     which is [min arrival (earliest remaining)], and never before the
+     previous serve. Compared at float type, with the operand order of
+     [Stdlib.min] and [Stdlib.max]. *)
+  let earliest = earliest_outstanding t in
+  let window_open = if arrival <= earliest then arrival else earliest in
+  let last = t.clocks.last_service in
+  let window_open = if window_open >= last then window_open else last in
+  stream_add t.responsiveness (time -. window_open);
+  add_waited t node (time -. arrival);
+  t.total_pending <- t.total_pending - 1;
+  t.serves <- t.serves + 1;
+  t.clocks.last_service <- time
 
 let on_message t channel cls =
   (match cls with
@@ -155,16 +232,20 @@ let on_token_possession t ~node =
   t.total_possessions <- t.total_possessions + 1
 
 let on_search_forward t = t.search_forwards <- t.search_forwards + 1
-let pending t ~node = Queue.length t.pending.(node)
-let oldest_arrival t ~node = Queue.peek_opt t.pending.(node)
+let pending t ~node = t.pending.(node).len
+
+let oldest_arrival t ~node =
+  let q = t.pending.(node) in
+  if q.len = 0 then None else Some q.buf.(q.head)
+
 let total_pending t = t.total_pending
 let serves t = t.serves
-let responsiveness t = t.responsiveness
-let responsiveness_quantiles t = t.responsiveness_q
-let responsiveness_sketches t = t.responsiveness_sk
-let waiting t = t.waiting
-let waiting_quantiles t = t.waiting_q
-let waiting_sketches t = t.waiting_sk
+let responsiveness t = t.responsiveness.summary
+let responsiveness_quantiles t = t.responsiveness.exact
+let responsiveness_sketches t = t.responsiveness.sketches
+let waiting t = t.waiting.summary
+let waiting_quantiles t = t.waiting.exact
+let waiting_sketches t = t.waiting.sketches
 let token_messages t = t.token_messages
 let control_messages t = t.control_messages
 let cheap_messages t = t.cheap_messages
@@ -197,8 +278,8 @@ let possession_imbalance t =
 
 let report ppf t =
   Format.fprintf ppf "serves: %d (pending %d)@\n" t.serves t.total_pending;
-  Format.fprintf ppf "responsiveness: %a@\n" Summary.pp t.responsiveness;
-  Format.fprintf ppf "waiting:        %a@\n" Summary.pp t.waiting;
+  Format.fprintf ppf "responsiveness: %a@\n" Summary.pp t.responsiveness.summary;
+  Format.fprintf ppf "waiting:        %a@\n" Summary.pp t.waiting.summary;
   Format.fprintf ppf "messages: token=%d control=%d (cheap-channel=%d)@\n"
     t.token_messages t.control_messages t.cheap_messages;
   Format.fprintf ppf "search forwards: %d@\n" t.search_forwards;

@@ -28,8 +28,10 @@ let create ~p =
 let probability t = t.p
 let count t = t.count
 
-(* Parabolic prediction of marker [i] moved by [d] (+1.0 or -1.0). *)
-let parabolic t i d =
+(* Parabolic prediction of marker [i] moved by [d] (+1.0 or -1.0).
+   This and [linear] are inlined into [add]: called out of line, each
+   would box its float argument and its result. *)
+let[@inline] parabolic t i d =
   let q = t.heights and n = t.positions in
   q.(i)
   +. d
@@ -37,7 +39,7 @@ let parabolic t i d =
      *. (((n.(i) -. n.(i - 1) +. d) *. (q.(i + 1) -. q.(i)) /. (n.(i + 1) -. n.(i)))
         +. ((n.(i + 1) -. n.(i) -. d) *. (q.(i) -. q.(i - 1)) /. (n.(i) -. n.(i - 1))))
 
-let linear t i d =
+let[@inline] linear t i d =
   let q = t.heights and n = t.positions in
   let j = i + int_of_float d in
   q.(i) +. (d *. (q.(j) -. q.(i)) /. (n.(j) -. n.(i)))

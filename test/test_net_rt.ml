@@ -482,6 +482,63 @@ let test_unix_sockets_cluster () =
       Alcotest.(check int) "zero decode errors" 0 report.Cluster.decode_errors;
       Alcotest.(check string) "backend" "unix" report.Cluster.backend)
 
+(* Per-grant bookkeeping must die young. At the default minor heap
+   size a socket ring fills the minor heap in about 700 grants, so on
+   1024 nodes whatever a node keeps from one visit to the next (a
+   queued arrival, a boxed statistic) is promoted. The budget is 4
+   promoted words a grant over 20k deliveries after two revolutions of
+   warm-up; boxed per-request bookkeeping read 22 there. *)
+let test_ring_promotion_budget () =
+  with_temp_dir (fun dir ->
+      let n = 1024 and warm = 2048 and window = 20_000 in
+      let addrs = Transport.uds_addrs ~dir ~n in
+      let config =
+        {
+          (Cluster.default_config ~n ~seed:1) with
+          unit_s = 1e-4;
+          shards = 1;
+          load = Cluster.Closed_loop { depth = 1 };
+          stop = Cluster.Duration 1e12;
+          max_wall_s = 60.0;
+          spin = false;
+          inproc = false;
+        }
+      in
+      (* The tap runs on the one shard: no lock, and the run's join
+         publishes what it wrote. *)
+      let deliveries = ref 0 in
+      let promoted = Array.make 2 nan and majors = Array.make 2 0 in
+      let mark i =
+        let s = Gc.quick_stat () in
+        promoted.(i) <- s.Gc.promoted_words;
+        majors.(i) <- s.Gc.major_collections
+      in
+      let tap (control : Cluster.control) ~self:_ _ =
+        incr deliveries;
+        if !deliveries = warm then mark 0
+        else if !deliveries = warm + window then begin
+          mark 1;
+          control.Cluster.request_stop ()
+        end
+      in
+      let report =
+        Cluster.run ~tap
+          ~backend:(Cluster.Sockets { owned = List.init n Fun.id; addrs })
+          config
+          (module Tr_proto.Ring)
+          Codecs.ring
+      in
+      Alcotest.(check bool) "window closed" true (!deliveries >= warm + window);
+      Alcotest.(check int) "zero decode errors" 0 report.Cluster.decode_errors;
+      let per_grant = (promoted.(1) -. promoted.(0)) /. float_of_int window in
+      let reading =
+        Printf.sprintf "%.1f promoted words per grant, %d major GCs in the window"
+          per_grant
+          (majors.(1) - majors.(0))
+      in
+      print_endline reading;
+      if not (per_grant <= 4.0) then Alcotest.failf "%s (budget 4)" reading)
+
 (* A listener that cannot bind (here: a missing --uds directory) is a
    caller error, reported as a Failure naming the socket path, the
    failed call and the errno. *)
@@ -1340,6 +1397,8 @@ let () =
             test_uds_pump_batching;
           Alcotest.test_case "adopt rejects bad owners" `Quick
             test_adopt_rejects;
+          Alcotest.test_case "promoted words per grant" `Quick
+            test_ring_promotion_budget;
         ] );
       ( "readiness",
         [
