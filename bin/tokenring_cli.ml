@@ -256,6 +256,10 @@ let compare_cmd =
 
 let verify_cmd =
   let run n max_states =
+    (* The refinement checks get a quarter of the bound, and a bound
+       below one state is a caller error to the explorer. *)
+    if max_states < 4 then
+      die "--max-states must be at least 4, got %d" max_states;
     let section title checks =
       Format.printf "-- %s --@." title;
       List.iter (fun c -> Format.printf "%a@." Tokenring.Verify.pp_check c) checks
@@ -367,6 +371,8 @@ let spec_cmd =
 let explore_cmd =
   let run { name; n; budget; system; init; check } max_states max_depth jobs
       spill json =
+    if max_states < 1 then
+      die "--max-states must be at least 1, got %d" max_states;
     let { Tr_trs.Explore.stats = s; perf = p; violations; _ } =
       with_jobs jobs (fun pool ->
           Tr_trs.Explore.explore ~max_states ?max_depth ~check ?pool

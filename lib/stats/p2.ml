@@ -15,7 +15,7 @@ type t = {
 }
 
 let create ~p =
-  if p <= 0.0 || p >= 1.0 then invalid_arg "P2.create: p outside (0,1)";
+  if not (p > 0.0 && p < 1.0) then invalid_arg "P2.create: p outside (0,1)";
   {
     p;
     heights = Array.make 5 0.0;

@@ -3,7 +3,12 @@
     A [t] retains every observation (O(n) space) and answers arbitrary
     quantile queries by sorting lazily; the sort is cached until the next
     insertion. Suited to simulation post-processing where sample counts are
-    bounded by the experiment length. *)
+    bounded by the experiment length.
+
+    Samples are stored in chunks of 2^16 floats, so capacity exceeds the
+    count by less than one chunk and growth never copies a sample. Up to
+    2^16 samples sit in one array that grows by doubling from 16. A sort
+    gathers the samples into one transient array of [count] floats. *)
 
 type t
 

@@ -21,7 +21,12 @@
    back-to-back [Marshal] frames and read back chunk-by-chunk, and the
    visited shards store only a 16-byte digest of the marshalled canonical
    bytes per state (hash compaction — see [Bkey] below for the collision
-   arithmetic), so no term graphs survive a round. *)
+   arithmetic), so no term graphs survive a round.
+
+   Outside spill mode both engines intern every state they keep through
+   one [Term.Intern] pool per call, so the retained states share their
+   proper subterms instead of each holding the bag spines the rewrite
+   built for it. *)
 
 module Pool = Tr_sim.Pool
 
@@ -108,11 +113,13 @@ let reset_peak_rss () =
 let default_max_states = 100_000
 
 let explore_seq ~max_states ?max_depth ~check ~want_edges system ~init =
-  let init = Term.canonicalize init in
+  let interned = Term.Intern.create () in
+  let hinit = Term.Intern.make interned (Term.canonicalize init) in
+  let init = Term.Hashed.term hinit in
   let queue = Queue.create () in
   Queue.push (init, 0) queue;
   let visited : hset = Term.Tbl.create 1024 in
-  hset_add visited (Term.Hashed.make init);
+  hset_add visited hinit;
   let rev_order = ref [ init ] in
   let rev_edges = ref [] in
   let violations = ref [] in
@@ -144,6 +151,8 @@ let explore_seq ~max_states ?max_depth ~check ~want_edges system ~init =
           if not (hset_mem visited hnext) then
             if Term.Tbl.length visited >= max_states then truncated := true
             else begin
+              let hnext = Term.Intern.make interned next in
+              let next = Term.Hashed.term hnext in
               hset_add visited hnext;
               rev_order := next :: !rev_order;
               verify next (depth + 1);
@@ -311,15 +320,16 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
         else Terms (Term.Tbl.create 1024))
   in
   let owner h = Term.Hashed.hash h mod d in
+  (* Resident states share their proper subterms through one pool,
+     used only by the sequential merge ([consume_chunk]). *)
+  let interned = Term.Intern.create () in
   let init = Term.canonicalize init in
   let init_cand =
-    {
-      ci = 0;
-      cj = 0;
-      ch = Term.Hashed.make init;
-      cb = (if spilling then digest_term init else "");
-    }
+    if spilling then
+      { ci = 0; cj = 0; ch = Term.Hashed.make init; cb = digest_term init }
+    else { ci = 0; cj = 0; ch = Term.Intern.make interned init; cb = "" }
   in
+  let init = Term.Hashed.term init_cand.ch in
   shard_add shards.(owner init_cand.ch) init_cand;
   let visited_count = ref 1 in
   let rev_order = ref (if spilling then [] else [ init ]) in
@@ -339,15 +349,15 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
       | Error message -> violations := [ { state = init; depth = 0; message } ]));
   let make_layer accepted =
     match spill_dir with
-    | None -> L_mem (Array.map (fun c -> Term.Hashed.term c.ch) accepted)
+    | None -> L_mem (Array.map Term.Hashed.term accepted)
     | Some dir ->
         if Array.length accepted = 0 then L_mem [||]
         else begin
           let path = Filename.temp_file ~temp_dir:dir "tr-explore-" ".layer" in
           let oc = open_out_bin path in
           Array.iter
-            (fun c ->
-              Marshal.to_channel oc (Term.Hashed.term c.ch)
+            (fun h ->
+              Marshal.to_channel oc (Term.Hashed.term h)
                 [ Marshal.No_sharing ])
             accepted;
           spilled_bytes := !spilled_bytes + pos_out oc;
@@ -464,6 +474,19 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
         merged;
       visited_count := !visited_count + !accepted_count;
       let accepted = Array.of_list (List.rev !accepted_rev) in
+      (* A resident state is kept interned. [shard_add] replaces the
+         shard's key with the interned copy, so the rewritten graph the
+         candidate carried is not retained. *)
+      let accepted =
+        if spilling then Array.map (fun c -> c.ch) accepted
+        else
+          Array.map
+            (fun c ->
+              let ch = Term.Intern.make interned (Term.Hashed.term c.ch) in
+              shard_add shards.(owner ch) { c with ch };
+              ch)
+            accepted
+      in
       let n = Array.length accepted in
       (match check with
       | None -> ()
@@ -474,7 +497,7 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
                 (fun (lo, hi) ->
                   let out = ref [] in
                   for i = hi - 1 downto lo do
-                    match f (Term.Hashed.term accepted.(i).ch) with
+                    match f (Term.Hashed.term accepted.(i)) with
                     | Ok () -> ()
                     | Error message -> out := (i, message) :: !out
                   done;
@@ -485,7 +508,7 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
               (List.iter (fun (i, message) ->
                    violations :=
                      {
-                       state = Term.Hashed.term accepted.(i).ch;
+                       state = Term.Hashed.term accepted.(i);
                        depth = depth + 1;
                        message;
                      }
@@ -494,15 +517,15 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
           end);
       if spilling then
         Array.iter
-          (fun c ->
-            Marshal.to_channel (sink_oc ()) (Term.Hashed.term c.ch)
+          (fun h ->
+            Marshal.to_channel (sink_oc ()) (Term.Hashed.term h)
               [ Marshal.No_sharing ])
           accepted
       else
         Array.iter
-          (fun c ->
-            next_rev := c.ch :: !next_rev;
-            rev_order := Term.Hashed.term c.ch :: !rev_order)
+          (fun h ->
+            next_rev := h :: !next_rev;
+            rev_order := Term.Hashed.term h :: !rev_order)
           accepted;
       next_count := !next_count + n
     in
@@ -547,7 +570,7 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
       end
     end
   in
-  rounds (make_layer [| init_cand |]) 0;
+  rounds (make_layer [| init_cand.ch |]) 0;
   ( List.rev !rev_order,
     List.concat (List.rev !edge_chunks),
     {
@@ -570,6 +593,7 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
         d
     | None -> ( match pool with Some p -> Pool.domains p | None -> 1)
   in
+  if max_states < 1 then invalid_arg "Explore.explore: max_states < 1";
   if spill_chunk < 1 then invalid_arg "Explore.explore: spill_chunk < 1";
   if spill_dir <> None && want_edges then
     invalid_arg "Explore.explore: want_edges is unavailable in spill mode";

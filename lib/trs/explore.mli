@@ -41,7 +41,7 @@ type perf = {
 type outcome = {
   visited_order : Term.t list;
       (** The visited set in BFS order ([] in spill mode, which does not
-          retain terms). *)
+          retain terms). Its states share equal proper subterms. *)
   edge_list : (Term.t * string * Term.t) list;
       (** [(state, rule, successor)] in traversal order; populated only
           when [want_edges] was set. *)

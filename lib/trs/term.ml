@@ -51,14 +51,18 @@ let equal a b = a == b || compare a b = 0
    only canonical (sorted) bags hash AC-consistently. *)
 let hash_combine acc x = ((acc * 0x01000193) lxor x) land max_int
 
+let app_seed f = hash_combine 0x55 (Hashtbl.hash f)
+let bag_seed = 0x66
+let seq_seed = 0x77
+
 let rec hash = function
   | Const s -> hash_combine 0x11 (Hashtbl.hash s)
   | Int i -> hash_combine 0x22 i
   | Var v -> hash_combine 0x33 (Hashtbl.hash v)
   | Wild -> 0x44
-  | App (f, args) -> hash_list (hash_combine 0x55 (Hashtbl.hash f)) args
-  | Bag items -> hash_list 0x66 items
-  | Seq items -> hash_list 0x77 items
+  | App (f, args) -> hash_list (app_seed f) args
+  | Bag items -> hash_list bag_seed items
+  | Seq items -> hash_list seq_seed items
 
 and hash_list seed items =
   List.fold_left (fun acc t -> hash_combine acc (hash t)) seed items
@@ -210,3 +214,79 @@ module Hashed = struct
 end
 
 module Tbl = Hashtbl.Make (Hashed)
+
+(* Children are pooled before their parent, so when a rebuilt node
+   meets its pooled twin, [equal] finds the children physically equal
+   one level down and stops. The hash is folded bottom-up with [hash]'s
+   own seeds, so the caller gets [Hashed.make]'s value from the same
+   pass. *)
+module Intern = struct
+  (* A hash set of [Hashed.t] with power-of-two buckets. A probe passes
+     the term and its hash separately, so a hit allocates no key record
+     (most probes hit). [last] carries the hash of the node just rebuilt
+     back to its parent, so the recursion returns no pairs. *)
+  type t = {
+    mutable buckets : Hashed.t list array;
+    mutable count : int;
+    mutable last : int;
+  }
+
+  let create () = { buckets = Array.make 1024 []; count = 0; last = 0 }
+
+  let rec find term hash = function
+    | [] -> raise_notrace Not_found
+    | (h : Hashed.t) :: rest ->
+        if h.hash = hash && equal h.term term then h else find term hash rest
+
+  let insert buckets (h : Hashed.t) =
+    let i = h.hash land (Array.length buckets - 1) in
+    buckets.(i) <- h :: buckets.(i)
+
+  (* The pool's entry equal to [term], whose hash is [p.last]; a new
+     entry for [term] when there is none. *)
+  let share p term =
+    let hash = p.last in
+    match find term hash p.buckets.(hash land (Array.length p.buckets - 1)) with
+    | shared -> shared
+    | exception Not_found ->
+        let shared = { Hashed.term; hash } in
+        if p.count >= 2 * Array.length p.buckets then begin
+          let buckets = Array.make (2 * Array.length p.buckets) [] in
+          Array.iter (List.iter (insert buckets)) p.buckets;
+          p.buckets <- buckets
+        end;
+        insert p.buckets shared;
+        p.count <- p.count + 1;
+        shared
+
+  (* [term] over pooled children, or [term] itself when every child is
+     already the pooled one; its hash is left in [p.last]. *)
+  let rec rebuild p term =
+    match term with
+    | Const _ | Int _ | Var _ | Wild ->
+        p.last <- hash term;
+        term
+    | App (f, args) ->
+        let args' = children p (app_seed f) args in
+        if args' == args then term else App (f, args')
+    | Bag items ->
+        let items' = children p bag_seed items in
+        if items' == items then term else Bag items'
+    | Seq items ->
+        let items' = children p seq_seed items in
+        if items' == items then term else Seq items'
+
+  and children p acc xs =
+    match xs with
+    | [] ->
+        p.last <- acc;
+        xs
+    | x :: tl ->
+        let shared = share p (rebuild p x) in
+        let tl' = children p (hash_combine acc shared.hash) tl in
+        if shared.term == x && tl' == tl then xs else shared.term :: tl'
+
+  let make p term =
+    let term = rebuild p term in
+    { Hashed.term; hash = p.last }
+end

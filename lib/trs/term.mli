@@ -120,3 +120,24 @@ end
 module Tbl : Hashtbl.S with type key = Hashed.t
 (** Hashtable keyed on hashed terms — the visited-set representation
     for state-space exploration. *)
+
+(** {1 Interning}
+
+    A pool shares equal subterms across the terms interned through it.
+    {!Explore} interns every state it keeps, so the states of one
+    exploration hold each distinct proper subterm once. *)
+
+module Intern : sig
+  type term := t
+  type t
+
+  val create : unit -> t
+  (** An empty pool; it lives as long as the caller keeps it. *)
+
+  val make : t -> term -> Hashed.t
+  (** [make pool term] is [Hashed.make term] for a copy of [term] whose
+      proper subterms are the pool's: [Term.equal] to [term], with the
+      same hash, computed in the same single pass. Subterms not yet
+      pooled are added; the top node is not, so a caller that keeps it
+      in its own table holds it once. *)
+end

@@ -690,6 +690,28 @@ let test_parity_spill () =
         spill.Explore.visited_order)
     parity_systems
 
+(* Explored states share their proper subterms: at 20,000 BinarySearch
+   states the visited list, cons cells included, stays within 32 words a
+   state at D = 1 and D = 2. Unshared, each state holds the bag spines
+   its rewrite built, about 73 words. The two shards run on a one-domain
+   pool: the merge that interns is the same, and the test leaves the
+   second CPU to the wall-clock tests that run beside it. *)
+let test_parity_shared_states () =
+  let system = System_binsearch.system ~n:3
+  and init = System_binsearch.initial ~n:3 ~data_budget:1 in
+  let states = 20_000 in
+  Tr_sim.Pool.with_pool ~domains:1 @@ fun pool ->
+  List.iter
+    (fun domains ->
+      let o = Explore.explore ~max_states:states ~domains ~pool system ~init in
+      Alcotest.(check int) "states" states o.Explore.stats.Explore.states;
+      let words = Obj.reachable_words (Obj.repr o.Explore.visited_order) in
+      let per_state = float_of_int words /. float_of_int states in
+      if per_state > 32.0 then
+        Alcotest.failf "D=%d: %.1f words per retained state (bound 32)" domains
+          per_state)
+    [ 1; 2 ]
+
 (* Rule order determines candidate order inside a state's expansion; the
    engines must agree for {e any} declaration order, not just the shipped
    one. *)
@@ -874,6 +896,8 @@ let () =
           Alcotest.test_case "rule counts" `Quick test_parity_rule_counts;
           Alcotest.test_case "depth bound" `Quick test_parity_max_depth;
           Alcotest.test_case "spill mode" `Quick test_parity_spill;
+          Alcotest.test_case "states share subterms" `Quick
+            test_parity_shared_states;
           QCheck_alcotest.to_alcotest test_parity_random_rule_orders;
         ] );
       ( "faults",

@@ -268,7 +268,10 @@ let test_quantile_invalid () =
   let q = Quantile.create () in
   Quantile.add q 1.0;
   Alcotest.check_raises "q > 1" (Invalid_argument "Quantile.quantile: q outside [0,1]")
-    (fun () -> ignore (Quantile.quantile q 1.5))
+    (fun () -> ignore (Quantile.quantile q 1.5));
+  (* NaN fails every comparison, so it must fail the in-range test. *)
+  Alcotest.check_raises "q = nan" (Invalid_argument "Quantile.quantile: q outside [0,1]")
+    (fun () -> ignore (Quantile.quantile q nan))
 
 let test_quantile_add_after_query () =
   let q = Quantile.create () in
@@ -276,6 +279,97 @@ let test_quantile_add_after_query () =
   ignore (Quantile.median q);
   Quantile.add q 100.0;
   check_float "max updated" 100.0 (Quantile.quantile q 1.0)
+
+(* Type-7 on a sorted array, written out again so the property below
+   compares against an independent copy. *)
+let reference_quantile sorted q =
+  let n = Array.length sorted in
+  let h = float_of_int (n - 1) *. q in
+  let lo = int_of_float (Float.floor h) in
+  let hi = Stdlib.min (lo + 1) (n - 1) in
+  let frac = h -. Float.floor h in
+  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+
+(* Streams straddle 2^16 and 2^17 samples and are queried part way, so
+   adds land after a sort, on both sides of a storage boundary. Every
+   answer must equal the sorted reference bit for bit. Samples are
+   non-negative, so -0.0 never ties with 0.0 and the sorted order is
+   unique. *)
+let prop_quantile_matches_sorted_reference =
+  let gen =
+    let open QCheck.Gen in
+    let* base = oneofl [ 1 lsl 16; 1 lsl 17 ] in
+    let* len = map (fun d -> base + d) (-2 -- 2) in
+    let* seed = int_bound 1_000_000 in
+    let+ stops = list_size (0 -- 2) (1 -- len) in
+    (len, seed, List.sort_uniq Int.compare stops)
+  in
+  QCheck.Test.make ~name:"answers match a sorted reference by bits" ~count:5
+    (QCheck.make
+       ~print:(fun (len, seed, stops) ->
+         Printf.sprintf "len=%d seed=%d stops=[%s]" len seed
+           (String.concat ";" (List.map string_of_int stops)))
+       gen)
+    (fun (len, seed, stops) ->
+      let rng = Random.State.make [| seed |] in
+      let xs =
+        Array.init len (fun _ ->
+            if Random.State.int rng 4 = 0 then
+              float_of_int (Random.State.int rng 50)
+            else Random.State.float rng 1e3)
+      in
+      let bits x = Int64.bits_of_float x in
+      let same a b = Int64.equal (bits a) (bits b) in
+      let t = Quantile.create () in
+      let agrees k =
+        let sorted = Array.sub xs 0 k |> Array.to_list in
+        let sorted = Array.of_list (List.sort Float.compare sorted) in
+        let at q = same (Quantile.quantile t q) (reference_quantile sorted q) in
+        Quantile.count t = k
+        && List.for_all at [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
+        && at (Random.State.float rng 1.0)
+        && same (Quantile.iqr t)
+             (reference_quantile sorted 0.75 -. reference_quantile sorted 0.25)
+        && Array.for_all2 same (Quantile.to_sorted_array t) sorted
+      in
+      let added = ref 0 in
+      List.for_all
+        (fun k ->
+          while !added < k do
+            Quantile.add t xs.(!added);
+            incr added
+          done;
+          agrees k)
+        (stops @ [ len ]))
+
+(* Storage stays within one 2^16-float chunk of the samples. After
+   2^18 + 1 adds, what [t] keeps is n floats, the unused rest of the
+   last chunk, and a few words of headers and spine; what was allocated
+   on the way adds the first chunk's doubling (under 2^16 floats, as
+   one array growing to 2^16 leaves behind). Doubling one array to 2^19
+   would keep 2^19 words and allocate about 2^20. The added constant
+   is boxed statically, so the loop allocates nothing itself. The
+   counters read exactly only from an empty minor heap: data already
+   there when the count starts is otherwise tallied again as it is
+   promoted. *)
+let test_quantile_footprint () =
+  let n = (1 lsl 18) + 1 and chunk = 1 lsl 16 and spine = 64 in
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  Gc.minor ();
+  let before = words () in
+  let t = Quantile.create () in
+  for _ = 1 to n do
+    Quantile.add t 0.5
+  done;
+  let allocated = int_of_float (words () -. before) in
+  let kept = Obj.reachable_words (Obj.repr t) in
+  if kept > n + chunk + spine then
+    Alcotest.failf "kept %d words for %d samples (bound %d)" kept n
+      (n + chunk + spine);
+  if allocated > n + (2 * chunk) + spine then
+    Alcotest.failf "allocated %d words for %d samples (bound %d)" allocated n
+      (n + (2 * chunk) + spine);
+  check_float "median" 0.5 (Quantile.median t)
 
 (* ---------------- P2 (streaming quantiles) ---------------- *)
 
@@ -300,7 +394,7 @@ let test_p2_invalid_p () =
            ignore (P2.create ~p);
            false
          with Invalid_argument _ -> true))
-    [ 0.0; 1.0; -0.5; 1.5 ]
+    [ 0.0; 1.0; -0.5; 1.5; nan ]
 
 (* Accuracy against the exact (sample-retaining) estimator on a smooth
    stream: P² should land within a few percent of the true quantile. *)
@@ -494,8 +588,14 @@ let () =
           Alcotest.test_case "interpolation" `Quick test_quantile_interpolation;
           Alcotest.test_case "invalid q" `Quick test_quantile_invalid;
           Alcotest.test_case "add after query" `Quick test_quantile_add_after_query;
+          Alcotest.test_case "footprint" `Quick test_quantile_footprint;
         ]
-        @ qsuite [ prop_quantile_monotone; prop_iqr_nonnegative ] );
+        @ qsuite
+            [
+              prop_quantile_monotone;
+              prop_iqr_nonnegative;
+              prop_quantile_matches_sorted_reference;
+            ] );
       ( "p2",
         [
           Alcotest.test_case "empty/exact prefix" `Quick

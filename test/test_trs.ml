@@ -134,6 +134,34 @@ let test_term_hashed_tbl () =
     (Term.Hashed.hash h);
   Alcotest.check term "round-trips the term" a (Term.Hashed.term h)
 
+(* A fresh copy of [t]: structurally equal, sharing no node with it. *)
+let rec copy_term = function
+  | Term.Const c -> Term.Const (String.init (String.length c) (String.get c))
+  | Term.Int i -> Term.Int i
+  | Term.Var v -> Term.Var v
+  | Term.Wild -> Term.Wild
+  | Term.App (f, xs) -> Term.App (f, List.map copy_term xs)
+  | Term.Bag xs -> Term.Bag (List.map copy_term xs)
+  | Term.Seq xs -> Term.Seq (List.map copy_term xs)
+
+let children = function
+  | Term.App (_, xs) | Term.Bag xs | Term.Seq xs -> xs
+  | Term.Const _ | Term.Int _ | Term.Var _ | Term.Wild -> []
+
+let prop_intern_shares =
+  QCheck.Test.make ~name:"interning keeps the term and shares children"
+    ~count:300
+    arbitrary_ground (fun t ->
+      let pool = Term.Intern.create () in
+      let a = Term.Intern.make pool t in
+      let b = Term.Intern.make pool (copy_term t) in
+      let ta = Term.Hashed.term a and tb = Term.Hashed.term b in
+      Term.equal ta t && Term.equal tb t
+      && Term.Hashed.hash a = Term.hash t
+      && Term.Hashed.hash b = Term.hash t
+      && List.length (children ta) = List.length (children tb)
+      && List.for_all2 ( == ) (children ta) (children tb))
+
 (* ---------------- Subst ---------------- *)
 
 let test_subst_basics () =
@@ -545,7 +573,15 @@ let test_explore_invalid_args () =
          Explore.explore ~domains:0 counter_system ~init:(Term.Int 0)));
   Alcotest.(check bool) "spill_chunk < 1 rejected" true
     (raises (fun () ->
-         Explore.explore ~spill_chunk:0 counter_system ~init:(Term.Int 0)))
+         Explore.explore ~spill_chunk:0 counter_system ~init:(Term.Int 0)));
+  List.iter
+    (fun max_states ->
+      Alcotest.(check bool)
+        (Printf.sprintf "max_states = %d rejected" max_states)
+        true
+        (raises (fun () ->
+             Explore.explore ~max_states counter_system ~init:(Term.Int 0))))
+    [ 0; -5 ]
 
 (* ---------------- Parse ---------------- *)
 
@@ -657,6 +693,7 @@ let () =
               prop_canonicalize_sharing;
               prop_hash_stable_under_canonicalize;
               prop_hash_respects_ac_equality;
+              prop_intern_shares;
             ] );
       ( "subst",
         [
