@@ -8,7 +8,8 @@ val serve_all : 'msg Node_intf.ctx -> unit
 
 (** Immutable FIFO of trapped requesters with set-semantics insertion:
     re-trapping an already-trapped requester is a no-op, matching the
-    specification's duplicate-free trap sets. *)
+    specification's duplicate-free trap sets. Push and pop are amortised
+    O(1) (a two-list queue); [to_list] and [size] are O(length). *)
 module Traps : sig
   type t
 

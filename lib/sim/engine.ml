@@ -40,10 +40,12 @@ type compiled_stop = {
 }
 
 let rec compile_stop acc = function
-  | At_time limit -> { acc with time_limit = Stdlib.min acc.time_limit limit }
-  | After_serves k -> { acc with serves_limit = Stdlib.min acc.serves_limit k }
+  | At_time limit ->
+      let l = acc.time_limit in
+      { acc with time_limit = (if l <= limit then l else limit) }
+  | After_serves k -> { acc with serves_limit = Int.min acc.serves_limit k }
   | After_token_messages k ->
-      { acc with token_limit = Stdlib.min acc.token_limit k }
+      { acc with token_limit = Int.min acc.token_limit k }
   | First_of stops -> List.fold_left compile_stop acc stops
 
 let compile_stop stop =
@@ -55,8 +57,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
   (* Events are pooled mutable records, not immutable variants: the run
      loop releases each event back to a free list right after copying
      its fields out, so the steady-state Deliver/Timer cycle allocates
-     nothing. [tag] discriminates; only the fields of the active tag are
-     meaningful. *)
+     no event records. [tag] discriminates; only the fields of the
+     active tag are meaningful. *)
   type event_tag = Deliver | Timer | Arrival | Crash
 
   type event = {
@@ -91,6 +93,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     workload : Workload.t;
     metrics : Metrics.t;
     trace : Trace.t;
+    tracing : bool; (* [Trace.enabled trace], read once at [create] *)
     crashed : bool array;
     (* Timer epochs, scalar-keyed: slot [node * keyspace + key]. The
        keyspace grows (rebuilding the table) if a protocol uses a key
@@ -136,7 +139,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     e.msg <- no_msg;
     e.nodes <- [];
     if t.pool_len = Array.length t.pool then begin
-      let bigger = Array.make (Stdlib.max 16 (2 * t.pool_len)) e in
+      let bigger = Array.make (Int.max 16 (2 * t.pool_len)) e in
       Array.blit t.pool 0 bigger 0 t.pool_len;
       t.pool <- bigger
     end;
@@ -146,7 +149,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
   (* ---------------- timer epochs ---------------- *)
 
   let grow_keyspace t key =
-    let keyspace' = ref (Stdlib.max 8 (2 * t.keyspace)) in
+    let keyspace' = ref (Int.max 8 (2 * t.keyspace)) in
     while key >= !keyspace' do
       keyspace' := 2 * !keyspace'
     done;
@@ -179,7 +182,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
       if dst < 0 || dst >= t.config.n then
         invalid_arg "Engine: send destination out of range";
       Metrics.on_message t.metrics channel (P.classify msg);
-      if Trace.enabled t.trace then
+      if t.tracing then
         Trace.record t.trace ~time:t.clock.now
           (Trace.Sent { src = node; dst; channel; label = P.label msg });
       (* Chaos interposition, delivery side: the injector decides drop /
@@ -202,7 +205,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         chaos_dropped
         || Network.dropped t.config.network t.net_rng channel ~src:node ~dst
       then begin
-        if Trace.enabled t.trace then
+        if t.tracing then
           Trace.record t.trace ~time:t.clock.now
             (Trace.Dropped { src = node; dst; label = P.label msg })
       end
@@ -252,7 +255,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         invalid_arg
           (Printf.sprintf "Engine: node %d served with no pending request" node);
       (* The option is only built when a trace wants the waited time. *)
-      if Trace.enabled t.trace then begin
+      if t.tracing then begin
         let arrival = Option.get (Metrics.oldest_arrival t.metrics ~node) in
         Trace.record t.trace ~time:t.clock.now
           (Trace.Served { node; waited = t.clock.now -. arrival })
@@ -280,12 +283,12 @@ module Make (P : Node_intf.PROTOCOL) = struct
       possession =
         (fun () ->
           Metrics.on_token_possession t.metrics ~node;
-          if Trace.enabled t.trace then
+          if t.tracing then
             Trace.record t.trace ~time:t.clock.now (Trace.Token_at { node }));
       search_forward = (fun () -> Metrics.on_search_forward t.metrics);
       note =
         (fun thunk ->
-          if Trace.enabled t.trace then
+          if t.tracing then
             Trace.record t.trace ~time:t.clock.now
               (Trace.Note { node; text = thunk () }));
     }
@@ -297,6 +300,9 @@ module Make (P : Node_intf.PROTOCOL) = struct
         ~rng:(Rng.create (config.seed lxor 0x5DEECE66D))
     in
     let keyspace = 8 in
+    let trace =
+      Trace.create ~enabled:config.trace ?window:config.trace_window ()
+    in
     let t =
       {
         config;
@@ -307,7 +313,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
         net_rng = Rng.create (config.seed lxor 0x2545F491);
         workload;
         metrics = Metrics.create ~n:config.n;
-        trace = Trace.create ~enabled:config.trace ?window:config.trace_window ();
+        trace;
+        tracing = Trace.enabled trace;
         crashed = Array.make config.n false;
         timer_epochs = Array.make (config.n * keyspace) 0;
         keyspace;
@@ -367,7 +374,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
 
   let deliver t ~src ~dst ~msg =
     if not (t.crashed.(dst) || chaos_down t dst) then begin
-      if Trace.enabled t.trace then
+      if t.tracing then
         Trace.record t.trace ~time:t.clock.now
           (Trace.Delivered { src; dst; label = P.label msg });
       t.states.(dst) <- P.on_message t.ctxs.(dst) t.states.(dst) ~src msg
@@ -400,7 +407,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
       (fun node ->
         if live node then begin
           Metrics.on_request t.metrics ~time:t.clock.now ~node;
-          if Trace.enabled t.trace then
+          if t.tracing then
             Trace.record t.trace ~time:t.clock.now (Trace.Request { node });
           t.states.(node) <- P.on_request t.ctxs.(node) t.states.(node)
         end)
@@ -413,24 +420,24 @@ module Make (P : Node_intf.PROTOCOL) = struct
   let run t ~stop =
     initialize t;
     let { time_limit; serves_limit; token_limit } = compile_stop stop in
+    let q = t.queue in
     let continue = ref true in
     while !continue do
       (* The next event's time, read once; [infinity] on an empty queue,
-         which the [is_empty] test below stops on. *)
-      let time =
-        if Pqueue.is_empty t.queue then infinity else Pqueue.top_time_exn t.queue
-      in
+         which the [len] test below stops on. It is read from the
+         private record: [Pqueue.top_time_exn] would return it boxed. *)
+      let time = if q.Pqueue.len = 0 then infinity else q.Pqueue.times.(0) in
       if
         t.clock.now > time_limit
         || Metrics.serves t.metrics >= serves_limit
         || Metrics.token_messages t.metrics >= token_limit
         (* Horizon check: with an [At_time] bound we must not pop events
            past it, so the clock never overshoots a time-limited run. *)
-        || Pqueue.is_empty t.queue
+        || q.Pqueue.len = 0
         || time > time_limit
       then continue := false
       else begin
-        let e = Pqueue.pop_exn t.queue in
+        let e = Pqueue.pop_exn q in
         t.events_processed <- t.events_processed + 1;
         let now = t.clock.now in
         t.clock.now <- (if now >= time then now else time);

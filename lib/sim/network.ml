@@ -88,7 +88,9 @@ let sample model rng ~src ~dst =
     | Exponential mean -> Rng.exponential rng ~mean
     | Per_link f -> f ~src ~dst
   in
-  Stdlib.max epsilon_delay raw
+  (* The polymorphic [max epsilon_delay raw], spelled out: the call would
+     go through [compare_val] on every send. *)
+  if epsilon_delay >= raw then epsilon_delay else raw
 
 let sample_delay t rng channel ~src ~dst =
   match channel with

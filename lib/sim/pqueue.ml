@@ -33,7 +33,7 @@ let is_empty t = t.len = 0
 
 let grow t =
   let cap = Array.length t.times in
-  let cap' = Stdlib.max 16 (2 * cap) in
+  let cap' = Int.max 16 (2 * cap) in
   let times = Array.make cap' 0.0 in
   let seqs = Array.make cap' 0 in
   let slots = Array.make cap' empty_slot in

@@ -1,21 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer, read and written
+   with [Bytes.get/set_int64_ne]. A [mutable int64] field would box a
+   fresh [Int64] on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* The SplitMix64 output mix (Steele, Lea & Flood, OOPSLA 2014). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
+
+let split t = of_state (bits64 t)
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";

@@ -64,6 +64,10 @@ let per_node_min t =
   Array.iteri (fun i v -> if v < t.per_node_next.(!best) then best := i) t.per_node_next;
   !best
 
+(* The polymorphic [max after 0.0] without its [compare_val] call; NaN
+   and [-0.0] come out as they would from it. *)
+let[@inline] clamp_start after = if after >= 0.0 then after else 0.0
+
 let next_from t ~after =
   match t.spec with
   | Nothing -> None
@@ -72,15 +76,15 @@ let next_from t ~after =
          engine through [wants_immediate_rerequest]. *)
       if after < 0.0 then Some (0.0, [ node ]) else None
   | Global_poisson { mean_interarrival } ->
-      let base = Stdlib.max after 0.0 in
+      let base = clamp_start after in
       let time = base +. Rng.exponential t.rng ~mean:mean_interarrival in
       Some (time, [ draw_uniform_node t ])
   | Hotspot { mean_interarrival; hot; bias } ->
-      let base = Stdlib.max after 0.0 in
+      let base = clamp_start after in
       let time = base +. Rng.exponential t.rng ~mean:mean_interarrival in
       Some (time, [ draw_hotspot_node t ~hot ~bias ])
   | Burst { period; size } ->
-      let base = Stdlib.max after 0.0 in
+      let base = clamp_start after in
       Some (base +. period, burst_nodes t size)
   | Per_node_poisson { mean_interarrival } ->
       if Array.length t.per_node_next = 0 then

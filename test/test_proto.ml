@@ -876,6 +876,41 @@ let prop_every_protocol_random_burst =
           serves o >= 40)
         all_protocols)
 
+(* [Proto_util.Traps] against a plain-list model: random pushes (from
+   a few requesters, so re-traps are common) and pops. After every step
+   the queue must agree with the model on [to_list], [size], [is_empty]
+   and [mem] for every requester; a pop must return the model's head. *)
+let prop_traps_model =
+  let module Traps = Tr_proto.Proto_util.Traps in
+  QCheck.Test.make ~name:"traps match a FIFO list model" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 60) (option (int_range 0 7)))
+    (fun ops ->
+      let agrees traps model =
+        Traps.to_list traps = model
+        && Traps.size traps = List.length model
+        && Traps.is_empty traps = (model = [])
+        && List.for_all
+             (fun r -> Traps.mem traps r = List.mem r model)
+             (List.init 8 Fun.id)
+      in
+      let step (traps, model, ok) op =
+        let traps, model, popped_ok =
+          match op with
+          | Some r ->
+              let model = if List.mem r model then model else model @ [ r ] in
+              (Traps.push traps r, model, true)
+          | None -> (
+              match (Traps.pop traps, model) with
+              | None, [] -> (traps, model, true)
+              | Some (r, traps), m :: rest -> (traps, rest, r = m)
+              | Some (_, traps), [] -> (traps, [], false)
+              | None, _ :: rest -> (traps, rest, false))
+        in
+        (traps, model, ok && popped_ok && agrees traps model)
+      in
+      let _, _, ok = List.fold_left step (Traps.empty, [], true) ops in
+      ok)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -902,6 +937,7 @@ let () =
         ]
         @ qsuite [ prop_binsearch_liveness_random_seeds; prop_binsearch_deterministic ]
       );
+      ("traps", qsuite [ prop_traps_model ]);
       ( "variants",
         [
           Alcotest.test_case "throttle reduces messages" `Quick

@@ -52,6 +52,174 @@ let test_rng_split_independent () =
   let xa = Rng.bits64 a and xb = Rng.bits64 b in
   Alcotest.(check bool) "split streams differ" false (Int64.equal xa xb)
 
+(* The first outputs of each draw for seeds 0, 1 and 123, recorded from
+   the generator when its state was a boxed [int64] field. The state's
+   storage may change; its stream may not: every simulated run is a
+   function of these numbers. Floats are written in hex so they compare
+   bit for bit. *)
+type rng_pin = {
+  seed : int;
+  bits : int64 list;
+  ints : int list;  (** [Rng.int t 1000] *)
+  floats : float list;  (** [Rng.float t 1.0] *)
+  exps : float list;  (** [Rng.exponential t ~mean:10.] *)
+  split_child : int64;  (** First [bits64] of [Rng.split] of a fresh stream. *)
+  split_parent : int64;  (** The parent's next [bits64] after that split. *)
+  after_copy : int64;
+      (** First [bits64] of a copy taken after one draw; the original's
+          next draw must equal it. *)
+}
+
+let rng_pins =
+  [
+    {
+      seed = 0;
+      bits = [
+        0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+        0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+        0x2c829abe1f4532e1L; 0xc584133ac916ab3cL; 0x3ee5789041c98ac3L;
+        0xf3b8488c368cb0a6L; 0x657eecdd3cb13d09L; 0xc2d326e0055bdef6L;
+        0x8621a03fe0bbdb7bL; 0x8e1f7555983aa92fL; 0xb54e0f1600cc4d19L;
+        0x84bb3f97971d80abL;
+      ];
+      ints =
+        [
+          823; 796; 679; 732; 747; 186; 913; 228;
+          299; 678; 297; 14; 875; 623; 9; 99;
+        ];
+      floats = [
+        0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+        0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+        0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1; 0x1.f72bc4820e4c4p-3;
+        0x1.e77091186d196p-1; 0x1.95fbb374f2c4ep-2; 0x1.85a64dc00ab7bp-1;
+        0x1.0c43407fc177bp-1; 0x1.1c3eeaab30755p-1; 0x1.6a9c1e2c01989p-1;
+        0x1.09767f2f2e3bp-1;
+      ];
+      exps = [
+        0x1.57b7f750f28adp+4; 0x1.69795bce7f0d7p+2; 0x1.1252def4e24bap-2;
+        0x1.1ae96e49f6eabp+5; 0x1.1fd6f5a305bd4p+0; 0x1.fb8330ffff23ap+1;
+        0x1.e8f61ec81027fp+0; 0x1.d8748f0e223e9p+3; 0x1.68e586f4eb122p+1;
+        0x1.e5f3760ed96b2p+4; 0x1.432c051099b85p+2; 0x1.ca0f37b09c892p+3;
+        0x1.db078ee0d79p+2; 0x1.0337e93d44e17p+3; 0x1.8a2a0a502b7f2p+3;
+        0x1.d3b83eee5e472p+2;
+      ];
+      split_child = 0xa706dd2f4d197e6fL;
+      split_parent = 0x6e789e6aa1b965f4L;
+      after_copy = 0x6e789e6aa1b965f4L;
+    };
+    {
+      seed = 1;
+      bits = [
+        0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L;
+        0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+        0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL; 0x509a840d44beedbdL;
+        0xe1d9d25350c18b44L; 0x83db02da19918686L; 0x889af42f2e548689L;
+        0xec3add8a85bfa5eeL; 0x33ab0c5babe05527L; 0x27a774aeba5ef45bL;
+        0x8bcb0ba992bb02deL;
+      ];
+      ints =
+        [
+          162; 791; 623; 292; 515; 782; 240; 294;
+          669; 148; 110; 169; 158; 959; 691; 526;
+        ];
+      floats = [
+        0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2;
+        0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1;
+        0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3; 0x1.426a103512fbap-2;
+        0x1.c3b3a4a6a1831p-1; 0x1.07b605b43323p-1; 0x1.1135e85e5ca9p-1;
+        0x1.d875bb150b7f4p-1; 0x1.9d5862dd5f028p-3; 0x1.3d3ba575d2f78p-3;
+        0x1.179617532576p-1;
+      ];
+      exps = [
+        0x1.bb4ac7804ed3ep+3; 0x1.2a23845823d5dp+2; 0x1.71202666b33cp+2;
+        0x1.ed109089ba508p+4; 0x1.20ec6b132089cp+1; 0x1.21d85cbbae18p+3;
+        0x1.855d50fbb395ap+2; 0x1.0754ebb6962c9p+1; 0x1.e4013b7893b02p+1;
+        0x1.563e4f414f904p+4; 0x1.cf302445efce3p+2; 0x1.e827bcb722942p+2;
+        0x1.99c2ece8ccacep+4; 0x1.208d968a7bfddp+1; 0x1.aed8758ef9e3fp+0;
+        0x1.f979c0da370f4p+2;
+      ];
+      split_child = 0x55c55969ed403149L;
+      split_parent = 0x5f552ce482f2aa47L;
+      after_copy = 0x5f552ce482f2aa47L;
+    };
+    {
+      seed = 123;
+      bits = [
+        0x45d0750597b28c19L; 0xaa04291bf3bb76bbL; 0xed0bb5598c736455L;
+        0x72a4c7154a47d6b0L; 0x6d76f9cca6e2c933L; 0x070724a9f167273eL;
+        0xdefec2c9f51c1f84L; 0x67b18a229bb0f0ebL; 0x11e1bd5bab3685abL;
+        0x6ed4ec770a2c28a3L; 0x3c4dc0d9064c8583L; 0x8f3b8270d99e4374L;
+        0x383d126c88e8a88cL; 0xd47ad46b38e0121fL; 0x5399d52da1731c5bL;
+        0xe2dcf4956c60aec4L;
+      ];
+      ints =
+        [
+          289; 859; 701; 24; 635; 414; 740; 259;
+          211; 635; 107; 604; 244; 735; 435; 116;
+        ];
+      floats = [
+        0x1.1741d4165eca2p-2; 0x1.54085237e776ep-1; 0x1.da176ab318e6cp-1;
+        0x1.ca931c55291f4p-2; 0x1.b5dbe7329b8b2p-2; 0x1.c1c92a7c59c8p-6;
+        0x1.bdfd8593ea383p-1; 0x1.9ec6288a6ec3cp-2; 0x1.1e1bd5bab368p-4;
+        0x1.bb53b1dc28b0ap-2; 0x1.e26e06c83264p-3; 0x1.1e7704e1b33c8p-1;
+        0x1.c1e8936447454p-3; 0x1.a8f5a8d671c02p-1; 0x1.4e6754b685cc6p-2;
+        0x1.c5b9e92ad8c15p-1;
+      ];
+      exps = [
+        0x1.97980fb55e178p+1; 0x1.5d2049d775451p+3; 0x1.a080f6a37ae2fp+4;
+        0x1.7c1783fd3a326p+2; 0x1.651035344d20ep+2; 0x1.1d0c04517adcfp-2;
+        0x1.47c382d501858p+4; 0x1.4c5742ce82429p+2; 0x1.72bd8bc1adbc9p-1;
+        0x1.6b0fcbe5287dp+2; 0x1.57d34dd52cf29p+1; 0x1.065a05b526412p+3;
+        0x1.3d8234489a3e8p+1; 0x1.1b832ae42a7b2p+4; 0x1.fa11522b5ec65p+1;
+        0x1.5bb522e84af08p+4;
+      ];
+      split_child = 0x7e6423ff8c622611L;
+      split_parent = 0xaa04291bf3bb76bbL;
+      after_copy = 0xaa04291bf3bb76bbL;
+    };
+  ]
+
+let test_rng_pinned_streams () =
+  let bits =
+    Alcotest.testable (fun ppf x -> Fmt.pf ppf "0x%016Lx" x) Int64.equal
+  in
+  let bit_float =
+    Alcotest.testable
+      (fun ppf x -> Fmt.pf ppf "%h" x)
+      (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  let draws f seed =
+    let t = Rng.create seed in
+    List.init 16 (fun _ -> f t)
+  in
+  List.iter
+    (fun p ->
+      let name what = Printf.sprintf "seed %d %s" p.seed what in
+      Alcotest.(check (list bits))
+        (name "bits64") p.bits
+        (draws Rng.bits64 p.seed);
+      Alcotest.(check (list int))
+        (name "int 1000") p.ints
+        (draws (fun t -> Rng.int t 1000) p.seed);
+      Alcotest.(check (list bit_float))
+        (name "float 1.0") p.floats
+        (draws (fun t -> Rng.float t 1.0) p.seed);
+      Alcotest.(check (list bit_float))
+        (name "exponential 10") p.exps
+        (draws (fun t -> Rng.exponential t ~mean:10.) p.seed);
+      let t = Rng.create p.seed in
+      let child = Rng.split t in
+      Alcotest.check bits (name "split child") p.split_child (Rng.bits64 child);
+      Alcotest.check bits (name "split parent") p.split_parent (Rng.bits64 t);
+      let t = Rng.create p.seed in
+      ignore (Rng.bits64 t);
+      let c = Rng.copy t in
+      Alcotest.check bits (name "copy") p.after_copy (Rng.bits64 c);
+      Alcotest.check bits
+        (name "original after copy")
+        p.after_copy (Rng.bits64 t))
+    rng_pins
+
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"Rng.int within [0,bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -934,6 +1102,7 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
         ]
         @ qsuite [ prop_rng_int_bounds; prop_rng_float_bounds ] );
       ( "pqueue",
