@@ -250,8 +250,10 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     let send ?(channel = Network.Reliable) ~dst msg =
       if dst < 0 || dst >= n then
         invalid_arg "Cluster: send destination out of range";
-      Mutex.protect mu (fun () ->
-          Metrics.on_message metrics channel (P.classify msg));
+      let kind = P.classify msg in
+      Mutex.lock mu;
+      Metrics.on_message metrics channel kind;
+      Mutex.unlock mu;
       let delay =
         match channel with
         | Network.Reliable -> config.hop_delay
@@ -319,15 +321,16 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     in
     let serve () =
       let t = Clock.now clock in
-      let grants =
-        Mutex.protect mu (fun () ->
-            if Metrics.pending metrics ~node = 0 then
-              invalid_arg
-                (Printf.sprintf
-                   "Cluster: node %d served with no pending request" node);
-            Metrics.on_serve metrics ~time:t ~node;
-            Metrics.serves metrics)
-      in
+      Mutex.lock mu;
+      if Metrics.pending metrics ~node = 0 then begin
+        Mutex.unlock mu;
+        invalid_arg
+          (Printf.sprintf "Cluster: node %d served with no pending request"
+             node)
+      end;
+      Metrics.on_serve metrics ~time:t ~node;
+      let grants = Metrics.serves metrics in
+      Mutex.unlock mu;
       (match config.load with
       | Closed_loop _ ->
           (* Re-arm through the mailbox so the protocol handler finishes
@@ -350,14 +353,21 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       cancel_timers;
       serve;
       pending =
-        (fun () -> Mutex.protect mu (fun () -> Metrics.pending metrics ~node));
+        (fun () ->
+          Mutex.lock mu;
+          let p = Metrics.pending metrics ~node in
+          Mutex.unlock mu;
+          p);
       possession =
         (fun () ->
-          Mutex.protect mu (fun () ->
-              Metrics.on_token_possession metrics ~node));
+          Mutex.lock mu;
+          Metrics.on_token_possession metrics ~node;
+          Mutex.unlock mu);
       search_forward =
         (fun () ->
-          Mutex.protect mu (fun () -> Metrics.on_search_forward metrics));
+          Mutex.lock mu;
+          Metrics.on_search_forward metrics;
+          Mutex.unlock mu);
       note = (fun _ -> ());
     }
   in
@@ -390,16 +400,28 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
         let next = ref (Rng.exponential rng ~mean:mean_interarrival) in
         let pump now_u =
           while !next <= now_u && not (Atomic.get stop_flag) do
-            let live =
-              Array.to_list owned_arr
-              |> List.filter (fun i -> Atomic.get alive.(i))
-            in
-            (match live with
-            | [] -> signal_stop ()
-            | _ ->
-                let pick = List.nth live (Rng.int rng (List.length live)) in
-                push_request pick !next;
-                wake_node pick);
+            let live = ref 0 in
+            for j = 0 to n_owned - 1 do
+              if Atomic.get alive.(owned_arr.(j)) then incr live
+            done;
+            (if !live = 0 then signal_stop ()
+             else begin
+               (* The k-th live owner, in [owned] order. A kill on another
+                  shard between the count and this walk can leave fewer
+                  than k + 1: then the last owner is picked, as a kill
+                  just after the pick would have left it. *)
+               let k = ref (Rng.int rng !live) and j = ref 0 in
+               while
+                 !j < n_owned - 1
+                 && (!k > 0 || not (Atomic.get alive.(owned_arr.(!j))))
+               do
+                 if Atomic.get alive.(owned_arr.(!j)) then decr k;
+                 incr j
+               done;
+               let pick = owned_arr.(!j) in
+               push_request pick !next;
+               wake_node pick
+             end);
             next := !next +. Rng.exponential rng ~mean:mean_interarrival
           done
         in
@@ -438,8 +460,9 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     if Atomic.get alive.(i) then begin
       List.iter
         (fun at ->
-          Mutex.protect mu (fun () ->
-              Metrics.on_request metrics ~time:at ~node:i);
+          Mutex.lock mu;
+          Metrics.on_request metrics ~time:at ~node:i;
+          Mutex.unlock mu;
           (* Decrement after the metric records it: [pending_at] may
              briefly double-count, never read 0 for a queued request. *)
           Atomic.decr req_inflight.(i);
@@ -517,8 +540,8 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     let tshard = tshards.(shard) in
     let inbox = act_inbox.(shard) in
     let tindex = timer_index.(shard) in
-    let rt_of = Hashtbl.create (Stdlib.max 16 (List.length shard_rts)) in
-    List.iter (fun rt -> Hashtbl.replace rt_of rt.id rt) shard_rts;
+    let rt_of = Array.make n None in
+    List.iter (fun rt -> rt_of.(rt.id) <- Some rt) shard_rts;
     let on_q = Array.make n false in
     let q = Queue.create () in
     let activate i =
@@ -531,9 +554,9 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     List.iter (fun rt -> activate rt.id) shard_rts;
     try
       while not (Atomic.get stop_flag) do
-        if Clock.elapsed_wall clock > config.max_wall_s then signal_stop ()
+        let now_u = Clock.now clock in
+        if now_u *. config.unit_s > config.max_wall_s then signal_stop ()
         else begin
-          let now_u = Clock.now clock in
           if lead then begin
             if now_u >= stop_at then signal_stop ();
             match open_loop with Some (pump, _) -> pump now_u | None -> ()
@@ -549,7 +572,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
           while not (Queue.is_empty q) do
             let i = Queue.pop q in
             on_q.(i) <- false;
-            match Hashtbl.find_opt rt_of i with
+            match rt_of.(i) with
             | Some rt -> step_node rt now_u
             | None -> ()
           done;
@@ -559,18 +582,17 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
             in
             (* The lead shard also wakes for the next open-loop arrival
                and for either stop deadline, so none waits out the cap. *)
-            let next, wall_left =
+            let next =
               if lead then
-                ( Float.min next (Float.min (next_arrival ()) stop_at),
-                  config.max_wall_s -. Clock.elapsed_wall clock )
-              else (next, infinity)
+                Float.min next
+                  (Float.min (Float.min (next_arrival ()) stop_at)
+                     (config.max_wall_s /. config.unit_s))
+              else next
             in
             let timeout_s =
               if not (Mailbox.is_empty inbox) then 0.0
               else
-                Float.max 0.0
-                  (Float.min wall_left
-                     ((next -. Clock.now clock) *. config.unit_s))
+                Float.max 0.0 ((next -. Clock.now clock) *. config.unit_s)
             in
             Transport.wait transport tshard ~on_ready:activate ~timeout_s ()
           end

@@ -21,8 +21,8 @@ external ncpus : unit -> int = "tr_rd_ncpus"
 external pin_cpu : int -> bool = "tr_rd_pin_cpu"
 external set_timer_slack_ns : int -> bool = "tr_rd_set_timer_slack"
 
-(* Unix.file_descr is an int on every Unix port; the transport keys its
-   fd->peer table by this int. *)
+(* Unix.file_descr is an int on every Unix port; per-fd tables here and
+   in the transport are indexed by this int. *)
 external fd_int : Unix.file_descr -> int = "%identity"
 
 let backend_name = function Epoll -> "epoll" | Poll -> "poll"
@@ -63,11 +63,6 @@ let op_add = 0
 let op_mod = 1
 let op_del = 2
 
-type slot = {
-  mutable interest : int;  (** bit_read / bit_write mask. *)
-  mutable idx : int;  (** Position in the poll backend's dense arrays. *)
-}
-
 type epoll_state = {
   epfd : Unix.file_descr;
   (* Result staging, sized to the stub's per-call event cap. *)
@@ -76,24 +71,29 @@ type epoll_state = {
 }
 
 type poll_state = {
-  (* Dense parallel arrays over the registered slots; slot.idx gives
-     O(1) removal by swapping the last entry in. *)
+  (* Dense parallel arrays over the registered fds; [pos] gives O(1)
+     removal by swapping the last entry in. *)
   mutable pfds : int array;
   mutable pevents : int array;
   mutable prevents : int array;
   mutable pcount : int;
-  mutable porder : slot array;  (** Slot at each dense index. *)
+  mutable pos : int array;  (** By fd: its index in the dense arrays. *)
 }
 
 type impl = E of epoll_state | P of poll_state
 
+(* fds are small dense ints (the kernel hands out the lowest free one),
+   so per-fd state lives in arrays indexed by fd, grown on demand. *)
 type t = {
   which : backend;
-  slots : (int, slot) Hashtbl.t;
+  mutable interest : int array;
+      (** By fd: bit_read / bit_write mask, or [absent]. *)
+  mutable registered : int;
   impl : impl;
   mutable closed : bool;
 }
 
+let absent = -1
 let max_events = 512
 
 let create ?backend () =
@@ -118,71 +118,81 @@ let create ?backend () =
             pevents = Array.make 16 0;
             prevents = Array.make 16 0;
             pcount = 0;
-            porder = Array.make 16 { interest = 0; idx = -1 };
+            pos = Array.make 64 0;
           }
   in
-  { which; slots = Hashtbl.create 64; impl; closed = false }
+  { which; interest = Array.make 64 absent; registered = 0; impl; closed = false }
 
 let backend t = t.which
-let fds_registered t = Hashtbl.length t.slots
+let fds_registered t = t.registered
 
 let interest_of ~read ~write =
   (if read then bit_read else 0) lor if write then bit_write else 0
 
+(* [a] widened past index [i], the new tail filled with [fill]. *)
+let cover a i fill =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let b = Array.make (Int.max (2 * len) (i + 1)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
 let poll_grow p =
   let cap = 2 * Array.length p.pfds in
-  let grow a fill =
-    let b = Array.make cap fill in
+  let grow a =
+    let b = Array.make cap 0 in
     Array.blit a 0 b 0 p.pcount;
     b
   in
-  p.pfds <- grow p.pfds 0;
-  p.pevents <- grow p.pevents 0;
-  p.prevents <- grow p.prevents 0;
-  p.porder <- grow p.porder p.porder.(0)
+  p.pfds <- grow p.pfds;
+  p.pevents <- grow p.pevents;
+  p.prevents <- grow p.prevents
 
 let set t fd ~read ~write =
   let key = fd_int fd in
   let interest = interest_of ~read ~write in
-  match Hashtbl.find_opt t.slots key with
-  | Some slot ->
-      if slot.interest <> interest then begin
-        slot.interest <- interest;
-        match t.impl with
-        | E e -> epoll_ctl e.epfd op_mod key interest
-        | P p -> p.pevents.(slot.idx) <- interest
-      end
-  | None ->
-      let slot = { interest; idx = -1 } in
-      Hashtbl.replace t.slots key slot;
-      (match t.impl with
-      | E e -> epoll_ctl e.epfd op_add key interest
-      | P p ->
-          if p.pcount = Array.length p.pfds then poll_grow p;
-          slot.idx <- p.pcount;
-          p.pfds.(p.pcount) <- key;
-          p.pevents.(p.pcount) <- interest;
-          p.porder.(p.pcount) <- slot;
-          p.pcount <- p.pcount + 1)
+  t.interest <- cover t.interest key absent;
+  let prev = t.interest.(key) in
+  if prev = absent then begin
+    (match t.impl with
+    | E e -> epoll_ctl e.epfd op_add key interest
+    | P p ->
+        if p.pcount = Array.length p.pfds then poll_grow p;
+        p.pos <- cover p.pos key 0;
+        p.pos.(key) <- p.pcount;
+        p.pfds.(p.pcount) <- key;
+        p.pevents.(p.pcount) <- interest;
+        p.pcount <- p.pcount + 1);
+    t.interest.(key) <- interest;
+    t.registered <- t.registered + 1
+  end
+  else if prev <> interest then begin
+    (match t.impl with
+    | E e -> epoll_ctl e.epfd op_mod key interest
+    | P p -> p.pevents.(p.pos.(key)) <- interest);
+    t.interest.(key) <- interest
+  end
 
 let remove t fd =
   let key = fd_int fd in
-  match Hashtbl.find_opt t.slots key with
-  | None -> ()
-  | Some slot ->
-      Hashtbl.remove t.slots key;
-      (match t.impl with
-      | E e -> ( try epoll_ctl e.epfd op_del key 0 with Failure _ -> ())
-      | P p ->
-          let last = p.pcount - 1 in
-          let i = slot.idx in
-          if i <> last then begin
-            p.pfds.(i) <- p.pfds.(last);
-            p.pevents.(i) <- p.pevents.(last);
-            p.porder.(i) <- p.porder.(last);
-            p.porder.(i).idx <- i
-          end;
-          p.pcount <- last)
+  if key < Array.length t.interest && t.interest.(key) <> absent then begin
+    t.interest.(key) <- absent;
+    t.registered <- t.registered - 1;
+    match t.impl with
+    | E e -> ( try epoll_ctl e.epfd op_del key 0 with Failure _ -> ())
+    | P p ->
+        let last = p.pcount - 1 in
+        let i = p.pos.(key) in
+        if i <> last then begin
+          let moved = p.pfds.(last) in
+          p.pfds.(i) <- moved;
+          p.pevents.(i) <- p.pevents.(last);
+          p.pos.(moved) <- i
+        end;
+        p.pcount <- last
+  end
 
 (* Timeouts travel to the stubs as nanoseconds (epoll_pwait2 / ppoll);
    negative would mean "forever", which the transport's lost-wakeup cap

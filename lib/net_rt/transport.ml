@@ -401,7 +401,7 @@ module Sockets = struct
      more than a few frames; [append] doubles it for the ones that do. *)
   let out_initial = 256
 
-  (* [Unix.write] cannot pass MSG_NOSIGNAL, so a write to a peer that
+  (* [write(2)] cannot pass MSG_NOSIGNAL, so a write to a peer that
      closed its end raises SIGPIPE and the default handler kills the
      whole process before [tear_down] can run. Ignore it once,
      process-wide, so the failure surfaces as EPIPE instead. *)
@@ -415,6 +415,33 @@ module Sockets = struct
      kernel, so tell TCP to ship immediately. *)
   let set_nodelay fd =
     try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
+  (* read(2)/write(2) on an O_NONBLOCK socket, in place on the bytes and
+     without releasing the domain lock (io_stubs.c says why that is
+     safe). A count, or one of the error classes below. Every fd they
+     see — dialed or accepted — is set non-blocking first. *)
+  external io_read : Unix.file_descr -> Bytes.t -> int -> int -> int
+    = "tr_io_read"
+  [@@noalloc]
+
+  external io_write : Unix.file_descr -> Bytes.t -> int -> int -> int
+    = "tr_io_write"
+  [@@noalloc]
+
+  let io_again = -1 (* EAGAIN, EWOULDBLOCK, EINTR *)
+  let io_connecting = -2 (* ENOTCONN, EINPROGRESS, EALREADY *)
+
+  let check_range what buf pos len =
+    if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+      invalid_arg what
+
+  let read_nb fd buf pos len =
+    check_range "Transport.read_nb" buf pos len;
+    io_read fd buf pos len
+
+  let write_nb fd buf pos len =
+    check_range "Transport.write_nb" buf pos len;
+    io_write fd buf pos len
 
   type conn_in = {
     fd : Unix.file_descr;
@@ -453,6 +480,10 @@ module Sockets = struct
     nodelay : bool;
     mutable ins : conn_in list;
     outs : (int, conn_out) Hashtbl.t;  (** Keyed by destination node id. *)
+    mutable last_dst : int;
+    mutable last_out : conn_out option;
+        (** [outs] at [last_dst]: a ring node always sends to the same
+            successor. *)
     tracked : shard_set option Atomic.t;
         (** Set once, by [adopt]. Atomic because in-process senders on
             other domains must see the adoption (or be seen — see the
@@ -471,7 +502,8 @@ module Sockets = struct
     bell : node doorbell;
         (** [notified] holds hosted nodes with undrained in-process
             frames. *)
-    fdx : (int, entry) Hashtbl.t;
+    mutable fdx : entry array;
+        (** By fd, grown on demand; fds are small dense ints. *)
     sbuf : Bytes.t;  (** Shared read buffer — one per shard, not per node. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
@@ -483,6 +515,7 @@ module Sockets = struct
   }
 
   and entry =
+    | Free
     | Listener of node
     | In of node * conn_in
     | Out of node * conn_out
@@ -495,16 +528,25 @@ module Sockets = struct
      poll set would otherwise scan a dead descriptor). *)
   let reg stats set fd entry ~read ~write =
     let key = fd_int fd in
-    if not (Hashtbl.mem set.fdx key) then begin
-      Hashtbl.replace set.fdx key entry;
+    let len = Array.length set.fdx in
+    if key >= len then begin
+      let bigger = Array.make (Int.max (2 * len) (key + 1)) Free in
+      Array.blit set.fdx 0 bigger 0 len;
+      set.fdx <- bigger
+    end;
+    if set.fdx.(key) == Free then begin
+      set.fdx.(key) <- entry;
       Atomic.incr stats.fds_registered
     end;
     Readiness.set set.bell.rd fd ~read ~write
 
+  let entry_at set key =
+    if key < Array.length set.fdx then set.fdx.(key) else Free
+
   let unreg stats set fd =
     let key = fd_int fd in
-    if Hashtbl.mem set.fdx key then begin
-      Hashtbl.remove set.fdx key;
+    if entry_at set key != Free then begin
+      set.fdx.(key) <- Free;
       Atomic.decr stats.fds_registered;
       Readiness.remove set.bell.rd fd
     end
@@ -610,23 +652,17 @@ module Sockets = struct
             dial stats set node co;
             if co.fd <> None then flush stats set node co
           end
-      | Some fd -> (
-          match Unix.write fd co.out co.out_pos (queued co) with
-          | wrote ->
-              Atomic.incr stats.write_syscalls;
-              co.backoff <- backoff_min;
-              advance co wrote
-          | exception
-              Unix.Unix_error
-                ( (EAGAIN | EWOULDBLOCK | EINTR | ENOTCONN | EINPROGRESS | EALREADY),
-                  _,
-                  _ ) ->
-              (* Still connecting, or the kernel buffer is full; the bytes
-                 stay queued for the next poll. *)
-              Atomic.incr stats.write_syscalls
-          | exception Unix.Unix_error (_, _, _) ->
-              Atomic.incr stats.write_syscalls;
-              tear_down stats set co)
+      | Some fd ->
+          let wrote = write_nb fd co.out co.out_pos (queued co) in
+          Atomic.incr stats.write_syscalls;
+          if wrote >= 0 then begin
+            co.backoff <- backoff_min;
+            advance co wrote
+          end
+          else if wrote <> io_again && wrote <> io_connecting then
+            tear_down stats set co
+          (* Otherwise still connecting, or the kernel buffer is full;
+             the bytes stay queued for the next poll. *)
 
   let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
 
@@ -687,21 +723,14 @@ module Sockets = struct
      the caller deregisters before closing. *)
   let read_conn stats buf (ci : conn_in) f =
     let rec go () =
-      match Unix.read ci.fd buf 0 (Bytes.length buf) with
-      | 0 ->
-          Atomic.incr stats.read_syscalls;
-          false
-      | k ->
-          Atomic.incr stats.read_syscalls;
-          Frame.Decoder.feed_sub ci.dec buf ~pos:0 ~len:k;
-          drain_decoder stats ci.dec f;
-          if k = Bytes.length buf then go () else true
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          Atomic.incr stats.read_syscalls;
-          true
-      | exception Unix.Unix_error (_, _, _) ->
-          Atomic.incr stats.read_syscalls;
-          false
+      let k = read_nb ci.fd buf 0 (Bytes.length buf) in
+      Atomic.incr stats.read_syscalls;
+      if k > 0 then begin
+        Frame.Decoder.feed_sub ci.dec buf ~pos:0 ~len:k;
+        drain_decoder stats ci.dec f;
+        if k = Bytes.length buf then go () else true
+      end
+      else k = io_again
     in
     go ()
 
@@ -800,6 +829,8 @@ module Sockets = struct
                    | Unix.ADDR_UNIX _ -> false);
                  ins = [];
                  outs = Hashtbl.create 4;
+                 last_dst = -1;
+                 last_out = None;
                  tracked = Atomic.make None;
                  accept_ready = false;
                  ready_ins = [];
@@ -827,25 +858,33 @@ module Sockets = struct
                what i)
     in
     let out_conn node dst =
-      match Hashtbl.find_opt node.outs dst with
-      | Some co -> co
-      | None ->
+      match node.last_out with
+      | Some co when node.last_dst = dst -> co
+      | _ ->
           let co =
-            {
-              addr = addrs.(dst);
-              fd = None;
-              out = Bytes.create out_initial;
-              out_pos = 0;
-              out_len = 0;
-              bounds = Queue.create ();
-              head_off = 0;
-              backoff = backoff_min;
-              retry_at = 0.0;
-              in_busy = false;
-              in_retry = false;
-            }
+            match Hashtbl.find_opt node.outs dst with
+            | Some co -> co
+            | None ->
+                let co =
+                  {
+                    addr = addrs.(dst);
+                    fd = None;
+                    out = Bytes.create out_initial;
+                    out_pos = 0;
+                    out_len = 0;
+                    bounds = Queue.create ();
+                    head_off = 0;
+                    backoff = backoff_min;
+                    retry_at = 0.0;
+                    in_busy = false;
+                    in_retry = false;
+                  }
+                in
+                Hashtbl.replace node.outs dst co;
+                co
           in
-          Hashtbl.replace node.outs dst co;
+          node.last_dst <- dst;
+          node.last_out <- Some co;
           co
     in
     (* In-process delivery: the frame goes straight into the hosted
@@ -1031,20 +1070,20 @@ module Sockets = struct
             (fun ~fd ~readable ~writable ->
               if fd = set.bell.wake_fd then drain_wake stats set.bell
               else
-              match Hashtbl.find_opt set.fdx fd with
-              | None -> ()
-              | Some (Listener node) ->
+              match entry_at set fd with
+              | Free -> ()
+              | Listener node ->
                   if readable then begin
                     node.accept_ready <- true;
                     on_ready node.id
                   end
-              | Some (In (node, ci)) ->
+              | In (node, ci) ->
                   if readable && not ci.ready then begin
                     ci.ready <- true;
                     node.ready_ins <- ci :: node.ready_ins;
                     on_ready node.id
                   end
-              | Some (Out (node, co)) ->
+              | Out (node, co) ->
                   if queued co = 0 then begin
                     (* Zero interest, yet an event: only ERR/HUP can land
                        here — the peer closed an idle connection. Drop it
@@ -1064,7 +1103,8 @@ module Sockets = struct
             co.fd <- None)
           !dead_outs;
         activate (Mailbox.drain set.bell.notified);
-        if ready > 0 then begin
+        (* Only the spin window reads the gap estimate. *)
+        if spin && ready > 0 then begin
           let now = Unix.gettimeofday () in
           let gap = Float.max 1e-6 (now -. set.last_event) in
           set.ewma_gap <- (0.875 *. set.ewma_gap) +. (0.125 *. gap);
@@ -1082,7 +1122,7 @@ module Sockets = struct
       let set =
         {
           bell = doorbell stats rd_backend;
-          fdx = Hashtbl.create 256;
+          fdx = Array.make 256 Free;
           sbuf = Bytes.create 65536;
           retry_outs = [];
           ewma_gap = 1e-3;
