@@ -53,33 +53,84 @@ let compile_stop stop =
     { time_limit = infinity; serves_limit = max_int; token_limit = max_int }
     stop
 
-module Make (P : Node_intf.PROTOCOL) = struct
-  (* Events are pooled mutable records, not immutable variants: the run
-     loop releases each event back to a free list right after copying
-     its fields out, so the steady-state Deliver/Timer cycle allocates
-     no event records. [tag] discriminates; only the fields of the
-     active tag are meaningful. *)
-  type event_tag = Deliver | Timer | Arrival | Crash
+(* ---------------- event arena ---------------- *)
 
-  type event = {
-    mutable tag : event_tag;
-    mutable src : int; (* Deliver src; Timer/Crash node *)
-    mutable dst : int; (* Deliver dst; Timer key *)
-    mutable epoch : int; (* Timer *)
-    mutable channel : Network.channel;
-    mutable msg : P.msg; (* meaningful iff tag = Deliver *)
-    mutable nodes : int list; (* meaningful iff tag = Arrival *)
+(* An event is an int handle into the parallel arrays of an [arena];
+   the queue holds only handles. [tag] discriminates, and only the
+   fields of the active tag are meaningful. The scalar fields are
+   immediate arrays, so filling them in takes no write barrier; a
+   Deliver's message and an Arrival's node list are the only pointer
+   stores, each blanked again when the event is dispatched. *)
+type event_tag = Deliver | Timer | Arrival | Crash
+
+type arena = {
+  mutable tags : event_tag array;
+  mutable src : int array; (* Deliver src; Timer/Crash node *)
+  mutable dst : int array; (* Deliver dst; Timer key *)
+  mutable epoch : int array; (* Timer *)
+  (* Deliver messages. [Obj.t], created from an immediate, so that a
+     protocol whose messages are floats cannot make this a flat float
+     array. *)
+  mutable msgs : Obj.t array;
+  mutable nodes : int list array; (* Arrival *)
+  mutable free : int array; (* free handles: [free.(0 .. free_len - 1)] *)
+  mutable free_len : int;
+}
+
+(* Filler for blank [msgs] slots: an immediate, so a dispatched event
+   pins no message. *)
+let no_msg = Obj.repr 0
+
+let create_arena () =
+  {
+    tags = [||];
+    src = [||];
+    dst = [||];
+    epoch = [||];
+    msgs = [||];
+    nodes = [||];
+    free = [||];
+    free_len = 0;
   }
 
+(* Only called with every handle live: the new handles
+   [cap .. cap' - 1] fill the free stack, lowest on top. *)
+let grow_arena a =
+  let cap = Array.length a.tags in
+  let cap' = Int.max 64 (2 * cap) in
+  let extend arr filler =
+    let arr' = Array.make cap' filler in
+    Array.blit arr 0 arr' 0 cap;
+    arr'
+  in
+  a.tags <- extend a.tags Crash;
+  a.src <- extend a.src 0;
+  a.dst <- extend a.dst 0;
+  a.epoch <- extend a.epoch 0;
+  a.msgs <- extend a.msgs no_msg;
+  a.nodes <- extend a.nodes [];
+  a.free <- Array.init cap' (fun i -> cap' - 1 - i);
+  a.free_len <- cap' - cap
+
+(* A fresh handle whose event is [tag] from [src]; the caller fills in
+   the tag's other fields. *)
+let alloc a tag ~src =
+  if a.free_len = 0 then grow_arena a;
+  a.free_len <- a.free_len - 1;
+  let h = a.free.(a.free_len) in
+  a.tags.(h) <- tag;
+  a.src.(h) <- src;
+  h
+
+let free a h =
+  a.free.(a.free_len) <- h;
+  a.free_len <- a.free_len + 1
+
+module Make (P : Node_intf.PROTOCOL) = struct
   (* The simulated time, alone in an all-float record: stored flat, so
      advancing it per event writes a float in place instead of boxing
      one into [t]. *)
   type clock = { mutable now : float }
-
-  (* Placeholder for the [msg] field of non-Deliver events; an immediate,
-     never read (the dispatch switch only touches [msg] when the tag is
-     [Deliver], and every [Deliver] sets it). *)
-  let no_msg : P.msg = Obj.magic 0
 
   type t = {
     config : config;
@@ -87,7 +138,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
        access them through [t], so mutation is visible to every closure. *)
     mutable states : P.state array;
     mutable ctxs : P.msg Node_intf.ctx array;
-    queue : event Pqueue.t;
+    queue : int Pqueue.t; (* event handles *)
+    events : arena;
     clock : clock;
     net_rng : Rng.t;
     workload : Workload.t;
@@ -100,9 +152,6 @@ module Make (P : Node_intf.PROTOCOL) = struct
        >= the current bound; existing protocols use keys 1..5. *)
     mutable timer_epochs : int array;
     mutable keyspace : int;
-    (* Free list of event records for reuse. *)
-    mutable pool : event array;
-    mutable pool_len : int;
     mutable events_processed : int;
     mutable initialized : bool;
   }
@@ -114,37 +163,20 @@ module Make (P : Node_intf.PROTOCOL) = struct
   let crashed t i = t.crashed.(i)
   let events_processed t = t.events_processed
 
-  (* ---------------- event pool ---------------- *)
+  (* ---------------- scheduling ---------------- *)
 
-  let fresh_event () =
-    {
-      tag = Crash;
-      src = 0;
-      dst = 0;
-      epoch = 0;
-      channel = Network.Reliable;
-      msg = no_msg;
-      nodes = [];
-    }
+  let push_arrival t ~time nodes =
+    let a = t.events in
+    let h = alloc a Arrival ~src:0 in
+    a.nodes.(h) <- nodes;
+    Pqueue.push t.queue ~time h
 
-  let acquire t =
-    if t.pool_len = 0 then fresh_event ()
-    else begin
-      t.pool_len <- t.pool_len - 1;
-      t.pool.(t.pool_len)
-    end
-
-  let release t e =
-    (* Drop payload references so pooled slots pin nothing. *)
-    e.msg <- no_msg;
-    e.nodes <- [];
-    if t.pool_len = Array.length t.pool then begin
-      let bigger = Array.make (Int.max 16 (2 * t.pool_len)) e in
-      Array.blit t.pool 0 bigger 0 t.pool_len;
-      t.pool <- bigger
-    end;
-    t.pool.(t.pool_len) <- e;
-    t.pool_len <- t.pool_len + 1
+  let push_timer t ~time ~node ~key ~epoch =
+    let a = t.events in
+    let h = alloc a Timer ~src:node in
+    a.dst.(h) <- key;
+    a.epoch.(h) <- epoch;
+    Pqueue.push t.queue ~time h
 
   (* ---------------- timer epochs ---------------- *)
 
@@ -220,13 +252,11 @@ module Make (P : Node_intf.PROTOCOL) = struct
           | None -> (1, 0.0)
         in
         for _ = 1 to copies do
-          let e = acquire t in
-          e.tag <- Deliver;
-          e.src <- node;
-          e.dst <- dst;
-          e.channel <- channel;
-          e.msg <- msg;
-          Pqueue.push t.queue ~time:(t.clock.now +. delay +. extra_delay) e
+          let a = t.events in
+          let h = alloc a Deliver ~src:node in
+          a.dst.(h) <- dst;
+          a.msgs.(h) <- Obj.repr msg;
+          Pqueue.push t.queue ~time:(t.clock.now +. delay +. extra_delay) h
         done
       end
     in
@@ -239,12 +269,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
         | Some inj ->
             delay *. Tr_chaos.Injector.timer_scale inj ~now:t.clock.now ~node
       in
-      let e = acquire t in
-      e.tag <- Timer;
-      e.src <- node;
-      e.dst <- key;
-      e.epoch <- timer_epoch t ~node ~key;
-      Pqueue.push t.queue ~time:(t.clock.now +. delay) e
+      push_timer t ~time:(t.clock.now +. delay) ~node ~key
+        ~epoch:(timer_epoch t ~node ~key)
     in
     let cancel_timers ~key =
       check_timer_key key;
@@ -263,12 +289,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
       Metrics.on_serve t.metrics ~time:t.clock.now ~node;
       (* A [Continuous] competitor re-requests the moment it is served
          (Theorem 3's adversary). *)
-      if Workload.wants_immediate_rerequest t.workload node then begin
-        let e = acquire t in
-        e.tag <- Arrival;
-        e.nodes <- [ node ];
-        Pqueue.push t.queue ~time:t.clock.now e
-      end
+      if Workload.wants_immediate_rerequest t.workload node then
+        push_arrival t ~time:t.clock.now [ node ]
     in
     {
       Node_intf.self = node;
@@ -309,6 +331,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         states = [||];
         ctxs = [||];
         queue = Pqueue.create ();
+        events = create_arena ();
         clock = { now = 0.0 };
         net_rng = Rng.create (config.seed lxor 0x2545F491);
         workload;
@@ -318,8 +341,6 @@ module Make (P : Node_intf.PROTOCOL) = struct
         crashed = Array.make config.n false;
         timer_epochs = Array.make (config.n * keyspace) 0;
         keyspace;
-        pool = [||];
-        pool_len = 0;
         events_processed = 0;
         initialized = false;
       }
@@ -327,12 +348,6 @@ module Make (P : Node_intf.PROTOCOL) = struct
     t.ctxs <- Array.init config.n (fun node -> make_ctx t node);
     t.states <- Array.init config.n (fun node -> P.init t.ctxs.(node));
     t
-
-  let push_arrival t ~time nodes =
-    let e = acquire t in
-    e.tag <- Arrival;
-    e.nodes <- nodes;
-    Pqueue.push t.queue ~time e
 
   let schedule_first_arrival t =
     match Workload.first t.workload with
@@ -351,10 +366,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
       (fun (time, node) ->
         if node < 0 || node >= t.config.n then
           invalid_arg "Engine: crash node out of range";
-        let e = acquire t in
-        e.tag <- Crash;
-        e.src <- node;
-        Pqueue.push t.queue ~time e)
+        Pqueue.push t.queue ~time (alloc t.events Crash ~src:node))
       t.config.crashes
 
   let initialize t =
@@ -390,14 +402,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
         | None -> t.clock.now
         | Some inj -> Tr_chaos.Injector.down_until inj ~now:t.clock.now ~node
       in
-      if resume > t.clock.now then begin
-        let e = acquire t in
-        e.tag <- Timer;
-        e.src <- node;
-        e.dst <- key;
-        e.epoch <- epoch;
-        Pqueue.push t.queue ~time:(resume +. 1e-9) e
-      end
+      if resume > t.clock.now then
+        push_timer t ~time:(resume +. 1e-9) ~node ~key ~epoch
       else t.states.(node) <- P.on_timer t.ctxs.(node) t.states.(node) ~key
     end
 
@@ -437,28 +443,32 @@ module Make (P : Node_intf.PROTOCOL) = struct
         || time > time_limit
       then continue := false
       else begin
-        let e = Pqueue.pop_exn q in
+        let h = Pqueue.pop_exn q in
         t.events_processed <- t.events_processed + 1;
         let now = t.clock.now in
         t.clock.now <- (if now >= time then now else time);
-        (* Copy the fields out, recycle the record, then dispatch — the
-           handler's own sends may reuse it immediately. *)
-        match e.tag with
+        (* Copy the fields out, blank the pointer slot, free the handle,
+           then dispatch — the handler's own sends may reuse it
+           immediately. *)
+        let a = t.events in
+        let src = a.src.(h) in
+        match a.tags.(h) with
         | Deliver ->
-            let src = e.src and dst = e.dst and msg = e.msg in
-            release t e;
+            let dst = a.dst.(h) and msg : P.msg = Obj.obj a.msgs.(h) in
+            a.msgs.(h) <- no_msg;
+            free a h;
             deliver t ~src ~dst ~msg
         | Timer ->
-            let node = e.src and key = e.dst and epoch = e.epoch in
-            release t e;
-            fire_timer t ~node ~key ~epoch
+            let key = a.dst.(h) and epoch = a.epoch.(h) in
+            free a h;
+            fire_timer t ~node:src ~key ~epoch
         | Crash ->
-            let node = e.src in
-            release t e;
-            crash t node
+            free a h;
+            crash t src
         | Arrival ->
-            let nodes = e.nodes in
-            release t e;
+            let nodes = a.nodes.(h) in
+            a.nodes.(h) <- [];
+            free a h;
             let batch_time = t.clock.now in
             arrive t nodes;
             schedule_next_arrival t ~after:batch_time

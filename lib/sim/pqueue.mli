@@ -4,19 +4,25 @@
     receives a monotone sequence number), which keeps executions
     deterministic when many events share a timestamp.
 
-    The implementation is a struct-of-arrays binary heap (flat [float
-    array] of times, [int array] of sequence numbers, payload slots):
-    pushes and pops move scalars between slots and allocate nothing in
-    steady state. Popped and cleared slots are overwritten with an
-    immediate filler, so the queue never pins a payload the caller has
-    already consumed. *)
+    The implementation is a binary heap of int handles: heap order lives
+    in unboxed arrays of times, sequence numbers and handles, and each
+    payload sits in an arena slot indexed by its handle from push to pop.
+    Sifting moves only floats and ints, so it never takes the write
+    barrier: a push stores its payload once and a pop blanks that slot,
+    and those are its only pointer stores. Steady state allocates
+    nothing. Popped and cleared slots are overwritten with an immediate
+    filler, so the queue never pins a payload the caller has already
+    consumed. *)
 
 type 'a t = private {
   mutable times : float array;
       (** Heap-ordered times; [times.(0)] is the earliest when [len > 0]. *)
   mutable seqs : int array;  (** Insertion sequence numbers (tie-break). *)
-  mutable slots : Obj.t array;  (** Payloads, parallel to [times]. *)
-  mutable len : int;  (** Live entries: slots [0 .. len - 1]. *)
+  mutable handles : int array;  (** Arena handles, parallel to [times]. *)
+  mutable payloads : Obj.t array;  (** Payload arena, indexed by handle. *)
+  mutable free : int array;  (** Free-handle stack: [free.(0 .. free_len - 1)]. *)
+  mutable free_len : int;
+  mutable len : int;  (** Live entries: heap slots [0 .. len - 1]. *)
   mutable next_seq : int;
 }
 (** The record is [private]: callers may read it but not write it. A hot

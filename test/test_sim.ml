@@ -278,10 +278,31 @@ let prop_pqueue_sorted =
 
 (* Reference model: a stable sorted association list. Times are drawn
    from a tiny grid so equal keys are common and the FIFO tie-break is
-   exercised on every run, interleaved with pops and peeks. *)
+   exercised on every run, interleaved with pops, peeks and rare clears.
+   Pushes outnumber pops three to one, so a long run grows the queue
+   past 16, 32 and 64 entries; clears and pops hand handles back and
+   later pushes reuse them. *)
+type pq_op = Push of int | Pop | Clear
+
+let pq_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (150, map (fun grid -> Push grid) (int_range 0 5));
+        (49, return Pop);
+        (1, return Clear);
+      ])
+
+let print_pq_op = function
+  | Push grid -> Printf.sprintf "push %d" grid
+  | Pop -> "pop"
+  | Clear -> "clear"
+
 let prop_pqueue_model =
   QCheck.Test.make ~name:"pqueue matches sorted-list model" ~count:300
-    QCheck.(list_of_size Gen.(0 -- 200) (option (int_range 0 5)))
+    (QCheck.make
+       ~print:QCheck.Print.(list print_pq_op)
+       QCheck.Gen.(list_size (0 -- 600) pq_op))
     (fun ops ->
       let q = Pqueue.create () in
       let model = ref [] in
@@ -290,7 +311,7 @@ let prop_pqueue_model =
       List.iter
         (fun op ->
           (match op with
-          | Some grid ->
+          | Push grid ->
               let time = float_of_int grid in
               Pqueue.push q ~time !next_id;
               let rec ins = function
@@ -299,7 +320,10 @@ let prop_pqueue_model =
               in
               model := ins !model;
               incr next_id
-          | None -> (
+          | Clear ->
+              Pqueue.clear q;
+              model := []
+          | Pop -> (
               match (Pqueue.pop q, !model) with
               | None, [] -> ()
               | Some (t, id), (t', id') :: rest when t = t' && id = id' ->
@@ -331,6 +355,33 @@ let test_pqueue_popped_slot_released () =
   Gc.full_major ();
   Alcotest.(check bool) "popped payload collected" true (Weak.get w 0 = None);
   Alcotest.(check int) "keeper still queued" 1 (Pqueue.length q)
+
+(* [clear] must blank every slot it frees, as [pop] does: the queue
+   stays alive and regrows, but pins none of the dropped payloads. *)
+let[@inline never] push_tracked q w i =
+  let payload = String.init 32 (fun j -> Char.chr (65 + ((i + j) mod 26))) in
+  Weak.set w i (Some payload);
+  Pqueue.push q ~time:(float_of_int (i mod 3)) payload
+
+let test_pqueue_clear_releases () =
+  let q = Pqueue.create () in
+  let w = Weak.create 20 in
+  for i = 0 to 19 do
+    push_tracked q w i
+  done;
+  Pqueue.clear q;
+  ignore (Sys.opaque_identity (Array.make 64 0));
+  Gc.full_major ();
+  Gc.full_major ();
+  for i = 0 to 19 do
+    Alcotest.(check bool)
+      (Printf.sprintf "cleared payload %d collected" i)
+      true
+      (Weak.get w i = None)
+  done;
+  Pqueue.push q ~time:1.0 "after";
+  Alcotest.(check (option (pair (float 1e-9) string)))
+    "usable after clear" (Some (1.0, "after")) (Pqueue.pop q)
 
 (* [clear] empties the queue but deliberately does NOT reset the
    sequence counter (per-run numbering comes from a fresh queue, as
@@ -1089,6 +1140,110 @@ let test_engine_large_timer_key () =
   Alcotest.(check (list int)) "key-97 fires once, key-2 unaffected" [ 2; 97 ]
     (EB.state t 0).BigKey.fired
 
+(* The engine must not pin what it has dispatched. Node 0 sends one
+   fresh string to node 1, which drops it; [sent] watches it. *)
+module Oneshot = struct
+  type state = unit
+  type msg = string
+
+  let sent = Weak.create 1
+  let name = "oneshot"
+  let describe = "sends one heap message"
+  let classify _ = Metrics.Control_msg
+  let label _ = "oneshot"
+
+  let[@inline never] send_fresh (ctx : msg Node_intf.ctx) =
+    let msg = String.init 64 (fun i -> Char.chr (97 + (i mod 26))) in
+    Weak.set sent 0 (Some msg);
+    ctx.send ~dst:1 msg
+
+  let init (ctx : msg Node_intf.ctx) = if ctx.self = 0 then send_fresh ctx
+  let on_message _ctx state ~src:_ _msg = state
+  let on_timer _ctx state ~key:_ = state
+  let on_request _ctx state = state
+end
+
+(* A delivered message is collectable once dispatched. An Arrival's node
+   list is never handed to the test, so it is weighed instead: after a
+   batch of all [n] nodes, one more single-node arrival reuses the freed
+   event handle. Every node but 0 and 1 has crashed, so neither arrival
+   touches the metrics and the engine should reach exactly as many words
+   after the second arrival as before it. If the dispatch left the
+   batch's list in its slot, it would reach 3n words more before. *)
+let test_engine_dispatch_releases () =
+  let module EO = Engine.Make (Oneshot) in
+  let n = 512 in
+  let t =
+    EO.create
+      {
+        (Engine.default_config ~n ~seed:0) with
+        workload = Workload.Script (List.init n (fun node -> (1.0, node)));
+        crashes = List.init (n - 2) (fun i -> (0.5, i + 2));
+      }
+  in
+  EO.run t ~stop:(Engine.At_time 2.0);
+  Alcotest.(check int) "crashes, delivery and batch dispatched" n
+    (EO.events_processed t);
+  ignore (Sys.opaque_identity (Array.make 64 0));
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "delivered message collected" true
+    (Weak.get Oneshot.sent 0 = None);
+  let before = Obj.reachable_words (Obj.repr t) in
+  EO.request_now t ~node:2;
+  EO.run t ~stop:(Engine.At_time 3.0);
+  let after = Obj.reachable_words (Obj.repr t) in
+  Alcotest.(check int) "arrival dispatched" (n + 1) (EO.events_processed t);
+  Alcotest.(check int) "words reachable from the engine" before after
+
+(* More outstanding events than the engine's initial event arena holds:
+   node 0 sets [burst] timers and sends as many messages to node 1, all
+   at once. Timer delays repeat on a small grid, so ties are common. *)
+module Burst = struct
+  type state = { log : (float * int) list }
+  type msg = Item of int
+
+  let burst = ref 0
+  let name = "burst"
+  let describe = "sets many timers and sends many messages at init"
+  let classify (Item _) = Metrics.Control_msg
+  let label (Item i) = string_of_int i
+
+  let init (ctx : msg Node_intf.ctx) =
+    if ctx.self = 0 then
+      for i = 0 to !burst - 1 do
+        ctx.set_timer ~delay:(float_of_int (i * 7 mod 13)) ~key:i;
+        ctx.send ~dst:1 (Item i)
+      done;
+    { log = [] }
+
+  let on_message (ctx : msg Node_intf.ctx) state ~src:_ (Item i) =
+    { log = (ctx.now (), i) :: state.log }
+
+  let on_timer (ctx : msg Node_intf.ctx) state ~key =
+    { log = (ctx.now (), key) :: state.log }
+
+  let on_request _ctx state = state
+end
+
+(* A burst of 200 grows the arena; a burst of 20 does not. The first 20
+   events of the big burst must come out exactly as the small run's. *)
+let test_engine_arena_growth () =
+  let module EB = Engine.Make (Burst) in
+  let logs burst =
+    Burst.burst := burst;
+    let t = EB.create (Engine.default_config ~n:2 ~seed:0) in
+    EB.run t ~stop:(Engine.At_time 20.0);
+    Alcotest.(check int)
+      (Printf.sprintf "burst %d: every event fired" burst)
+      (2 * burst) (EB.events_processed t);
+    List.map (fun node -> List.rev (EB.state t node).Burst.log) [ 0; 1 ]
+  in
+  let small = logs 20 and big = logs 200 in
+  let first_20 = List.map (List.filter (fun (_, i) -> i < 20)) big in
+  Alcotest.(check (list (list (pair (float 1e-9) int))))
+    "grown run matches the small run" small first_20
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1114,6 +1269,8 @@ let () =
             test_pqueue_popped_slot_released;
           Alcotest.test_case "clear keeps fifo" `Quick
             test_pqueue_clear_keeps_fifo;
+          Alcotest.test_case "cleared slots released" `Quick
+            test_pqueue_clear_releases;
         ]
         @ qsuite [ prop_pqueue_sorted; prop_pqueue_model ] );
       ( "network",
@@ -1180,5 +1337,9 @@ let () =
           Alcotest.test_case "trace window" `Quick test_engine_trace_window;
           Alcotest.test_case "large timer key" `Quick
             test_engine_large_timer_key;
+          Alcotest.test_case "dispatch releases payloads" `Quick
+            test_engine_dispatch_releases;
+          Alcotest.test_case "event arena growth" `Quick
+            test_engine_arena_growth;
         ] );
     ]
