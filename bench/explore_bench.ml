@@ -1,15 +1,14 @@
-(* The sharded explorer at scale -> BENCH_explore.json.
+(* The explorer at scale -> BENCH_explore.json.
 
    One committed artefact answering three questions about the parallel,
    memory-bounded exploration engine:
 
    - throughput: states/s on a >= 10^6-state spec instance (BinarySearch
      n=3, the largest system in the refinement chain) for D in {1, 2, 4};
-   - speedup: wall-clock vs the D=1 baseline (the sequential engine —
-     that is what the library dispatches to at one domain). On a 1-core
-     container the extra domains only timeshare, so ~1.0x is the honest
-     expectation there; the speedup column means something on multi-core
-     hosts only;
+   - speedup: wall-clock vs the D=1 baseline (the same engine on one
+     domain, run on the caller). On a 1-core container the extra domains
+     only timeshare, so ~1.0x is the honest expectation there; the
+     speedup column means something on multi-core hosts only;
    - memory bounding: the same instance in spill mode (frontier layers
      streamed through temp files chunk by chunk, visited keys compacted
      to 16-byte digests) against the in-memory run's peak RSS.
@@ -132,7 +131,7 @@ let () =
   "host": { "cores": %d, "recommended_domains": %d, "ocaml": %S },
   "mode": %S,
   "instance": { "system": %S, "n": %d, "data_budget": %d, "max_states": %d },
-  "note": "Visited sets, stats and violations are identical across all configs (deterministic layer-synchronous merge). speedup_vs_1 is wall(D=1)/wall(D): on a 1-core container the domains timeshare one core, so ~1.0x (or slightly below, from sharding overhead) is the honest reading there; the column measures parallelism only on multi-core hosts. Each config runs in a forked child process so peak_rss_kb is a true per-run high-water mark (OCaml's heap never shrinks, so a shared process would carry the largest earlier run's RSS forward). Spill mode bounds term-graph residency by streaming frontier layers through disk chunk by chunk and compacting visited keys to 16-byte digests (collision odds ~1e-25 at 10^6 states); its peak_rss_kb vs the in-memory runs is the memory-bounding claim.",
+  "note": "Visited sets, stats and violations are identical across all configs (deterministic layer-synchronous merge). speedup_vs_1 is wall(D=1)/wall(D): on a 1-core container the domains timeshare one core, so ~1.0x (or slightly below, from the merge and pool overhead) is the honest reading there; the column measures parallelism only on multi-core hosts. Each config runs in a forked child process so peak_rss_kb is a true per-run high-water mark (OCaml's heap never shrinks, so a shared process would carry the largest earlier run's RSS forward). Spill mode bounds term-graph residency by streaming frontier layers through disk chunk by chunk and compacting visited keys to 16-byte digests (collision odds ~1e-25 at 10^6 states); its peak_rss_kb vs the in-memory runs is the memory-bounding claim.",
   "runs": [
 %s
   ]

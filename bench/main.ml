@@ -264,7 +264,7 @@ let parallel_report () =
   "host": { "cores": %d, "recommended_domains": %d, "ocaml": %S },
   "jobs": %d,
   "mode": %S,
-  "note": "Seeded sweeps produce byte-identical tables with and without the pool; speedup scales with available cores (a 1-core container reports ~1.0x or below for parallelism while still benefiting from the hashed TRS hot path). FIG9/FIG10 fan independent runs across the pool; SPACE parallelises inside each exploration via the sharded layer-synchronous engine (see BENCH_explore.json for that engine at 10^6-state scale), so its parallel leg pays sharding overhead that only pays off on multi-core hosts.",
+  "note": "Seeded sweeps produce byte-identical tables with and without the pool; speedup scales with available cores (a 1-core container reports ~1.0x or below for parallelism while still benefiting from the hashed TRS hot path). FIG9/FIG10 fan independent runs across the pool; SPACE parallelises inside each exploration via the explorer's layer-synchronous workers (see BENCH_explore.json for that engine at 10^6-state scale), so its parallel leg pays merge and pool overhead that only pays off on multi-core hosts.",
   "experiments": [
 %s
   ],

@@ -373,6 +373,9 @@ let explore_cmd =
       spill json =
     if max_states < 1 then
       die "--max-states must be at least 1, got %d" max_states;
+    Option.iter
+      (fun d -> if d < 0 then die "--max-depth must be at least 0, got %d" d)
+      max_depth;
     let { Tr_trs.Explore.stats = s; perf = p; violations; _ } =
       with_jobs jobs (fun pool ->
           Tr_trs.Explore.explore ~max_states ?max_depth ~check ?pool

@@ -594,9 +594,9 @@ let spec_space ?pool ?(quick = false) ?seed:_ () =
   in
   let sizes = [ 2; 3 ] in
   (* Unlike the sweep experiments, a pool here parallelises {e inside}
-     each exploration (the sharded engine), not across jobs — Pool.map
-     cannot be re-entered from worker jobs, and a single big exploration
-     is exactly the workload the sharded engine exists for. The visited
+     each exploration (the explorer's layer workers), not across jobs —
+     Pool.map cannot be re-entered from worker jobs, and a single big
+     exploration is exactly the workload those workers exist for. The visited
      counts are deterministic across domain counts, so the table stays
      byte-identical with and without a pool. *)
   let results =

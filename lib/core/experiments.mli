@@ -84,7 +84,7 @@ val warmup : ?quick:bool -> ?seed:int -> unit -> result
 val spec_space : ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> result
 (** Methodology artefact: reachable-state counts of the six
     specifications — how much detail each refinement step adds. A pool
-    parallelises {e inside} each exploration via the sharded engine
+    parallelises {e inside} each exploration via the explorer's workers
     (counts are deterministic, the table is byte-identical across domain
     counts); [notes] carries aggregate states/s, domains, and peak RSS. *)
 

@@ -1,32 +1,28 @@
-(* Bounded breadth-first exploration, in two engines that agree bit for bit:
+(* Bounded breadth-first exploration, one layer at a time, by one engine
+   for every domain count.
 
-   - A sequential fast path (the original implementation): one FIFO queue,
-     one visited hashtable keyed on hash-cached terms.
-
-   - A sharded layer-synchronous engine: the visited set is partitioned
-     into [D] shards by the cached structural hash, and each BFS layer is
-     expanded by [D] workers running on [Tr_sim.Pool] domains. Worker [w]
-     expands a contiguous slab of the layer and routes every successor to
-     its owner shard through a per-(worker, shard) exchange cell — each
-     cell has exactly one writer (the expanding worker) and one reader
-     (the owning shard), handed over at the layer barrier, so no locks are
-     needed anywhere on the hot path. Candidates carry their (state index,
-     instance index) position, which makes the merge that applies the
-     [max_states] cap a deterministic total order: the visited order,
-     stats, rule counts, edge list and violation list come out identical
-     to the sequential engine for every domain count.
+   Each BFS layer is expanded by [D] workers running on [Tr_sim.Pool]
+   domains; worker [w] expands a contiguous slab of the layer. Nothing
+   writes the visited table while a layer expands, so the workers probe
+   it without locks, and a worker drops a successor as soon as it
+   generates it if the table or the worker's own chunk buffer already
+   holds it. The merge then walks the workers' novel successors in slab
+   order, which is (state index, instance index) order, drops those an
+   earlier worker found first, applies the [max_states] cap and inserts
+   the rest. So the visited order, stats, rule counts, edge list and
+   violation list are the same for every domain count.
 
    A spill mode bounds resident memory for explorations far past the
    in-memory comfort zone: frontier layers are streamed to temp files as
    back-to-back [Marshal] frames and read back chunk-by-chunk, and the
-   visited shards store only a 16-byte digest of the marshalled canonical
+   visited table stores only a 16-byte digest of the marshalled canonical
    bytes per state (hash compaction — see [Bkey] below for the collision
    arithmetic), so no term graphs survive a round.
 
-   Outside spill mode both engines intern every state they keep through
-   one [Term.Intern] pool per call, so the retained states share their
-   proper subterms instead of each holding the bag spines the rewrite
-   built for it. *)
+   Outside spill mode a worker interns each novel successor through the
+   [Term.Intern] pool of its slab index, kept for the whole call, so the
+   retained states share their proper subterms instead of each holding
+   the bag spines the rewrite built for it. *)
 
 module Pool = Tr_sim.Pool
 
@@ -108,72 +104,11 @@ let reset_peak_rss () =
         close_out_noerr oc;
         false)
 
-(* ---------------- sequential engine ---------------- *)
+(* ---------------- the engine ---------------- *)
 
 let default_max_states = 100_000
 
-let explore_seq ~max_states ?max_depth ~check ~want_edges system ~init =
-  let interned = Term.Intern.create () in
-  let hinit = Term.Intern.make interned (Term.canonicalize init) in
-  let init = Term.Hashed.term hinit in
-  let queue = Queue.create () in
-  Queue.push (init, 0) queue;
-  let visited : hset = Term.Tbl.create 1024 in
-  hset_add visited hinit;
-  let rev_order = ref [ init ] in
-  let rev_edges = ref [] in
-  let violations = ref [] in
-  let transitions = ref 0 in
-  let deepest = ref 0 in
-  let truncated = ref false in
-  let within_depth depth =
-    match max_depth with None -> true | Some d -> depth < d
-  in
-  let verify state depth =
-    match check with
-    | None -> ()
-    | Some f -> (
-        match f state with
-        | Ok () -> ()
-        | Error message -> violations := { state; depth; message } :: !violations)
-  in
-  verify init 0;
-  while not (Queue.is_empty queue) do
-    let state, depth = Queue.pop queue in
-    if depth > !deepest then deepest := depth;
-    if within_depth depth then
-      List.iter
-        (fun (rule, _subst, next) ->
-          incr transitions;
-          if want_edges then
-            rev_edges := (state, Rule.name rule, next) :: !rev_edges;
-          let hnext = Term.Hashed.make next in
-          if not (hset_mem visited hnext) then
-            if Term.Tbl.length visited >= max_states then truncated := true
-            else begin
-              let hnext = Term.Intern.make interned next in
-              let next = Term.Hashed.term hnext in
-              hset_add visited hnext;
-              rev_order := next :: !rev_order;
-              verify next (depth + 1);
-              Queue.push (next, depth + 1) queue
-            end)
-        (System.instances system state)
-    else truncated := true
-  done;
-  ( List.rev !rev_order,
-    List.rev !rev_edges,
-    {
-      states = Term.Tbl.length visited;
-      transitions = !transitions;
-      max_depth = !deepest;
-      truncated = !truncated;
-    },
-    List.rev !violations )
-
-(* ---------------- sharded layer-synchronous engine ---------------- *)
-
-(* Spill-mode visited shards key on a 16-byte digest of the canonical
+(* Spill-mode visited tables key on a 16-byte digest of the canonical
    term plus its structural hash: flat fixed-size strings, no retained
    term graphs. The digest is taken over an injective flat encoding
    (tag byte per constructor, length-prefixed strings and lists,
@@ -190,7 +125,18 @@ end
 
 module Btbl = Hashtbl.Make (Bkey)
 
-type shard = Terms of hset | Compact of unit Btbl.t
+type visited = Terms of hset | Compact of unit Btbl.t
+
+(* [key] is the state's digest in spill mode and [""] otherwise. *)
+let visited_mem visited h key =
+  match visited with
+  | Terms t -> Term.Tbl.mem t h
+  | Compact t -> Btbl.mem t { Bkey.kh = Term.Hashed.hash h; kb = key }
+
+let visited_add visited h key =
+  match visited with
+  | Terms t -> Term.Tbl.add t h ()
+  | Compact t -> Btbl.add t { Bkey.kh = Term.Hashed.hash h; kb = key } ()
 
 (* The encoder writes into a reused per-worker scratch buffer and the
    digest is taken in place: expansion computes millions of digests per
@@ -263,38 +209,73 @@ let digest_term_into s (t : Term.t) =
   put_term s t;
   Digest.subbytes s.buf 0 s.len
 
-let digest_term t = digest_term_into (scratch_make ()) t
+(* [a] with room for index [len], grown by doubling ([x] fills). *)
+let ensure a len x =
+  if len < Array.length a then a
+  else begin
+    let b = Array.make (Int.max 16 (2 * len)) x in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
-(* A successor routed from an expanding worker to its owner shard. The
-   (ci, cj) position — source-state index in the layer, instance index
-   within that state — is the key of the deterministic merge order. *)
-type candidate = {
-  ci : int;
-  cj : int;
-  ch : Term.Hashed.t;  (* canonical successor, hash cached *)
-  cb : string;  (* spill mode: digest of the canonical term; else "" *)
+(* One worker's novel successors in a chunk, in the order it generated
+   them: (state index, instance index) order. [slots] is an
+   open-addressing index over [cands] (0 empty, else position + 1), at
+   most half full, so a successor the worker already holds is dropped
+   at once. The bookkeeping is flat arrays, a few words per successor,
+   kept for the whole call and cleared after each chunk's merge. *)
+type fresh = {
+  mutable cands : Term.Hashed.t array;
+  mutable keys : string array;  (* spill mode: digests, parallel to [cands] *)
+  mutable len : int;
+  mutable slots : int array;
+  digest : scratch;  (* spill mode: the digest encoder's buffer *)
 }
 
-let cand_compare a b =
-  let c = Int.compare a.ci b.ci in
-  if c <> 0 then c else Int.compare a.cj b.cj
+let fresh_make () =
+  {
+    cands = [||];
+    keys = [||];
+    len = 0;
+    slots = Array.make 256 0;
+    digest = scratch_make ();
+  }
 
-let shard_key c = { Bkey.kh = Term.Hashed.hash c.ch; kb = c.cb }
+let no_cand = Term.Hashed.make Term.Wild
 
-let shard_mem shard c =
-  match shard with
-  | Terms t -> Term.Tbl.mem t c.ch
-  | Compact t -> Btbl.mem t (shard_key c)
+(* Drop the chunk's successors, so a spilled chunk's terms do not
+   outlive its merge. *)
+let fresh_clear f =
+  Array.fill f.cands 0 f.len no_cand;
+  if Array.length f.keys > 0 then Array.fill f.keys 0 f.len "";
+  Array.fill f.slots 0 (Array.length f.slots) 0;
+  f.len <- 0
 
-let shard_add shard c =
-  match shard with
-  | Terms t -> Term.Tbl.replace t c.ch ()
-  | Compact t -> Btbl.replace t (shard_key c) ()
+(* The slot holding a successor equal to [h], else the free slot where
+   it belongs. *)
+let rec find_slot f h i =
+  let s = f.slots.(i) in
+  if s = 0 || Term.Hashed.equal f.cands.(s - 1) h then i
+  else find_slot f h ((i + 1) land (Array.length f.slots - 1))
 
-let shard_remove shard c =
-  match shard with
-  | Terms t -> Term.Tbl.remove t c.ch
-  | Compact t -> Btbl.remove t (shard_key c)
+let slot_of f h =
+  find_slot f h (Term.Hashed.hash h land (Array.length f.slots - 1))
+
+let fresh_push f slot h key =
+  f.cands <- ensure f.cands f.len h;
+  f.cands.(f.len) <- h;
+  if key <> "" then begin
+    f.keys <- ensure f.keys f.len key;
+    f.keys.(f.len) <- key
+  end;
+  f.len <- f.len + 1;
+  f.slots.(slot) <- f.len;
+  if 2 * f.len > Array.length f.slots then begin
+    f.slots <- Array.make (2 * Array.length f.slots) 0;
+    for k = 0 to f.len - 1 do
+      f.slots.(slot_of f f.cands.(k)) <- k + 1
+    done
+  end
 
 (* A frontier layer: resident, or a temp file of back-to-back marshal
    frames (spill mode). Zero-count layers are never written to disk. *)
@@ -308,31 +289,35 @@ let layer_free = function
   | L_mem _ -> ()
   | L_file { path; _ } -> ( try Sys.remove path with Sys_error _ -> ())
 
-let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
-    ~spill_dir ~spill_chunk ~spilled_layers ~spilled_bytes system ~init =
+let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
+    ~spill_chunk ~spilled_layers ~spilled_bytes system ~init =
   let spilling = spill_dir <> None in
   let pmap f xs =
     match pool with Some p -> Pool.map p f xs | None -> List.map f xs
   in
-  let shards =
-    Array.init d (fun _ ->
-        if spilling then Compact (Btbl.create 1024)
-        else Terms (Term.Tbl.create 1024))
+  let visited =
+    if spilling then Compact (Btbl.create 1024)
+    else Terms (Term.Tbl.create 1024)
   in
-  let owner h = Term.Hashed.hash h mod d in
-  (* Resident states share their proper subterms through one pool,
-     used only by the sequential merge ([consume_chunk]). *)
-  let interned = Term.Intern.create () in
+  (* Resident states share their proper subterms through one pool per
+     slab index, so each pool has one writer at a time. *)
+  let interned =
+    if spilling then [||] else Array.init d (fun _ -> Term.Intern.create ())
+  in
+  let fresh = Array.init d (fun _ -> fresh_make ()) in
   let init = Term.canonicalize init in
-  let init_cand =
-    if spilling then
-      { ci = 0; cj = 0; ch = Term.Hashed.make init; cb = digest_term init }
-    else { ci = 0; cj = 0; ch = Term.Intern.make interned init; cb = "" }
+  let init_key =
+    if spilling then digest_term_into fresh.(0).digest init else ""
   in
-  let init = Term.Hashed.term init_cand.ch in
-  shard_add shards.(owner init_cand.ch) init_cand;
+  let hinit =
+    if spilling then Term.Hashed.make init
+    else Term.Intern.make interned.(0) init
+  in
+  let init = Term.Hashed.term hinit in
+  visited_add visited hinit init_key;
   let visited_count = ref 1 in
-  let rev_order = ref (if spilling then [] else [ init ]) in
+  (* Resident layers, newest first: the visited order. *)
+  let layers = ref [] in
   let edge_chunks = ref [] in
   let violations = ref [] in
   let transitions = ref 0 in
@@ -347,192 +332,135 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
       match f init with
       | Ok () -> ()
       | Error message -> violations := [ { state = init; depth = 0; message } ]));
-  let make_layer accepted =
-    match spill_dir with
-    | None -> L_mem (Array.map Term.Hashed.term accepted)
-    | Some dir ->
-        if Array.length accepted = 0 then L_mem [||]
-        else begin
-          let path = Filename.temp_file ~temp_dir:dir "tr-explore-" ".layer" in
-          let oc = open_out_bin path in
-          Array.iter
-            (fun h ->
-              Marshal.to_channel oc (Term.Hashed.term h)
-                [ Marshal.No_sharing ])
-            accepted;
-          spilled_bytes := !spilled_bytes + pos_out oc;
-          close_out oc;
-          incr spilled_layers;
-          L_file { path; count = Array.length accepted }
-        end
+  let write_states oc states =
+    Array.iter (fun t -> Marshal.to_channel oc t [ Marshal.No_sharing ]) states
   in
-  (* Split [0, len) into at most [d] contiguous non-empty slabs. *)
+  let close_layer path oc count =
+    spilled_bytes := !spilled_bytes + pos_out oc;
+    close_out oc;
+    incr spilled_layers;
+    L_file { path; count }
+  in
+  let open_layer () =
+    let path =
+      Filename.temp_file ~temp_dir:(Option.get spill_dir) "tr-explore-"
+        ".layer"
+    in
+    (path, open_out_bin path)
+  in
+  (* Split [0, len) into at most [d] contiguous non-empty slabs, each
+     with its index. *)
   let slabs len =
     let k = Int.min d len in
-    List.init k (fun i -> (len * i / k, len * (i + 1) / k))
+    List.init k (fun w -> (w, len * w / k, len * (w + 1) / k))
   in
-  (* Expand one resident slice of the current layer; [base] is the global
-     layer index of [slice.(0)]. Returns per-shard fresh-candidate lists
-     (in (ci, cj) order), with fresh candidates provisionally inserted
-     into their shard. *)
-  let expand_chunk ~base (slice : Term.t array) =
-    let len = Array.length slice in
-    let results =
-      pmap
-        (fun (lo, hi) ->
-          let trans = ref 0 in
-          let rev_edges = ref [] in
-          let buckets = Array.make d [] in
-          let s = scratch_make () in
-          for i = lo to hi - 1 do
-            let state = slice.(i) in
-            let gi = base + i in
-            List.iteri
-              (fun j (rule, _subst, next) ->
-                incr trans;
-                if want_edges then
-                  rev_edges := (state, Rule.name rule, next) :: !rev_edges;
-                let ch = Term.Hashed.make next in
-                let cb = if spilling then digest_term_into s next else "" in
-                let o = owner ch in
-                buckets.(o) <- { ci = gi; cj = j; ch; cb } :: buckets.(o))
-              (System.instances system state)
-          done;
-          (!trans, List.rev !rev_edges, buckets))
-        (slabs len)
-    in
-    List.iter
-      (fun (t, edges, _) ->
-        transitions := !transitions + t;
-        if want_edges && edges <> [] then edge_chunks := edges :: !edge_chunks)
-      results;
-    (* Dedup: shard [o] drains its exchange cells in worker order (slabs
-       are contiguous, so concatenation preserves the (ci, cj) order) and
-       provisionally claims every first occurrence. Shards are disjoint
-       tables, so the jobs are data-race-free. *)
+  (* Expand one resident chunk of the current layer. Worker [w] drops a
+     successor the visited table or its own [fresh] already holds, and
+     interns a novel one through pool [w]. Nothing writes [visited]
+     until [merge], so the workers read it without locks. A worker that
+     already holds as many novel states as the cap leaves room for keeps
+     no more: each later one would be refused (at least that many
+     distinct states precede it), so it only notes the truncation. *)
+  let expand (chunk : Term.t array) =
+    let room = max_states - !visited_count in
     pmap
-      (fun o ->
-        let fresh = ref [] in
-        List.iter
-          (fun (_, _, buckets) ->
-            List.iter
-              (fun c ->
-                if not (shard_mem shards.(o) c) then begin
-                  shard_add shards.(o) c;
-                  fresh := c :: !fresh
-                end)
-              (List.rev buckets.(o)))
-          results;
-        List.rev !fresh)
-      (List.init d Fun.id)
+      (fun (w, lo, hi) ->
+        let f = fresh.(w) in
+        let full = ref false in
+        let trans = ref 0 in
+        let rev_edges = ref [] in
+        for i = lo to hi - 1 do
+          let state = chunk.(i) in
+          List.iter
+            (fun (rule, _subst, next) ->
+              incr trans;
+              if want_edges then
+                rev_edges := (state, Rule.name rule, next) :: !rev_edges;
+              let h = Term.Hashed.make next in
+              let slot = slot_of f h in
+              if f.slots.(slot) = 0 then begin
+                let key =
+                  if spilling then digest_term_into f.digest next else ""
+                in
+                if visited_mem visited h key then ()
+                else if f.len = room then full := true
+                else
+                  fresh_push f slot
+                    (if spilling then h else Term.Intern.make interned.(w) next)
+                    key
+              end)
+            (System.instances system state)
+        done;
+        (!trans, List.rev !rev_edges, !full, f))
+      (slabs (Array.length chunk))
   in
-  (* One layer: expand (possibly chunked from disk), merge each chunk's
-     per-shard fresh lists into the global (ci, cj) order, apply the
-     state cap, verify the accepted states, and stream them into the
-     next layer. Chunks are fed in ascending layer position and each
-     shard's fresh list is (ci, cj)-sorted, so merging per chunk and
-     concatenating in feed order IS the global merge — and in spill
-     mode it means a chunk's term graphs can be dropped as soon as its
-     accepted states hit the next layer's file, bounding residency at
-     O(spill_chunk) successor graphs instead of the whole layer's. *)
+  (* Walk the workers' novel successors in slab order — the global
+     (state index, instance index) order — keep the first occurrence of
+     each until the state cap, and verify the kept states. Returns them,
+     in that order. *)
+  let merge depth results =
+    let total =
+      List.fold_left (fun acc (_, _, _, f) -> acc + f.len) 0 results
+    in
+    let kept = Array.make total Term.Wild in
+    let n = ref 0 in
+    List.iter
+      (fun (t, edges, full, f) ->
+        transitions := !transitions + t;
+        if full then truncated := true;
+        if want_edges && edges <> [] then
+          edge_chunks := edges :: !edge_chunks;
+        for k = 0 to f.len - 1 do
+          let h = f.cands.(k) in
+          let key = if spilling then f.keys.(k) else "" in
+          if not (visited_mem visited h key) then
+            if !visited_count < max_states then begin
+              visited_add visited h key;
+              incr visited_count;
+              kept.(!n) <- Term.Hashed.term h;
+              incr n
+            end
+            else truncated := true
+        done;
+        fresh_clear f)
+      results;
+    let kept = if !n = total then kept else Array.sub kept 0 !n in
+    (match check with
+    | None -> ()
+    | Some f ->
+        let found =
+          pmap
+            (fun (_, lo, hi) ->
+              let out = ref [] in
+              for i = hi - 1 downto lo do
+                match f kept.(i) with
+                | Ok () -> ()
+                | Error message -> out := (i, message) :: !out
+              done;
+              !out)
+            (slabs !n)
+        in
+        List.iter
+          (List.iter (fun (i, message) ->
+               violations :=
+                 { state = kept.(i); depth = depth + 1; message }
+                 :: !violations))
+          found);
+    kept
+  in
+  (* One layer. A resident layer is one chunk. A spilled one is read back
+     [spill_chunk] states at a time, and each chunk's kept states go to
+     the next layer's file before the next chunk is read, so at most one
+     chunk's successor graphs are resident. *)
   let process_layer layer depth =
-    (* Next-layer sink: resident accumulation, or a lazily opened temp
-       file (never created when nothing gets accepted). *)
-    let next_rev = ref [] in
-    let next_count = ref 0 in
-    let sink_file = ref None in
-    let sink_oc () =
-      match !sink_file with
-      | Some (_, oc) -> oc
-      | None ->
-          let dir = Option.get spill_dir in
-          let path = Filename.temp_file ~temp_dir:dir "tr-explore-" ".layer" in
-          let oc = open_out_bin path in
-          sink_file := Some (path, oc);
-          oc
-    in
-    let budget = ref (max_states - !visited_count) in
-    let consume_chunk fresh_by_shard =
-      let merged =
-        List.fold_left
-          (fun acc fresh -> List.merge cand_compare acc fresh)
-          [] fresh_by_shard
-      in
-      let accepted_rev = ref [] in
-      let accepted_count = ref 0 in
-      List.iter
-        (fun c ->
-          if !budget > 0 then begin
-            decr budget;
-            incr accepted_count;
-            accepted_rev := c :: !accepted_rev
-          end
-          else begin
-            truncated := true;
-            shard_remove shards.(owner c.ch) c
-          end)
-        merged;
-      visited_count := !visited_count + !accepted_count;
-      let accepted = Array.of_list (List.rev !accepted_rev) in
-      (* A resident state is kept interned. [shard_add] replaces the
-         shard's key with the interned copy, so the rewritten graph the
-         candidate carried is not retained. *)
-      let accepted =
-        if spilling then Array.map (fun c -> c.ch) accepted
-        else
-          Array.map
-            (fun c ->
-              let ch = Term.Intern.make interned (Term.Hashed.term c.ch) in
-              shard_add shards.(owner ch) { c with ch };
-              ch)
-            accepted
-      in
-      let n = Array.length accepted in
-      (match check with
-      | None -> ()
-      | Some f ->
-          if n > 0 then begin
-            let found =
-              pmap
-                (fun (lo, hi) ->
-                  let out = ref [] in
-                  for i = hi - 1 downto lo do
-                    match f (Term.Hashed.term accepted.(i)) with
-                    | Ok () -> ()
-                    | Error message -> out := (i, message) :: !out
-                  done;
-                  !out)
-                (slabs n)
-            in
-            List.iter
-              (List.iter (fun (i, message) ->
-                   violations :=
-                     {
-                       state = Term.Hashed.term accepted.(i);
-                       depth = depth + 1;
-                       message;
-                     }
-                     :: !violations))
-              found
-          end);
-      if spilling then
-        Array.iter
-          (fun h ->
-            Marshal.to_channel (sink_oc ()) (Term.Hashed.term h)
-              [ Marshal.No_sharing ])
-          accepted
-      else
-        Array.iter
-          (fun h ->
-            next_rev := h :: !next_rev;
-            rev_order := Term.Hashed.term h :: !rev_order)
-          accepted;
-      next_count := !next_count + n
-    in
-    let feed base slice = consume_chunk (expand_chunk ~base slice) in
-    (match layer with
-    | L_mem arr -> if Array.length arr > 0 then feed 0 arr
+    match layer with
+    | L_mem states ->
+        let next = merge depth (expand states) in
+        layers := next :: !layers;
+        L_mem next
     | L_file { path; count } ->
+        let sink = ref None in
+        let next_count = ref 0 in
         let ic = open_in_bin path in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
@@ -540,24 +468,21 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
             let base = ref 0 in
             while !base < count do
               let k = Int.min spill_chunk (count - !base) in
-              let slice =
+              let chunk =
                 Array.init k (fun _ -> (Marshal.from_channel ic : Term.t))
               in
-              feed !base slice;
+              let next = merge depth (expand chunk) in
+              if Array.length next > 0 then begin
+                if Option.is_none !sink then sink := Some (open_layer ());
+                write_states (snd (Option.get !sink)) next;
+                next_count := !next_count + Array.length next
+              end;
               base := !base + k
             done);
-        layer_free layer);
-    if spilling then
-      match !sink_file with
-      | None -> L_mem [||]
-      | Some (path, oc) ->
-          spilled_bytes := !spilled_bytes + pos_out oc;
-          close_out oc;
-          incr spilled_layers;
-          L_file { path; count = !next_count }
-    else
-      L_mem
-        (Array.of_list (List.rev_map (fun h -> Term.Hashed.term h) !next_rev))
+        layer_free layer;
+        (match !sink with
+        | None -> L_mem [||]
+        | Some (path, oc) -> close_layer path oc !next_count)
   in
   let rec rounds layer depth =
     if layer_count layer = 0 then layer_free layer
@@ -570,8 +495,22 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
       end
     end
   in
-  rounds (make_layer [| init_cand.ch |]) 0;
-  ( List.rev !rev_order,
+  let first =
+    if spilling then begin
+      let path, oc = open_layer () in
+      write_states oc [| init |];
+      close_layer path oc 1
+    end
+    else begin
+      let first = [| init |] in
+      layers := [ first ];
+      L_mem first
+    end
+  in
+  rounds first 0;
+  ( List.fold_left
+      (fun acc layer -> Array.fold_right List.cons layer acc)
+      [] !layers,
     List.concat (List.rev !edge_chunks),
     {
       states = !visited_count;
@@ -580,8 +519,6 @@ let explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains:d
       truncated = !truncated;
     },
     List.rev !violations )
-
-(* ---------------- dispatch ---------------- *)
 
 let explore ?(max_states = default_max_states) ?max_depth ?check
     ?(want_edges = false) ?pool ?domains ?spill_dir ?(spill_chunk = 8192)
@@ -594,13 +531,20 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
     | None -> ( match pool with Some p -> Pool.domains p | None -> 1)
   in
   if max_states < 1 then invalid_arg "Explore.explore: max_states < 1";
+  (match max_depth with
+  | Some dm when dm < 0 -> invalid_arg "Explore.explore: max_depth < 0"
+  | _ -> ());
   if spill_chunk < 1 then invalid_arg "Explore.explore: spill_chunk < 1";
   if spill_dir <> None && want_edges then
     invalid_arg "Explore.explore: want_edges is unavailable in spill mode";
   let t0 = Unix.gettimeofday () in
   let spilled_layers = ref 0 in
   let spilled_bytes = ref 0 in
-  let finish (visited_order, edge_list, stats, violations) =
+  let go pool =
+    let visited_order, edge_list, stats, violations =
+      run ~max_states ~max_depth ~check ~want_edges ~pool ~domains ~spill_dir
+        ~spill_chunk ~spilled_layers ~spilled_bytes system ~init
+    in
     let wall_s = Unix.gettimeofday () -. t0 in
     {
       visited_order;
@@ -619,17 +563,10 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
         };
     }
   in
-  let par pool =
-    explore_par ~max_states ?max_depth ~check ~want_edges ~pool ~domains
-      ~spill_dir ~spill_chunk ~spilled_layers ~spilled_bytes system ~init
-  in
-  match (spill_dir, domains, pool) with
-  | None, 1, _ ->
-      finish (explore_seq ~max_states ?max_depth ~check ~want_edges system ~init)
-  | _, _, Some p -> finish (par (Some p))
-  | _, d, None when d > 1 ->
-      Pool.with_pool ~domains:d (fun p -> finish (par (Some p)))
-  | _, _, None -> finish (par None)
+  match pool with
+  | Some _ -> go pool
+  | None when domains > 1 -> Pool.with_pool ~domains (fun p -> go (Some p))
+  | None -> go None
 
 let bfs ?max_states ?max_depth ?check ?pool ?domains ?spill_dir system ~init =
   let outcome =

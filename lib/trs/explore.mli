@@ -5,17 +5,16 @@
     an invariant (e.g. the prefix property) on each, or collect the full
     transition relation for refinement checking.
 
-    Two engines live behind one interface. With one domain and no spill
-    directory the original sequential BFS runs. Otherwise a sharded
-    layer-synchronous engine partitions the visited set across [domains]
-    shards by cached structural hash and expands each BFS layer in
-    parallel on [Tr_sim.Pool] domains — with a merge order chosen so the
-    visited order, stats, rule counts, edge list and violation list are
-    identical to the sequential engine for {e every} domain count. A
-    spill mode streams frontier layers through temp files chunk by
-    chunk and stores visited keys as 16-byte digests of the canonical
-    form (hash compaction; collision odds ~1e-25 at 10^6 states),
-    bounding resident memory for explorations of millions of states. *)
+    One layer-synchronous engine serves every domain count: each BFS
+    layer is expanded in contiguous slabs on [Tr_sim.Pool] domains, a
+    worker drops a duplicate successor as soon as it generates it, and
+    the kept states are merged in an order chosen so the visited order,
+    stats, rule counts, edge list and violation list are identical for
+    {e every} domain count. A spill mode streams frontier layers
+    through temp files chunk by chunk and stores visited keys as
+    16-byte digests of the canonical form (hash compaction; collision
+    odds ~1e-25 at 10^6 states), bounding resident memory for
+    explorations of millions of states. *)
 
 type stats = {
   states : int;  (** Distinct states visited. *)
@@ -64,16 +63,18 @@ val explore :
   outcome
 (** Explore from [init] (canonicalized). Defaults: [max_states =
     100_000], [max_depth] unbounded, [check] absent, [want_edges] false.
+    [max_states < 1], [max_depth < 0], [domains < 1] and
+    [spill_chunk < 1] raise [Invalid_argument].
 
     Parallelism: [pool] lends an existing domain pool; [domains]
-    overrides the shard/worker count (defaulting to the pool's size, or
-    1). [domains > 1] without a pool spins up a private pool for the
-    call. Results are deterministic and identical across all settings.
+    overrides the worker count (defaulting to the pool's size, or 1).
+    [domains > 1] without a pool spins up a private pool for the call.
+    Results are deterministic and identical across all settings.
 
     Memory bounding: [spill_dir] switches to spill mode — frontier
     layers are written to temp files under that directory (removed as
     they are consumed) and read back [spill_chunk] states at a time
-    (default 8192); the visited shards keep only per-state digests, and
+    (default 8192); the visited table keeps only per-state digests, and
     [visited_order] comes back empty. [want_edges] in spill mode raises
     [Invalid_argument]: retaining the edge terms would defeat the point.
 

@@ -529,11 +529,13 @@ let test_verify_facade () =
           c.detail)
     liveness
 
-(* ---------------- parallel/sequential exploration parity ---------------- *)
+(* ---------------- exploration parity across domain counts ---------------- *)
 
-(* The sharded layer-synchronous engine must be observationally identical
-   to the sequential BFS for every domain count: same visited states in
-   the same order, same stats, same rule counts, same violations. *)
+(* The explorer's output must not depend on the domain count: same
+   visited states in the same order, same stats, same rule counts, same
+   edges, same violations. Each system's output is pinned by digests
+   recorded from the sequential engine the explorer once had beside the
+   sharded one, and every domain count must reproduce them. *)
 
 let parity_systems =
   [
@@ -567,135 +569,175 @@ let parity_systems =
       Prefix.check_binsearch );
   ]
 
-let check_outcome_equal label (a : Explore.outcome) (b : Explore.outcome) =
-  Alcotest.(check int) (label ^ ": states") a.Explore.stats.Explore.states
-    b.Explore.stats.Explore.states;
-  Alcotest.(check int)
-    (label ^ ": transitions")
-    a.Explore.stats.Explore.transitions b.Explore.stats.Explore.transitions;
-  Alcotest.(check int) (label ^ ": max_depth") a.Explore.stats.Explore.max_depth
-    b.Explore.stats.Explore.max_depth;
-  Alcotest.(check bool) (label ^ ": truncated")
-    a.Explore.stats.Explore.truncated b.Explore.stats.Explore.truncated;
-  Alcotest.(check (list term))
-    (label ^ ": visited order") a.Explore.visited_order b.Explore.visited_order;
-  Alcotest.(check int)
-    (label ^ ": edge count")
-    (List.length a.Explore.edge_list)
-    (List.length b.Explore.edge_list);
-  List.iter2
-    (fun (s1, r1, t1) (s2, r2, t2) ->
-      Alcotest.(check string) (label ^ ": edge rule") r1 r2;
-      Alcotest.(check term) (label ^ ": edge src") s1 s2;
-      Alcotest.(check term) (label ^ ": edge dst") t1 t2)
-    a.Explore.edge_list b.Explore.edge_list;
-  Alcotest.(check int)
-    (label ^ ": violation count")
-    (List.length a.Explore.violations)
-    (List.length b.Explore.violations);
-  List.iter2
-    (fun (v1 : Explore.violation) (v2 : Explore.violation) ->
-      Alcotest.(check term) (label ^ ": violation state") v1.Explore.state
-        v2.Explore.state;
-      Alcotest.(check int) (label ^ ": violation depth") v1.Explore.depth
-        v2.Explore.depth;
-      Alcotest.(check string)
-        (label ^ ": violation message")
-        v1.Explore.message v2.Explore.message)
-    a.Explore.violations b.Explore.violations
+type reference = {
+  name : string;
+  cap700 : string;
+  cap3000 : string;
+  depth4 : string;  (** max_depth 4, no state cap *)
+  counts1200 : string;  (** rule counts at cap 1200 *)
+  spill1500 : string;  (** stats and violation positions at cap 1500 *)
+}
+
+let references =
+  [
+    { name = "S";
+      cap700 = "b72fab3c35c40c2cf4baa187f3ee98b0";
+      cap3000 = "b72fab3c35c40c2cf4baa187f3ee98b0";
+      depth4 = "14f0606a3f53fc3e9b184db78f0cc8cc";
+      counts1200 = "b985e2813f7811e996f5710834c07960";
+      spill1500 = "12cacad96c1f0a3f754b8ccb4dfcdb42";
+    };
+    { name = "S1";
+      cap700 = "db1aefa1d318383e1bef1f7efff70ff9";
+      cap3000 = "db1aefa1d318383e1bef1f7efff70ff9";
+      depth4 = "53cd63b255ca1db6ce1c289b888d5da3";
+      counts1200 = "fdd0ed21093ef91453ee1185920676fc";
+      spill1500 = "5b5c1c2a933b99566d949fea53d562d0";
+    };
+    { name = "Token";
+      cap700 = "6f6f4229c14fd89d604eb6711eb8e24e";
+      cap3000 = "6f6f4229c14fd89d604eb6711eb8e24e";
+      depth4 = "cd2eba0c8c19abb94208726f977091dc";
+      counts1200 = "0173304b8cec58c309e3298558b58221";
+      spill1500 = "bd477231b6b645fb98d4d27ab2360631";
+    };
+    { name = "MsgPass";
+      cap700 = "449b6c1edea3015d804e47a8bd139d18";
+      cap3000 = "449b6c1edea3015d804e47a8bd139d18";
+      depth4 = "e2ca69b5974dd123848dee0497fdd4a5";
+      counts1200 = "ad8a9f324326802a436b1f05d6db4fe5";
+      spill1500 = "21cae7ea6bb3c16914f7fa24d773eff6";
+    };
+    { name = "MsgPass+faults";
+      cap700 = "c09cc02e3991e5f5f3b9dc529f639a14";
+      cap3000 = "6d355711ae03df812a9b4a6a45ea250d";
+      depth4 = "e38155cf86477c8ae39676b5d1ebf95d";
+      counts1200 = "5f181ded5b916aab59deaa1ccc460c7d";
+      spill1500 = "91f0a18a9ec0b4286bb9b1d6f88bd18a";
+    };
+    { name = "Search";
+      cap700 = "3e11c6c02f25e5728132f7062f5aa78d";
+      cap3000 = "c5fb623102d4e9e45ac2537262086d65";
+      depth4 = "e039e2c964eaec6ef0412c91d6be7ce4";
+      counts1200 = "6145cf7797854e94eb3482c56f0284c2";
+      spill1500 = "a0da436b521e1ac6f1ef2dd829a4bf63";
+    };
+    { name = "BinSearch";
+      cap700 = "4bdc1849cc7befefe8a43209de63e2f1";
+      cap3000 = "1c29fc0d159bf3e4c125e88966d98be1";
+      depth4 = "eb37446221a7cd79c4ebe7952e65c1a8";
+      counts1200 = "eb42db027a567454e6e026ea12e49aec";
+      spill1500 = "dae11eabf3dbab6b776b19c238458ffa";
+    };
+  ]
+
+let reference name = List.find (fun r -> String.equal r.name name) references
+let domain_counts = [ 1; 2; 4 ]
+
+let add_stats b (s : Explore.stats) =
+  Printf.bprintf b "states %d transitions %d max_depth %d truncated %b\n"
+    s.Explore.states s.Explore.transitions s.Explore.max_depth
+    s.Explore.truncated
+
+let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Stats, visited order, edges and violations, terms printed. *)
+let outcome_digest (o : Explore.outcome) =
+  let b = Buffer.create 65536 in
+  add_stats b o.Explore.stats;
+  List.iter
+    (fun t -> Printf.bprintf b "%s\n" (Term.to_string t))
+    o.Explore.visited_order;
+  List.iter
+    (fun (s, r, t) ->
+      Printf.bprintf b "%s -%s-> %s\n" (Term.to_string s) r (Term.to_string t))
+    o.Explore.edge_list;
+  List.iter
+    (fun (v : Explore.violation) ->
+      Printf.bprintf b "%d %s %s\n" v.Explore.depth v.Explore.message
+        (Term.to_string v.Explore.state))
+    o.Explore.violations;
+  md5 b
+
+(* What spill mode reports: stats and violation positions. *)
+let summary_digest (o : Explore.outcome) =
+  let b = Buffer.create 1024 in
+  add_stats b o.Explore.stats;
+  List.iter
+    (fun (v : Explore.violation) ->
+      Printf.bprintf b "%d %s\n" v.Explore.depth v.Explore.message)
+    o.Explore.violations;
+  md5 b
+
+let counts_digest counts =
+  let b = Buffer.create 256 in
+  List.iter (fun (r, c) -> Printf.bprintf b "%s %d\n" r c) counts;
+  md5 b
+
+(* Every (system, domain count) pair against its recorded digest. *)
+let check_digests what digest want =
+  List.iter
+    (fun (name, system, init, checker) ->
+      List.iter
+        (fun domains ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s D=%d" name what domains)
+            (want (reference name))
+            (digest ~domains ~system ~init ~checker))
+        domain_counts)
+    parity_systems
 
 (* Caps chosen to also exercise mid-layer truncation (the 700 cap cuts a
    BFS layer of the bigger systems in half). *)
 let test_parity_all_systems () =
   List.iter
-    (fun (name, system, init, checker) ->
-      List.iter
-        (fun max_states ->
-          let seq =
-            Explore.explore ~max_states ~check:checker ~want_edges:true system
-              ~init
-          in
-          List.iter
-            (fun domains ->
-              let par =
-                Explore.explore ~max_states ~check:checker ~want_edges:true
-                  ~domains system ~init
-              in
-              check_outcome_equal
-                (Printf.sprintf "%s cap=%d D=%d" name max_states domains)
-                seq par)
-            [ 1; 2; 4 ])
-        [ 700; 3000 ])
-    parity_systems
+    (fun (max_states, want) ->
+      check_digests
+        (Printf.sprintf "cap=%d" max_states)
+        (fun ~domains ~system ~init ~checker ->
+          outcome_digest
+            (Explore.explore ~max_states ~check:checker ~want_edges:true
+               ~domains system ~init))
+        want)
+    [ (700, fun r -> r.cap700); (3000, fun r -> r.cap3000) ]
 
 let test_parity_rule_counts () =
-  List.iter
-    (fun (name, system, init, _) ->
-      let seq = Explore.rule_counts ~max_states:1200 system ~init in
-      let par = Explore.rule_counts ~max_states:1200 ~domains:3 system ~init in
-      Alcotest.(check (list (pair string int))) (name ^ ": rule counts") seq par)
-    parity_systems
+  check_digests "rule counts"
+    (fun ~domains ~system ~init ~checker:_ ->
+      counts_digest (Explore.rule_counts ~max_states:1200 ~domains system ~init))
+    (fun r -> r.counts1200)
 
 let test_parity_max_depth () =
-  List.iter
-    (fun (name, system, init, checker) ->
-      let seq =
-        Explore.explore ~max_depth:4 ~check:checker ~want_edges:true system
-          ~init
-      in
-      let par =
-        Explore.explore ~max_depth:4 ~check:checker ~want_edges:true ~domains:2
-          system ~init
-      in
-      check_outcome_equal (name ^ " depth=4") seq par)
-    parity_systems
+  check_digests "depth=4"
+    (fun ~domains ~system ~init ~checker ->
+      outcome_digest
+        (Explore.explore ~max_depth:4 ~check:checker ~want_edges:true ~domains
+           system ~init))
+    (fun r -> r.depth4)
 
-(* Spill mode retains no terms, so parity covers stats + violation
-   positions (depth/message) — the visited {e set} equality is implied by
+(* Spill mode retains no terms, so it is pinned on stats and violation
+   positions (depth/message): the visited {e set} equality is implied by
    states/transitions/max_depth equality layer by layer. *)
 let test_parity_spill () =
   let dir = Filename.get_temp_dir_name () in
-  List.iter
-    (fun (name, system, init, checker) ->
-      let seq = Explore.explore ~max_states:1500 ~check:checker system ~init in
-      let spill =
-        Explore.explore ~max_states:1500 ~check:checker ~domains:2
-          ~spill_dir:dir ~spill_chunk:64 system ~init
+  check_digests "spill"
+    (fun ~domains ~system ~init ~checker ->
+      let o =
+        Explore.explore ~max_states:1500 ~check:checker ~domains ~spill_dir:dir
+          ~spill_chunk:64 system ~init
       in
-      Alcotest.(check int) (name ^ ": states") seq.Explore.stats.Explore.states
-        spill.Explore.stats.Explore.states;
-      Alcotest.(check int)
-        (name ^ ": transitions")
-        seq.Explore.stats.Explore.transitions
-        spill.Explore.stats.Explore.transitions;
-      Alcotest.(check int) (name ^ ": max_depth")
-        seq.Explore.stats.Explore.max_depth
-        spill.Explore.stats.Explore.max_depth;
-      Alcotest.(check bool) (name ^ ": truncated")
-        seq.Explore.stats.Explore.truncated
-        spill.Explore.stats.Explore.truncated;
-      Alcotest.(check int)
-        (name ^ ": violations")
-        (List.length seq.Explore.violations)
-        (List.length spill.Explore.violations);
-      List.iter2
-        (fun (v1 : Explore.violation) (v2 : Explore.violation) ->
-          Alcotest.(check int) (name ^ ": violation depth") v1.Explore.depth
-            v2.Explore.depth;
-          Alcotest.(check string)
-            (name ^ ": violation message")
-            v1.Explore.message v2.Explore.message)
-        seq.Explore.violations spill.Explore.violations;
-      Alcotest.(check (list term)) (name ^ ": spill retains no terms") []
-        spill.Explore.visited_order)
-    parity_systems
+      Alcotest.(check (list term)) "spill retains no terms" []
+        o.Explore.visited_order;
+      summary_digest o)
+    (fun r -> r.spill1500)
 
 (* Explored states share their proper subterms: at 20,000 BinarySearch
    states the visited list, cons cells included, stays within 32 words a
    state at D = 1 and D = 2. Unshared, each state holds the bag spines
-   its rewrite built, about 73 words. The two shards run on a one-domain
-   pool: the merge that interns is the same, and the test leaves the
-   second CPU to the wall-clock tests that run beside it. *)
+   its rewrite built, about 73 words. The two workers run on a
+   one-domain pool: each still interns through its own slab's pool, and
+   the test leaves the second CPU to the wall-clock tests that run
+   beside it. *)
 let test_parity_shared_states () =
   let system = System_binsearch.system ~n:3
   and init = System_binsearch.initial ~n:3 ~data_budget:1 in
@@ -712,9 +754,32 @@ let test_parity_shared_states () =
           per_state)
     [ 1; 2 ]
 
+(* A worker drops a duplicate successor as soon as it generates it, so
+   a layer promotes little more than the states it keeps. At 20,000
+   BinarySearch states the explorer promotes at most 62 words a state at
+   D = 1 and D = 2; the sequential engine it replaced read 61.7 here,
+   and buffering every successor until a dedup pass promoted about 440.
+   One-domain pool, as above. *)
+let test_parity_promoted_words () =
+  let system = System_binsearch.system ~n:3
+  and init = System_binsearch.initial ~n:3 ~data_budget:1 in
+  let states = 20_000 in
+  Tr_sim.Pool.with_pool ~domains:1 @@ fun pool ->
+  List.iter
+    (fun domains ->
+      let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+      let before = promoted () in
+      let o = Explore.explore ~max_states:states ~domains ~pool system ~init in
+      let per_state = (promoted () -. before) /. float_of_int states in
+      Alcotest.(check int) "states" states o.Explore.stats.Explore.states;
+      if per_state > 62.0 then
+        Alcotest.failf "D=%d: %.1f words promoted per state (bound 62)" domains
+          per_state)
+    [ 1; 2 ]
+
 (* Rule order determines candidate order inside a state's expansion; the
-   engines must agree for {e any} declaration order, not just the shipped
-   one. *)
+   output must not depend on the domain count for {e any} declaration
+   order, not just the shipped one. *)
 let test_parity_random_rule_orders =
   let arbitrary_perm =
     QCheck.make
@@ -749,18 +814,15 @@ let test_parity_random_rule_orders =
         System.make ~name:"shuffled"
           ~rules:(List.map (List.nth rules) perm)
       in
-      let seq =
+      let run domains =
         Explore.explore ~max_states:600 ~check:checker ~want_edges:true
-          shuffled ~init
+          ~domains shuffled ~init
       in
-      let par =
-        Explore.explore ~max_states:600 ~check:checker ~want_edges:true
-          ~domains:3 shuffled ~init
-      in
-      seq.Explore.visited_order = par.Explore.visited_order
-      && seq.Explore.stats = par.Explore.stats
-      && seq.Explore.edge_list = par.Explore.edge_list
-      && seq.Explore.violations = par.Explore.violations)
+      let one = run 1 and three = run 3 in
+      one.Explore.visited_order = three.Explore.visited_order
+      && one.Explore.stats = three.Explore.stats
+      && one.Explore.edge_list = three.Explore.edge_list
+      && one.Explore.violations = three.Explore.violations)
 
 (* ---------------- fault transitions ---------------- *)
 
@@ -898,6 +960,8 @@ let () =
           Alcotest.test_case "spill mode" `Quick test_parity_spill;
           Alcotest.test_case "states share subterms" `Quick
             test_parity_shared_states;
+          Alcotest.test_case "promoted words per state" `Quick
+            test_parity_promoted_words;
           QCheck_alcotest.to_alcotest test_parity_random_rule_orders;
         ] );
       ( "faults",

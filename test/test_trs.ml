@@ -522,13 +522,13 @@ let test_explore_rule_counts_sorted () =
 
 let test_explore_shared_pool () =
   (* A caller-supplied pool is borrowed, not consumed: several
-     explorations can share it, and results match the sequential run. *)
+     explorations can share it, and results match a one-domain run. *)
   Tr_sim.Pool.with_pool ~domains:2 (fun pool ->
       let a = Explore.explore ~pool counter_system ~init:(Term.Int 0) in
       let b = Explore.explore ~pool counter_system ~init:(Term.Int 1) in
-      let seq = Explore.explore counter_system ~init:(Term.Int 0) in
+      let one = Explore.explore counter_system ~init:(Term.Int 0) in
       Alcotest.(check int) "domains recorded" 2 a.Explore.perf.Explore.domains_used;
-      Alcotest.(check (list term)) "same order" seq.Explore.visited_order
+      Alcotest.(check (list term)) "same order" one.Explore.visited_order
         a.Explore.visited_order;
       Alcotest.(check int) "second exploration" 4 b.Explore.stats.Explore.states)
 
@@ -581,7 +581,14 @@ let test_explore_invalid_args () =
         true
         (raises (fun () ->
              Explore.explore ~max_states counter_system ~init:(Term.Int 0))))
-    [ 0; -5 ]
+    [ 0; -5 ];
+  List.iter
+    (fun spill_dir ->
+      Alcotest.(check bool) "max_depth < 0 rejected" true
+        (raises (fun () ->
+             Explore.explore ~max_depth:(-3) ?spill_dir counter_system
+               ~init:(Term.Int 0))))
+    [ None; Some (Filename.get_temp_dir_name ()) ]
 
 (* ---------------- Parse ---------------- *)
 
