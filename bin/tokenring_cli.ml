@@ -31,9 +31,15 @@ let serves = opt_arg Arg.int 1000 [ "serves" ] "K" "Stop after K served requests
 let quick = flag_arg [ "quick" ] "Smaller sweeps (for smoke runs)."
 
 let jobs =
-  opt_arg Arg.int 0 [ "j"; "jobs" ] "J"
-    "Domains for parallel sweeps (default: all cores). Results are \
-     byte-identical to -j 1 — seeded determinism survives parallelism."
+  let valid j =
+    if j < 0 then die "--jobs must be at least 0, got %d" j;
+    j
+  in
+  Term.(
+    const valid
+    $ opt_arg Arg.int 0 [ "j"; "jobs" ] "J"
+        "Domains for parallel sweeps (default: all cores). Results are \
+         byte-identical to -j 1 — seeded determinism survives parallelism.")
 
 let json = flag_arg [ "json" ]
 let json_line = json "Emit a JSON result line."
@@ -42,7 +48,7 @@ let quiet = flag_arg [ "quiet" ] "No periodic reports."
 (* [0] (the default) means "all cores". A pool of 1 domain is just the
    calling domain, so only J >= 2 spawns anything. *)
 let with_jobs jobs f =
-  let domains = if jobs <= 0 then Tr_sim.Pool.default_domains () else jobs in
+  let domains = if jobs = 0 then Tr_sim.Pool.default_domains () else jobs in
   if domains <= 1 then f None
   else Tr_sim.Pool.with_pool ~domains (fun pool -> f (Some pool))
 
@@ -370,7 +376,7 @@ let spec_cmd =
 
 let explore_cmd =
   let run { name; n; budget; system; init; check } max_states max_depth jobs
-      spill json =
+      json =
     if max_states < 1 then
       die "--max-states must be at least 1, got %d" max_states;
     Option.iter
@@ -378,28 +384,25 @@ let explore_cmd =
       max_depth;
     let { Tr_trs.Explore.stats = s; perf = p; violations; _ } =
       with_jobs jobs (fun pool ->
-          Tr_trs.Explore.explore ~max_states ?max_depth ~check ?pool
-            ?spill_dir:spill system ~init)
+          Tr_trs.Explore.explore ~max_states ?max_depth ~check ?pool system
+            ~init)
     in
     let nviolations = List.length violations in
     (* perf goes to stderr: stdout is deterministic across domain
        counts and runs, so CI can diff -j 1 against -j 2 output. *)
     Format.eprintf
-      "explore: %.2f s, %.0f states/s, %d domain%s, peak RSS %d kB, %d \
-       spilled layers (%d bytes)@."
+      "explore: %.2f s, %.0f states/s, %d domain%s, peak RSS %d kB@."
       p.wall_s p.states_per_s p.domains_used
       (if p.domains_used = 1 then "" else "s")
-      p.peak_rss_kb p.spilled_layers p.spilled_bytes;
+      p.peak_rss_kb;
     if json then
       Format.printf
         "{\"system\": \"%s\", \"n\": %d, \"budget\": %d, \"states\": %d, \
          \"transitions\": %d, \"max_depth\": %d, \"truncated\": %b, \
          \"violations\": %d, \"wall_s\": %.4f, \"states_per_s\": %.0f, \
-         \"domains\": %d, \"peak_rss_kb\": %d, \"spilled_layers\": %d, \
-         \"spilled_bytes\": %d}@."
+         \"domains\": %d, \"peak_rss_kb\": %d}@."
         name n budget s.states s.transitions s.max_depth s.truncated
         nviolations p.wall_s p.states_per_s p.domains_used p.peak_rss_kb
-        p.spilled_layers p.spilled_bytes
     else begin
       Format.printf "system: %s@.states: %d@.transitions: %d@.max-depth: \
                      %d@.truncated: %b@.violations: %d@."
@@ -417,18 +420,13 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Exhaustively explore a system's state space, checking the prefix \
-          property on every state (parallel with -j, memory-bounded with \
-          --spill)")
+          property on every state (parallel with -j)")
     Term.(
       const run
       $ spec_instance ~default:"msgpass"
       $ opt_arg Arg.int 100_000 [ "max-states" ] "M" "Visited-state cap."
       $ opt_arg Arg.(some int) None [ "max-depth" ] "D" "BFS depth bound."
       $ jobs
-      $ opt_arg Arg.(some string) None [ "spill" ] "DIR"
-          "Spill frontier layers to temp files under $(docv) and keep only \
-           marshalled visited keys in memory (bounds RSS; forgoes the \
-           in-memory visited order)."
       $ json "Emit stats+perf as JSON.")
 
 (* ---------------- trace ---------------- *)

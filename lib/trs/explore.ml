@@ -5,21 +5,15 @@
    domains; worker [w] expands a contiguous slab of the layer. Nothing
    writes the visited table while a layer expands, so the workers probe
    it without locks, and a worker drops a successor as soon as it
-   generates it if the table or the worker's own chunk buffer already
-   holds it. The merge then walks the workers' novel successors in slab
+   generates it if the table or the worker's own buffer already holds
+   it. The merge then walks the workers' novel successors in slab
    order, which is (state index, instance index) order, drops those an
    earlier worker found first, applies the [max_states] cap and inserts
    the rest. So the visited order, stats, rule counts, edge list and
    violation list are the same for every domain count.
 
-   A spill mode bounds resident memory for explorations far past the
-   in-memory comfort zone: frontier layers are streamed to temp files as
-   back-to-back [Marshal] frames and read back chunk-by-chunk, and the
-   visited table stores only a 16-byte digest of the marshalled canonical
-   bytes per state (hash compaction — see [Bkey] below for the collision
-   arithmetic), so no term graphs survive a round.
-
-   Outside spill mode a worker interns each novel successor through the
+   Every layer is one resident array, and the visited table holds the
+   states themselves. A worker interns each novel successor through the
    [Term.Intern] pool of its slab index, kept for the whole call, so the
    retained states share their proper subterms instead of each holding
    the bag spines the rewrite built for it. *)
@@ -31,9 +25,6 @@ module Pool = Tr_sim.Pool
    comparison plus, on collision, one structural equality, instead of the
    O(log n) full-term comparisons a [Set.Make(Term)] pays per step. *)
 type hset = unit Term.Tbl.t
-
-let hset_mem (set : hset) h = Term.Tbl.mem set h
-let hset_add (set : hset) h = Term.Tbl.replace set h ()
 
 type stats = {
   states : int;
@@ -49,8 +40,6 @@ type perf = {
   states_per_s : float;
   domains_used : int;
   peak_rss_kb : int;
-  spilled_layers : int;
-  spilled_bytes : int;
 }
 
 type outcome = {
@@ -108,107 +97,6 @@ let reset_peak_rss () =
 
 let default_max_states = 100_000
 
-(* Spill-mode visited tables key on a 16-byte digest of the canonical
-   term plus its structural hash: flat fixed-size strings, no retained
-   term graphs. The digest is taken over an injective flat encoding
-   (tag byte per constructor, length-prefixed strings and lists,
-   fixed-width ints), so digest equality coincides with structural
-   equality up to digest collisions — hash compaction in the
-   model-checking sense, with a collision probability around 1e-25 at
-   10^6 states (128-bit digests), far below any hardware error rate. *)
-module Bkey = struct
-  type t = { kh : int; kb : string }
-
-  let equal a b = a.kh = b.kh && String.equal a.kb b.kb
-  let hash k = k.kh
-end
-
-module Btbl = Hashtbl.Make (Bkey)
-
-type visited = Terms of hset | Compact of unit Btbl.t
-
-(* [key] is the state's digest in spill mode and [""] otherwise. *)
-let visited_mem visited h key =
-  match visited with
-  | Terms t -> Term.Tbl.mem t h
-  | Compact t -> Btbl.mem t { Bkey.kh = Term.Hashed.hash h; kb = key }
-
-let visited_add visited h key =
-  match visited with
-  | Terms t -> Term.Tbl.add t h ()
-  | Compact t -> Btbl.add t { Bkey.kh = Term.Hashed.hash h; kb = key } ()
-
-(* The encoder writes into a reused per-worker scratch buffer and the
-   digest is taken in place: expansion computes millions of digests per
-   run, and going through [Marshal.to_string] allocated a fresh
-   unshared-size buffer for each — enough transient garbage to balloon
-   the heap past the in-memory engine's and defeat spill mode's
-   purpose. *)
-type scratch = { mutable buf : Bytes.t; mutable len : int }
-
-let scratch_make () = { buf = Bytes.create 4096; len = 0 }
-
-let scratch_reserve s n =
-  let need = s.len + n in
-  if need > Bytes.length s.buf then begin
-    let cap = ref (Bytes.length s.buf * 2) in
-    while need > !cap do
-      cap := !cap * 2
-    done;
-    let b = Bytes.create !cap in
-    Bytes.blit s.buf 0 b 0 s.len;
-    s.buf <- b
-  end
-
-let put_byte s v =
-  scratch_reserve s 1;
-  Bytes.unsafe_set s.buf s.len (Char.unsafe_chr v);
-  s.len <- s.len + 1
-
-let put_int s v =
-  scratch_reserve s 8;
-  Bytes.set_int64_le s.buf s.len (Int64.of_int v);
-  s.len <- s.len + 8
-
-let put_string s str =
-  let n = String.length str in
-  put_int s n;
-  scratch_reserve s n;
-  Bytes.blit_string str 0 s.buf s.len n;
-  s.len <- s.len + n
-
-let rec put_term s (t : Term.t) =
-  match t with
-  | Term.Const c ->
-      put_byte s 0;
-      put_string s c
-  | Term.Int i ->
-      put_byte s 1;
-      put_int s i
-  | Term.Var v ->
-      put_byte s 2;
-      put_string s v
-  | Term.Wild -> put_byte s 3
-  | Term.App (f, xs) ->
-      put_byte s 4;
-      put_string s f;
-      put_list s xs
-  | Term.Bag xs ->
-      put_byte s 5;
-      put_list s xs
-  | Term.Seq xs ->
-      put_byte s 6;
-      put_list s xs
-
-and put_list s xs =
-  put_int s (List.length xs);
-  List.iter (put_term s) xs
-
-let digest_term_into s (t : Term.t) =
-  s.len <- 0;
-  put_term s t;
-  Digest.subbytes s.buf 0 s.len
-
 (* [a] with room for index [len], grown by doubling ([x] fills). *)
 let ensure a len x =
   if len < Array.length a then a
@@ -218,36 +106,27 @@ let ensure a len x =
     b
   end
 
-(* One worker's novel successors in a chunk, in the order it generated
+(* One worker's novel successors in a layer, in the order it generated
    them: (state index, instance index) order. [slots] is an
    open-addressing index over [cands] (0 empty, else position + 1), at
    most half full, so a successor the worker already holds is dropped
    at once. The bookkeeping is flat arrays, a few words per successor,
-   kept for the whole call and cleared after each chunk's merge. *)
+   kept for the whole call and cleared after each layer's merge. *)
 type fresh = {
   mutable cands : Term.Hashed.t array;
-  mutable keys : string array;  (* spill mode: digests, parallel to [cands] *)
   mutable len : int;
   mutable slots : int array;
-  digest : scratch;  (* spill mode: the digest encoder's buffer *)
 }
 
-let fresh_make () =
-  {
-    cands = [||];
-    keys = [||];
-    len = 0;
-    slots = Array.make 256 0;
-    digest = scratch_make ();
-  }
+let fresh_make () = { cands = [||]; len = 0; slots = Array.make 256 0 }
 
 let no_cand = Term.Hashed.make Term.Wild
 
-(* Drop the chunk's successors, so a spilled chunk's terms do not
-   outlive its merge. *)
+(* Empty the buffer for the next layer: clear its index, and drop its
+   successors so those the merge refused do not stay alive until they
+   are overwritten. *)
 let fresh_clear f =
   Array.fill f.cands 0 f.len no_cand;
-  if Array.length f.keys > 0 then Array.fill f.keys 0 f.len "";
   Array.fill f.slots 0 (Array.length f.slots) 0;
   f.len <- 0
 
@@ -261,13 +140,9 @@ let rec find_slot f h i =
 let slot_of f h =
   find_slot f h (Term.Hashed.hash h land (Array.length f.slots - 1))
 
-let fresh_push f slot h key =
+let fresh_push f slot h =
   f.cands <- ensure f.cands f.len h;
   f.cands.(f.len) <- h;
-  if key <> "" then begin
-    f.keys <- ensure f.keys f.len key;
-    f.keys.(f.len) <- key
-  end;
   f.len <- f.len + 1;
   f.slots.(slot) <- f.len;
   if 2 * f.len > Array.length f.slots then begin
@@ -277,46 +152,21 @@ let fresh_push f slot h key =
     done
   end
 
-(* A frontier layer: resident, or a temp file of back-to-back marshal
-   frames (spill mode). Zero-count layers are never written to disk. *)
-type layer = L_mem of Term.t array | L_file of { path : string; count : int }
-
-let layer_count = function
-  | L_mem a -> Array.length a
-  | L_file { count; _ } -> count
-
-let layer_free = function
-  | L_mem _ -> ()
-  | L_file { path; _ } -> ( try Sys.remove path with Sys_error _ -> ())
-
-let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
-    ~spill_chunk ~spilled_layers ~spilled_bytes system ~init =
-  let spilling = spill_dir <> None in
+let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d system
+    ~init =
   let pmap f xs =
     match pool with Some p -> Pool.map p f xs | None -> List.map f xs
   in
-  let visited =
-    if spilling then Compact (Btbl.create 1024)
-    else Terms (Term.Tbl.create 1024)
-  in
-  (* Resident states share their proper subterms through one pool per
-     slab index, so each pool has one writer at a time. *)
-  let interned =
-    if spilling then [||] else Array.init d (fun _ -> Term.Intern.create ())
-  in
+  let visited : hset = Term.Tbl.create 1024 in
+  (* States share their proper subterms through one pool per slab index,
+     so each pool has one writer at a time. *)
+  let interned = Array.init d (fun _ -> Term.Intern.create ()) in
   let fresh = Array.init d (fun _ -> fresh_make ()) in
-  let init = Term.canonicalize init in
-  let init_key =
-    if spilling then digest_term_into fresh.(0).digest init else ""
-  in
-  let hinit =
-    if spilling then Term.Hashed.make init
-    else Term.Intern.make interned.(0) init
-  in
+  let hinit = Term.Intern.make interned.(0) (Term.canonicalize init) in
   let init = Term.Hashed.term hinit in
-  visited_add visited hinit init_key;
+  Term.Tbl.add visited hinit ();
   let visited_count = ref 1 in
-  (* Resident layers, newest first: the visited order. *)
+  (* Layers, newest first: the visited order. *)
   let layers = ref [] in
   let edge_chunks = ref [] in
   let violations = ref [] in
@@ -332,36 +182,20 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
       match f init with
       | Ok () -> ()
       | Error message -> violations := [ { state = init; depth = 0; message } ]));
-  let write_states oc states =
-    Array.iter (fun t -> Marshal.to_channel oc t [ Marshal.No_sharing ]) states
-  in
-  let close_layer path oc count =
-    spilled_bytes := !spilled_bytes + pos_out oc;
-    close_out oc;
-    incr spilled_layers;
-    L_file { path; count }
-  in
-  let open_layer () =
-    let path =
-      Filename.temp_file ~temp_dir:(Option.get spill_dir) "tr-explore-"
-        ".layer"
-    in
-    (path, open_out_bin path)
-  in
   (* Split [0, len) into at most [d] contiguous non-empty slabs, each
      with its index. *)
   let slabs len =
     let k = Int.min d len in
     List.init k (fun w -> (w, len * w / k, len * (w + 1) / k))
   in
-  (* Expand one resident chunk of the current layer. Worker [w] drops a
-     successor the visited table or its own [fresh] already holds, and
-     interns a novel one through pool [w]. Nothing writes [visited]
-     until [merge], so the workers read it without locks. A worker that
-     already holds as many novel states as the cap leaves room for keeps
-     no more: each later one would be refused (at least that many
-     distinct states precede it), so it only notes the truncation. *)
-  let expand (chunk : Term.t array) =
+  (* Expand one layer. Worker [w] drops a successor the visited table or
+     its own [fresh] already holds, and interns a novel one through pool
+     [w]. Nothing writes [visited] until [merge], so the workers read it
+     without locks. A worker that already holds as many novel states as
+     the cap leaves room for keeps no more: each later one would be
+     refused (at least that many distinct states precede it), so it only
+     notes the truncation. *)
+  let expand (layer : Term.t array) =
     let room = max_states - !visited_count in
     pmap
       (fun (w, lo, hi) ->
@@ -370,7 +204,7 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
         let trans = ref 0 in
         let rev_edges = ref [] in
         for i = lo to hi - 1 do
-          let state = chunk.(i) in
+          let state = layer.(i) in
           List.iter
             (fun (rule, _subst, next) ->
               incr trans;
@@ -378,21 +212,13 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
                 rev_edges := (state, Rule.name rule, next) :: !rev_edges;
               let h = Term.Hashed.make next in
               let slot = slot_of f h in
-              if f.slots.(slot) = 0 then begin
-                let key =
-                  if spilling then digest_term_into f.digest next else ""
-                in
-                if visited_mem visited h key then ()
-                else if f.len = room then full := true
-                else
-                  fresh_push f slot
-                    (if spilling then h else Term.Intern.make interned.(w) next)
-                    key
-              end)
+              if f.slots.(slot) = 0 && not (Term.Tbl.mem visited h) then
+                if f.len = room then full := true
+                else fresh_push f slot (Term.Intern.make interned.(w) next))
             (System.instances system state)
         done;
         (!trans, List.rev !rev_edges, !full, f))
-      (slabs (Array.length chunk))
+      (slabs (Array.length layer))
   in
   (* Walk the workers' novel successors in slab order — the global
      (state index, instance index) order — keep the first occurrence of
@@ -412,10 +238,9 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
           edge_chunks := edges :: !edge_chunks;
         for k = 0 to f.len - 1 do
           let h = f.cands.(k) in
-          let key = if spilling then f.keys.(k) else "" in
-          if not (visited_mem visited h key) then
+          if not (Term.Tbl.mem visited h) then
             if !visited_count < max_states then begin
-              visited_add visited h key;
+              Term.Tbl.add visited h ();
               incr visited_count;
               kept.(!n) <- Term.Hashed.term h;
               incr n
@@ -448,66 +273,15 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
           found);
     kept
   in
-  (* One layer. A resident layer is one chunk. A spilled one is read back
-     [spill_chunk] states at a time, and each chunk's kept states go to
-     the next layer's file before the next chunk is read, so at most one
-     chunk's successor graphs are resident. *)
-  let process_layer layer depth =
-    match layer with
-    | L_mem states ->
-        let next = merge depth (expand states) in
-        layers := next :: !layers;
-        L_mem next
-    | L_file { path; count } ->
-        let sink = ref None in
-        let next_count = ref 0 in
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let base = ref 0 in
-            while !base < count do
-              let k = Int.min spill_chunk (count - !base) in
-              let chunk =
-                Array.init k (fun _ -> (Marshal.from_channel ic : Term.t))
-              in
-              let next = merge depth (expand chunk) in
-              if Array.length next > 0 then begin
-                if Option.is_none !sink then sink := Some (open_layer ());
-                write_states (snd (Option.get !sink)) next;
-                next_count := !next_count + Array.length next
-              end;
-              base := !base + k
-            done);
-        layer_free layer;
-        (match !sink with
-        | None -> L_mem [||]
-        | Some (path, oc) -> close_layer path oc !next_count)
-  in
   let rec rounds layer depth =
-    if layer_count layer = 0 then layer_free layer
-    else begin
-      if depth > !deepest then deepest := depth;
-      if within_depth depth then rounds (process_layer layer depth) (depth + 1)
-      else begin
-        truncated := true;
-        layer_free layer
-      end
+    if Array.length layer > 0 then begin
+      layers := layer :: !layers;
+      deepest := depth;
+      if within_depth depth then rounds (merge depth (expand layer)) (depth + 1)
+      else truncated := true
     end
   in
-  let first =
-    if spilling then begin
-      let path, oc = open_layer () in
-      write_states oc [| init |];
-      close_layer path oc 1
-    end
-    else begin
-      let first = [| init |] in
-      layers := [ first ];
-      L_mem first
-    end
-  in
-  rounds first 0;
+  rounds [| init |] 0;
   ( List.fold_left
       (fun acc layer -> Array.fold_right List.cons layer acc)
       [] !layers,
@@ -521,8 +295,7 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d ~spill_dir
     List.rev !violations )
 
 let explore ?(max_states = default_max_states) ?max_depth ?check
-    ?(want_edges = false) ?pool ?domains ?spill_dir ?(spill_chunk = 8192)
-    system ~init =
+    ?(want_edges = false) ?pool ?domains system ~init =
   let domains =
     match domains with
     | Some d ->
@@ -534,16 +307,10 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
   (match max_depth with
   | Some dm when dm < 0 -> invalid_arg "Explore.explore: max_depth < 0"
   | _ -> ());
-  if spill_chunk < 1 then invalid_arg "Explore.explore: spill_chunk < 1";
-  if spill_dir <> None && want_edges then
-    invalid_arg "Explore.explore: want_edges is unavailable in spill mode";
   let t0 = Unix.gettimeofday () in
-  let spilled_layers = ref 0 in
-  let spilled_bytes = ref 0 in
   let go pool =
     let visited_order, edge_list, stats, violations =
-      run ~max_states ~max_depth ~check ~want_edges ~pool ~domains ~spill_dir
-        ~spill_chunk ~spilled_layers ~spilled_bytes system ~init
+      run ~max_states ~max_depth ~check ~want_edges ~pool ~domains system ~init
     in
     let wall_s = Unix.gettimeofday () -. t0 in
     {
@@ -558,8 +325,6 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
             (if wall_s > 0.0 then float_of_int stats.states /. wall_s else 0.0);
           domains_used = domains;
           peak_rss_kb = peak_rss_kb ();
-          spilled_layers = !spilled_layers;
-          spilled_bytes = !spilled_bytes;
         };
     }
   in
@@ -568,9 +333,9 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
   | None when domains > 1 -> Pool.with_pool ~domains (fun p -> go (Some p))
   | None -> go None
 
-let bfs ?max_states ?max_depth ?check ?pool ?domains ?spill_dir system ~init =
+let bfs ?max_states ?max_depth ?check ?pool ?domains system ~init =
   let outcome =
-    explore ?max_states ?max_depth ?check ?pool ?domains ?spill_dir system ~init
+    explore ?max_states ?max_depth ?check ?pool ?domains system ~init
   in
   (outcome.stats, outcome.violations)
 
@@ -608,7 +373,7 @@ type liveness_report = {
 
 let hset_of_list states =
   let set : hset = Term.Tbl.create 256 in
-  List.iter (fun s -> hset_add set (Term.Hashed.make s)) states;
+  List.iter (fun s -> Term.Tbl.replace set (Term.Hashed.make s) ()) states;
   set
 
 (* Backward closure of [seeds] over the (reversed) edge relation.
@@ -631,8 +396,8 @@ let backward_closure ~edges ~seeds =
     List.iter
       (fun pred ->
         let pred = Term.Hashed.make pred in
-        if not (hset_mem closure pred) then begin
-          hset_add closure pred;
+        if not (Term.Tbl.mem closure pred) then begin
+          Term.Tbl.replace closure pred ();
           Queue.push pred queue
         end)
       (Option.value (Term.Tbl.find_opt predecessors state) ~default:[])
@@ -652,8 +417,8 @@ let eventually ?max_states ?max_depth ?pool ?domains ~goal system ~init =
   let leaky : hset = Term.Tbl.create 64 in
   List.iter
     (fun (src, _, dst) ->
-      if not (hset_mem visited (Term.Hashed.make dst)) then
-        hset_add leaky (Term.Hashed.make src))
+      if not (Term.Tbl.mem visited (Term.Hashed.make dst)) then
+        Term.Tbl.replace leaky (Term.Hashed.make src) ())
     outcome.edge_list;
   let can = backward_closure ~edges:outcome.edge_list ~seeds:goals in
   let may_escape = backward_closure ~edges:outcome.edge_list ~seeds:leaky in
@@ -661,12 +426,12 @@ let eventually ?max_states ?max_depth ?pool ?domains ~goal system ~init =
     List.filter
       (fun s ->
         let h = Term.Hashed.make s in
-        (not (hset_mem can h)) && not (hset_mem may_escape h))
+        (not (Term.Tbl.mem can h)) && not (Term.Tbl.mem may_escape h))
       outcome.visited_order
   in
   let undecided =
     Term.Tbl.fold
-      (fun s () acc -> if hset_mem can s then acc else acc + 1)
+      (fun s () acc -> if Term.Tbl.mem can s then acc else acc + 1)
       may_escape 0
   in
   {

@@ -10,11 +10,8 @@
     worker drops a duplicate successor as soon as it generates it, and
     the kept states are merged in an order chosen so the visited order,
     stats, rule counts, edge list and violation list are identical for
-    {e every} domain count. A spill mode streams frontier layers
-    through temp files chunk by chunk and stores visited keys as
-    16-byte digests of the canonical form (hash compaction; collision
-    odds ~1e-25 at 10^6 states), bounding resident memory for
-    explorations of millions of states. *)
+    {e every} domain count. Every layer is one in-memory array, and the
+    one visited table holds the interned states themselves. *)
 
 type stats = {
   states : int;  (** Distinct states visited. *)
@@ -33,14 +30,12 @@ type perf = {
       (** Process peak RSS (VmHWM) sampled at the end of the run, in
           kB; 0 where /proc is unavailable. Process-wide and monotone
           unless {!reset_peak_rss} succeeded beforehand. *)
-  spilled_layers : int;  (** Frontier layers written to disk. *)
-  spilled_bytes : int;  (** Total bytes of spilled frontier frames. *)
 }
 
 type outcome = {
   visited_order : Term.t list;
-      (** The visited set in BFS order ([] in spill mode, which does not
-          retain terms). Its states share equal proper subterms. *)
+      (** The visited set in BFS order. Its states share equal proper
+          subterms. *)
   edge_list : (Term.t * string * Term.t) list;
       (** [(state, rule, successor)] in traversal order; populated only
           when [want_edges] was set. *)
@@ -56,27 +51,18 @@ val explore :
   ?want_edges:bool ->
   ?pool:Tr_sim.Pool.t ->
   ?domains:int ->
-  ?spill_dir:string ->
-  ?spill_chunk:int ->
   System.t ->
   init:Term.t ->
   outcome
 (** Explore from [init] (canonicalized). Defaults: [max_states =
     100_000], [max_depth] unbounded, [check] absent, [want_edges] false.
-    [max_states < 1], [max_depth < 0], [domains < 1] and
-    [spill_chunk < 1] raise [Invalid_argument].
+    [max_states < 1], [max_depth < 0] and [domains < 1] raise
+    [Invalid_argument].
 
     Parallelism: [pool] lends an existing domain pool; [domains]
     overrides the worker count (defaulting to the pool's size, or 1).
     [domains > 1] without a pool spins up a private pool for the call.
     Results are deterministic and identical across all settings.
-
-    Memory bounding: [spill_dir] switches to spill mode — frontier
-    layers are written to temp files under that directory (removed as
-    they are consumed) and read back [spill_chunk] states at a time
-    (default 8192); the visited table keeps only per-state digests, and
-    [visited_order] comes back empty. [want_edges] in spill mode raises
-    [Invalid_argument]: retaining the edge terms would defeat the point.
 
     Exploration continues past violations so a run reports them all (up
     to the bounds). *)
@@ -87,7 +73,6 @@ val bfs :
   ?check:(Term.t -> (unit, string) result) ->
   ?pool:Tr_sim.Pool.t ->
   ?domains:int ->
-  ?spill_dir:string ->
   System.t ->
   init:Term.t ->
   stats * violation list

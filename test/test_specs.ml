@@ -575,7 +575,6 @@ type reference = {
   cap3000 : string;
   depth4 : string;  (** max_depth 4, no state cap *)
   counts1200 : string;  (** rule counts at cap 1200 *)
-  spill1500 : string;  (** stats and violation positions at cap 1500 *)
 }
 
 let references =
@@ -585,49 +584,42 @@ let references =
       cap3000 = "b72fab3c35c40c2cf4baa187f3ee98b0";
       depth4 = "14f0606a3f53fc3e9b184db78f0cc8cc";
       counts1200 = "b985e2813f7811e996f5710834c07960";
-      spill1500 = "12cacad96c1f0a3f754b8ccb4dfcdb42";
     };
     { name = "S1";
       cap700 = "db1aefa1d318383e1bef1f7efff70ff9";
       cap3000 = "db1aefa1d318383e1bef1f7efff70ff9";
       depth4 = "53cd63b255ca1db6ce1c289b888d5da3";
       counts1200 = "fdd0ed21093ef91453ee1185920676fc";
-      spill1500 = "5b5c1c2a933b99566d949fea53d562d0";
     };
     { name = "Token";
       cap700 = "6f6f4229c14fd89d604eb6711eb8e24e";
       cap3000 = "6f6f4229c14fd89d604eb6711eb8e24e";
       depth4 = "cd2eba0c8c19abb94208726f977091dc";
       counts1200 = "0173304b8cec58c309e3298558b58221";
-      spill1500 = "bd477231b6b645fb98d4d27ab2360631";
     };
     { name = "MsgPass";
       cap700 = "449b6c1edea3015d804e47a8bd139d18";
       cap3000 = "449b6c1edea3015d804e47a8bd139d18";
       depth4 = "e2ca69b5974dd123848dee0497fdd4a5";
       counts1200 = "ad8a9f324326802a436b1f05d6db4fe5";
-      spill1500 = "21cae7ea6bb3c16914f7fa24d773eff6";
     };
     { name = "MsgPass+faults";
       cap700 = "c09cc02e3991e5f5f3b9dc529f639a14";
       cap3000 = "6d355711ae03df812a9b4a6a45ea250d";
       depth4 = "e38155cf86477c8ae39676b5d1ebf95d";
       counts1200 = "5f181ded5b916aab59deaa1ccc460c7d";
-      spill1500 = "91f0a18a9ec0b4286bb9b1d6f88bd18a";
     };
     { name = "Search";
       cap700 = "3e11c6c02f25e5728132f7062f5aa78d";
       cap3000 = "c5fb623102d4e9e45ac2537262086d65";
       depth4 = "e039e2c964eaec6ef0412c91d6be7ce4";
       counts1200 = "6145cf7797854e94eb3482c56f0284c2";
-      spill1500 = "a0da436b521e1ac6f1ef2dd829a4bf63";
     };
     { name = "BinSearch";
       cap700 = "4bdc1849cc7befefe8a43209de63e2f1";
       cap3000 = "1c29fc0d159bf3e4c125e88966d98be1";
       depth4 = "eb37446221a7cd79c4ebe7952e65c1a8";
       counts1200 = "eb42db027a567454e6e026ea12e49aec";
-      spill1500 = "dae11eabf3dbab6b776b19c238458ffa";
     };
   ]
 
@@ -656,16 +648,6 @@ let outcome_digest (o : Explore.outcome) =
     (fun (v : Explore.violation) ->
       Printf.bprintf b "%d %s %s\n" v.Explore.depth v.Explore.message
         (Term.to_string v.Explore.state))
-    o.Explore.violations;
-  md5 b
-
-(* What spill mode reports: stats and violation positions. *)
-let summary_digest (o : Explore.outcome) =
-  let b = Buffer.create 1024 in
-  add_stats b o.Explore.stats;
-  List.iter
-    (fun (v : Explore.violation) ->
-      Printf.bprintf b "%d %s\n" v.Explore.depth v.Explore.message)
     o.Explore.violations;
   md5 b
 
@@ -714,22 +696,6 @@ let test_parity_max_depth () =
         (Explore.explore ~max_depth:4 ~check:checker ~want_edges:true ~domains
            system ~init))
     (fun r -> r.depth4)
-
-(* Spill mode retains no terms, so it is pinned on stats and violation
-   positions (depth/message): the visited {e set} equality is implied by
-   states/transitions/max_depth equality layer by layer. *)
-let test_parity_spill () =
-  let dir = Filename.get_temp_dir_name () in
-  check_digests "spill"
-    (fun ~domains ~system ~init ~checker ->
-      let o =
-        Explore.explore ~max_states:1500 ~check:checker ~domains ~spill_dir:dir
-          ~spill_chunk:64 system ~init
-      in
-      Alcotest.(check (list term)) "spill retains no terms" []
-        o.Explore.visited_order;
-      summary_digest o)
-    (fun r -> r.spill1500)
 
 (* Explored states share their proper subterms: at 20,000 BinarySearch
    states the visited list, cons cells included, stays within 32 words a
@@ -957,7 +923,6 @@ let () =
             test_parity_all_systems;
           Alcotest.test_case "rule counts" `Quick test_parity_rule_counts;
           Alcotest.test_case "depth bound" `Quick test_parity_max_depth;
-          Alcotest.test_case "spill mode" `Quick test_parity_spill;
           Alcotest.test_case "states share subterms" `Quick
             test_parity_shared_states;
           Alcotest.test_case "promoted words per state" `Quick

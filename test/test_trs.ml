@@ -539,22 +539,8 @@ let test_explore_perf_fields () =
     (o.Explore.perf.Explore.wall_s >= 0.0);
   Alcotest.(check bool) "throughput non-negative" true
     (o.Explore.perf.Explore.states_per_s >= 0.0);
-  Alcotest.(check int) "nothing spilled" 0 o.Explore.perf.Explore.spilled_layers;
   (* /proc is available on the platforms we test on. *)
   Alcotest.(check bool) "rss sampled" true (o.Explore.perf.Explore.peak_rss_kb > 0)
-
-let test_explore_spill_smoke () =
-  let dir = Filename.get_temp_dir_name () in
-  let o =
-    Explore.explore ~spill_dir:dir ~spill_chunk:2 counter_system
-      ~init:(Term.Int 0)
-  in
-  Alcotest.(check int) "4 states" 4 o.Explore.stats.Explore.states;
-  Alcotest.(check (list term)) "no retained terms" [] o.Explore.visited_order;
-  Alcotest.(check bool) "layers spilled" true
-    (o.Explore.perf.Explore.spilled_layers > 0);
-  Alcotest.(check bool) "bytes accounted" true
-    (o.Explore.perf.Explore.spilled_bytes > 0)
 
 let test_explore_invalid_args () =
   let raises f =
@@ -563,17 +549,9 @@ let test_explore_invalid_args () =
       false
     with Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "want_edges + spill rejected" true
-    (raises (fun () ->
-         Explore.explore ~want_edges:true
-           ~spill_dir:(Filename.get_temp_dir_name ())
-           counter_system ~init:(Term.Int 0)));
   Alcotest.(check bool) "domains < 1 rejected" true
     (raises (fun () ->
          Explore.explore ~domains:0 counter_system ~init:(Term.Int 0)));
-  Alcotest.(check bool) "spill_chunk < 1 rejected" true
-    (raises (fun () ->
-         Explore.explore ~spill_chunk:0 counter_system ~init:(Term.Int 0)));
   List.iter
     (fun max_states ->
       Alcotest.(check bool)
@@ -582,13 +560,9 @@ let test_explore_invalid_args () =
         (raises (fun () ->
              Explore.explore ~max_states counter_system ~init:(Term.Int 0))))
     [ 0; -5 ];
-  List.iter
-    (fun spill_dir ->
-      Alcotest.(check bool) "max_depth < 0 rejected" true
-        (raises (fun () ->
-             Explore.explore ~max_depth:(-3) ?spill_dir counter_system
-               ~init:(Term.Int 0))))
-    [ None; Some (Filename.get_temp_dir_name ()) ]
+  Alcotest.(check bool) "max_depth < 0 rejected" true
+    (raises (fun () ->
+         Explore.explore ~max_depth:(-3) counter_system ~init:(Term.Int 0)))
 
 (* ---------------- Parse ---------------- *)
 
@@ -762,7 +736,6 @@ let () =
           Alcotest.test_case "deadlocks" `Quick test_explore_deadlocks;
           Alcotest.test_case "shared pool" `Quick test_explore_shared_pool;
           Alcotest.test_case "perf fields" `Quick test_explore_perf_fields;
-          Alcotest.test_case "spill smoke" `Quick test_explore_spill_smoke;
           Alcotest.test_case "invalid args" `Quick test_explore_invalid_args;
           Alcotest.test_case "rule counts sorted" `Quick
             test_explore_rule_counts_sorted;
