@@ -465,6 +465,79 @@ let test_golden_trace protocol golden () =
     (read_file ("golden/" ^ golden))
     (Format.asprintf "%a" Tokenring.Trace.pp o.Tokenring.Runner.trace)
 
+(* One digest per registry protocol and per hybrid-app directive: the
+   MD5 of the rendered traces of two fixed runs (n = 8, seed 5, a fixed
+   serve count), one under heavy and one under light load, so that both
+   the trap/loan paths and the idle (parking) paths are pinned. *)
+let digest_loads = [ 2.0; 12.0 ]
+
+let traces_digest run =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun mean ->
+      let config =
+        {
+          (Tokenring.Engine.default_config ~n:8 ~seed:5) with
+          workload = Tokenring.Workload.Global_poisson { mean_interarrival = mean };
+          trace = true;
+        }
+      in
+      let o : Tokenring.Runner.outcome = run config in
+      Buffer.add_string b (Format.asprintf "%a" Tokenring.Trace.pp o.trace))
+    digest_loads;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let protocol_digests =
+  [
+    ("ring", "a6a6ef1d185410896162ebaf3215c656");
+    ("tree", "e13a3b01672c5e1276e158782af50081");
+    ("suzuki-kasami", "0a64f04cb78f2e0442c7960e8312768f");
+    ("seq-search", "60c0db2be3513b9f3f68b387c22a8d81");
+    ("binsearch", "e78fca4f3354dff020733c7ffd562821");
+    ("binsearch-throttle", "a09349a254069c6e599064c4d9eb8412");
+    ("directed", "08899d3d4ac2fc93bb590203b3ed753f");
+    ("binsearch-gc-rotation", "6fa05af8c59454f2af2eb7ba36e561cc");
+    ("binsearch-gc-inverse", "e240be0882f09ccd5beda2daab082300");
+    ("adaptive", "49ad2a0122c944aa4b31afe5cd9edd5b");
+    ("pushpull", "6e0a8e403a0dc8417b9ff65f91265fc2");
+    ("ring-failsafe", "78a4be5c40af956a4f197e7894e198dd");
+    ("binsearch-failsafe", "9a7c7eda6de5c155200c6001ca65af1d");
+    ("ring-membership", "5e47795076822e47a081ee0b6b089bff");
+    ("random-walk", "5d5c22811cb8fdc819ee038d972fc9f8");
+  ]
+
+let test_protocol_digest name want () =
+  Alcotest.(check string) (name ^ " trace digest") want
+    (traces_digest (fun config ->
+         Tokenring.Runner.run_named name config
+           ~stop:(Tokenring.Engine.After_serves 60)))
+
+let test_protocol_digests_cover_registry () =
+  Alcotest.(check (list string)) "one digest per wire protocol"
+    Tr_wire.Codecs.names (List.map fst protocol_digests)
+
+let app_digests =
+  let rotate = { Tr_apps.Movement.mode = Rotate; park_after = None } in
+  let park2 = { Tr_apps.Movement.mode = Search; park_after = Some 2 } in
+  let mutex d : (module Tokenring.Node_intf.PROTOCOL) =
+    (module (val Tr_apps.Mutex.make ~directive:(fun () -> d) ()))
+  in
+  let total_order d : (module Tokenring.Node_intf.PROTOCOL) =
+    (module (val Tr_apps.Total_order.make ~directive:(fun () -> d) ()))
+  in
+  [
+    ("mutex rotate", mutex rotate, "5e4a09e27c37273d78a5e9ff20fbf2b0");
+    ("mutex search park 2", mutex park2, "fb48e7c32878b4ca7bc5032249ac259f");
+    ("total-order rotate", total_order rotate, "1cf692236bc5d857b8c4501151dd2102");
+    ("total-order search park 2", total_order park2, "8a9bda8100aac38c75227ac1ddab5cb0");
+  ]
+
+let test_app_digest name protocol want () =
+  Alcotest.(check string) (name ^ " trace digest") want
+    (traces_digest (fun config ->
+         Tokenring.Runner.run protocol config
+           ~stop:(Tokenring.Engine.After_serves 40)))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -484,7 +557,19 @@ let () =
           Alcotest.test_case "binsearch trace" `Quick
             (test_golden_trace Tr_proto.Binsearch.protocol
                "trace_binsearch_n8_seed3.txt");
-        ] );
+          Alcotest.test_case "digests cover the registry" `Quick
+            test_protocol_digests_cover_registry;
+        ]
+        @ List.map
+            (fun (name, want) ->
+              Alcotest.test_case (name ^ " digest") `Quick
+                (test_protocol_digest name want))
+            protocol_digests
+        @ List.map
+            (fun (name, protocol, want) ->
+              Alcotest.test_case (name ^ " digest") `Quick
+                (test_app_digest name protocol want))
+            app_digests );
       ( "shapes",
         [
           Alcotest.test_case "FIG9" `Quick test_fig9_shape;
