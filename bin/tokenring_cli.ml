@@ -702,6 +702,9 @@ let service_cmd =
     if cs <= 0. then die "--cs must be positive";
     if duration <= 0. then die "--duration must be positive";
     if report_every <= 0. then die "--report-every must be positive";
+    Option.iter
+      (fun k -> if k < 0 then die "--park must be at least 0, got %d" k)
+      park;
     let cluster =
       {
         (config ~n) with
@@ -718,7 +721,8 @@ let service_cmd =
             Policy.hi = Option.value hi ~default:base.Policy.hi;
             lo = Option.value lo ~default:base.Policy.lo;
             window_s = Option.value window ~default:base.Policy.window_s;
-            park_after = (match park with Some k -> Some k | None -> base.Policy.park_after);
+            park_after =
+              (match park with Some _ -> park | None -> base.Policy.park_after);
           }
         in
         if not (cfg.Policy.hi > cfg.Policy.lo) then
@@ -730,10 +734,9 @@ let service_cmd =
         if hi <> None || lo <> None || window <> None then
           die "--hi/--lo/--window only make sense with --adaptive";
         let m =
-          match pinned with
-          | "search" -> Tr_apps.Movement.Search
-          | "rotate" -> Tr_apps.Movement.Rotate
-          | s -> die "unknown --mode %S (expected search or rotate)" s
+          match Tr_apps.Movement.mode_of_string pinned with
+          | Some m -> m
+          | None -> die "unknown --mode %S (expected search or rotate)" pinned
         in
         Service.Pinned { Tr_apps.Movement.mode = m; park_after = park }
       end

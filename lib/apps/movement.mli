@@ -33,3 +33,18 @@ val default : directive
 
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
+
+val parks : directive -> idle_hops:int -> bool
+(** Whether a holder with no trap to serve parks the token here instead
+    of passing it on: in [Search] mode only, once [idle_hops] (consecutive
+    idle hops, this one included) reaches [park_after]. *)
+
+val silent : last_mode:mode -> (unit -> directive) -> bool
+(** Whether a new request stays silent rather than launching a search:
+    only when the last token this node saw was rotating ([last_mode]) and
+    the directive, read only in that case, still says [Rotate]. Rotation
+    finds every requester, so searching would only burn messages and trap
+    a loan out of the rotation order. Both must agree: after an online
+    Rotate→Search switch the token parks, and a requester that last saw
+    it rotating would strand its request by staying silent; a spurious
+    gimme is cheap, a stranded request is not. *)

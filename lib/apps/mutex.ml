@@ -1,4 +1,5 @@
 open Tr_sim
+module Search = Tr_proto.Search
 module Traps = Tr_proto.Proto_util.Traps
 
 type msg =
@@ -47,6 +48,8 @@ let label = function
   | Gimme { requester; span; stamp } ->
       Printf.sprintf "gimme(req=%d span=%d stamp=%d)" requester span stamp
 
+let gimme ~requester ~span ~stamp = Gimme { requester; span; stamp }
+
 type event = [ `Enter | `Exit ]
 
 let make ?(cs_duration = 2.0) ?directive ?on_event () :
@@ -78,30 +81,22 @@ let make ?(cs_duration = 2.0) ?directive ?on_event () :
     (* [idle_hops] is how many consecutive idle visits the token has made
        including this one; a busy visit (critical section, loan round
        trip) resets it to zero. *)
-    let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp ~idle_hops =
-      match Traps.pop state.traps with
+    let dispatch (ctx : msg Node_intf.ctx) state ~stamp ~idle_hops =
+      match Search.next_trap ctx state.traps with
       | Some (requester, traps) ->
-          if requester = ctx.self then dispatch ctx { state with traps } ~stamp ~idle_hops
-          else begin
-            ctx.send ~dst:requester (Loan { stamp });
-            { state with holding = Lent; traps }
-          end
+          ctx.send ~dst:requester (Loan { stamp });
+          { state with holding = Lent; traps }
       | None ->
-          let d = directive () in
-          let park =
-            match d.Movement.park_after with
-            | Some k -> d.Movement.mode = Movement.Search && idle_hops >= k
-            | None -> false
-          in
-          if park then begin
+          let d = directive () and traps = Traps.empty in
+          if Movement.parks d ~idle_hops then begin
             ctx.note (fun () -> "park");
-            { state with holding = Parked { stamp } }
+            { state with holding = Parked { stamp }; traps }
           end
           else begin
             ctx.send
               ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self)
               (Token { stamp = stamp + 1; mode = d.Movement.mode; idle_hops });
-            { state with holding = Not_holding }
+            { state with holding = Not_holding; traps }
           end
 
     (* Enter the critical section if work is pending; otherwise pass the
@@ -145,25 +140,9 @@ let make ?(cs_duration = 2.0) ?directive ?on_event () :
             { state with holding = Not_holding }
             ~stamp ~return_to:None ~idle_hops:0
       | Lent | Not_holding ->
-          if
-            state.last_mode = Movement.Rotate
-            && (directive ()).Movement.mode = Movement.Rotate
-            (* Rotation finds every requester; searching would only burn
-               messages (and trap a loan out of the rotation order). Both
-               conditions must agree: after an online Rotate→Search
-               switch the token parks, so a requester that last saw a
-               rotating token would strand itself by staying silent — a
-               spurious Gimme is cheap, a stranded request is not. *)
-          then state
-          else
-            let span = ctx.n / 2 in
-            if span < 1 then state
-            else begin
-              let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-              ctx.send ~channel:Network.Cheap ~dst
-                (Gimme { requester = ctx.self; span; stamp = state.last_stamp });
-              state
-            end
+          if not (Movement.silent ~last_mode:state.last_mode directive) then
+            ignore (Search.launch ctx ~stamp:state.last_stamp gimme : bool);
+          state
 
     let on_message (ctx : msg Node_intf.ctx) state ~src msg =
       match msg with
@@ -183,8 +162,9 @@ let make ?(cs_duration = 2.0) ?directive ?on_event () :
       | Gimme { requester; span; stamp } ->
           if requester = ctx.self then state
           else begin
-            ctx.search_forward ();
-            let state = { state with traps = Traps.push state.traps requester } in
+            let state =
+              { state with traps = Search.trap ctx state.traps requester }
+            in
             match state.holding with
             | In_cs _ | Lent -> state (* token is here or on loan; wait *)
             | Parked { stamp = held_stamp } ->
@@ -194,13 +174,8 @@ let make ?(cs_duration = 2.0) ?directive ?on_event () :
                   { state with holding = Not_holding }
                   ~stamp:held_stamp ~idle_hops:0
             | Not_holding ->
-                if span >= 2 then begin
-                  let jump = span / 2 in
-                  let dir = if state.last_stamp >= stamp then jump else -jump in
-                  let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                  ctx.send ~channel:Network.Cheap ~dst
-                    (Gimme { requester; span = jump; stamp })
-                end;
+                Search.forward ctx ~last_stamp:state.last_stamp ~requester
+                  ~span ~stamp gimme;
                 state
           end
 

@@ -1,5 +1,7 @@
 open Tr_sim
 module IMap = Map.Make (Int)
+module Search = Tr_proto.Search
+module Traps = Tr_proto.Proto_util.Traps
 
 type payload = { origin : int; origin_seq : int }
 
@@ -16,7 +18,7 @@ type state = {
   last_stamp : int;
   last_mode : Movement.mode;
   holding : holding;
-  traps : Tr_proto.Proto_util.Traps.t;
+  traps : Traps.t;
   (* Application state. *)
   origin_seq : int;  (** Broadcasts this node has originated. *)
   next_expected : int;  (** Next global sequence number to deliver. *)
@@ -45,6 +47,8 @@ let label = function
   | Bcast { seq; payload } ->
       Printf.sprintf "bcast(seq=%d from=%d.%d)" seq payload.origin
         payload.origin_seq
+
+let gimme ~requester ~span ~stamp = Gimme { requester; span; stamp }
 
 (* Deliver in strict sequence order; anything early waits in the buffer. *)
 let rec deliver state seq payload =
@@ -130,32 +134,23 @@ let make ?directive ?on_deliver () :
 
     (* [idle_hops]: consecutive idle token visits including this one; any
        broadcast or loan round trip resets it. *)
-    let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp ~next_seq ~idle_hops =
-      match Tr_proto.Proto_util.Traps.pop state.traps with
+    let dispatch (ctx : msg Node_intf.ctx) state ~stamp ~next_seq ~idle_hops =
+      match Search.next_trap ctx state.traps with
       | Some (requester, traps) ->
-          if requester = ctx.self then
-            dispatch ctx { state with traps } ~stamp ~next_seq ~idle_hops
-          else begin
-            ctx.send ~dst:requester (Loan { stamp; next_seq });
-            { state with holding = Lent; traps }
-          end
+          ctx.send ~dst:requester (Loan { stamp; next_seq });
+          { state with holding = Lent; traps }
       | None ->
-          let d = directive () in
-          let park =
-            match d.Movement.park_after with
-            | Some k -> d.Movement.mode = Movement.Search && idle_hops >= k
-            | None -> false
-          in
-          if park then begin
+          let d = directive () and traps = Traps.empty in
+          if Movement.parks d ~idle_hops then begin
             ctx.note (fun () -> "park");
-            { state with holding = Parked { stamp; next_seq } }
+            { state with holding = Parked { stamp; next_seq }; traps }
           end
           else begin
             ctx.send
               ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self)
               (Token
                  { stamp = stamp + 1; next_seq; mode = d.Movement.mode; idle_hops });
-            { state with holding = Not_holding }
+            { state with holding = Not_holding; traps }
           end
 
     let init (ctx : msg Node_intf.ctx) =
@@ -164,7 +159,7 @@ let make ?directive ?on_deliver () :
           last_stamp = 0;
           last_mode = Movement.Search;
           holding = Not_holding;
-          traps = Tr_proto.Proto_util.Traps.empty;
+          traps = Traps.empty;
           origin_seq = 0;
           next_expected = 1;
           buffer = IMap.empty;
@@ -189,23 +184,9 @@ let make ?directive ?on_deliver () :
           in
           dispatch ctx state ~stamp ~next_seq ~idle_hops:0
       | Lent | Not_holding ->
-          if
-            state.last_mode = Movement.Rotate
-            && (directive ()).Movement.mode = Movement.Rotate
-            (* As in [Mutex.on_request]: only stay silent when the token
-               was last seen rotating AND the policy still wants
-               rotation — after an online Rotate→Search switch the token
-               parks and a silent requester strands its publish. *)
-          then state
-          else
-            let span = ctx.n / 2 in
-            if span < 1 then state
-            else begin
-              let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-              ctx.send ~channel:Network.Cheap ~dst
-                (Gimme { requester = ctx.self; span; stamp = state.last_stamp });
-              state
-            end
+          if not (Movement.silent ~last_mode:state.last_mode directive) then
+            ignore (Search.launch ctx ~stamp:state.last_stamp gimme : bool);
+          state
 
     let on_message (ctx : msg Node_intf.ctx) state ~src msg =
       match msg with
@@ -233,12 +214,8 @@ let make ?directive ?on_deliver () :
       | Gimme { requester; span; stamp } ->
           if requester = ctx.self then state
           else begin
-            ctx.search_forward ();
             let state =
-              {
-                state with
-                traps = Tr_proto.Proto_util.Traps.push state.traps requester;
-              }
+              { state with traps = Search.trap ctx state.traps requester }
             in
             match state.holding with
             | Lent -> state
@@ -248,13 +225,8 @@ let make ?directive ?on_deliver () :
                   { state with holding = Not_holding }
                   ~stamp:held_stamp ~next_seq ~idle_hops:0
             | Not_holding ->
-                if span >= 2 then begin
-                  let jump = span / 2 in
-                  let dir = if state.last_stamp >= stamp then jump else -jump in
-                  let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                  ctx.send ~channel:Network.Cheap ~dst
-                    (Gimme { requester; span = jump; stamp })
-                end;
+                Search.forward ctx ~last_stamp:state.last_stamp ~requester
+                  ~span ~stamp gimme;
                 state
           end
       | Bcast { seq; payload } -> deliver_note ctx state seq payload

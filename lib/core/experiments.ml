@@ -138,9 +138,9 @@ let fig10 ?pool ?(quick = false) ?(seed = 42) () =
 (* ------------------------------------------------------------------ *)
 
 (* Figures 9/10 stop at N = 256 — small enough that constants blur the
-   asymptotic story. This sweep pushes to N = 16384 with traces off and
-   tail statistics read from the streaming P² sketches, so memory stays
-   O(N) however long the run. Load scales with N (mean interarrival
+   asymptotic story. This sweep pushes to N = 16384 with traces off; the
+   p99 is the exact one over the run's responsiveness samples, which
+   [Metrics] keeps anyway. Load scales with N (mean interarrival
    N/4): light enough that the ring pays its ~N/2 rotation while
    binsearch stays logarithmic — at N = 16384 the gap exceeds two
    orders of magnitude. *)
@@ -162,8 +162,8 @@ let large_n ?pool ?(quick = false) ?(seed = 42) () =
     let workload = poisson (float_of_int n /. 4.0) in
     let cfg = config ~n ~seed ~workload in
     let o = Runner.run protocol cfg ~stop:(steady_stop serves) in
-    let sk = Metrics.responsiveness_sketches o.Runner.metrics in
-    (mean_responsiveness o, Tr_stats.P2.estimate sk.Metrics.q99)
+    let q = Metrics.responsiveness_quantiles o.Runner.metrics in
+    (mean_responsiveness o, Tr_stats.Quantile.p99 q)
   in
   let ys = pmap ?pool measure jobs in
   let rec fill ns ys =
@@ -184,8 +184,7 @@ let large_n ?pool ?(quick = false) ?(seed = 42) () =
   {
     id = "LARGE-N";
     title =
-      "Responsiveness at large ring sizes (light load, interarrival = N/4, \
-       streaming tail statistics)";
+      "Responsiveness at large ring sizes (light load, interarrival = N/4)";
     expectation =
       "ring's mean and p99 grow linearly with N while binsearch stays \
        within a small multiple of log2(N); the gap exceeds two orders of \

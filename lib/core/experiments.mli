@@ -40,9 +40,8 @@ val fig10 : ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> result
 
 val large_n : ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> result
 (** The asymptotic gap at scale: ring vs binsearch responsiveness (mean
-    and streaming-P² p99) for N up to 16384 under light load
-    (interarrival N/4). Runs trace-free with O(N) memory — the sweep the
-    zero-allocation core exists for. [quick:true] caps N at 512. *)
+    and exact p99) for N up to 16384 under light load (interarrival
+    N/4). Runs trace-free. [quick:true] caps N at 512. *)
 
 val lem4 : ?pool:Tr_sim.Pool.t -> ?quick:bool -> ?seed:int -> unit -> result
 (** Lemma 4: worst-case single-request waiting time of the ring grows

@@ -1,7 +1,6 @@
 (** JSON rendering of run outcomes and experiment results, for scripting
-    around the CLI ([run --json], [exp --json]). Hand-rolled writer — no
-    external dependency; strings are escaped per RFC 8259, floats printed
-    with [%.9g] ([NaN]/infinities become [null]). *)
+    around the CLI ([run --json], [exp --json]), written with
+    {!Tr_stats.Json}. *)
 
 val outcome_to_json : Runner.outcome -> string
 (** Protocol name, configuration echoes, and the full metrics block
@@ -11,6 +10,3 @@ val outcome_to_json : Runner.outcome -> string
 val result_to_json : Experiments.result -> string
 (** Experiment id/title/expectation plus each series as an array of
     [[x, y]] pairs. *)
-
-val escape_string : string -> string
-(** Exposed for tests: JSON string-body escaping (without the quotes). *)

@@ -10,20 +10,6 @@
 val git_describe : unit -> string
 (** [git describe --always --dirty], or ["unknown"] outside a checkout. *)
 
-(** {1 JSON building blocks}
-
-    Shared by the service layer's exporter so every artifact escapes and
-    formats identically. *)
-
-val json_string : string -> string
-(** Quoted and escaped JSON string literal. *)
-
-val json_float : float -> string
-(** [%.9g], or [null] for NaN/infinite values. *)
-
-val obj : (string * string) list -> string
-(** One-line JSON object from [(key, already-rendered-value)] pairs. *)
-
 val json_of_report : Cluster.report -> string
 (** One JSON object, newline-terminated. *)
 

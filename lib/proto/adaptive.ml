@@ -33,6 +33,8 @@ let label = function
   | Gimme { requester; span; stamp } ->
       Printf.sprintf "gimme(req=%d span=%d stamp=%d)" requester span stamp
 
+let gimme ~requester ~span ~stamp = Gimme { requester; span; stamp }
+
 let make ?(idle_delay = 8.0) () :
     (module Node_intf.PROTOCOL with type state = state and type msg = msg) =
   (module struct
@@ -50,29 +52,25 @@ let make ?(idle_delay = 8.0) () :
     let classify = classify
     let label = label
 
-    (* Forward the token: lend to the oldest trap, or rotate. [demand]
-       says whether this visit saw any service; it resets the idle
-       counter. *)
-    let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp ~idle_hops =
-      match Proto_util.Traps.pop state.traps with
+    (* Forward the token: lend to the oldest trap, or rotate, parking
+       once [idle_hops] exceeds a revolution. *)
+    let dispatch (ctx : msg Node_intf.ctx) state ~stamp ~idle_hops =
+      match Search.next_trap ctx state.traps with
       | Some (requester, traps) ->
-          if requester = ctx.self then
-            dispatch ctx { state with traps } ~stamp ~idle_hops
-          else begin
-            ctx.send ~dst:requester (Loan { stamp });
-            { state with holding = Lent; traps }
-          end
+          ctx.send ~dst:requester (Loan { stamp });
+          { state with holding = Lent; traps }
       | None ->
+          let traps = Proto_util.Traps.empty in
           if idle_hops > ctx.n then begin
             (* A full revolution without demand: park, hop later. *)
             ctx.set_timer ~delay:idle_delay ~key:timer_pass;
-            { state with holding = Parked { stamp; idle_hops } }
+            { state with holding = Parked { stamp; idle_hops }; traps }
           end
           else begin
             ctx.send
               ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self)
               (Token { stamp = stamp + 1; idle_hops = idle_hops + 1 });
-            { state with holding = Not_holding }
+            { state with holding = Not_holding; traps }
           end
 
     (* Demand appeared while parked: release the token right away. *)
@@ -95,14 +93,8 @@ let make ?(idle_delay = 8.0) () :
       match state.holding with
       | Parked _ -> release_if_parked ctx state
       | Not_holding | Lent ->
-          let span = ctx.n / 2 in
-          if span < 1 then state
-          else begin
-            let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-            ctx.send ~channel:Network.Cheap ~dst
-              (Gimme { requester = ctx.self; span; stamp = state.last_stamp });
-            state
-          end
+          ignore (Search.launch ctx ~stamp:state.last_stamp gimme : bool);
+          state
 
     let on_message (ctx : msg Node_intf.ctx) state ~src msg =
       match msg with
@@ -115,9 +107,7 @@ let make ?(idle_delay = 8.0) () :
           let state = { state with last_stamp = stamp } in
           dispatch ctx state ~stamp ~idle_hops:(if busy then 0 else idle_hops)
       | Loan { stamp } ->
-          ctx.possession ();
-          Proto_util.serve_all ctx;
-          ctx.send ~dst:src (Return { stamp });
+          Search.use_loan ctx ~lender:src (Return { stamp });
           state
       | Return { stamp } ->
           ctx.possession ();
@@ -127,21 +117,15 @@ let make ?(idle_delay = 8.0) () :
       | Gimme { requester; span; stamp } ->
           if requester = ctx.self then state
           else begin
-            ctx.search_forward ();
             let state =
-              { state with traps = Proto_util.Traps.push state.traps requester }
+              { state with traps = Search.trap ctx state.traps requester }
             in
             match state.holding with
             | Parked _ -> release_if_parked ctx state
             | Lent -> state
             | Not_holding ->
-                if span >= 2 then begin
-                  let jump = span / 2 in
-                  let dir = if state.last_stamp >= stamp then jump else -jump in
-                  let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                  ctx.send ~channel:Network.Cheap ~dst
-                    (Gimme { requester; span = jump; stamp })
-                end;
+                Search.forward ctx ~last_stamp:state.last_stamp ~requester
+                  ~span ~stamp gimme;
                 state
           end
 

@@ -30,43 +30,25 @@ let label = function
   | Gimme { requester; span; stamp } ->
       Printf.sprintf "gimme(req=%d span=%d stamp=%d)" requester span stamp
 
-let serve_all = Proto_util.serve_all
-
-let push_trap state requester =
-  { state with traps = Proto_util.Traps.push state.traps requester }
-
-let pop_trap state =
-  match Proto_util.Traps.pop state.traps with
-  | None -> (None, state)
-  | Some (requester, traps) -> (Some requester, { state with traps })
+let gimme ~requester ~span ~stamp = Gimme { requester; span; stamp }
 
 (* The holder decides what to do with the token: lend it to the oldest
-   trapped requester (FIFO, as Theorem 2 requires), or resume rotation.
-   Traps for ourselves are satisfied on the spot by [serve_all] earlier,
-   so they are skipped here. *)
-let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp =
-  match pop_trap state with
-  | Some requester, state' ->
-      if requester = ctx.self then dispatch ctx state' ~stamp
-      else begin
-        ctx.send ~dst:requester (Loan { stamp });
-        { state' with holding = Lent { stamp } }
-      end
-  | None, state' ->
+   trapped requester (FIFO, as Theorem 2 requires), or resume rotation. *)
+let dispatch (ctx : msg Node_intf.ctx) state ~stamp =
+  match Search.next_trap ctx state.traps with
+  | Some (requester, traps) ->
+      ctx.send ~dst:requester (Loan { stamp });
+      { state with holding = Lent { stamp }; traps }
+  | None ->
       ctx.send
         ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self)
         (Token { stamp = stamp + 1 });
-      { state' with holding = Not_holding }
+      { state with holding = Not_holding; traps = Proto_util.Traps.empty }
 
 let launch_search (ctx : msg Node_intf.ctx) state =
-  let span = ctx.n / 2 in
-  if span < 1 then state
-  else begin
-    let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-    ctx.send ~channel:Network.Cheap ~dst
-      (Gimme { requester = ctx.self; span; stamp = state.last_stamp });
+  if Search.launch ctx ~stamp:state.last_stamp gimme then
     { state with searching = true }
-  end
+  else state
 
 let make ?(throttle = false) ?name:(proto_name = if throttle then "binsearch-throttle" else "binsearch")
     () : (module Node_intf.PROTOCOL with type state = state and type msg = msg) =
@@ -106,42 +88,32 @@ let make ?(throttle = false) ?name:(proto_name = if throttle then "binsearch-thr
       match msg with
       | Token { stamp } ->
           ctx.possession ();
-          serve_all ctx;
+          Proto_util.serve_all ctx;
           let state = { state with last_stamp = stamp; searching = false } in
           dispatch ctx state ~stamp
       | Loan { stamp } ->
           (* Borrowed token: use it and return it immediately (rule 8). *)
-          ctx.possession ();
-          serve_all ctx;
-          ctx.send ~dst:src (Return { stamp });
+          Search.use_loan ctx ~lender:src (Return { stamp });
           { state with searching = false }
       | Return { stamp } ->
           (* Our loan came back; serve whatever arrived meanwhile, then
              the next trap or the rotation resumes from here (rule 7's
              "continues to flow from where it was first intercepted"). *)
           ctx.possession ();
-          serve_all ctx;
+          Proto_util.serve_all ctx;
           dispatch ctx { state with holding = Not_holding } ~stamp
       | Gimme { requester; span; stamp } ->
           if requester = ctx.self then state (* our own search came home *)
           else begin
-            ctx.search_forward ();
-            let state = push_trap state requester in
-            match state.holding with
-            | Lent _ -> state (* token already on loan; trap waits *)
+            let state =
+              { state with traps = Search.trap ctx state.traps requester }
+            in
+            (match state.holding with
+            | Lent _ -> () (* token already on loan; trap waits *)
             | Not_holding ->
-                if span >= 2 then begin
-                  let jump = span / 2 in
-                  (* ⊂_C as a stamp comparison: if the token visited us
-                     after visiting the requester, it is ahead — chase
-                     clockwise; otherwise it lags behind — search
-                     counter-clockwise. *)
-                  let dir = if state.last_stamp >= stamp then jump else -jump in
-                  let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                  ctx.send ~channel:Network.Cheap ~dst
-                    (Gimme { requester; span = jump; stamp })
-                end;
-                state
+                Search.forward ctx ~last_stamp:state.last_stamp ~requester
+                  ~span ~stamp gimme);
+            state
           end
 
     let on_timer _ctx state ~key:_ = state

@@ -86,18 +86,15 @@ module Rotation = struct
     end;
     { last_stamp = 0; holding = Not_holding; traps = []; req_seq = 0 }
 
+  let gimme ~seq ~requester ~span ~stamp =
+    RGimme { requester; seq; span; stamp }
+
   let on_request (ctx : rotation_msg Node_intf.ctx) state =
     let state = { state with req_seq = state.req_seq + 1 } in
-    let span = ctx.n / 2 in
-    if span < 1 then state
-    else begin
-      let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-      ctx.send ~channel:Network.Cheap ~dst
-        (RGimme
-           { requester = ctx.self; seq = state.req_seq; span;
-             stamp = state.last_stamp });
-      state
-    end
+    ignore
+      (Search.launch ctx ~stamp:state.last_stamp (gimme ~seq:state.req_seq)
+        : bool);
+    state
 
   let on_message (ctx : rotation_msg Node_intf.ctx) state ~src msg =
     match msg with
@@ -134,13 +131,8 @@ module Rotation = struct
           (match state.holding with
           | Lent -> ()
           | Not_holding ->
-              if span >= 2 then begin
-                let jump = span / 2 in
-                let dir = if state.last_stamp >= stamp then jump else -jump in
-                let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                ctx.send ~channel:Network.Cheap ~dst
-                  (RGimme { requester; seq; span = jump; stamp })
-              end);
+              Search.forward ctx ~last_stamp:state.last_stamp ~requester ~span
+                ~stamp (gimme ~seq));
           state
         end
 
@@ -221,16 +213,13 @@ module Inverse = struct
     end;
     { last_stamp = 0; holding = Not_holding; traps = [] }
 
+  (* A search carries the trail of nodes it passed, nearest first. *)
+  let gimme ~trail ~requester ~span ~stamp =
+    IGimme { requester; span; stamp; trail }
+
   let on_request (ctx : inverse_msg Node_intf.ctx) state =
-    let span = ctx.n / 2 in
-    if span < 1 then state
-    else begin
-      let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-      ctx.send ~channel:Network.Cheap ~dst
-        (IGimme
-           { requester = ctx.self; span; stamp = state.last_stamp; trail = [] });
-      state
-    end
+    ignore (Search.launch ctx ~stamp:state.last_stamp (gimme ~trail:[]) : bool);
+    state
 
   let on_message (ctx : inverse_msg Node_intf.ctx) state ~src msg =
     match msg with
@@ -243,9 +232,7 @@ module Inverse = struct
         if requester = ctx.self then begin
           (* The loan reached us: use it and send it back to the sender,
              which relays it to the lender. *)
-          ctx.possession ();
-          Proto_util.serve_all ctx;
-          ctx.send ~dst:src (IReturn { stamp });
+          Search.use_loan ctx ~lender:src (IReturn { stamp });
           state
         end
         else begin
@@ -271,14 +258,8 @@ module Inverse = struct
           (match state.holding with
           | Lent -> ()
           | Not_holding ->
-              if span >= 2 then begin
-                let jump = span / 2 in
-                let dir = if state.last_stamp >= stamp then jump else -jump in
-                let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                ctx.send ~channel:Network.Cheap ~dst
-                  (IGimme
-                     { requester; span = jump; stamp; trail = ctx.self :: trail })
-              end);
+              Search.forward ctx ~last_stamp:state.last_stamp ~requester ~span
+                ~stamp (gimme ~trail:(ctx.self :: trail)));
           state
         end
 

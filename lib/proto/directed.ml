@@ -32,19 +32,16 @@ let label = function
   | Probe { requester } -> Printf.sprintf "probe(req=%d)" requester
   | Reply { stamp } -> Printf.sprintf "reply(stamp=%d)" stamp
 
-let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp =
-  match Proto_util.Traps.pop state.traps with
+let dispatch (ctx : msg Node_intf.ctx) state ~stamp =
+  match Search.next_trap ctx state.traps with
   | Some (requester, traps) ->
-      if requester = ctx.self then dispatch ctx { state with traps } ~stamp
-      else begin
-        ctx.send ~dst:requester (Loan { stamp });
-        { state with holding = Lent; traps }
-      end
+      ctx.send ~dst:requester (Loan { stamp });
+      { state with holding = Lent; traps }
   | None ->
       ctx.send
         ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self)
         (Token { stamp = stamp + 1 });
-      { state with holding = Not_holding }
+      { state with holding = Not_holding; traps = Proto_util.Traps.empty }
 
 let probe (ctx : msg Node_intf.ctx) position =
   ctx.send ~channel:Network.Cheap ~dst:position (Probe { requester = ctx.self })
@@ -98,18 +95,15 @@ module P = struct
           let state = { state with last_stamp = stamp; search = None } in
           dispatch ctx state ~stamp
       | Loan { stamp } ->
-          ctx.possession ();
-          Proto_util.serve_all ctx;
-          ctx.send ~dst:src (Return { stamp });
+          Search.use_loan ctx ~lender:src (Return { stamp });
           { state with search = None }
       | Return { stamp } ->
           ctx.possession ();
           Proto_util.serve_all ctx;
           dispatch ctx { state with holding = Not_holding } ~stamp
       | Probe { requester } ->
-          ctx.search_forward ();
           let state =
-            { state with traps = Proto_util.Traps.push state.traps requester }
+            { state with traps = Search.trap ctx state.traps requester }
           in
           ctx.send ~channel:Network.Cheap ~dst:requester
             (Reply { stamp = state.last_stamp });

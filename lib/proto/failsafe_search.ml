@@ -57,6 +57,8 @@ let label = function
   | Status { gen; stamp } -> Printf.sprintf "status(g%d,#%d)" gen stamp
   | Regenerate { gen } -> Printf.sprintf "regenerate(g%d)" gen
 
+let gimme ~requester ~span ~stamp = Gimme { requester; span; stamp }
+
 let make ?timeout () :
     (module Node_intf.PROTOCOL with type state = state and type msg = msg) =
   (module struct
@@ -99,18 +101,20 @@ let make ?timeout () :
       end
 
     (* Lend to the oldest live trapped requester or rotate onward. *)
-    let rec dispatch (ctx : msg Node_intf.ctx) state ~gen ~stamp =
-      match Traps.pop state.traps with
+    let dispatch (ctx : msg Node_intf.ctx) state ~gen ~stamp =
+      match Search.next_trap ~dead:state.dead ctx state.traps with
       | Some (requester, traps) ->
-          let state = { state with traps } in
-          if requester = ctx.self || ISet.mem requester state.dead then
-            dispatch ctx state ~gen ~stamp
-          else begin
-            ctx.send ~dst:requester (Loan { gen; stamp });
-            ctx.set_timer ~delay:loan_wait ~key:timer_loan;
-            { state with holding = Lent { gen; stamp; borrower = requester } }
-          end
-      | None -> send_token ctx state ~gen ~stamp:(stamp + 1)
+          ctx.send ~dst:requester (Loan { gen; stamp });
+          ctx.set_timer ~delay:loan_wait ~key:timer_loan;
+          {
+            state with
+            holding = Lent { gen; stamp; borrower = requester };
+            traps;
+          }
+      | None ->
+          send_token ctx
+            { state with traps = Traps.empty }
+            ~gen ~stamp:(stamp + 1)
 
     let init (ctx : msg Node_intf.ctx) =
       let state =
@@ -134,12 +138,7 @@ let make ?timeout () :
       else state
 
     let launch_search (ctx : msg Node_intf.ctx) state =
-      let span = ctx.n / 2 in
-      if span >= 1 then begin
-        let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-        ctx.send ~channel:Network.Cheap ~dst
-          (Gimme { requester = ctx.self; span; stamp = state.last_stamp })
-      end;
+      ignore (Search.launch ctx ~stamp:state.last_stamp gimme : bool);
       ctx.set_timer ~delay:(watch_timeout ctx) ~key:timer_watch;
       state
 
@@ -177,9 +176,7 @@ let make ?timeout () :
       | Loan { gen; stamp } ->
           if gen < state.gen then state
           else begin
-            ctx.possession ();
-            Proto_util.serve_all ctx;
-            ctx.send ~dst:src (Return { gen; stamp });
+            Search.use_loan ctx ~lender:src (Return { gen; stamp });
             { state with gen; last_seen = ctx.now (); recovering = false }
           end
       | Return { gen; stamp } -> (
@@ -193,18 +190,14 @@ let make ?timeout () :
       | Gimme { requester; span; stamp } ->
           if requester = ctx.self then state
           else begin
-            ctx.search_forward ();
-            let state = { state with traps = Traps.push state.traps requester } in
+            let state =
+              { state with traps = Search.trap ctx state.traps requester }
+            in
             (match state.holding with
             | Held _ | Lent _ -> () (* served from here when free *)
             | Not_holding ->
-                if span >= 2 then begin
-                  let jump = span / 2 in
-                  let dir = if state.last_stamp >= stamp then jump else -jump in
-                  let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                  ctx.send ~channel:Network.Cheap ~dst
-                    (Gimme { requester; span = jump; stamp })
-                end);
+                Search.forward ctx ~last_stamp:state.last_stamp ~requester
+                  ~span ~stamp gimme);
             state
           end
       | WhoHas { initiator } ->

@@ -34,6 +34,8 @@ let label = function
   | Probe { holder; ttl } -> Printf.sprintf "probe(holder=%d ttl=%d)" holder ttl
   | Want { requester } -> Printf.sprintf "want(req=%d)" requester
 
+let gimme ~requester ~span ~stamp = Gimme { requester; span; stamp }
+
 let make ?(probe_interval = 4.0) () :
     (module Node_intf.PROTOCOL with type state = state and type msg = msg) =
   (module struct
@@ -53,17 +55,18 @@ let make ?(probe_interval = 4.0) () :
     let label = label
 
     (* Lend to the oldest trap, or park here and start probing. *)
-    let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp =
-      match Proto_util.Traps.pop state.traps with
+    let dispatch (ctx : msg Node_intf.ctx) state ~stamp =
+      match Search.next_trap ctx state.traps with
       | Some (requester, traps) ->
-          if requester = ctx.self then dispatch ctx { state with traps } ~stamp
-          else begin
-            ctx.send ~dst:requester (Loan { stamp });
-            { state with holding = Lent { stamp }; traps }
-          end
+          ctx.send ~dst:requester (Loan { stamp });
+          { state with holding = Lent { stamp }; traps }
       | None ->
           ctx.set_timer ~delay:probe_interval ~key:timer_probe;
-          { state with holding = Parked { stamp }; last_stamp = stamp }
+          {
+            holding = Parked { stamp };
+            last_stamp = stamp;
+            traps = Proto_util.Traps.empty;
+          }
 
     let init (ctx : msg Node_intf.ctx) =
       let state =
@@ -83,14 +86,8 @@ let make ?(probe_interval = 4.0) () :
           dispatch ctx { state with holding = Not_holding } ~stamp
       | Lent _ -> state (* token is out on loan; it comes back here *)
       | Not_holding ->
-          let span = ctx.n / 2 in
-          if span < 1 then state
-          else begin
-            let dst = Node_intf.forward_node ~n:ctx.n ctx.self span in
-            ctx.send ~channel:Network.Cheap ~dst
-              (Gimme { requester = ctx.self; span; stamp = state.last_stamp });
-            state
-          end
+          ignore (Search.launch ctx ~stamp:state.last_stamp gimme : bool);
+          state
 
     let on_message (ctx : msg Node_intf.ctx) state ~src msg =
       match msg with
@@ -99,9 +96,7 @@ let make ?(probe_interval = 4.0) () :
           Proto_util.serve_all ctx;
           dispatch ctx { state with last_stamp = stamp } ~stamp
       | Loan { stamp } ->
-          ctx.possession ();
-          Proto_util.serve_all ctx;
-          ctx.send ~dst:src (Return { stamp });
+          Search.use_loan ctx ~lender:src (Return { stamp });
           state
       | Return { stamp } ->
           ctx.possession ();
@@ -110,9 +105,8 @@ let make ?(probe_interval = 4.0) () :
       | Gimme { requester; span; stamp } ->
           if requester = ctx.self then state
           else begin
-            ctx.search_forward ();
             let state =
-              { state with traps = Proto_util.Traps.push state.traps requester }
+              { state with traps = Search.trap ctx state.traps requester }
             in
             match state.holding with
             | Parked { stamp = held_stamp } ->
@@ -121,13 +115,8 @@ let make ?(probe_interval = 4.0) () :
                 dispatch ctx { state with holding = Not_holding } ~stamp:held_stamp
             | Lent _ -> state
             | Not_holding ->
-                if span >= 2 then begin
-                  let jump = span / 2 in
-                  let dir = if state.last_stamp >= stamp then jump else -jump in
-                  let dst = Node_intf.forward_node ~n:ctx.n ctx.self dir in
-                  ctx.send ~channel:Network.Cheap ~dst
-                    (Gimme { requester; span = jump; stamp })
-                end;
+                Search.forward ctx ~last_stamp:state.last_stamp ~requester
+                  ~span ~stamp gimme;
                 state
           end
       | Probe { holder; ttl } ->

@@ -20,14 +20,9 @@ let init (ctx : msg Node_intf.ctx) =
   end;
   { last_stamp = 0 }
 
-let serve_all (ctx : msg Node_intf.ctx) =
-  while ctx.pending () > 0 do
-    ctx.serve ()
-  done
-
 let on_message (ctx : msg Node_intf.ctx) _state ~src:_ (Token { stamp }) =
   ctx.possession ();
-  serve_all ctx;
+  Proto_util.serve_all ctx;
   ctx.send ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self) (Token { stamp = stamp + 1 });
   { last_stamp = stamp }
 

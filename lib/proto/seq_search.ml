@@ -25,19 +25,16 @@ let label = function
   | Return { stamp } -> Printf.sprintf "return#%d" stamp
   | Gimme { requester; ttl } -> Printf.sprintf "gimme(req=%d ttl=%d)" requester ttl
 
-let rec dispatch (ctx : msg Node_intf.ctx) state ~stamp =
-  match Proto_util.Traps.pop state.traps with
+let dispatch (ctx : msg Node_intf.ctx) state ~stamp =
+  match Search.next_trap ctx state.traps with
   | Some (requester, traps) ->
-      if requester = ctx.self then dispatch ctx { state with traps } ~stamp
-      else begin
-        ctx.send ~dst:requester (Loan { stamp });
-        { holding = Lent; traps }
-      end
+      ctx.send ~dst:requester (Loan { stamp });
+      { holding = Lent; traps }
   | None ->
       ctx.send
         ~dst:(Node_intf.succ_node ~n:ctx.n ctx.self)
         (Token { stamp = stamp + 1 });
-      { state with holding = Not_holding }
+      { holding = Not_holding; traps = Proto_util.Traps.empty }
 
 (* Named (rather than inline) so [protocol_t] below can expose the typed
    module the wire-codec layer pairs with its codec. *)
@@ -75,9 +72,7 @@ module P = struct
           Proto_util.serve_all ctx;
           dispatch ctx state ~stamp
       | Loan { stamp } ->
-          ctx.possession ();
-          Proto_util.serve_all ctx;
-          ctx.send ~dst:src (Return { stamp });
+          Search.use_loan ctx ~lender:src (Return { stamp });
           state
       | Return { stamp } ->
           ctx.possession ();
@@ -86,9 +81,8 @@ module P = struct
       | Gimme { requester; ttl } ->
           if requester = ctx.self then state
           else begin
-            ctx.search_forward ();
             let state =
-              { state with traps = Proto_util.Traps.push state.traps requester }
+              { state with traps = Search.trap ctx state.traps requester }
             in
             if ttl > 1 then
               ctx.send ~channel:Network.Cheap

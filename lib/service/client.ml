@@ -528,7 +528,7 @@ let run cfg =
   }
 
 let result_json (r : result) =
-  let open Tr_net_rt.Live_export in
+  let open Tr_stats.Json in
   let s = r.slo in
   obj
     [

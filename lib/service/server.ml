@@ -527,7 +527,7 @@ let run ?on_ready config =
   { report; stats = st; switches }
 
 let stats_json ~(outcome : outcome) ~app ~adaptive =
-  let open Tr_net_rt.Live_export in
+  let open Tr_stats.Json in
   let st = outcome.stats in
   obj
     [

@@ -1,32 +1,19 @@
 module Summary = Tr_stats.Summary
 module Quantile = Tr_stats.Quantile
-module P2 = Tr_stats.P2
 
 type msg_class = Token_msg | Control_msg
 
-(* Streaming (O(1)-memory) percentile estimates of one sample stream —
-   the tail statistics large-N sweeps read when exact sample retention
-   would be wasteful. *)
-type sketches = { q50 : P2.t; q90 : P2.t; q99 : P2.t }
+(* One sample stream: running moments and exact quantiles. *)
+type stream = { summary : Summary.t; exact : Quantile.t }
 
-let make_sketches () =
-  { q50 = P2.create ~p:0.5; q90 = P2.create ~p:0.9; q99 = P2.create ~p:0.99 }
-
-(* One sample stream: running moments, exact quantiles and sketches. *)
-type stream = { summary : Summary.t; exact : Quantile.t; sketches : sketches }
-
-let make_stream () =
-  { summary = Summary.create (); exact = Quantile.create (); sketches = make_sketches () }
+let make_stream () = { summary = Summary.create (); exact = Quantile.create () }
 
 (* Kept out of line on purpose: a float crossing into [Tr_stats] is
-   passed boxed, and as a parameter here it is boxed once for all five
+   passed boxed, and as a parameter here it is boxed once for both
    consumers instead of once per call. *)
 let[@inline never] stream_add st x =
   Summary.add st.summary x;
-  Quantile.add st.exact x;
-  P2.add st.sketches.q50 x;
-  P2.add st.sketches.q90 x;
-  P2.add st.sketches.q99 x
+  Quantile.add st.exact x
 
 (* A FIFO of floats in a circular buffer whose power-of-two capacity
    doubles when full: a queued arrival is a slot in a flat array, not a
@@ -242,10 +229,8 @@ let total_pending t = t.total_pending
 let serves t = t.serves
 let responsiveness t = t.responsiveness.summary
 let responsiveness_quantiles t = t.responsiveness.exact
-let responsiveness_sketches t = t.responsiveness.sketches
 let waiting t = t.waiting.summary
 let waiting_quantiles t = t.waiting.exact
-let waiting_sketches t = t.waiting.sketches
 let token_messages t = t.token_messages
 let control_messages t = t.control_messages
 let cheap_messages t = t.cheap_messages

@@ -20,15 +20,6 @@
 
 type msg_class = Token_msg | Control_msg
 
-type sketches = {
-  q50 : Tr_stats.P2.t;
-  q90 : Tr_stats.P2.t;
-  q99 : Tr_stats.P2.t;
-}
-(** Streaming P² percentile estimators over one sample stream — O(1)
-    memory however long the run, so [trace:false] large-N sweeps still
-    get tail statistics. Read with {!Tr_stats.P2.estimate}. *)
-
 type t
 
 val create : n:int -> t
@@ -62,14 +53,8 @@ val serves : t -> int
 val responsiveness : t -> Tr_stats.Summary.t
 val responsiveness_quantiles : t -> Tr_stats.Quantile.t
 
-val responsiveness_sketches : t -> sketches
-(** Streaming percentile sketches of the responsiveness samples. *)
-
 val waiting : t -> Tr_stats.Summary.t
 val waiting_quantiles : t -> Tr_stats.Quantile.t
-
-val waiting_sketches : t -> sketches
-(** Streaming percentile sketches of the per-request waiting times. *)
 
 val token_messages : t -> int
 val control_messages : t -> int

@@ -1,7 +1,6 @@
 (* Tests for the applications: total-order broadcast (agreement and
-   gap-freedom, including under message loss and reordering), the mutex
-   service (no overlapping critical sections), and the weighted
-   round-robin scheduler (proportional shares). *)
+   gap-freedom, including under message loss and reordering) and the
+   mutex service (no overlapping critical sections). *)
 
 open Tr_sim
 
@@ -297,81 +296,6 @@ let test_golden_total_order_transcript () =
   check_app_golden ~file:"app_total_order_n8_seed11.txt"
     (render_transcript (TO.trace t))
 
-(* ---------------- scheduler ---------------- *)
-
-let run_scheduler ~weight ~n ~serves =
-  let module P = (val Tr_apps.Scheduler.make ~weight ~slot_cost:0.5 ()) in
-  let module E = Engine.Make (P) in
-  let config =
-    {
-      (Engine.default_config ~n ~seed:6) with
-      (* Saturate every queue so shares reflect weights, not arrivals. *)
-      workload = Workload.Per_node_poisson { mean_interarrival = 1.0 };
-    }
-  in
-  let t = E.create config in
-  E.run t ~stop:(Engine.After_serves serves);
-  E.metrics t
-
-let test_scheduler_round_robin_fair () =
-  let m = run_scheduler ~weight:(fun _ -> 1) ~n:8 ~serves:400 in
-  let counts =
-    List.init 8 (fun _i -> 0)
-    |> List.mapi (fun i _ -> Metrics.possessions m ~node:i)
-  in
-  ignore counts;
-  (* Equal weights: possession imbalance stays near 1. *)
-  Alcotest.(check bool) "fair shares" true (Metrics.possession_imbalance m < 1.2)
-
-let test_scheduler_weighted_shares () =
-  (* Node 0 has weight 4, everyone else 1: under saturation node 0 should
-     complete ~4x the work of an average other node. We cannot read
-     served counts per node from Metrics directly, but waiting times
-     reflect shares; instead count serves via a per-node trace. *)
-  let module P =
-    (val Tr_apps.Scheduler.make ~weight:(fun i -> if i = 0 then 4 else 1)
-           ~slot_cost:0.5 ())
-  in
-  let module E = Engine.Make (P) in
-  let config =
-    {
-      (Engine.default_config ~n:6 ~seed:6) with
-      workload = Workload.Per_node_poisson { mean_interarrival = 0.8 };
-      trace = true;
-    }
-  in
-  let t = E.create config in
-  E.run t ~stop:(Engine.After_serves 500);
-  let served = Array.make 6 0 in
-  List.iter
-    (fun { Trace.event; _ } ->
-      match event with
-      | Trace.Served { node; _ } -> served.(node) <- served.(node) + 1
-      | _ -> ())
-    (Trace.events (E.trace t));
-  let others_avg =
-    float_of_int (Array.fold_left ( + ) 0 served - served.(0)) /. 5.0
-  in
-  let ratio = float_of_int served.(0) /. others_avg in
-  if ratio < 2.5 || ratio > 6.0 then
-    Alcotest.failf "weighted share off: node0=%d others-avg=%.1f (ratio %.2f)"
-      served.(0) others_avg ratio
-
-let test_scheduler_invalid_weight () =
-  let module P = (val Tr_apps.Scheduler.make ~weight:(fun _ -> 0) ()) in
-  let module E = Engine.Make (P) in
-  Alcotest.(check bool) "raises at init" true
-    (try
-       ignore (E.create (Engine.default_config ~n:4 ~seed:0));
-       false
-     with Invalid_argument _ -> true)
-
-let test_scheduler_work_takes_time () =
-  let m = run_scheduler ~weight:(fun _ -> 1) ~n:4 ~serves:50 in
-  (* Each slot costs 0.5; waiting times can't all be ~0. *)
-  Alcotest.(check bool) "work occupies the resource" true
-    (Tr_stats.Summary.mean (Metrics.waiting m) > 0.4)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -406,12 +330,5 @@ let () =
           Alcotest.test_case "mutex transcript" `Quick test_golden_mutex_transcript;
           Alcotest.test_case "total-order transcript" `Quick
             test_golden_total_order_transcript;
-        ] );
-      ( "scheduler",
-        [
-          Alcotest.test_case "round-robin fair" `Quick test_scheduler_round_robin_fair;
-          Alcotest.test_case "weighted shares" `Quick test_scheduler_weighted_shares;
-          Alcotest.test_case "invalid weight" `Quick test_scheduler_invalid_weight;
-          Alcotest.test_case "work takes time" `Quick test_scheduler_work_takes_time;
         ] );
     ]

@@ -163,9 +163,9 @@ let balanced text =
 
 let test_export_escape () =
   Alcotest.(check string) "quotes and backslashes" {|a\"b\\c|}
-    (Tokenring.Export.escape_string {|a"b\c|});
+    (Tr_stats.Json.escape_string {|a"b\c|});
   Alcotest.(check string) "newline" {|x\ny|}
-    (Tokenring.Export.escape_string "x\ny")
+    (Tr_stats.Json.escape_string "x\ny")
 
 let test_export_outcome_json () =
   let config =

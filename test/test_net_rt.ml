@@ -584,8 +584,8 @@ let test_ring_minor_budget () =
    state record and message, the delay sample and the due time boxed on
    their way across module boundaries, and in the search protocols the
    trap queue's set nodes. Each count is a pure function of the seed and
-   the code, so it repeats exactly. This code reads 9.16, 31.83 and
-   13.29 words; each budget is that count plus about 10 %. *)
+   the code, so it repeats exactly. This code reads 9.16, 29.37 and
+   13.29 words; each budget was set at a reading plus about 10 %. *)
 let test_sim_alloc_budget () =
   let words_per_event (module P : Node_intf.PROTOCOL) ~n ~mean ~warm ~window =
     let module E = Engine.Make (P) in
