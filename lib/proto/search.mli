@@ -1,19 +1,13 @@
-(** The paper's BinarySearch rules 5–8 (§4.2, Figure 7), shared by every
-    protocol that chases the token with halving-span "gimme" searches and
-    lends it to trapped requesters: {!Binsearch}, {!Adaptive},
-    {!Pushpull}, both {!Cleanup} variants, {!Failsafe_search}, and the
-    [Tr_apps] mutex and total-order services. {!Directed} and
-    {!Seq_search} use the trap and loan parts.
+(** The paper's BinarySearch rules 5–8 (§4.2, Figure 7), written once
+    for every protocol that chases the token with halving-span "gimme"
+    searches and lends it to trapped requesters. Each caller keeps only
+    what differs: its holding states, parking, search payloads and
+    timers. It passes its search-message constructor as [gimme]; a
+    top-level function allocates nothing per message.
 
-    Each protocol keeps only what differs: its holding states, parking,
-    the payload its search messages carry, failure timers, and what the
-    holder does with the token. The search message itself is built by a
-    constructor function the caller passes ([gimme]); a top-level function
-    costs no allocation per message.
-
-    [⊂_C], the paper's history-prefix comparison, is a stamp compare
-    here: the stamp a node recorded at the token's last rotation visit is
-    its history projected onto circulation events (§4.4). *)
+    [⊂_C], the paper's history-prefix comparison, is a stamp compare:
+    the stamp a node recorded at the token's last rotation visit is its
+    history projected onto circulation events (§4.4). *)
 
 open Tr_sim
 
@@ -27,9 +21,9 @@ val launch :
     last-visit stamp. [false], with nothing sent, when [n/2 < 1]. *)
 
 val trap : 'msg Node_intf.ctx -> Proto_util.Traps.t -> int -> Proto_util.Traps.t
-(** Rule 6's trap, at a node that is not the requester (a node's own
-    gimme coming home is dropped by the caller): count one search forward
-    (Lemma 6's metric) and trap the requester, once. *)
+(** Rule 6's trap at a node other than the requester (callers drop their
+    own gimme first): count one search forward (Lemma 6) and trap the
+    requester, once. *)
 
 val forward :
   'msg Node_intf.ctx ->
@@ -39,23 +33,22 @@ val forward :
   stamp:int ->
   (requester:int -> span:int -> stamp:int -> 'msg) ->
   unit
-(** Rule 6's forward, at a node whose token is not here: a search with
+(** Rule 6's forward at a node without the token: a search with
     [span >= 2] goes on at half the span on the cheap channel, clockwise
-    when the token visited this node after the requester
-    ([last_stamp >= stamp]) and counter-clockwise otherwise. A smaller
-    span is absorbed. *)
+    if the token visited this node after the requester
+    ([last_stamp >= stamp]), counter-clockwise otherwise. A smaller span
+    is absorbed. *)
 
 val next_trap :
   ?dead:Set.Make(Int).t ->
   'msg Node_intf.ctx ->
   Proto_util.Traps.t ->
   (int * Proto_util.Traps.t) option
-(** Rule 7's choice of borrower: the oldest trapped requester (Theorem 2's
-    FIFO) with the queue that remains, skipping this node, whose requests
-    the holder serves on the spot, and any [dead] node. [None] when no
-    one is left to lend to; the queue is then spent, and the caller
-    resets it to [Traps.empty]. *)
+(** Rule 7's borrower: the oldest trapped requester (Theorem 2's FIFO)
+    and the rest of the queue, skipping this node and any [dead] one.
+    [None] when no one is left; the caller then resets the queue to
+    [Traps.empty]. *)
 
 val use_loan : 'msg Node_intf.ctx -> lender:int -> 'msg -> unit
-(** Rule 8: the borrower takes the token, serves everything queued here
-    and sends [return] back to [lender]. *)
+(** Rule 8: the borrower takes the token, serves its queue and sends
+    [return] to [lender]. *)
