@@ -396,13 +396,23 @@ let explore_cmd =
       (if p.domains_used = 1 then "" else "s")
       p.peak_rss_kb;
     if json then
-      Format.printf
-        "{\"system\": \"%s\", \"n\": %d, \"budget\": %d, \"states\": %d, \
-         \"transitions\": %d, \"max_depth\": %d, \"truncated\": %b, \
-         \"violations\": %d, \"wall_s\": %.4f, \"states_per_s\": %.0f, \
-         \"domains\": %d, \"peak_rss_kb\": %d}@."
-        name n budget s.states s.transitions s.max_depth s.truncated
-        nviolations p.wall_s p.states_per_s p.domains_used p.peak_rss_kb
+      let open Tr_stats.Json in
+      print_endline
+        (obj
+           [
+             ("system", json_string name);
+             ("n", string_of_int n);
+             ("budget", string_of_int budget);
+             ("states", string_of_int s.states);
+             ("transitions", string_of_int s.transitions);
+             ("max_depth", string_of_int s.max_depth);
+             ("truncated", string_of_bool s.truncated);
+             ("violations", string_of_int nviolations);
+             ("wall_s", json_float p.wall_s);
+             ("states_per_s", json_float p.states_per_s);
+             ("domains", string_of_int p.domains_used);
+             ("peak_rss_kb", string_of_int p.peak_rss_kb);
+           ])
     else begin
       Format.printf "system: %s@.states: %d@.transitions: %d@.max-depth: \
                      %d@.truncated: %b@.violations: %d@."

@@ -126,23 +126,6 @@ let resolve_readiness = function
   | Some b -> Readiness.resolve ~source:"forced" b
   | None -> Readiness.default_backend ()
 
-(* Pull every complete payload view out of [dec]. Views borrow the
-   decoder's buffer; that is safe here because nothing feeds [dec]
-   until the callback returns. *)
-let drain_decoder stats dec f =
-  let rec go () =
-    match Frame.Decoder.next_view dec with
-    | Frame.Decoder.View v ->
-        Atomic.incr stats.frames_received;
-        f v;
-        go ()
-    | Frame.Decoder.Skip_view _ ->
-        Atomic.incr stats.resync_skips;
-        go ()
-    | Frame.Decoder.Await_view -> ()
-  in
-  go ()
-
 (* Decode one whole in-process frame in place. *)
 let deliver_exact stats f frame =
   match Frame.decode_exact frame with
@@ -401,47 +384,7 @@ module Sockets = struct
      more than a few frames; [append] doubles it for the ones that do. *)
   let out_initial = 256
 
-  (* [write(2)] cannot pass MSG_NOSIGNAL, so a write to a peer that
-     closed its end raises SIGPIPE and the default handler kills the
-     whole process before [tear_down] can run. Ignore it once,
-     process-wide, so the failure surfaces as EPIPE instead. *)
-  let ignore_sigpipe =
-    lazy
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-       with Invalid_argument _ | Sys_error _ -> ())
-
-  (* Nagle's algorithm would hold our (already-coalesced) small writes
-     back waiting for acks; batching happens in [conn_out], not in the
-     kernel, so tell TCP to ship immediately. *)
-  let set_nodelay fd =
-    try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
-
-  (* read(2)/write(2) on an O_NONBLOCK socket, in place on the bytes and
-     without releasing the domain lock (io_stubs.c says why that is
-     safe). A count, or one of the error classes below. Every fd they
-     see — dialed or accepted — is set non-blocking first. *)
-  external io_read : Unix.file_descr -> Bytes.t -> int -> int -> int
-    = "tr_io_read"
-  [@@noalloc]
-
-  external io_write : Unix.file_descr -> Bytes.t -> int -> int -> int
-    = "tr_io_write"
-  [@@noalloc]
-
-  let io_again = -1 (* EAGAIN, EWOULDBLOCK, EINTR *)
-  let io_connecting = -2 (* ENOTCONN, EINPROGRESS, EALREADY *)
-
-  let check_range what buf pos len =
-    if pos < 0 || len < 0 || pos > Bytes.length buf - len then
-      invalid_arg what
-
-  let read_nb fd buf pos len =
-    check_range "Transport.read_nb" buf pos len;
-    io_read fd buf pos len
-
-  let write_nb fd buf pos len =
-    check_range "Transport.write_nb" buf pos len;
-    io_write fd buf pos len
+  let close_quietly = Stream_io.close_quietly
 
   type conn_in = {
     fd : Unix.file_descr;
@@ -457,9 +400,7 @@ module Sockets = struct
   type conn_out = {
     addr : Unix.sockaddr;
     mutable fd : Unix.file_descr option;
-    mutable out : Bytes.t;  (** Unwritten bytes live in [out_pos..out_len). *)
-    mutable out_pos : int;
-    mutable out_len : int;
+    out : Stream_io.out;
     bounds : int Queue.t;  (** Byte length of each queued frame, in order. *)
     mutable head_off : int;  (** Bytes of the head frame already written. *)
     mutable backoff : float;
@@ -468,7 +409,7 @@ module Sockets = struct
     mutable in_retry : bool;  (** Queued in its shard set's [retry_outs]. *)
   }
 
-  let queued co = co.out_len - co.out_pos
+  let queued co = Stream_io.queued co.out
 
   (* A node is {e tracked} once [adopt] hands it to a shard: its fds
      then live in that shard's readiness set and [poll] touches only what
@@ -504,7 +445,11 @@ module Sockets = struct
             frames. *)
     mutable fdx : entry array;
         (** By fd, grown on demand; fds are small dense ints. *)
-    sbuf : Bytes.t;  (** Shared read buffer — one per shard, not per node. *)
+    reader : Stream_io.reader;  (** One per shard, not per node. *)
+    deliver : (Frame.view -> unit) -> Frame.view -> bool;
+    resync : (Frame.view -> unit) -> unit;
+        (** [Stream_io.read_frames]'s callbacks, built once: the poll's
+            callback rides along as their context. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
     mutable ewma_gap : float;  (** Recent inter-event gap estimate (s). *)
@@ -519,8 +464,6 @@ module Sockets = struct
     | Listener of node
     | In of node * conn_in
     | Out of node * conn_out
-
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
   (* Registration keeps the [fds_registered] gauge honest: an fd counts
      once, however often its interest mask changes. Removal must happen
@@ -551,12 +494,6 @@ module Sockets = struct
       Readiness.remove set.bell.rd fd
     end
 
-  let reset_if_empty co =
-    if queued co = 0 then begin
-      co.out_pos <- 0;
-      co.out_len <- 0
-    end
-
   let tear_down stats set co =
     (match co.fd with
     | Some fd ->
@@ -568,10 +505,9 @@ module Sockets = struct
       (* Drop the half-written head frame whole; its tail must not open
          the next connection mid-frame. *)
       let head = Queue.pop co.bounds in
-      co.out_pos <- co.out_pos + (head - co.head_off);
+      Stream_io.advance co.out (head - co.head_off);
       co.head_off <- 0;
-      Atomic.incr stats.frames_dropped;
-      reset_if_empty co
+      Atomic.incr stats.frames_dropped
     end;
     co.backoff <- Float.min backoff_max (Float.max backoff_min (2.0 *. co.backoff));
     co.retry_at <- Unix.gettimeofday () +. co.backoff;
@@ -581,7 +517,7 @@ module Sockets = struct
     let fd = Unix.socket (Unix.domain_of_sockaddr co.addr) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     (match co.addr with
-    | Unix.ADDR_INET _ -> set_nodelay fd
+    | Unix.ADDR_INET _ -> Stream_io.set_nodelay fd
     | Unix.ADDR_UNIX _ -> ());
     let connected () =
       co.fd <- Some fd;
@@ -600,32 +536,13 @@ module Sockets = struct
         co.fd <- None;
         tear_down stats set co
 
-  (* Append [len] frame bytes to the coalescing buffer. [blit dst dstoff]
-     writes them; the caller has already counted the frame. *)
+  (* Append one [len]-byte frame; the caller has already counted it. *)
   let append co ~len blit =
-    if co.out_len + len > Bytes.length co.out then begin
-      if co.out_pos > 0 then begin
-        Bytes.blit co.out co.out_pos co.out 0 (queued co);
-        co.out_len <- queued co;
-        co.out_pos <- 0
-      end;
-      if co.out_len + len > Bytes.length co.out then begin
-        let cap = ref (2 * Bytes.length co.out) in
-        while co.out_len + len > !cap do
-          cap := 2 * !cap
-        done;
-        let bigger = Bytes.create !cap in
-        Bytes.blit co.out 0 bigger 0 co.out_len;
-        co.out <- bigger
-      end
-    end;
-    blit co.out co.out_len;
-    co.out_len <- co.out_len + len;
+    Stream_io.append co.out ~len blit;
     Queue.add len co.bounds
 
   (* Account [wrote] flushed bytes against the frame-boundary queue. *)
   let advance co wrote =
-    co.out_pos <- co.out_pos + wrote;
     let rec pop w =
       if w > 0 then begin
         let head = Queue.peek co.bounds in
@@ -638,8 +555,7 @@ module Sockets = struct
         else co.head_off <- co.head_off + w
       end
     in
-    pop wrote;
-    reset_if_empty co
+    pop wrote
 
   (* One [write] covering every queued frame; a partial write means the
      kernel buffer is full, so stop rather than spin. Sends between two
@@ -653,58 +569,22 @@ module Sockets = struct
             if co.fd <> None then flush stats set node co
           end
       | Some fd ->
-          let wrote = write_nb fd co.out co.out_pos (queued co) in
+          let wrote = Stream_io.flush fd co.out in
           Atomic.incr stats.write_syscalls;
           if wrote >= 0 then begin
             co.backoff <- backoff_min;
             advance co wrote
           end
-          else if wrote <> io_again && wrote <> io_connecting then
-            tear_down stats set co
+          else if wrote = Stream_io.failed then tear_down stats set co
           (* Otherwise still connecting, or the kernel buffer is full;
              the bytes stay queued for the next poll. *)
-
-  let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
-
-  let describe_addr = function
-    | Unix.ADDR_UNIX path -> path
-    | Unix.ADDR_INET (ip, port) ->
-        Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) port
-
-  (* A bad address (missing UDS directory, port in use) is a caller
-     error: report it as a [Failure] naming the address and the failed
-     call, not as a bare [Unix_error] that names neither. *)
-  let make_listener addr =
-    let fail err call =
-      failwith
-        (Printf.sprintf "Transport.sockets: cannot listen on %s: %s: %s"
-           (describe_addr addr) call (Unix.error_message err))
-    in
-    (match addr with
-    | Unix.ADDR_UNIX path -> unlink_quietly path
-    | Unix.ADDR_INET _ -> ());
-    let fd =
-      try Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
-      with Unix.Unix_error (err, call, _) -> fail err call
-    in
-    try
-      (match addr with
-      | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-      | Unix.ADDR_UNIX _ -> ());
-      Unix.bind fd addr;
-      Unix.listen fd 1024;
-      Unix.set_nonblock fd;
-      fd
-    with Unix.Unix_error (err, call, _) ->
-      close_quietly fd;
-      fail err call
 
   let accept_all stats set node =
     let rec go () =
       match Unix.accept ~cloexec:true node.listen with
       | fd, _ ->
           Unix.set_nonblock fd;
-          if node.nodelay then set_nodelay fd;
+          if node.nodelay then Stream_io.set_nodelay fd;
           (* Peers dial only with bytes queued, so a fresh connection
              is read in this same poll rather than after another wait.
              Registration is level-triggered: bytes arriving later still
@@ -721,18 +601,15 @@ module Sockets = struct
   (* Read everything available on one inbound connection. Returns false
      when the connection is finished (EOF or error) and should drop —
      the caller deregisters before closing. *)
-  let read_conn stats buf (ci : conn_in) f =
-    let rec go () =
-      let k = read_nb ci.fd buf 0 (Bytes.length buf) in
-      Atomic.incr stats.read_syscalls;
-      if k > 0 then begin
-        Frame.Decoder.feed_sub ci.dec buf ~pos:0 ~len:k;
-        drain_decoder stats ci.dec f;
-        if k = Bytes.length buf then go () else true
-      end
-      else k = io_again
+  let read_conn stats set (ci : conn_in) f =
+    let r = set.reader in
+    let reads = r.Stream_io.reads in
+    let open_ =
+      Stream_io.read_frames r ci.fd ci.dec ~skip:set.resync ~view:set.deliver f
     in
-    go ()
+    ignore
+      (Atomic.fetch_and_add stats.read_syscalls (r.Stream_io.reads - reads));
+    open_
 
   let drop_in stats set node (ci : conn_in) =
     unreg stats set ci.fd;
@@ -755,7 +632,7 @@ module Sockets = struct
         List.iter
           (fun ci ->
             ci.ready <- false;
-            if not (read_conn stats set.sbuf ci f) then drop_in stats set node ci)
+            if not (read_conn stats set ci f) then drop_in stats set node ci)
           ris);
     match node.busy with
     | [] -> ()
@@ -788,7 +665,7 @@ module Sockets = struct
     | _ -> false
 
   let create ?readiness ?spin ?inproc ~clock:_ ~n ~owned ~addrs () =
-    Lazy.force ignore_sigpipe;
+    Stream_io.ignore_sigpipe ();
     (* High-N clusters hit the default soft RLIMIT_NOFILE long before
        they hit any real resource limit; raise it once per process. *)
     ignore (Readiness.raise_nofile ());
@@ -822,7 +699,7 @@ module Sockets = struct
              Some
                {
                  id = i;
-                 listen = make_listener addrs.(i);
+                 listen = Stream_io.listen addrs.(i);
                  nodelay =
                    (match addrs.(i) with
                    | Unix.ADDR_INET _ -> true
@@ -844,9 +721,7 @@ module Sockets = struct
        Array.iter
          (Option.iter (fun node ->
               close_quietly node.listen;
-              match addrs.(node.id) with
-              | Unix.ADDR_UNIX path -> unlink_quietly path
-              | Unix.ADDR_INET _ -> ()))
+              Stream_io.unlink_listener addrs.(node.id)))
          hosted;
        raise e);
     let host ~what i =
@@ -869,9 +744,7 @@ module Sockets = struct
                   {
                     addr = addrs.(dst);
                     fd = None;
-                    out = Bytes.create out_initial;
-                    out_pos = 0;
-                    out_len = 0;
+                    out = Stream_io.out out_initial;
                     bounds = Queue.create ();
                     head_off = 0;
                     backoff = backoff_min;
@@ -1123,7 +996,13 @@ module Sockets = struct
         {
           bell = doorbell stats rd_backend;
           fdx = Array.make 256 Free;
-          sbuf = Bytes.create 65536;
+          reader = Stream_io.reader ();
+          deliver =
+            (fun f v ->
+              Atomic.incr stats.frames_received;
+              f v;
+              true);
+          resync = (fun _ -> Atomic.incr stats.resync_skips);
           retry_outs = [];
           ewma_gap = 1e-3;
           last_event = Unix.gettimeofday ();
@@ -1145,9 +1024,7 @@ module Sockets = struct
                 (fun _ co ->
                   match co.fd with Some fd -> close_quietly fd | None -> ())
                 node.outs;
-              (match addrs.(node.id) with
-              | Unix.ADDR_UNIX path -> unlink_quietly path
-              | Unix.ADDR_INET _ -> ()))
+              Stream_io.unlink_listener addrs.(node.id))
         hosted;
       List.iter (fun set -> close_doorbell set.bell) !shard_sets;
       shard_sets := []

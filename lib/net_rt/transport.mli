@@ -25,11 +25,12 @@
     the half-written frame whole so the next connection starts on a
     frame boundary. TCP peers are set [TCP_NODELAY] — batching happens
     in the transport, not in Nagle's queue. The wire itself is the delay
-    model — the [delay] argument is ignored. Creating a sockets
-    transport installs a process-wide SIGPIPE ignore so a disconnected
-    peer surfaces as [EPIPE] (handled by the reconnect path) instead of
-    killing the process, and raises [RLIMIT_NOFILE] as far as the
-    process may so high-N clusters don't trip the soft default.
+    model — the [delay] argument is ignored. All socket I/O goes through
+    {!Stream_io}, whose process-wide SIGPIPE ignore makes a disconnected
+    peer surface as [EPIPE] (handled by the reconnect path) instead of
+    killing the process. Creating a sockets transport also raises
+    [RLIMIT_NOFILE] as far as the process may so high-N clusters don't
+    trip the soft default.
 
     {b Readiness.} {!adopt} registers a shard's nodes once in a
     per-shard {!Readiness} set (epoll on Linux, poll elsewhere — see

@@ -57,12 +57,16 @@ module Rotation = struct
     List.filter (fun (z, seq) -> satisfied.(z) < seq) traps
 
   (* The vector learns that this node's requests up to [req_seq] are
-     satisfied whenever its pending queue is empty. *)
+     satisfied whenever its pending queue is empty. Messages share the
+     vector and nothing writes to one in place: a node copies it only
+     when its own entry rises. *)
   let refresh_satisfied (ctx : rotation_msg Node_intf.ctx) state satisfied =
-    let satisfied = Array.copy satisfied in
-    if ctx.pending () = 0 then
-      satisfied.(ctx.self) <- Stdlib.max satisfied.(ctx.self) state.req_seq;
-    satisfied
+    if ctx.pending () = 0 && satisfied.(ctx.self) < state.req_seq then begin
+      let satisfied = Array.copy satisfied in
+      satisfied.(ctx.self) <- state.req_seq;
+      satisfied
+    end
+    else satisfied
 
   let rec dispatch (ctx : rotation_msg Node_intf.ctx) state ~stamp ~satisfied =
     match state.traps with

@@ -1,4 +1,6 @@
 module Readiness = Tr_net_rt.Readiness
+module Stream_io = Tr_net_rt.Stream_io
+module Pqueue = Tr_sim.Pqueue
 module Frame = Tr_wire.Frame
 module Codec = Tr_wire.Codec
 module Network = Tr_sim.Network
@@ -69,104 +71,17 @@ type result = {
   phase_slos : (phase * Slo.snapshot) list;
 }
 
-(* Pending client sends, keyed by due wall time: a flat binary min-heap
-   (the stdlib has none). Closed-loop think timers and nothing else, so
-   it stays small — but jittered thinks make insertion order arbitrary. *)
-module Heap = struct
-  type t = {
-    mutable a : (float * int) array;
-    mutable len : int;
-  }
-
-  let create () = { a = Array.make 64 (0., 0); len = 0 }
-  let swap h i j =
-    let t = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- t
-
-  let push h due v =
-    if h.len = Array.length h.a then begin
-      let grown = Array.make (2 * h.len) (0., 0) in
-      Array.blit h.a 0 grown 0 h.len;
-      h.a <- grown
-    end;
-    h.a.(h.len) <- (due, v);
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      fst h.a.(p) > fst h.a.(!i)
-    do
-      let p = (!i - 1) / 2 in
-      swap h !i p;
-      i := p
-    done
-
-  let peek h = if h.len = 0 then None else Some h.a.(0)
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.len <- h.len - 1;
-      h.a.(0) <- h.a.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && fst h.a.(l) < fst h.a.(!smallest) then smallest := l;
-        if r < h.len && fst h.a.(r) < fst h.a.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
-
-  let clear h = h.len <- 0
-end
-
 type conn = {
   fd : Unix.file_descr;
-  key : int;
   dec : Frame.Decoder.t;
-  mutable out : Bytes.t;
-  mutable out_pos : int;
-  mutable out_len : int;
+  out : Stream_io.out;
   mutable alive : bool;
 }
 
-let queued c = c.out_len - c.out_pos
-
-let ensure_capacity c extra =
-  if c.out_len + extra > Bytes.length c.out then begin
-    if c.out_pos > 0 then begin
-      let live = queued c in
-      Bytes.blit c.out c.out_pos c.out 0 live;
-      c.out_pos <- 0;
-      c.out_len <- live
-    end;
-    let need = c.out_len + extra in
-    if need > Bytes.length c.out then begin
-      let cap = ref (Bytes.length c.out) in
-      while !cap < need do
-        cap := !cap * 2
-      done;
-      let grown = Bytes.create !cap in
-      Bytes.blit c.out 0 grown 0 c.out_len;
-      c.out <- grown
-    end
-  end
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let run cfg =
   validate cfg;
+  (* A server's hang-up must cost the connection, not the process. *)
+  Stream_io.ignore_sigpipe ();
   let slo = Slo.create () in
   (* One accumulator per configured phase: a response always lands in
      the phase that ISSUED the request (carried through [in_flight]),
@@ -193,21 +108,16 @@ let run cfg =
         in
         (try Unix.connect fd cfg.connect
          with e ->
-           close_quietly fd;
+           Stream_io.close_quietly fd;
            raise e);
         Unix.set_nonblock fd;
         (match cfg.connect with
-        | Unix.ADDR_INET _ -> (
-            try Unix.setsockopt fd Unix.TCP_NODELAY true
-            with Unix.Unix_error _ -> ())
+        | Unix.ADDR_INET _ -> Stream_io.set_nodelay fd
         | Unix.ADDR_UNIX _ -> ());
         {
           fd;
-          key = fd_int fd;
           dec = Frame.Decoder.create ();
-          out = Bytes.create 4096;
-          out_pos = 0;
-          out_len = 0;
+          out = Stream_io.out 4096;
           alive = true;
         })
   in
@@ -215,7 +125,7 @@ let run cfg =
   let by_key = Hashtbl.create (2 * cfg.conns) in
   Array.iter
     (fun c ->
-      Hashtbl.replace by_key c.key c;
+      Hashtbl.replace by_key (fd_int c.fd) c;
       Readiness.set rd c.fd ~read:true ~write:false)
     conns;
   let conn_of_client client = conns.(client mod cfg.conns) in
@@ -224,45 +134,26 @@ let run cfg =
       c.alive <- false;
       incr conn_failures;
       Readiness.remove rd c.fd;
-      close_quietly c.fd;
-      Hashtbl.remove by_key c.key
+      Stream_io.close_quietly c.fd;
+      Hashtbl.remove by_key (fd_int c.fd)
     end
   in
   let interest c =
-    if c.alive then Readiness.set rd c.fd ~read:true ~write:(queued c > 0)
+    if c.alive then
+      Readiness.set rd c.fd ~read:true ~write:(Stream_io.queued c.out > 0)
   in
   let flush_conn c =
-    let continue = ref true in
-    while !continue && c.alive && queued c > 0 do
-      match Unix.write c.fd c.out c.out_pos (queued c) with
-      | 0 -> continue := false
-      | written ->
-          c.out_pos <- c.out_pos + written;
-          if queued c = 0 then begin
-            c.out_pos <- 0;
-            c.out_len <- 0
-          end
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) ->
-          drop_conn c;
-          continue := false
-    done;
-    interest c
+    if c.alive && Stream_io.flush c.fd c.out = Stream_io.failed then
+      drop_conn c
+    else interest c
   in
   let scratch = Codec.scratch () in
   let send_request client req =
     let c = conn_of_client client in
     if c.alive then begin
-      let buf =
-        Codec.encode_frame scratch Service_wire.request_codec ~src:client
-          ~channel:Network.Reliable req
-      in
-      let len = Buffer.length buf in
-      ensure_capacity c len;
-      Buffer.blit buf 0 c.out c.out_len len;
-      c.out_len <- c.out_len + len;
+      Stream_io.append_buffer c.out
+        (Codec.encode_frame scratch Service_wire.request_codec ~src:client
+           ~channel:Network.Reliable req);
       interest c
     end
   in
@@ -287,7 +178,9 @@ let run cfg =
     | Server.Total_order ->
         send_request client (Service_wire.Publish { client; seq; payload = "" })
   in
-  let thinks = Heap.create () in
+  (* Closed-loop think timers, keyed by due wall time; equal times fire
+     in the order they were set. *)
+  let thinks : int Pqueue.t = Pqueue.create () in
   let complete ~kind client seq =
     match Hashtbl.find_opt in_flight (client, seq) with
     | None -> ()
@@ -310,12 +203,12 @@ let run cfg =
     | Closed { think_s = _ } ->
         next_arrival := infinity;
         open_rate := 0.;
-        Heap.clear thinks;
+        Pqueue.clear thinks;
         for client = 0 to cfg.clients - 1 do
           if idle.(client) then fire client
         done
     | Open { rate } ->
-        Heap.clear thinks;
+        Pqueue.clear thinks;
         open_rate := rate;
         next_arrival := now
   in
@@ -331,7 +224,7 @@ let run cfg =
           phases := [];
           sending := false;
           next_arrival := infinity;
-          Heap.clear thinks
+          Pqueue.clear thinks
       | _ :: (p :: _ as rest) ->
           phases := rest;
           incr cur_phase;
@@ -344,7 +237,7 @@ let run cfg =
       match think_of_phase () with
       | Some think_s ->
           if think_s <= 0. then fire client
-          else Heap.push thinks (Unix.gettimeofday () +. think_s) client
+          else Pqueue.push thinks ~time:(Unix.gettimeofday () +. think_s) client
       | None -> ()
   in
   let handle_response (resp : Service_wire.response) =
@@ -372,36 +265,17 @@ let run cfg =
         Hashtbl.remove in_flight (client, seq);
         on_completion client
   in
-  let pump_decoder c =
-    let continue = ref true in
-    while !continue && c.alive do
-      match Frame.Decoder.next_view c.dec with
-      | Frame.Decoder.Await_view -> continue := false
-      | Frame.Decoder.Skip_view _ -> incr resync_skips
-      | Frame.Decoder.View v -> (
-          match Codec.decode_view Service_wire.response_codec v with
-          | Ok env -> handle_response env.Codec.msg
-          | Error _ -> incr decode_errors)
-    done
+  let view c v =
+    (match Codec.decode_view Service_wire.response_codec v with
+    | Ok env -> handle_response env.Codec.msg
+    | Error _ -> incr decode_errors);
+    c.alive
   in
-  let readbuf = Bytes.create 65536 in
+  let skip _ = incr resync_skips in
+  let reader = Stream_io.reader () in
   let read_conn c =
-    let continue = ref true in
-    while !continue && c.alive do
-      match Unix.read c.fd readbuf 0 (Bytes.length readbuf) with
-      | 0 ->
-          drop_conn c;
-          continue := false
-      | len ->
-          Frame.Decoder.feed_sub c.dec readbuf ~pos:0 ~len;
-          pump_decoder c
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) ->
-          drop_conn c;
-          continue := false
-    done
+    if not (Stream_io.read_frames reader c.fd c.dec ~skip ~view c) then
+      drop_conn c
   in
   (* Session handshake: one Hello per client so the server binds every
      session before load starts. *)
@@ -431,13 +305,10 @@ let run cfg =
           let gap = -.log (1. -. Random.State.float rng 1.) /. !open_rate in
           next_arrival := !next_arrival +. gap
         done;
-        let expired = ref true in
-        while !expired do
-          match Heap.peek thinks with
-          | Some (due, client) when due <= now ->
-              ignore (Heap.pop thinks);
-              fire client
-          | _ -> expired := false
+        while
+          (not (Pqueue.is_empty thinks)) && Pqueue.top_time_exn thinks <= now
+        do
+          fire (Pqueue.pop_exn thinks)
         done
       end
       else drain_deadline := now +. cfg.drain_s
@@ -448,7 +319,7 @@ let run cfg =
           !next_report;
           !next_arrival;
           (if !sending then !phase_end else !drain_deadline);
-          (match Heap.peek thinks with Some (due, _) -> due | None -> infinity);
+          Option.value (Pqueue.peek_time thinks) ~default:infinity;
         ]
     in
     let timeout_s = Float.max 0.001 (Float.min 0.25 (next_due -. now)) in
@@ -489,7 +360,7 @@ let run cfg =
     (fun c ->
       if c.alive then begin
         Readiness.remove rd c.fd;
-        close_quietly c.fd
+        Stream_io.close_quietly c.fd
       end)
     conns;
   Readiness.close rd;

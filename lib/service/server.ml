@@ -5,6 +5,7 @@ module Total_order = Tr_apps.Total_order
 module Cluster = Tr_net_rt.Cluster
 module Mailbox = Tr_net_rt.Mailbox
 module Readiness = Tr_net_rt.Readiness
+module Stream_io = Tr_net_rt.Stream_io
 module Wakeup = Tr_net_rt.Wakeup
 module Frame = Tr_wire.Frame
 module Codec = Tr_wire.Codec
@@ -98,44 +99,19 @@ type app_event =
 
 type conn = {
   fd : Unix.file_descr;
-  key : int;
   dec : Frame.Decoder.t;
-  mutable out : Bytes.t;  (** Unwritten bytes live in [out_pos..out_len). *)
-  mutable out_pos : int;
-  mutable out_len : int;
+  out : Stream_io.out;
   mutable alive : bool;
 }
-
-let queued c = c.out_len - c.out_pos
 
 (* A client that stops reading cannot be allowed to buffer the server
    into the ground; past this backlog the connection is cut. Matches the
    transport's own per-peer drop threshold. *)
 let out_limit = 4 * 1024 * 1024
 
-let ensure_capacity c extra =
-  if c.out_len + extra > Bytes.length c.out then begin
-    if c.out_pos > 0 then begin
-      let live = queued c in
-      Bytes.blit c.out c.out_pos c.out 0 live;
-      c.out_pos <- 0;
-      c.out_len <- live
-    end;
-    let need = c.out_len + extra in
-    if need > Bytes.length c.out then begin
-      let cap = ref (Bytes.length c.out) in
-      while !cap < need do
-        cap := !cap * 2
-      done;
-      let grown = Bytes.create !cap in
-      Bytes.blit c.out 0 grown 0 c.out_len;
-      c.out <- grown
-    end
-  end
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let run ?on_ready config =
+  (* A client's hang-up must cost its connection, not the process. *)
+  Stream_io.ignore_sigpipe ();
   (match config.cluster.Cluster.load with
   | Cluster.External -> ()
   | _ ->
@@ -208,20 +184,15 @@ let run ?on_ready config =
         await_control ()
   in
   let control = await_control () in
-  (* Client-facing listener. *)
-  (match config.listen with
-  | Unix.ADDR_UNIX path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Unix.ADDR_INET _ -> ());
+  (* Client-facing listener; a bad address stops the cluster first. *)
   let listen_fd =
-    Unix.socket (Unix.domain_of_sockaddr config.listen) Unix.SOCK_STREAM 0
+    try Stream_io.listen config.listen
+    with e ->
+      control.Cluster.request_stop ();
+      ignore (Domain.join cluster_domain : Cluster.report);
+      Wakeup.close wake;
+      raise e
   in
-  (match config.listen with
-  | Unix.ADDR_INET _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
-  | Unix.ADDR_UNIX _ -> ());
-  Unix.bind listen_fd config.listen;
-  Unix.listen listen_fd 512;
-  Unix.set_nonblock listen_fd;
   let bound_addr = Unix.getsockname listen_fd in
   let rd = Readiness.create () in
   Readiness.set rd listen_fd ~read:true ~write:false;
@@ -232,50 +203,31 @@ let run ?on_ready config =
   let mutex_fifo = Array.init n (fun _ -> Queue.create ()) in
   let pub_fifo = Array.init n (fun _ -> Queue.create ()) in
   let scratch = Codec.scratch () in
-  let readbuf = Bytes.create 65536 in
+  let reader = Stream_io.reader () in
   let node_of client = client mod n in
   let drop_conn c =
     if c.alive then begin
       c.alive <- false;
       Readiness.remove rd c.fd;
-      close_quietly c.fd;
-      Hashtbl.remove conns c.key;
+      Stream_io.close_quietly c.fd;
+      Hashtbl.remove conns (fd_int c.fd);
       st.conns_open <- st.conns_open - 1
     end
   in
   let interest c =
-    if c.alive then Readiness.set rd c.fd ~read:true ~write:(queued c > 0)
+    if c.alive then
+      Readiness.set rd c.fd ~read:true ~write:(Stream_io.queued c.out > 0)
   in
   let flush_conn c =
-    let continue = ref true in
-    while !continue && c.alive && queued c > 0 do
-      match Unix.write c.fd c.out c.out_pos (queued c) with
-      | 0 -> continue := false
-      | written ->
-          c.out_pos <- c.out_pos + written;
-          if queued c = 0 then begin
-            c.out_pos <- 0;
-            c.out_len <- 0
-          end
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) ->
-          drop_conn c;
-          continue := false
-    done;
-    interest c
+    if c.alive && Stream_io.flush c.fd c.out = Stream_io.failed then
+      drop_conn c
+    else interest c
   in
   let append_response c ~node resp =
-    let buf =
-      Codec.encode_frame scratch Service_wire.response_codec ~src:node
-        ~channel:Network.Reliable resp
-    in
-    let len = Buffer.length buf in
-    ensure_capacity c len;
-    Buffer.blit buf 0 c.out c.out_len len;
-    c.out_len <- c.out_len + len;
-    let backlog = queued c in
+    Stream_io.append_buffer c.out
+      (Codec.encode_frame scratch Service_wire.response_codec ~src:node
+         ~channel:Network.Reliable resp);
+    let backlog = Stream_io.queued c.out in
     if backlog > st.conn_out_hwm then st.conn_out_hwm <- backlog;
     if backlog > out_limit then begin
       st.overflow_drops <- st.overflow_drops + 1;
@@ -339,35 +291,18 @@ let run ?on_ready config =
           control.Cluster.inject node
         end
   in
-  let pump_decoder c =
-    let continue = ref true in
-    while !continue && c.alive do
-      match Frame.Decoder.next_view c.dec with
-      | Frame.Decoder.Await_view -> continue := false
-      | Frame.Decoder.Skip_view _ -> st.resync_skips <- st.resync_skips + 1
-      | Frame.Decoder.View v -> (
-          match Codec.decode_view Service_wire.request_codec v with
-          | Ok env -> handle_request c env.Codec.msg
-          | Error _ -> st.decode_errors <- st.decode_errors + 1)
-    done
+  (* A request that overflows its connection drops it; reading stops
+     there. *)
+  let view c v =
+    (match Codec.decode_view Service_wire.request_codec v with
+    | Ok env -> handle_request c env.Codec.msg
+    | Error _ -> st.decode_errors <- st.decode_errors + 1);
+    c.alive
   in
+  let skip _ = st.resync_skips <- st.resync_skips + 1 in
   let read_conn c =
-    let continue = ref true in
-    while !continue && c.alive do
-      match Unix.read c.fd readbuf 0 (Bytes.length readbuf) with
-      | 0 ->
-          drop_conn c;
-          continue := false
-      | len ->
-          Frame.Decoder.feed_sub c.dec readbuf ~pos:0 ~len;
-          pump_decoder c
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) ->
-          drop_conn c;
-          continue := false
-    done
+    if not (Stream_io.read_frames reader c.fd c.dec ~skip ~view c) then
+      drop_conn c
   in
   let accept_loop () =
     let continue = ref true in
@@ -376,22 +311,17 @@ let run ?on_ready config =
       | fd, _ ->
           Unix.set_nonblock fd;
           (match config.listen with
-          | Unix.ADDR_INET _ -> (
-              try Unix.setsockopt fd Unix.TCP_NODELAY true
-              with Unix.Unix_error _ -> ())
+          | Unix.ADDR_INET _ -> Stream_io.set_nodelay fd
           | Unix.ADDR_UNIX _ -> ());
           let c =
             {
               fd;
-              key = fd_int fd;
               dec = Frame.Decoder.create ();
-              out = Bytes.create 4096;
-              out_pos = 0;
-              out_len = 0;
+              out = Stream_io.out 4096;
               alive = true;
             }
           in
-          Hashtbl.replace conns c.key c;
+          Hashtbl.replace conns (fd_int fd) c;
           st.accepted <- st.accepted + 1;
           st.conns_open <- st.conns_open + 1;
           Readiness.set rd fd ~read:true ~write:false
@@ -503,23 +433,18 @@ let run ?on_ready config =
   (* The cluster stopped; answer what can still be answered, then shut
      the front door. *)
   process_events ();
-  Hashtbl.iter (fun _ c -> flush_conn c) conns;
   Hashtbl.iter
     (fun _ c ->
-      if c.alive then begin
-        Readiness.remove rd c.fd;
-        close_quietly c.fd
-      end)
+      ignore (Stream_io.flush c.fd c.out : int);
+      Readiness.remove rd c.fd;
+      Stream_io.close_quietly c.fd)
     conns;
   Readiness.remove rd listen_fd;
-  close_quietly listen_fd;
+  Stream_io.close_quietly listen_fd;
   Readiness.remove rd (Wakeup.read_fd wake);
   Readiness.close rd;
   Wakeup.close wake;
-  (match config.listen with
-  | Unix.ADDR_UNIX path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Unix.ADDR_INET _ -> ());
+  Stream_io.unlink_listener config.listen;
   let report = Domain.join cluster_domain in
   let switches =
     match config.mode with Adaptive p -> Policy.switches p | Pinned _ -> []

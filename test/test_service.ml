@@ -1,7 +1,8 @@
 (* Service-layer tests: client wire codec round-trips and fuzz, the
-   adaptive switching policy, loadgen config validation, and a live
+   adaptive switching policy, loadgen config validation, a live
    two-process UDS mutex run asserting the lock discipline holds across
-   a node kill. *)
+   a node kill, and in-process server runs against a client that hangs
+   up mid-flood and against the service's own client. *)
 
 module Movement = Tr_apps.Movement
 module Frame = Tr_wire.Frame
@@ -553,6 +554,120 @@ let test_live_mutex_discipline_across_kill () =
       Alcotest.(check int) "no decode errors at the server" 0
         outcome.Server.stats.Server.decode_errors
 
+(* ---------------- live: in-process server runs ---------------- *)
+
+(* [Server.run] on its own domain over a four-node loopback mutex
+   cluster: [f] gets the listening address, then the cluster is stopped
+   and the server's outcome returned beside [f]'s result. *)
+let with_server ~name f =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tr-svc-%s-%d.sock" name (Unix.getpid ()))
+  in
+  let n = 4 in
+  let cfg =
+    {
+      (Server.default_config ~n ~seed:3 ~listen:(Unix.ADDR_UNIX sock)) with
+      Server.cs_duration = 1.0;
+      cluster =
+        {
+          (Tr_net_rt.Cluster.default_config ~n ~seed:3) with
+          Tr_net_rt.Cluster.load = Tr_net_rt.Cluster.External;
+          unit_s = 2e-4;
+          stop = Tr_net_rt.Cluster.Duration 1e9;
+          max_wall_s = 30.;
+        };
+    }
+  in
+  let ready = Atomic.make None in
+  let server =
+    Domain.spawn (fun () ->
+        Server.run
+          ~on_ready:(fun ~addr ~control -> Atomic.set ready (Some (addr, control)))
+          cfg)
+  in
+  let rec await tries =
+    match Atomic.get ready with
+    | Some r -> r
+    | None ->
+        if tries = 0 then Alcotest.fail "server never became ready";
+        Unix.sleepf 0.01;
+        await (tries - 1)
+  in
+  let addr, control = await 500 in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> control.Tr_net_rt.Cluster.request_stop ())
+      (fun () -> f addr)
+  in
+  (r, Domain.join server)
+
+(* A client that floods requests without reading a reply, then hangs
+   up, leaves the server writing to a peer that is gone. That must cost
+   the connection, not the process: a SIGPIPE would end the whole test
+   binary here. *)
+let test_server_survives_hangup () =
+  let (), outcome =
+    with_server ~name:"hangup" (fun addr ->
+        let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+        Unix.connect fd addr;
+        let scratch = Codec.scratch () and frames = Buffer.create (1 lsl 22) in
+        for i = 0 to 199_999 do
+          Buffer.add_buffer frames
+            (Codec.encode_frame scratch Wire.request_codec ~src:0
+               ~channel:Network.Reliable
+               (Wire.Hello { client = i mod 64 }))
+        done;
+        let s = Buffer.contents frames in
+        (* Hang up the read side first: the server's next write then
+           fails with EPIPE, the error that raises SIGPIPE. Discarding
+           the replies already here makes room for that write. *)
+        (try
+           ignore (Unix.write_substring fd s 0 (String.length s) : int);
+           Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+           Unix.set_nonblock fd;
+           let buf = Bytes.create 65536 in
+           while Unix.read fd buf 0 (Bytes.length buf) > 0 do
+             ()
+           done
+         with Unix.Unix_error _ -> ());
+        Unix.sleepf 0.2;
+        Unix.close fd)
+  in
+  let st = outcome.Server.stats in
+  Alcotest.(check int) "one connection accepted" 1 st.Server.accepted;
+  Alcotest.(check bool)
+    (Printf.sprintf "its requests were served (%d)" st.Server.requests)
+    true (st.Server.requests > 0)
+
+(* The service's own client against its own server, closed loop with
+   1 ms thinks, for a second. *)
+let test_client_against_server () =
+  let r, outcome =
+    with_server ~name:"loadgen" (fun addr ->
+        Client.run
+          {
+            (Client.default_config ~connect:addr ~clients:8) with
+            Client.conns = 2;
+            phases =
+              [
+                {
+                  Client.duration_s = 1.0;
+                  workload = Client.Closed { think_s = 0.001 };
+                };
+              ];
+            drain_s = 1.0;
+          })
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "clients were granted the lock (%d grants)" r.Client.grants)
+    true (r.Client.grants > 0);
+  Alcotest.(check int) "no decode errors at the client" 0 r.Client.decode_errors;
+  Alcotest.(check int) "no connection failed" 0 r.Client.conn_failures;
+  Alcotest.(check int) "no decode errors at the server" 0
+    outcome.Server.stats.Server.decode_errors
+
 let () =
   Alcotest.run "service"
     [
@@ -586,6 +701,10 @@ let () =
         [
           Alcotest.test_case "mutex lock discipline across a node kill" `Slow
             test_live_mutex_discipline_across_kill;
+          Alcotest.test_case "server survives a client hang-up" `Quick
+            test_server_survives_hangup;
+          Alcotest.test_case "loadgen against the server" `Quick
+            test_client_against_server;
         ] );
       ( "errors",
         [
