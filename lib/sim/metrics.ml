@@ -28,7 +28,7 @@ let fifo_create cap = { buf = Array.make cap 0.0; head = 0; len = 0 }
 let regrow src ~head ~len fill =
   let cap = Array.length src in
   let dst = Array.make (2 * cap) fill in
-  let first = Stdlib.min len (cap - head) in
+  let first = Int.min len (cap - head) in
   Array.blit src head dst 0 first;
   Array.blit src 0 dst first (len - first);
   dst
@@ -41,12 +41,16 @@ let fifo_push q x =
   q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- x;
   q.len <- q.len + 1
 
+let[@inline] fifo_last q =
+  q.buf.((q.head + q.len - 1) land (Array.length q.buf - 1))
+
 let fifo_drop q =
   q.head <- (q.head + 1) land (Array.length q.buf - 1);
   q.len <- q.len - 1
 
 (* The global arrival log, three parallel rings (node, per-node index,
-   arrival time) sharing one head and length. *)
+   arrival time) sharing one head and length, in non-decreasing time
+   order. *)
 type log = {
   mutable nodes : int array;
   mutable idxs : int array;
@@ -69,25 +73,54 @@ let log_push l ~node ~idx time =
   l.times.(i) <- time;
   l.llen <- l.llen + 1
 
-(* The run's two clocks, in an all-float record so writes stay unboxed. *)
-type clocks = { mutable last_arrival : float; mutable last_service : float }
+(* An arrival earlier than the log's last entry: appended, then moved
+   towards the head past every later entry, keeping equal times in
+   arrival order. Arrivals recorded out of order across nodes (several
+   shards, the open-loop pump, service injection) land a few entries
+   from the tail. *)
+let log_insert l ~node ~idx time =
+  log_push l ~node ~idx time;
+  let mask = Array.length l.nodes - 1 in
+  (* [k] counts from the head; the new entry starts last. *)
+  let k = ref (l.llen - 1) in
+  while !k > 0 && l.times.((l.lhead + !k - 1) land mask) > time do
+    let dst = (l.lhead + !k) land mask and src = (l.lhead + !k - 1) land mask in
+    l.nodes.(dst) <- l.nodes.(src);
+    l.idxs.(dst) <- l.idxs.(src);
+    l.times.(dst) <- l.times.(src);
+    decr k
+  done;
+  let i = (l.lhead + !k) land mask in
+  l.nodes.(i) <- node;
+  l.idxs.(i) <- idx;
+  l.times.(i) <- time
+
+let[@inline] log_last l =
+  l.times.((l.lhead + l.llen - 1) land (Array.length l.times - 1))
+
+(* The previous serve's time, in an all-float record so writes stay
+   unboxed. *)
+type clocks = { mutable last_service : float }
 
 type t = {
   n : int;
   pending : fifo array; (* arrival times, FIFO per node *)
   (* Global arrival log with lazy deletion: entries are
-     [(node, per-node index, arrival)]. While arrivals come in
-     non-decreasing time order (true under the engine, which processes
-     events chronologically), the log front — after discarding entries
-     whose request was already served — IS the earliest outstanding
-     arrival, making the responsiveness window lookup amortised O(1)
-     instead of an O(n) scan per serve. If a caller ever feeds
-     out-of-order arrivals directly, [fifo_monotone] trips and we fall
-     back to a scan of every node's oldest request. *)
+     [(node, per-node index, arrival)], sorted by arrival time. While
+     each node's own arrivals come in non-decreasing time order, its
+     FIFO head is its earliest request, so the log front (after
+     discarding entries whose request was already served) IS the
+     earliest outstanding arrival, making the responsiveness window
+     lookup amortised O(1) instead of an O(n) scan per serve. The
+     engine records arrivals chronologically, so each one is appended;
+     a live cluster's shards may record them out of order across
+     nodes, and a late one is inserted from the tail. If a node's own
+     arrivals ever go back in time, [use_log] trips and we fall back to
+     a scan of every node's oldest request. *)
   arrivals : log;
   arrival_idx : int array; (* arrivals recorded per node *)
   served_idx : int array; (* serves recorded per node *)
-  mutable fifo_monotone : bool;
+  mutable use_log : bool;
   clocks : clocks;
   mutable total_pending : int;
   mutable serves : int;
@@ -117,8 +150,8 @@ let create ~n =
       };
     arrival_idx = Array.make n 0;
     served_idx = Array.make n 0;
-    fifo_monotone = true;
-    clocks = { last_arrival = neg_infinity; last_service = neg_infinity };
+    use_log = true;
+    clocks = { last_service = neg_infinity };
     total_pending = 0;
     serves = 0;
     responsiveness = make_stream ();
@@ -135,33 +168,33 @@ let create ~n =
 let n t = t.n
 
 let on_request t ~time ~node =
-  fifo_push t.pending.(node) time;
-  if t.fifo_monotone then begin
-    if time < t.clocks.last_arrival then begin
+  let q = t.pending.(node) in
+  if t.use_log then begin
+    let l = t.arrivals in
+    if q.len > 0 && time < fifo_last q then begin
       (* Serves scan from now on, so the log is dropped, not kept
          growing: nothing would ever consume it again. *)
-      t.fifo_monotone <- false;
-      let l = t.arrivals in
+      t.use_log <- false;
       l.nodes <- [||];
       l.idxs <- [||];
       l.times <- [||];
       l.lhead <- 0;
       l.llen <- 0
     end
-    else begin
-      t.clocks.last_arrival <- time;
-      log_push t.arrivals ~node ~idx:t.arrival_idx.(node) time
-    end
+    else if l.llen = 0 || time >= log_last l then
+      log_push l ~node ~idx:t.arrival_idx.(node) time
+    else log_insert l ~node ~idx:t.arrival_idx.(node) time
   end;
+  fifo_push q time;
   t.arrival_idx.(node) <- t.arrival_idx.(node) + 1;
   t.total_pending <- t.total_pending + 1
 
 (* Earliest oldest-request time over all nodes, [infinity] if none:
-   from the log front while arrivals have been monotone, else by an
-   O(n) scan of every node's FIFO head. Inlined so that its float
-   result is not boxed. *)
+   from the log front while every node's arrivals have been monotone,
+   else by an O(n) scan of every node's FIFO head. Inlined so that its
+   float result is not boxed. *)
 let[@inline] earliest_outstanding t =
-  if t.fifo_monotone then begin
+  if t.use_log then begin
     let l = t.arrivals in
     while
       l.llen > 0 && l.idxs.(l.lhead) < t.served_idx.(l.nodes.(l.lhead))
@@ -194,8 +227,9 @@ let on_serve t ~time ~node =
   (* [arrival] has already been popped, but it still bounds the window:
      the demand window opened at the earliest outstanding request,
      which is [min arrival (earliest remaining)], and never before the
-     previous serve. Compared at float type, with the operand order of
-     [Stdlib.min] and [Stdlib.max]. *)
+     previous serve. Both are taken at float type, with the operand
+     order of the polymorphic min and max, so ties between 0.0 and -0.0
+     resolve as they did. *)
   let earliest = earliest_outstanding t in
   let window_open = if arrival <= earliest then arrival else earliest in
   let last = t.clocks.last_service in
@@ -237,7 +271,7 @@ let cheap_messages t = t.cheap_messages
 let search_forwards t = t.search_forwards
 let possessions t ~node = t.possessions.(node)
 let total_possessions t = t.total_possessions
-let max_possessions t = Array.fold_left Stdlib.max 0 t.possessions
+let max_possessions t = Array.fold_left Int.max 0 t.possessions
 
 let waiting_by_node t ~node = t.waiting_per_node.(node)
 

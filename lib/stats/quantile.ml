@@ -1,70 +1,109 @@
-(* Samples live in chunks. The first chunk grows by doubling from 16
-   floats up to [chunk_size], exactly as a single array would, so short
-   streams keep that layout. Past it, every further chunk is allocated
-   at full size: growth never copies a sample or discards an array, and
-   capacity exceeds the count by less than one chunk. *)
+(* Samples live in [first] while a stream holds at most [chunk_size] of
+   them: an ordinary float array that grows by doubling from 16, so
+   short streams cost no more than one array. The sample that overflows
+   it moves the stream off the OCaml heap, into float64 Bigarray chunks
+   of [chunk_size] each. Their floats are malloc'd, so the major heap
+   keeps only a small header per chunk, and its size, which the GC sets
+   from its live data, does not follow the samples. From then on growth
+   allocates one chunk per [chunk_size] samples, copies no sample, and
+   leaves less than one chunk of slack. *)
 let chunk_bits = 16
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 
+module A1 = Bigarray.Array1
+
+type chunk = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+
 type t = {
-  mutable chunks : float array array;  (* unused slots hold [||] *)
+  mutable first : float array;  (* the samples while [len <= chunk_size] *)
+  mutable chunks : chunk array;
+      (* the samples once [len > chunk_size]; unused slots hold [no_chunk] *)
   mutable len : int;
   mutable sorted : bool;
 }
 
-let create () = { chunks = [| Array.make 16 0.0 |]; len = 0; sorted = true }
+let no_chunk : chunk = A1.create Bigarray.Float64 Bigarray.C_layout 0
+
+(* Filled on creation: [A1.create] leaves the memory as malloc returned
+   it, and a polymorphic comparison, hash or [Marshal] of a [t] reads
+   every slot. *)
+let new_chunk () =
+  let c = A1.create Bigarray.Float64 Bigarray.C_layout chunk_size in
+  A1.fill c 0.0;
+  c
+
+let create () =
+  { first = Array.make 16 0.0; chunks = [||]; len = 0; sorted = true }
+
+let on_heap t = t.len <= chunk_size
+
+(* Runs once per [chunk_size] samples, when sample [t.len] starts a
+   chunk. The first time, the full [first] array becomes chunk 0. *)
+let[@inline never] add_chunk t =
+  let c = t.len lsr chunk_bits in
+  if c = 1 then begin
+    let c0 = new_chunk () in
+    for i = 0 to chunk_size - 1 do
+      A1.unsafe_set c0 i t.first.(i)
+    done;
+    t.first <- [||];
+    t.chunks <- Array.make 2 no_chunk;
+    t.chunks.(0) <- c0
+  end
+  else if c = Array.length t.chunks then begin
+    let spine = Array.make (2 * c) no_chunk in
+    Array.blit t.chunks 0 spine 0 c;
+    t.chunks <- spine
+  end;
+  t.chunks.(c) <- new_chunk ()
 
 let add t x =
   let i = t.len in
-  let c = i lsr chunk_bits in
-  if c = 0 then begin
-    let first = t.chunks.(0) in
-    if i = Array.length first then begin
+  if i < chunk_size then begin
+    if i = Array.length t.first then begin
       let bigger = Array.make (2 * i) 0.0 in
-      Array.blit first 0 bigger 0 i;
-      t.chunks.(0) <- bigger
-    end
-  end
-  else if i land chunk_mask = 0 then begin
-    if c = Array.length t.chunks then begin
-      let spine = Array.make (2 * c) [||] in
-      Array.blit t.chunks 0 spine 0 c;
-      t.chunks <- spine
+      Array.blit t.first 0 bigger 0 i;
+      t.first <- bigger
     end;
-    t.chunks.(c) <- Array.make chunk_size 0.0
+    t.first.(i) <- x
+  end
+  else begin
+    if i land chunk_mask = 0 then add_chunk t;
+    A1.unsafe_set t.chunks.(i lsr chunk_bits) (i land chunk_mask) x
   end;
-  t.chunks.(c).(i land chunk_mask) <- x;
   t.len <- i + 1;
   t.sorted <- false
 
 let add_many t xs = List.iter (add t) xs
 let count t = t.len
-let get t i = t.chunks.(i lsr chunk_bits).(i land chunk_mask)
 
-(* Visit the samples chunk by chunk as [(chunk, offset of its first
-   sample, samples in it)]. *)
-let iter_chunks t f =
-  let c = ref 0 in
-  while !c lsl chunk_bits < t.len do
-    let base = !c lsl chunk_bits in
-    f t.chunks.(!c) base (Stdlib.min chunk_size (t.len - base));
-    incr c
-  done
+let[@inline] get t i =
+  if on_heap t then t.first.(i)
+  else A1.get t.chunks.(i lsr chunk_bits) (i land chunk_mask)
 
+let[@inline] set t i x =
+  if on_heap t then t.first.(i) <- x
+  else A1.set t.chunks.(i lsr chunk_bits) (i land chunk_mask) x
+
+(* One transient array of [len] floats, in insertion order. *)
 let gather t =
   let all = Array.create_float t.len in
-  iter_chunks t (fun chunk base n -> Array.blit chunk 0 all base n);
+  for i = 0 to t.len - 1 do
+    all.(i) <- get t i
+  done;
   all
 
-(* One transient array of [len] floats. It is gathered in insertion
-   order, so the result is that of sorting the samples as they arrived,
-   down to which of two equal keys (0.0 and -0.0) lands first. *)
+(* The samples are sorted in insertion order wherever they are stored,
+   so the result is fixed down to which of two equal keys (0.0 and
+   -0.0) lands first. *)
 let sort_in_place t =
   if not t.sorted then begin
     let all = gather t in
     Array.sort Float.compare all;
-    iter_chunks t (fun chunk base n -> Array.blit all base chunk 0 n);
+    for i = 0 to t.len - 1 do
+      set t i all.(i)
+    done;
     t.sorted <- true
   end
 
@@ -77,7 +116,7 @@ let quantile t q =
     (* Type-7: h = (n-1) q; interpolate between floor(h) and ceil(h). *)
     let h = float_of_int (t.len - 1) *. q in
     let lo = int_of_float (Float.floor h) in
-    let hi = Stdlib.min (lo + 1) (t.len - 1) in
+    let hi = Int.min (lo + 1) (t.len - 1) in
     let frac = h -. Float.floor h in
     get t lo +. (frac *. (get t hi -. get t lo))
   end

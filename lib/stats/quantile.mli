@@ -5,10 +5,14 @@
     insertion. Suited to simulation post-processing where sample counts are
     bounded by the experiment length.
 
-    Samples are stored in chunks of 2^16 floats, so capacity exceeds the
-    count by less than one chunk and growth never copies a sample. Up to
-    2^16 samples sit in one array that grows by doubling from 16. A sort
-    gathers the samples into one transient array of [count] floats. *)
+    A stream of up to 2^16 samples sits in one float array on the OCaml
+    heap that grows by doubling from 16. Past that, the samples move off
+    the heap into Bigarray chunks of 2^16 floats (512 KB), allocated with
+    malloc: they count in the process's RSS, not in [Gc] [heap_words],
+    so the major heap does not grow with them. Capacity exceeds
+    the count by less than one chunk, and growth never copies a sample
+    after the move. A sort gathers the samples, in insertion order, into
+    one transient heap array of [count] floats. *)
 
 type t
 

@@ -152,8 +152,8 @@ let fresh_push f slot h =
     done
   end
 
-let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d system
-    ~init =
+let run ~max_states ~max_depth ~check ~want_order ~want_edges ~pool ~domains:d
+    system ~init =
   let pmap f xs =
     match pool with Some p -> Pool.map p f xs | None -> List.map f xs
   in
@@ -166,7 +166,7 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d system
   let init = Term.Hashed.term hinit in
   Term.Tbl.add visited hinit ();
   let visited_count = ref 1 in
-  (* Layers, newest first: the visited order. *)
+  (* Layers, newest first: the visited order, kept only when wanted. *)
   let layers = ref [] in
   let edge_chunks = ref [] in
   let violations = ref [] in
@@ -275,7 +275,7 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d system
   in
   let rec rounds layer depth =
     if Array.length layer > 0 then begin
-      layers := layer :: !layers;
+      if want_order then layers := layer :: !layers;
       deepest := depth;
       if within_depth depth then rounds (merge depth (expand layer)) (depth + 1)
       else truncated := true
@@ -294,8 +294,10 @@ let run ~max_states ~max_depth ~check ~want_edges ~pool ~domains:d system
     },
     List.rev !violations )
 
-let explore ?(max_states = default_max_states) ?max_depth ?check
-    ?(want_edges = false) ?pool ?domains system ~init =
+(* [want_order:false] leaves [visited_order] empty: [bfs] and [edges]
+   neither retain the layers nor build the 3-words-a-state list. *)
+let explore_gen ~want_order ?(max_states = default_max_states) ?max_depth
+    ?check ?(want_edges = false) ?pool ?domains system ~init =
   let domains =
     match domains with
     | Some d ->
@@ -310,7 +312,8 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
   let t0 = Unix.gettimeofday () in
   let go pool =
     let visited_order, edge_list, stats, violations =
-      run ~max_states ~max_depth ~check ~want_edges ~pool ~domains system ~init
+      run ~max_states ~max_depth ~check ~want_order ~want_edges ~pool ~domains
+        system ~init
     in
     let wall_s = Unix.gettimeofday () -. t0 in
     {
@@ -333,9 +336,12 @@ let explore ?(max_states = default_max_states) ?max_depth ?check
   | None when domains > 1 -> Pool.with_pool ~domains (fun p -> go (Some p))
   | None -> go None
 
+let explore = explore_gen ~want_order:true
+
 let bfs ?max_states ?max_depth ?check ?pool ?domains system ~init =
   let outcome =
-    explore ?max_states ?max_depth ?check ?pool ?domains system ~init
+    explore_gen ~want_order:false ?max_states ?max_depth ?check ?pool ?domains
+      system ~init
   in
   (outcome.stats, outcome.violations)
 
@@ -343,7 +349,8 @@ let reachable ?max_states ?max_depth ?pool ?domains system ~init =
   (explore ?max_states ?max_depth ?pool ?domains system ~init).visited_order
 
 let edges ?max_states ?max_depth ?pool ?domains system ~init =
-  (explore ?max_states ?max_depth ?pool ?domains ~want_edges:true system ~init)
+  (explore_gen ~want_order:false ?max_states ?max_depth ?pool ?domains
+     ~want_edges:true system ~init)
     .edge_list
 
 (* Alphabetical by rule name; ties (impossible for distinct registry

@@ -592,6 +592,25 @@ let test_metrics_idle_gap_resets_window () =
   let q = Metrics.responsiveness_quantiles m in
   check_float "second window" 2.0 (Tr_stats.Quantile.quantile q 1.0)
 
+(* Arrivals recorded out of time order across nodes, as a cluster's
+   shards record them: the window opens at the earliest outstanding one,
+   not at the oldest entry by recording order. Node 2 is served first,
+   while node 1 (t=3) is older than node 0 (t=5), recorded before it. *)
+let test_metrics_late_arrival_across_nodes () =
+  let m = Metrics.create ~n:3 in
+  Metrics.on_request m ~time:5.0 ~node:0;
+  Metrics.on_request m ~time:3.0 ~node:1;
+  Metrics.on_request m ~time:4.0 ~node:2;
+  Metrics.on_serve m ~time:6.0 ~node:2;
+  Metrics.on_serve m ~time:7.0 ~node:1;
+  Metrics.on_serve m ~time:9.0 ~node:0;
+  let q = Metrics.responsiveness_quantiles m in
+  Alcotest.(check (array (float 0.0)))
+    "samples" [| 1.0; 2.0; 3.0 |]
+    (Tr_stats.Quantile.to_sorted_array q);
+  check_float "mean" 2.0
+    (Tr_stats.Summary.mean (Metrics.responsiveness m))
+
 let test_metrics_serve_without_request () =
   let m = Metrics.create ~n:2 in
   Alcotest.(check bool) "raises" true
@@ -1301,6 +1320,8 @@ let () =
           Alcotest.test_case "serve without request" `Quick
             test_metrics_serve_without_request;
           Alcotest.test_case "fifo waiting" `Quick test_metrics_fifo_waiting;
+          Alcotest.test_case "late arrival across nodes" `Quick
+            test_metrics_late_arrival_across_nodes;
           Alcotest.test_case "messages/possessions" `Quick
             test_metrics_messages_and_possessions;
           Alcotest.test_case "waiting fairness" `Quick test_metrics_waiting_fairness;

@@ -342,16 +342,17 @@ let prop_quantile_matches_sorted_reference =
           agrees k)
         (stops @ [ len ]))
 
-(* Storage stays within one 2^16-float chunk of the samples. After
-   2^18 + 1 adds, what [t] keeps is n floats, the unused rest of the
-   last chunk, and a few words of headers and spine; what was allocated
-   on the way adds the first chunk's doubling (under 2^16 floats, as
-   one array growing to 2^16 leaves behind). Doubling one array to 2^19
-   would keep 2^19 words and allocate about 2^20. The added constant
-   is boxed statically, so the loop allocates nothing itself. The
-   counters read exactly only from an empty minor heap: data already
-   there when the count starts is otherwise tallied again as it is
-   promoted. *)
+(* OCaml-heap storage stays within one 2^16-float chunk of the samples.
+   After 2^18 + 1 adds, what [t] keeps on the heap is a few words of
+   chunk headers and spine (the chunks' floats are malloc'd, and
+   neither counter sees them); what was allocated on the way is the
+   first chunk's doubling up to 2^16 floats, before it moved off the
+   heap. Doubling one heap array to 2^19 would keep 2^19 words and
+   allocate about 2^20; the next test reads the heap's size. The
+   added constant is boxed statically, so the loop allocates nothing
+   itself. The counters read exactly only from an empty minor heap:
+   data already there when the count starts is otherwise tallied again
+   as it is promoted. *)
 let test_quantile_footprint () =
   let n = (1 lsl 18) + 1 and chunk = 1 lsl 16 and spine = 64 in
   let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
@@ -370,6 +371,40 @@ let test_quantile_footprint () =
     Alcotest.failf "allocated %d words for %d samples (bound %d)" allocated n
       (n + (2 * chunk) + spine);
   check_float "median" 0.5 (Quantile.median t)
+
+(* Past the first 2^16, samples live off the OCaml heap. 1M adds (8 MB
+   of floats) must grow [heap_words] by less than one 2^16-float chunk:
+   the heap keeps a small header per chunk and the spine. It is read
+   after a full major, so the first chunk's doubling arrays, garbage
+   once it moved off, are freed whatever the GC's pace. Reads +4,096
+   words (one pool) on OCaml 5.1.1, with or without that collection;
+   keeping the chunks on the heap read +1,052,720. Samples come from a
+   formula, so no array of them sits on the heap while it is read; the
+   sorted reference is built after. *)
+let test_quantile_off_heap () =
+  let n = 1_000_000 and chunk = 1 lsl 16 in
+  let x i = float_of_int ((i * 2654435761) land 0xFFFFF) /. 7. in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).heap_words in
+  let t = Quantile.create () in
+  for i = 0 to n - 1 do
+    Quantile.add t (x i)
+  done;
+  Gc.full_major ();
+  let grown = (Gc.quick_stat ()).heap_words - before in
+  if grown >= chunk then
+    Alcotest.failf "heap grew %d words for %d samples (budget < %d)" grown n
+      chunk;
+  let sorted = Array.init n x in
+  Array.sort Float.compare sorted;
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun q ->
+      Alcotest.(check int64)
+        (Printf.sprintf "p%g bits" (100. *. q))
+        (bits (reference_quantile sorted q))
+        (bits (Quantile.quantile t q)))
+    [ 0.5; 0.99 ]
 
 (* ---------------- P2 (streaming quantiles) ---------------- *)
 
@@ -589,6 +624,7 @@ let () =
           Alcotest.test_case "invalid q" `Quick test_quantile_invalid;
           Alcotest.test_case "add after query" `Quick test_quantile_add_after_query;
           Alcotest.test_case "footprint" `Quick test_quantile_footprint;
+          Alcotest.test_case "samples off the heap" `Quick test_quantile_off_heap;
         ]
         @ qsuite
             [
