@@ -126,6 +126,16 @@ let free a h =
   a.free.(a.free_len) <- h;
   a.free_len <- a.free_len + 1
 
+(* The chaos action of a send that has no injector: one copy, on time. *)
+let no_chaos =
+  {
+    Tr_chaos.Injector.drop = false;
+    copies = 1;
+    extra_delay = 0.0;
+    corrupt = false;
+    link_count = 0;
+  }
+
 module Make (P : Node_intf.PROTOCOL) = struct
   (* The simulated time, alone in an all-float record: stored flat, so
      advancing it per event writes a float in place instead of boxing
@@ -142,6 +152,11 @@ module Make (P : Node_intf.PROTOCOL) = struct
     events : arena;
     clock : clock;
     net_rng : Rng.t;
+    (* [Network.fixed_delay] per channel, read once at [create]; [None]
+       on every channel under chaos. A send on a fixed channel is queued
+       at that delay and draws nothing. *)
+    reliable_fixed : float option;
+    cheap_fixed : float option;
     workload : Workload.t;
     metrics : Metrics.t;
     trace : Trace.t;
@@ -169,6 +184,13 @@ module Make (P : Node_intf.PROTOCOL) = struct
     let a = t.events in
     let h = alloc a Arrival ~src:0 in
     a.nodes.(h) <- nodes;
+    Pqueue.push t.queue ~time h
+
+  let push_deliver t ~time ~src ~dst (msg : P.msg) =
+    let a = t.events in
+    let h = alloc a Deliver ~src in
+    a.dst.(h) <- dst;
+    a.msgs.(h) <- Obj.repr msg;
     Pqueue.push t.queue ~time h
 
   let push_timer t ~time ~node ~key ~epoch =
@@ -217,48 +239,46 @@ module Make (P : Node_intf.PROTOCOL) = struct
       if t.tracing then
         Trace.record t.trace ~time:t.clock.now
           (Trace.Sent { src = node; dst; channel; label = P.label msg });
-      (* Chaos interposition, delivery side: the injector decides drop /
-         duplicate / extra delay / corrupt for every protocol send. The
-         simulator has no bytes, so a corrupted message is modelled as
-         detect-and-drop — the abstract reading of the live decoder
-         discarding a mangled frame and resyncing. *)
-      let chaos_action =
-        match t.config.chaos with
-        | None -> None
-        | Some inj ->
-            Some (Tr_chaos.Injector.on_send inj ~now:t.clock.now ~src:node ~dst)
+      let fixed =
+        match channel with
+        | Network.Reliable -> t.reliable_fixed
+        | Network.Cheap -> t.cheap_fixed
       in
-      let chaos_dropped =
-        match chaos_action with
-        | Some a -> a.Tr_chaos.Injector.drop || a.Tr_chaos.Injector.corrupt
-        | None -> false
-      in
-      if
-        chaos_dropped
-        || Network.dropped t.config.network t.net_rng channel ~src:node ~dst
-      then begin
-        if t.tracing then
-          Trace.record t.trace ~time:t.clock.now
-            (Trace.Dropped { src = node; dst; label = P.label msg })
-      end
-      else begin
-        let delay =
-          Network.sample_delay t.config.network t.net_rng channel ~src:node
-            ~dst
-        in
-        let copies, extra_delay =
-          match chaos_action with
-          | Some a -> (a.Tr_chaos.Injector.copies, a.Tr_chaos.Injector.extra_delay)
-          | None -> (1, 0.0)
-        in
-        for _ = 1 to copies do
-          let a = t.events in
-          let h = alloc a Deliver ~src:node in
-          a.dst.(h) <- dst;
-          a.msgs.(h) <- Obj.repr msg;
-          Pqueue.push t.queue ~time:(t.clock.now +. delay +. extra_delay) h
-        done
-      end
+      match fixed with
+      | Some delay ->
+          push_deliver t ~time:(t.clock.now +. delay) ~src:node ~dst msg
+      | None -> (
+          (* Chaos interposition, delivery side: the injector decides
+             drop / duplicate / extra delay / corrupt for every protocol
+             send. The simulator has no bytes, so a corrupted message is
+             modelled as detect-and-drop — the abstract reading of the
+             live decoder discarding a mangled frame and resyncing. *)
+          let action =
+            match t.config.chaos with
+            | None -> no_chaos
+            | Some inj ->
+                Tr_chaos.Injector.on_send inj ~now:t.clock.now ~src:node ~dst
+          in
+          if
+            action.Tr_chaos.Injector.drop || action.Tr_chaos.Injector.corrupt
+            || Network.dropped t.config.network t.net_rng channel ~src:node
+                 ~dst
+          then begin
+            if t.tracing then
+              Trace.record t.trace ~time:t.clock.now
+                (Trace.Dropped { src = node; dst; label = P.label msg })
+          end
+          else
+            let delay =
+              Network.sample_delay t.config.network t.net_rng channel
+                ~src:node ~dst
+            in
+            let time =
+              t.clock.now +. delay +. action.Tr_chaos.Injector.extra_delay
+            in
+            for _ = 1 to action.Tr_chaos.Injector.copies do
+              push_deliver t ~time ~src:node ~dst msg
+            done)
     in
     let set_timer ~delay ~key =
       if delay < 0.0 then invalid_arg "Engine: negative timer delay";
@@ -322,6 +342,11 @@ module Make (P : Node_intf.PROTOCOL) = struct
         ~rng:(Rng.create (config.seed lxor 0x5DEECE66D))
     in
     let keyspace = 8 in
+    let fixed channel =
+      match config.chaos with
+      | None -> Network.fixed_delay config.network channel
+      | Some _ -> None
+    in
     let trace =
       Trace.create ~enabled:config.trace ?window:config.trace_window ()
     in
@@ -334,6 +359,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
         events = create_arena ();
         clock = { now = 0.0 };
         net_rng = Rng.create (config.seed lxor 0x2545F491);
+        reliable_fixed = fixed Network.Reliable;
+        cheap_fixed = fixed Network.Cheap;
         workload;
         metrics = Metrics.create ~n:config.n;
         trace;

@@ -10,7 +10,7 @@ type t = {
   reliable_delay : delay_model;
   cheap_delay : delay_model;
   cheap_drop_probability : float;
-  partitioned : int -> int -> bool;
+  partitioned : (int -> int -> bool) option;
 }
 
 (* Delay models are validated when the network is configured, not when
@@ -61,7 +61,7 @@ let guard_per_link ~what = function
   | model -> model
 
 let create ?(reliable_delay = Constant 1.0) ?(cheap_delay = Constant 1.0)
-    ?(cheap_drop_probability = 0.0) ?(partitioned = fun _ _ -> false) () =
+    ?(cheap_drop_probability = 0.0) ?partitioned () =
   if
     (not (Float.is_finite cheap_drop_probability))
     || cheap_drop_probability < 0.0
@@ -80,17 +80,17 @@ let default = create ()
 
 let epsilon_delay = 1e-9
 
+(* The polymorphic [max epsilon_delay raw], spelled out: the call would
+   go through [compare_val] on every send. *)
+let floor_delay raw = if epsilon_delay >= raw then epsilon_delay else raw
+
 let sample model rng ~src ~dst =
-  let raw =
-    match model with
+  floor_delay
+    (match model with
     | Constant d -> d
     | Uniform (lo, hi) -> Rng.uniform_range rng ~lo ~hi
     | Exponential mean -> Rng.exponential rng ~mean
-    | Per_link f -> f ~src ~dst
-  in
-  (* The polymorphic [max epsilon_delay raw], spelled out: the call would
-     go through [compare_val] on every send. *)
-  if epsilon_delay >= raw then epsilon_delay else raw
+    | Per_link f -> f ~src ~dst)
 
 let sample_delay t rng channel ~src ~dst =
   match channel with
@@ -98,13 +98,29 @@ let sample_delay t rng channel ~src ~dst =
   | Cheap -> sample t.cheap_delay rng ~src ~dst
 
 let dropped t rng channel ~src ~dst =
-  t.partitioned src dst
+  (match t.partitioned with Some p -> p src dst | None -> false)
   ||
   match channel with
   | Reliable -> false
   | Cheap ->
       t.cheap_drop_probability > 0.0
       && Rng.float rng 1.0 < t.cheap_drop_probability
+
+(* A channel is fixed when sending on it draws nothing and loses
+   nothing: a [Constant] delay, no partition and, on [Cheap], no random
+   loss. Its delay goes through the same floor as {!sample}'s. *)
+let fixed_delay t channel =
+  match (t.partitioned, channel) with
+  | Some _, _ -> None
+  | None, Reliable -> (
+      match t.reliable_delay with
+      | Constant d -> Some (floor_delay d)
+      | Uniform _ | Exponential _ | Per_link _ -> None)
+  | None, Cheap -> (
+      match t.cheap_delay with
+      | Constant d when t.cheap_drop_probability = 0.0 ->
+          Some (floor_delay d)
+      | Constant _ | Uniform _ | Exponential _ | Per_link _ -> None)
 
 let pp_channel ppf = function
   | Reliable -> Format.pp_print_string ppf "reliable"

@@ -4,8 +4,14 @@
     with delivery guarantees (the token and the history it carries) and
     "cheap" messages without guarantees (search hints, traps, probes) that
     may be lost or delayed arbitrarily without affecting safety. The
-    {!channel} type makes that distinction first-class; the simulation
-    engine routes every send through {!sample_delay} / {!dropped}. *)
+    {!channel} type makes that distinction first-class.
+
+    The simulation engine asks {!fixed_delay} once per channel when it
+    is created. A send on a fixed channel (a [Constant] delay, no loss,
+    no partition) and without chaos is queued at that delay and draws
+    nothing. Every other send goes through {!dropped} and then
+    {!sample_delay}, in that order, so a seeded run makes the same draws
+    as it always has. *)
 
 type channel =
   | Reliable  (** Expensive: always delivered, bounded delay. *)
@@ -54,5 +60,12 @@ val sample_delay : t -> Rng.t -> channel -> src:int -> dst:int -> float
 val dropped : t -> Rng.t -> channel -> src:int -> dst:int -> bool
 (** Whether the fabric loses this message. [Reliable] messages are dropped
     only by a partition, never by the random loss process. *)
+
+val fixed_delay : t -> channel -> float option
+(** [Some d] when every message on [channel] takes exactly [d] and none
+    is lost: its delay model is [Constant], no [partitioned] predicate
+    was given and, for [Cheap], the drop probability is 0. [d] is
+    floored like {!sample_delay}'s result, so [Constant 0.0] gives
+    [1e-9]. [None] otherwise, even when the predicate never fires. *)
 
 val pp_channel : Format.formatter -> channel -> unit

@@ -94,16 +94,81 @@ let gather t =
   done;
   all
 
-(* The samples are sorted in insertion order wherever they are stored,
-   so the result is fixed down to which of two equal keys (0.0 and
-   -0.0) lands first. *)
+(* Stdlib's [Array.sort] (a ternary heap sort) step for step, run on
+   the samples where they are stored. Its comparator is [Float.compare]
+   on unboxed floats, its recursion and its [Bottom] exception become
+   loops and a -1 child, and no float is boxed, so the sort allocates
+   one closure. The same comparisons on the same elements make the same
+   moves: the samples come out exactly as [Array.sort Float.compare]
+   leaves them, down to which of two equal keys (0.0 and -0.0) lands
+   first. *)
 let sort_in_place t =
   if not t.sorted then begin
-    let all = gather t in
-    Array.sort Float.compare all;
-    for i = 0 to t.len - 1 do
-      set t i all.(i)
+    (* The larger child of [i] in a heap of [l] samples; -1 at a leaf. *)
+    let maxson l i =
+      let i31 = i + i + i + 1 in
+      if i31 + 2 < l then begin
+        let x =
+          if Float.compare (get t i31) (get t (i31 + 1)) < 0 then i31 + 1
+          else i31
+        in
+        if Float.compare (get t x) (get t (i31 + 2)) < 0 then i31 + 2 else x
+      end
+      else if i31 + 1 < l && Float.compare (get t i31) (get t (i31 + 1)) < 0
+      then i31 + 1
+      else if i31 < l then i31
+      else -1
+    in
+    let l = t.len in
+    (* Heapify: sift each inner node's sample down. *)
+    for i0 = ((l + 1) / 3) - 1 downto 0 do
+      let e = get t i0 in
+      let i = ref i0 and sifting = ref true in
+      while !sifting do
+        let j = maxson l !i in
+        if j >= 0 && Float.compare (get t j) e > 0 then begin
+          set t !i (get t j);
+          i := j
+        end
+        else begin
+          set t !i e;
+          sifting := false
+        end
+      done
     done;
+    (* Move the root to the end, walk the hole down to a leaf along the
+       larger children, then sift the displaced sample up from there. *)
+    for last = l - 1 downto 2 do
+      let e = get t last in
+      set t last (get t 0);
+      let i = ref 0 and j = ref (maxson last 0) in
+      while !j >= 0 do
+        set t !i (get t !j);
+        i := !j;
+        j := maxson last !i
+      done;
+      let sifting = ref true in
+      while !sifting do
+        let father = (!i - 1) / 3 in
+        if Float.compare (get t father) e < 0 then begin
+          set t !i (get t father);
+          if father > 0 then i := father
+          else begin
+            set t 0 e;
+            sifting := false
+          end
+        end
+        else begin
+          set t !i e;
+          sifting := false
+        end
+      done
+    done;
+    if l > 1 then begin
+      let e = get t 1 in
+      set t 1 (get t 0);
+      set t 0 e
+    end;
     t.sorted <- true
   end
 

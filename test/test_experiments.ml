@@ -538,6 +538,77 @@ let test_app_digest name protocol want () =
          Tokenring.Runner.run protocol config
            ~stop:(Tokenring.Engine.After_serves 40)))
 
+(* The engine queues a send on a fixed channel ([Constant] delay, no
+   loss, no partition, no chaos) without consulting the network, and
+   routes every other send through [Network.dropped] and
+   [Network.sample_delay]. A [Per_link] model returning the same
+   constant takes the sampled path and draws nothing, so both paths must
+   replay the same run: same trace, same metrics, same event count. *)
+let delay_path_run name network ~n ~seed ~mean =
+  let config =
+    {
+      (Tokenring.Engine.default_config ~n ~seed) with
+      network;
+      workload = Tokenring.Workload.Global_poisson { mean_interarrival = mean };
+      trace = true;
+    }
+  in
+  (* The token-message cap ends runs whose token keeps circulating at
+     the floored [Constant 0.0] delay. *)
+  let o =
+    Tokenring.Runner.run_named name config
+      ~stop:
+        (Tokenring.Engine.First_of
+           [
+             Tokenring.Engine.After_serves 60;
+             Tokenring.Engine.After_token_messages 20_000;
+           ])
+  in
+  let rendered = Format.asprintf "%a" Tokenring.Trace.pp o.trace in
+  (Digest.to_hex (Digest.string rendered), o.metrics, o.events)
+
+let same_run (digest_a, metrics_a, events_a) (digest_b, metrics_b, events_b) =
+  String.equal digest_a digest_b
+  && Stdlib.compare metrics_a metrics_b = 0
+  && events_a = events_b
+
+let delay_path_protocols =
+  [ "ring"; "binsearch"; "adaptive"; "directed"; "binsearch-gc-rotation" ]
+
+let prop_delay_paths_agree =
+  let module N = Tokenring.Network in
+  let one ~src:_ ~dst:_ = 1.0 in
+  let sampled =
+    N.create ~reliable_delay:(N.Per_link one) ~cheap_delay:(N.Per_link one) ()
+  in
+  QCheck.Test.make ~name:"fixed and sampled delay paths agree" ~count:25
+    QCheck.(
+      quad (make ~print:Fun.id (Gen.oneofl delay_path_protocols))
+        (int_range 2 12) (int_bound 100_000)
+        (make ~print:string_of_float (Gen.oneofl [ 2.0; 12.0 ])))
+    (fun (name, n, seed, mean) ->
+      same_run
+        (delay_path_run name N.default ~n ~seed ~mean)
+        (delay_path_run name sampled ~n ~seed ~mean))
+
+(* [Constant 0.0] is floored to 1e-9 on both paths: queued directly, and
+   sampled when a partition predicate that never fires forces the
+   sampled path. *)
+let test_zero_delay_paths_agree () =
+  let module N = Tokenring.Network in
+  let zero = N.Constant 0.0 in
+  let fixed = N.create ~reliable_delay:zero ~cheap_delay:zero () in
+  let sampled =
+    N.create ~reliable_delay:zero ~cheap_delay:zero
+      ~partitioned:(fun _ _ -> false) ()
+  in
+  List.iter
+    (fun name ->
+      let a = delay_path_run name fixed ~n:8 ~seed:5 ~mean:2.0 in
+      let b = delay_path_run name sampled ~n:8 ~seed:5 ~mean:2.0 in
+      Alcotest.(check bool) (name ^ ": same run") true (same_run a b))
+    delay_path_protocols
+
 let () =
   Alcotest.run "experiments"
     [
@@ -570,6 +641,12 @@ let () =
               Alcotest.test_case (name ^ " digest") `Quick
                 (test_app_digest name protocol want))
             app_digests );
+      ( "delay paths",
+        [
+          Alcotest.test_case "constant 0 floored on both paths" `Quick
+            test_zero_delay_paths_agree;
+          QCheck_alcotest.to_alcotest prop_delay_paths_agree;
+        ] );
       ( "shapes",
         [
           Alcotest.test_case "FIG9" `Quick test_fig9_shape;

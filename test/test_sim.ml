@@ -444,6 +444,33 @@ let test_network_partition () =
   Alcotest.(check bool) "other links fine" false
     (Network.dropped net rng Network.Reliable ~src:1 ~dst:0)
 
+(* Which channels the engine may queue without asking the network: a
+   [Constant] delay, floored like a sample, and nothing that can lose a
+   message. A partition predicate makes every channel sampled, even one
+   that never fires. *)
+let test_network_fixed_delay () =
+  let fixed = Alcotest.(option (float 0.0)) in
+  let reliable net = Network.fixed_delay net Network.Reliable in
+  let cheap net = Network.fixed_delay net Network.Cheap in
+  Alcotest.check fixed "default reliable" (Some 1.0) (reliable Network.default);
+  Alcotest.check fixed "default cheap" (Some 1.0) (cheap Network.default);
+  let zero = Network.create ~reliable_delay:(Network.Constant 0.0) () in
+  Alcotest.check fixed "zero floored" (Some 1e-9) (reliable zero);
+  let lossy = Network.create ~cheap_drop_probability:0.1 () in
+  Alcotest.check fixed "lossy cheap" None (cheap lossy);
+  Alcotest.check fixed "reliable immune to loss" (Some 1.0) (reliable lossy);
+  let cut = Network.create ~partitioned:(fun _ _ -> false) () in
+  Alcotest.check fixed "partition predicate, reliable" None (reliable cut);
+  Alcotest.check fixed "partition predicate, cheap" None (cheap cut);
+  let spread = Network.create ~cheap_delay:(Network.Uniform (1.0, 1.0)) () in
+  Alcotest.check fixed "uniform" None (cheap spread);
+  let link =
+    Network.create
+      ~reliable_delay:(Network.Per_link (fun ~src:_ ~dst:_ -> 1.0))
+      ()
+  in
+  Alcotest.check fixed "per link" None (reliable link)
+
 let test_network_invalid () =
   Alcotest.check_raises "bad probability"
     (Invalid_argument "Network.create: drop probability outside [0,1]")
@@ -794,11 +821,12 @@ let prop_metrics_model =
 (* The grant path keeps no per-request heap objects: once the rings
    and quantile arrays have grown, a closed-loop serve + re-request
    (every node holding one request, as a ring runs) allocates only the
-   two samples it hands to [Tr_stats]. A float passed to a function of
-   another module is boxed, and dune's default profile compiles every
-   module opaque, so nothing inlines across them: each sample is boxed
-   once, and dies young. Times come from a prebuilt list, so the loop
-   itself boxes nothing. *)
+   two samples it hands to [Tr_stats]. A float passed to a function
+   that is not inlined is boxed at the call, and [Metrics] hands each
+   sample to both of its consumers through one out-of-line function:
+   each sample is boxed once, with or without cross-module inlining,
+   and dies young. Times come from a prebuilt list, so the loop itself
+   boxes nothing. *)
 let test_metrics_steady_state_alloc () =
   let n = 8 in
   let m = Metrics.create ~n in
@@ -1299,6 +1327,7 @@ let () =
           Alcotest.test_case "per-link delay" `Quick test_network_per_link_delay;
           Alcotest.test_case "drop probability" `Quick test_network_drop_probability;
           Alcotest.test_case "partition" `Quick test_network_partition;
+          Alcotest.test_case "fixed delay" `Quick test_network_fixed_delay;
           Alcotest.test_case "invalid" `Quick test_network_invalid;
         ] );
       ( "workload",

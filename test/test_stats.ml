@@ -406,6 +406,44 @@ let test_quantile_off_heap () =
         (bits (Quantile.quantile t q)))
     [ 0.5; 0.99 ]
 
+(* The first query sorts the samples where they are stored: over 1M
+   samples it boxes no float and copies no sample out, so the first
+   [p99] allocates less than one word per sample; sorting through
+   [Array.sort Float.compare], which boxes both operands of every
+   comparison, read about 130. The samples mix 0.0 with -0.0 and hold
+   NaNs, so the sorted order of equal keys is pinned too: it must match
+   [Array.sort Float.compare] bit for bit. *)
+let test_quantile_sort_alloc () =
+  let n = 1_000_000 in
+  let x i =
+    match i mod 1009 with
+    | 0 -> 0.0
+    | 1 -> -0.0
+    | 2 -> nan
+    | _ -> float_of_int ((i * 2654435761) land 0xFFFFF) /. 7.
+  in
+  let t = Quantile.create () in
+  for i = 0 to n - 1 do
+    Quantile.add t (x i)
+  done;
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  Gc.minor ();
+  let before = words () in
+  let p99 = Quantile.p99 t in
+  let allocated = words () -. before in
+  if allocated >= float_of_int n then
+    Alcotest.failf "first p99 allocated %.0f words for %d samples" allocated n;
+  let sorted = Array.init n x in
+  Array.sort Float.compare sorted;
+  let bits x = Int64.bits_of_float x in
+  Alcotest.(check int64)
+    "p99 bits" (bits (reference_quantile sorted 0.99)) (bits p99);
+  let mine = Quantile.to_sorted_array t in
+  for i = 0 to n - 1 do
+    if not (Int64.equal (bits mine.(i)) (bits sorted.(i))) then
+      Alcotest.failf "sample %d: %h sorted, %h expected" i mine.(i) sorted.(i)
+  done
+
 (* ---------------- P2 (streaming quantiles) ---------------- *)
 
 module P2 = Tr_stats.P2
@@ -625,6 +663,8 @@ let () =
           Alcotest.test_case "add after query" `Quick test_quantile_add_after_query;
           Alcotest.test_case "footprint" `Quick test_quantile_footprint;
           Alcotest.test_case "samples off the heap" `Quick test_quantile_off_heap;
+          Alcotest.test_case "first sort allocates nothing per sample" `Quick
+            test_quantile_sort_alloc;
         ]
         @ qsuite
             [
