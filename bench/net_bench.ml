@@ -198,19 +198,16 @@ let scaling_config ~n ~readiness ~stop ~max_wall_s =
     readiness;
   }
 
-let scaling_row ~readiness ~procs ~n ~grants ~wall_s ~resp_p99 ~wait_calls
+let scaling_row ~readiness ~n ~grants ~wall_s ~resp_p99 ~wait_calls
     ~fds_registered ~avg_ready =
   Printf.sprintf
-    {|    { "protocol": "ring", "n": %d, "readiness": %S, "procs": %d,
+    {|    { "protocol": "ring", "n": %d, "readiness": %S,
       "load": "closed:1", "grants": %d, "wall_s": %.3f, "grants_per_s": %.0f,
       "resp_p99_units": %.3f, "wait_calls": %d, "fds_registered": %d,
-      "avg_ready_per_wait": %s }|}
-    n readiness procs grants wall_s
+      "avg_ready_per_wait": %.2f }|}
+    n readiness grants wall_s
     (float_of_int grants /. Float.max 1e-9 wall_s)
-    resp_p99 wait_calls fds_registered
-    (match avg_ready with
-    | None -> "null"
-    | Some a -> Printf.sprintf "%.2f" a)
+    resp_p99 wait_calls fds_registered avg_ready
 
 let scaling_case ~backend ~n ~grants =
   with_temp_dir (fun dir ->
@@ -231,41 +228,13 @@ let scaling_case ~backend ~n ~grants =
       if r.Cluster.decode_errors > 0 then
         failwith (Printf.sprintf "net_bench: uds n=%d live decode errors" n);
       scaling_row
-        ~readiness:r.Cluster.readiness ~procs:1 ~n ~grants:r.Cluster.grants
+        ~readiness:r.Cluster.readiness ~n ~grants:r.Cluster.grants
         ~wall_s:r.Cluster.wall_s
         ~resp_p99:
           (Quantile.quantile (Metrics.responsiveness_quantiles r.Cluster.metrics) 0.99)
         ~wait_calls:r.Cluster.wait_calls
         ~fds_registered:r.Cluster.fds_registered
-        ~avg_ready:(Some r.Cluster.avg_ready_per_wait))
-
-(* Beyond ~6.6k nodes a single process blows RLIMIT_NOFILE (20k here,
-   un-raisable in this container: ~3 fds per self-hosted node), so the
-   10k point runs as a forked fleet — each child hosts a contiguous
-   slice and the per-process fd bill halves. Duration-stopped: grants
-   are summed after the fact. *)
-let fleet_case ~procs ~n ~duration_units =
-  with_temp_dir (fun dir ->
-      Format.eprintf "live uds ring n=%d epoll fleet procs=%d (%.0f units)...@."
-        n procs duration_units;
-      let addrs = Transport.uds_addrs ~dir ~n in
-      let config =
-        scaling_config ~n ~readiness:(Some Readiness.Epoll)
-          ~stop:(Cluster.Duration duration_units)
-          ~max_wall_s:120.0
-      in
-      let members =
-        Cluster.run_fleet ~procs ~addrs config (Codecs.find_exn "ring")
-      in
-      if List.length members < procs then
-        failwith "net_bench: fleet child missing";
-      let t = Cluster.fleet_total members in
-      if t.Cluster.m_decode_errors > 0 then
-        failwith "net_bench: fleet decode errors";
-      scaling_row ~readiness:"epoll" ~procs ~n ~grants:t.Cluster.m_grants
-        ~wall_s:t.Cluster.m_wall_s ~resp_p99:t.Cluster.m_resp_p99
-        ~wait_calls:t.Cluster.m_wait_calls
-        ~fds_registered:t.Cluster.m_fds_registered ~avg_ready:None)
+        ~avg_ready:r.Cluster.avg_ready_per_wait)
 
 (* ------------------------------------------------------------------ *)
 (* Syscall floor: the in-process path against the socket hop          *)
@@ -530,13 +499,6 @@ let () =
   let reps = if quick then 1 else 3 in
   let total = if quick then 20_000 else 2_000_000 in
   ignore (Readiness.raise_nofile ());
-  (* The forked fleet must run before anything else: every in-process
-     cluster case spawns shard domains, and OCaml forbids Unix.fork once
-     any domain has been created. *)
-  let fleet_rows =
-    if quick then []
-    else [ fleet_case ~procs:2 ~n:10_000 ~duration_units:150_000.0 ]
-  in
   Format.eprintf "timing loopback pump (%d frames)...@." total;
   let loop_wall = best_of reps (fun () -> ignore (pump_loopback ~total ())) in
   let (loop_frames, loop_bytes), loop_words =
@@ -568,8 +530,7 @@ let () =
       [ "ring"; "binsearch" ]
   in
   (* Live scaling sweep: each available backend. The N=4096 epoll row
-     is the million-grant acceptance run; N=10000 runs as a 2-process
-     fleet. *)
+     is the million-grant acceptance run. *)
   let scaling_rows =
     if quick then
       List.filter_map
@@ -590,7 +551,6 @@ let () =
            (Readiness.Poll, 1024, 20_000);
          ]
         |> List.filter (fun (b, _, _) -> Readiness.available b))
-      @ fleet_rows
   in
   let syscall_floor_rows =
     if quick then floor_rows ~n:64 ~grants:2_000

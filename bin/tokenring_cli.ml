@@ -485,7 +485,14 @@ let unit_arg default =
   opt_arg Arg.float default [ "unit" ] "S" "Wall seconds per time unit."
 
 let shards_arg =
-  opt_arg Arg.int 0 [ "shards" ] "J" "Shard domains hosting the nodes (0 = auto)."
+  let check shards =
+    if shards < 0 then die "--shards must be at least 0, got %d" shards;
+    shards
+  in
+  Term.(
+    const check
+    $ opt_arg Arg.int 0 [ "shards" ] "J"
+        "Shard domains hosting the nodes (0 = auto).")
 
 let duration_arg =
   opt_arg Arg.float 1000.0 [ "duration" ] "T"
@@ -511,10 +518,10 @@ let cluster_config ~unit_default =
     $ opt_arg Arg.float 60.0 [ "max-wall" ] "S"
         "Hard wall-clock safety cap in seconds.")
 
-(* [cluster_config] plus the shard loop's knobs: --readiness, --spin,
-   --inproc and --pin. *)
+(* [cluster_config] plus the shard loop's knobs: --readiness, --spin
+   and --inproc. *)
 let tuned_cluster ~unit_default =
-  let knobs config readiness spin inproc pin_cores =
+  let knobs config readiness spin inproc =
     let readiness =
       Option.map
         (fun s ->
@@ -523,7 +530,7 @@ let tuned_cluster ~unit_default =
           | Error e -> die "--readiness: %s" e)
         readiness
     in
-    fun ~n -> { (config ~n) with Cluster.readiness; spin; inproc; pin_cores }
+    fun ~n -> { (config ~n) with Cluster.readiness; spin; inproc }
   in
   Term.(
     const knobs $ cluster_config ~unit_default
@@ -539,8 +546,7 @@ let tuned_cluster ~unit_default =
     $ flag_arg [ "inproc" ]
         "Deliver frames between co-hosted nodes through in-process \
          mailboxes instead of sockets: identical framing and ordering, zero \
-         syscalls per hop (TR_INPROC also honoured)."
-    $ flag_arg [ "pin" ] "Pin each shard domain to one CPU core (sched_setaffinity).")
+         syscalls per hop (TR_INPROC also honoured).")
 
 let resolve_backend ~n ~own ~uds ~tcp_base ~host =
   let owned =
@@ -724,7 +730,8 @@ let service_cmd =
     in
     let mode =
       if adaptive then begin
-        let base = Policy.default_config ~n ~hop_s:cluster.Cluster.hop_delay in
+        (* The live cluster's hops take one time unit. *)
+        let base = Policy.default_config ~n ~hop_s:1.0 in
         let cfg =
           {
             base with
@@ -910,13 +917,10 @@ let service_loadgen_cmd =
 (* ---------------- cluster-bench ---------------- *)
 
 let cluster_bench_cmd =
-  let run protocols ns_spec grants mean closed config json uds procs duration =
+  let run protocols ns_spec grants mean closed config json uds =
     let protocols = if protocols = [] then [ "ring"; "binsearch" ] else protocols in
     let ns = parse_id_ranges ns_spec in
     if ns = [] then die "empty -N sweep";
-    if procs < 1 then die "--procs must be >= 1";
-    if procs > 1 && uds = None then die "--procs needs --uds";
-    if procs > 1 && json then die "--json is per-process; not available with --procs";
     List.iter (fun p -> ignore (find_packed p)) protocols;
     let load =
       match closed with
@@ -928,60 +932,31 @@ let cluster_bench_cmd =
     let point n protocol =
       let config = { (config ~n) with Cluster.load } in
       let packed = find_packed protocol in
-      match uds with
-      | Some dir when procs > 1 ->
-          (* Fleet: fixed duration, grants summed after the fact. *)
-          let members =
-            caller_errors (fun () ->
-                Cluster.run_fleet ~procs
-                  ~addrs:(Live_transport.uds_addrs ~dir ~n)
-                  { config with stop = Cluster.Duration duration }
-                  packed)
-          in
-          if List.length members < procs then
-            die "%s n=%d: only %d/%d fleet children reported" protocol n
-              (List.length members) procs;
-          let t = Cluster.fleet_total members in
-          if t.m_decode_errors > 0 then
-            die "%s n=%d: %d decode errors" protocol n t.m_decode_errors;
-          Format.eprintf
-            "bench %-12s n=%5d unix[%s] procs=%d: %7d grants, %8.0f grants/s, \
-             resp %8.2f, %.1fs wall, %d waits, %d fds@."
-            protocol n
-            (match config.readiness with
-            | Some b -> Tr_net_rt.Readiness.backend_name b
-            | None -> "auto")
-            procs t.m_grants
-            (float_of_int t.m_grants /. Float.max 1e-9 t.m_wall_s)
-            t.m_resp_mean t.m_wall_s t.m_wait_calls t.m_fds_registered;
-          t.m_resp_mean
-      | _ ->
-          let backend =
-            Option.map
-              (fun dir ->
-                Cluster.Sockets
-                  {
-                    owned = List.init n Fun.id;
-                    addrs = Live_transport.uds_addrs ~dir ~n;
-                  })
-              uds
-          in
-          let r =
-            run_live ?backend { config with stop = Cluster.Grants grants } packed
-          in
-          reports := r :: !reports;
-          if r.decode_errors > 0 then
-            die "%s n=%d: %d decode errors" protocol n r.decode_errors;
-          let resp = Tr_stats.Summary.mean (Tr_sim.Metrics.responsiveness r.metrics) in
-          Format.eprintf
-            "bench %-12s n=%5d %s/%s: %7d grants, %8.0f grants/s, resp %8.2f, \
-             %.1fs wall, %d waits, %d fds, %.1f ready/wait, %.2f \
-             syscalls/grant@."
-            protocol n r.backend r.readiness r.grants
-            (float_of_int r.grants /. Float.max 1e-9 r.wall_s)
-            resp r.wall_s r.wait_calls r.fds_registered r.avg_ready_per_wait
-            r.syscalls_per_grant;
-          resp
+      let backend =
+        Option.map
+          (fun dir ->
+            Cluster.Sockets
+              {
+                owned = List.init n Fun.id;
+                addrs = Live_transport.uds_addrs ~dir ~n;
+              })
+          uds
+      in
+      let r =
+        run_live ?backend { config with stop = Cluster.Grants grants } packed
+      in
+      reports := r :: !reports;
+      if r.decode_errors > 0 then
+        die "%s n=%d: %d decode errors" protocol n r.decode_errors;
+      let resp = Tr_stats.Summary.mean (Tr_sim.Metrics.responsiveness r.metrics) in
+      Format.eprintf
+        "bench %-12s n=%5d %s/%s: %7d grants, %8.0f grants/s, resp %8.2f, \
+         %.1fs wall, %d waits, %d fds, %.1f ready/wait, %.2f syscalls/grant@."
+        protocol n r.backend r.readiness r.grants
+        (float_of_int r.grants /. Float.max 1e-9 r.wall_s)
+        resp r.wall_s r.wait_calls r.fds_registered r.avg_ready_per_wait
+        r.syscalls_per_grant;
+      resp
     in
     let rows =
       List.map (fun n -> (float_of_int n, List.map (point n) protocols)) ns
@@ -995,14 +970,13 @@ let cluster_bench_cmd =
       (* FIG9-schema CSV, stamped with provenance comment lines. *)
       Printf.printf "# live cluster-bench: mean responsiveness (time units) vs N\n";
       Printf.printf
-        "# protocols=%s seed=%d grants=%d load=%s unit=%g backend=%s procs=%d git=%s\n"
+        "# protocols=%s seed=%d grants=%d load=%s unit=%g backend=%s git=%s\n"
         (String.concat "+" protocols) first.seed grants
         (match closed with
         | Some d -> Printf.sprintf "closed:%d" d
         | None -> Printf.sprintf "open:%g" mean)
         first.unit_s
         (if uds = None then "loopback" else "unix")
-        procs
         (Live_export.git_describe ());
       print_string (Live_export.csv_of_table ~x_label:"n" ~cols:protocols rows)
     end
@@ -1011,10 +985,9 @@ let cluster_bench_cmd =
     (Cmd.info "cluster-bench"
        ~doc:
          "Sweep live clusters over N (in-process loopback by default, \
-          --uds for real sockets, --procs for a multi-process fleet) and \
-          emit the paper's figure-9 comparison (ring O(N) vs delegated \
-          binsearch O(log N)) as stamped CSV, or per-run JSON reports with \
-          --json")
+          --uds for real sockets) and emit the paper's figure-9 \
+          comparison (ring O(N) vs delegated binsearch O(log N)) as \
+          stamped CSV, or per-run JSON reports with --json")
     Term.(
       const run
       $ Arg.(
@@ -1031,13 +1004,7 @@ let cluster_bench_cmd =
            sweeps)."
       $ tuned_cluster ~unit_default:5e-4
       $ json "Emit one JSON report per run instead of CSV."
-      $ uds_arg
-      $ opt_arg Arg.int 1 [ "procs" ] "P"
-          "Fork P processes, each hosting a contiguous slice of the cluster \
-           over --uds sockets; all run --duration wall units and grants are \
-           summed (needs --uds)."
-      $ opt_arg Arg.float 2000.0 [ "duration" ] "T"
-          "Run length in time units for --procs fleet mode.")
+      $ uds_arg)
 
 (* ---------------- chaos ---------------- *)
 

@@ -35,7 +35,8 @@ let () =
     (crash_time +. 0.2);
   Format.printf "requests served despite the loss: %d@." (Metrics.serves m);
   let milestones =
-    Trace.filter (E.trace t) ~f:(fun { Trace.event; _ } ->
+    List.filter
+      (fun { Trace.event; _ } ->
         match event with
         | Trace.Crashed _ -> true
         | Trace.Note { text; _ } ->
@@ -44,6 +45,7 @@ let () =
                || String.length text >= 12
                   && String.equal (String.sub text 0 12) "regenerating")
         | _ -> false)
+      (Trace.events (E.trace t))
   in
   Format.printf "recovery milestones:@.";
   List.iter

@@ -14,12 +14,9 @@ type config = {
   seed : int;
   unit_s : float;
   shards : int;
-  hop_delay : float;
-  cheap_delay : float;
   load : load;
   stop : stop;
   max_wall_s : float;
-  pin_cores : bool;
   readiness : Readiness.backend option;
   spin : bool;
   inproc : bool;
@@ -34,17 +31,18 @@ let default_config ~n ~seed =
     seed;
     unit_s = 1e-3;
     shards = default_shards n;
-    hop_delay = 1.0;
-    cheap_delay = 1.0;
     load = No_load;
     stop = Duration 1000.0;
     max_wall_s = 60.0;
-    pin_cores = false;
     readiness = None;
     spin = false;
     inproc = false;
     chaos = None;
   }
+
+(* Every loopback hop takes one time unit, on either channel, as in the
+   simulator's default network; sockets ignore the delay. *)
+let hop_units = 1.0
 
 type control = {
   kill : int -> unit;
@@ -106,11 +104,9 @@ type ('state, 'msg) rt = {
 let validate (config : config) =
   if config.n < 2 then invalid_arg "Cluster.run: n < 2";
   if config.shards < 1 then invalid_arg "Cluster.run: shards < 1";
-  if not (Float.is_finite config.hop_delay) || config.hop_delay < 0.0 then
-    invalid_arg "Cluster.run: hop_delay must be finite and non-negative";
-  if not (Float.is_finite config.cheap_delay) || config.cheap_delay < 0.0 then
-    invalid_arg "Cluster.run: cheap_delay must be finite and non-negative";
-  if config.max_wall_s <= 0.0 then invalid_arg "Cluster.run: max_wall_s <= 0";
+  (* Negated so NaN fails too; [infinity] means no cap. *)
+  if not (config.max_wall_s > 0.0) then
+    invalid_arg "Cluster.run: max_wall_s must be positive";
   (match config.load with
   | No_load | External -> ()
   | Open_loop { mean_interarrival } ->
@@ -254,11 +250,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       Mutex.lock mu;
       Metrics.on_message metrics channel kind;
       Mutex.unlock mu;
-      let delay =
-        match channel with
-        | Network.Reliable -> config.hop_delay
-        | Network.Cheap -> config.cheap_delay
-      in
       (* Chaos interposition, live side: pre-encode decisions (drop /
          duplicate / reorder), post-encode byte flips for corruption —
          mangled frames go down the real wire and must be absorbed by
@@ -266,7 +257,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
       match config.chaos with
       | None ->
           let frame = Codec.encode_frame scratch codec ~src:node ~channel msg in
-          Transport.send_frame transport ~src:node ~dst ~delay frame
+          Transport.send_frame transport ~src:node ~dst ~delay:hop_units frame
       | Some inj ->
           let now_u = Clock.now clock in
           let a = Tr_chaos.Injector.on_send inj ~now:now_u ~src:node ~dst in
@@ -278,7 +269,9 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
               (not a.Tr_chaos.Injector.corrupt)
               && a.Tr_chaos.Injector.extra_delay = 0.0
               && a.Tr_chaos.Injector.copies = 1
-            then Transport.send_frame transport ~src:node ~dst ~delay frame
+            then
+              Transport.send_frame transport ~src:node ~dst ~delay:hop_units
+                frame
             else begin
               let payload = Buffer.contents frame in
               let payload =
@@ -290,13 +283,14 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
               for _ = 1 to a.Tr_chaos.Injector.copies do
                 if a.Tr_chaos.Injector.extra_delay > 0.0 then begin
                   let release =
-                    now_u +. delay +. a.Tr_chaos.Injector.extra_delay
+                    now_u +. hop_units +. a.Tr_chaos.Injector.extra_delay
                   in
                   Pqueue.push chaos_out.(node) ~time:release (dst, payload);
                   Pqueue.push timer_index.(shard_of.(node)) ~time:release node
                 end
                 else
-                  Transport.send transport ~src:node ~dst ~delay payload
+                  Transport.send transport ~src:node ~dst ~delay:hop_units
+                    payload
               done
             end
           end
@@ -533,8 +527,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
      nodes cost nothing per iteration, which is what lets one shard
      carry 10k+ of them. *)
   let shard_loop ~lead ~shard shard_rts () =
-    if config.pin_cores then
-      ignore (Readiness.pin_cpu (shard mod Readiness.ncpus ()) : bool);
     (* Its timeouts are due times: see the timer slack note in the mli. *)
     ignore (Readiness.set_timer_slack_ns 1_000 : bool);
     let tshard = tshards.(shard) in
@@ -682,128 +674,3 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
 
 let run_packed ?backend config (Codecs.Packed ((module P), codec)) =
   run ?backend config (module P) codec
-
-(* ---------------- multi-process fleet ---------------- *)
-
-type fleet_member = {
-  m_grants : int;
-  m_frames_sent : int;
-  m_wall_s : float;
-  m_resp_mean : float;
-  m_resp_p99 : float;
-  m_wait_calls : int;
-  m_fds_registered : int;
-  m_decode_errors : int;
-}
-
-(* Split a socket cluster across [procs] forked children, each hosting a
-   contiguous slice of the ids, all running the same wall-clock duration
-   so no cross-process stop coordination is needed: a child that hit its
-   duration keeps its sockets open until every slice is done, because the
-   transport only closes on [run] return and the parent only reaps after
-   reading all summary lines. Each child ships one scalar summary line
-   over a shared pipe (far below PIPE_BUF, so lines can't interleave). *)
-let run_fleet ~procs ~addrs (config : config) packed =
-  let n = config.n in
-  let slice p =
-    let lo = p * n / procs and hi = (p + 1) * n / procs in
-    List.init (hi - lo) (fun k -> lo + k)
-  in
-  let rpipe, wpipe = Unix.pipe () in
-  let pids =
-    List.init procs (fun p ->
-        match Unix.fork () with
-        | 0 ->
-            let code =
-              try
-                Unix.close rpipe;
-                let report =
-                  run_packed
-                    ~backend:(Sockets { owned = slice p; addrs })
-                    config packed
-                in
-                let resp = Tr_sim.Metrics.responsiveness report.metrics in
-                let p99 =
-                  Tr_stats.Quantile.quantile
-                    (Tr_sim.Metrics.responsiveness_quantiles report.metrics)
-                    0.99
-                in
-                let line =
-                  Printf.sprintf "%d %d %d %.6f %.6f %.6f %d %d %d\n" p
-                    report.grants report.frames_sent report.wall_s
-                    (Tr_stats.Summary.mean resp)
-                    p99 report.wait_calls report.fds_registered
-                    report.decode_errors
-                in
-                ignore
-                  (Unix.write_substring wpipe line 0 (String.length line));
-                0
-              with e ->
-                Printf.eprintf "fleet child %d: %s\n%!" p
-                  (Printexc.to_string e);
-                1
-            in
-            exit code
-        | pid -> pid)
-  in
-  Unix.close wpipe;
-  let ic = Unix.in_channel_of_descr rpipe in
-  let lines =
-    List.init procs (fun _ ->
-        match input_line ic with
-        | line -> Some line
-        | exception End_of_file -> None)
-  in
-  let ok =
-    List.for_all
-      (fun pid ->
-        match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> true | _ -> false)
-      pids
-  in
-  close_in ic;
-  if not ok then failwith "fleet child exited abnormally";
-  (* Lines arrive in pipe order, i.e. whichever child finished first;
-     sort by the reported child index to honour the slice-order doc. *)
-  List.filter_map Fun.id lines
-  |> List.map (fun line ->
-         Scanf.sscanf line "%d %d %d %f %f %f %d %d %d"
-           (fun p g f w r p99 waits fds de ->
-             ( p,
-               {
-                 m_grants = g;
-                 m_frames_sent = f;
-                 m_wall_s = w;
-                 m_resp_mean = r;
-                 m_resp_p99 = p99;
-                 m_wait_calls = waits;
-                 m_fds_registered = fds;
-                 m_decode_errors = de;
-               } )))
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
-
-let fleet_total members =
-  let sum f = List.fold_left (fun a m -> a + f m) 0 members in
-  let fmax f = List.fold_left (fun a m -> Float.max a (f m)) 0.0 members in
-  let grants = sum (fun m -> m.m_grants) in
-  (* Grant-weighted: a child that served nothing has a NaN mean. *)
-  let resp_mean =
-    if grants = 0 then Float.nan
-    else
-      List.fold_left
-        (fun a m ->
-          if Float.is_nan m.m_resp_mean then a
-          else a +. (m.m_resp_mean *. float_of_int m.m_grants))
-        0.0 members
-      /. float_of_int grants
-  in
-  {
-    m_grants = grants;
-    m_frames_sent = sum (fun m -> m.m_frames_sent);
-    m_wall_s = fmax (fun m -> m.m_wall_s);
-    m_resp_mean = resp_mean;
-    m_resp_p99 = fmax (fun m -> m.m_resp_p99);
-    m_wait_calls = sum (fun m -> m.m_wait_calls);
-    m_fds_registered = sum (fun m -> m.m_fds_registered);
-    m_decode_errors = sum (fun m -> m.m_decode_errors);
-  }

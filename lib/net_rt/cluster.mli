@@ -18,9 +18,11 @@
     shard also sleeps no later than the next open-loop arrival and the
     stop deadline. Each shard domain sets a 1 us timer slack, so a timed
     wake lands on its due time rather than up to 50 us after it (a
-    quarter unit at 0.2 ms units). Metrics feed the {e same} {!Tr_sim.Metrics}
-    accumulator the simulator uses — responsiveness is Definition 3 in
-    both worlds, in the same units. *)
+    quarter unit at 0.2 ms units). On loopback every hop takes one time
+    unit, on either channel, as in the simulator's default network.
+    Metrics feed the {e same} {!Tr_sim.Metrics} accumulator the
+    simulator uses — responsiveness is Definition 3 in both worlds, in
+    the same units. *)
 
 type load =
   | No_load  (** Token circulation only. *)
@@ -42,15 +44,11 @@ type config = {
   seed : int;
   unit_s : float;  (** Wall seconds per time unit. *)
   shards : int;
-  hop_delay : float;  (** Loopback reliable-hop delay, units. *)
-  cheap_delay : float;  (** Loopback cheap-channel delay, units. *)
   load : load;
   stop : stop;
-  max_wall_s : float;  (** Hard safety limit on wall time. *)
-  pin_cores : bool;
-      (** Pin each shard domain to one CPU ([sched_setaffinity],
-          shard index modulo core count). Advisory: pinning failure is
-          ignored. *)
+  max_wall_s : float;
+      (** Hard safety limit on wall time, seconds: positive, [infinity]
+          for none. *)
   readiness : Readiness.backend option;
       (** Force the shards' readiness backend, on either transport;
           [None] picks epoll where available, else poll (honouring
@@ -74,10 +72,9 @@ type config = {
 }
 
 val default_config : n:int -> seed:int -> config
-(** 1 ms units, one-unit hops on both channels, [No_load],
-    [Duration 1000.], 60 s wall cap, shards from
-    [Domain.recommended_domain_count], no pinning, default readiness,
-    spin and in-process fast path off. *)
+(** 1 ms units, [No_load], [Duration 1000.], 60 s wall cap, shards from
+    [Domain.recommended_domain_count], default readiness, spin and
+    in-process fast path off. *)
 
 (** Handle passed to the {!run} [tap] and [attach] callbacks: lets an
     embedder kill a node mid-run, end the run early, or inject external
@@ -185,41 +182,9 @@ val run :
     crash just after handling the message. [attach] receives the
     {!control} handle after node init but before any shard domain runs —
     an embedding service stores it to [inject] load and stop the run
-    (typically from another domain, since [run] blocks). *)
+    (typically from another domain, since [run] blocks).
+    @raise Invalid_argument on an invalid [config] (a NaN [max_wall_s]
+    included), before any shard domain starts. *)
 
 val run_packed : ?backend:backend_spec -> config -> Tr_wire.Codecs.packed -> report
 (** {!run} over a registry entry (protocol paired with its codec). *)
-
-(** One forked fleet child's scalar summary (see {!run_fleet}). *)
-type fleet_member = {
-  m_grants : int;
-  m_frames_sent : int;
-  m_wall_s : float;
-  m_resp_mean : float;  (** Mean responsiveness, time units. *)
-  m_resp_p99 : float;  (** p99 responsiveness, time units. *)
-  m_wait_calls : int;
-  m_fds_registered : int;
-  m_decode_errors : int;
-}
-
-val run_fleet :
-  procs:int ->
-  addrs:Unix.sockaddr array ->
-  config ->
-  Tr_wire.Codecs.packed ->
-  fleet_member list
-(** Fork [procs] children, each hosting a contiguous slice of the ids of
-    a socket cluster over [addrs], all running [config] (which should use
-    a {!Duration} stop — there is no cross-process grant coordination).
-    Splits the per-process fd bill by [procs], so a 10k-node cluster fits
-    under an un-raisable [RLIMIT_NOFILE]. Returns one summary per child
-    in slice order; raises [Failure] if any child exits abnormally. May
-    return fewer than [procs] members if a child died before reporting
-    (callers should check). Must be called from a single-domain process
-    ([fork] and OCaml domains don't mix). *)
-
-val fleet_total : fleet_member list -> fleet_member
-(** The whole fleet as one member: grants, frames, waits, fds and decode
-    errors summed; the longest wall time and the worst p99; mean
-    responsiveness weighted by each child's grants ([nan] when no child
-    served any). *)

@@ -88,10 +88,6 @@ val raise_nofile : unit -> int
 
 val ncpus : unit -> int
 
-val pin_cpu : int -> bool
-(** Pin the calling domain to CPU [i mod ncpus]; returns whether the
-    kernel accepted. Advisory — callers proceed either way. *)
-
 val set_timer_slack_ns : int -> bool
 (** Set how late the kernel may fire the calling domain's timed waits
     ([PR_SET_TIMERSLACK]; Linux's default is 50 us). Returns whether the

@@ -1,6 +1,6 @@
 /* Readiness backend stubs: level-triggered epoll on Linux, poll(2) as
    the portable fallback, plus the small pieces of process plumbing the
-   high-N cluster needs (RLIMIT_NOFILE raising, CPU pinning).
+   high-N cluster needs (RLIMIT_NOFILE raising, timer slack).
 
    All fds cross the boundary as plain ints — Unix.file_descr is an int
    on every Unix OCaml port. Blocking waits release the OCaml runtime
@@ -16,7 +16,6 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <sched.h>
 #include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
@@ -252,20 +251,6 @@ CAMLprim value tr_rd_set_timer_slack(value ns)
 #ifdef __linux__
   return Val_bool(prctl(PR_SET_TIMERSLACK, (unsigned long)Long_val(ns), 0,
                         0, 0) == 0);
-#else
-  return Val_false;
-#endif
-}
-
-/* Pin the calling thread (a shard domain) to one CPU. Returns whether
-   the kernel accepted; callers treat failure as advisory. */
-CAMLprim value tr_rd_pin_cpu(value cpu)
-{
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(Int_val(cpu) % CPU_SETSIZE, &set);
-  return Val_bool(sched_setaffinity(0, sizeof(set), &set) == 0);
 #else
   return Val_false;
 #endif

@@ -10,7 +10,6 @@ type config = {
   network : Network.t;
   workload : Workload.spec;
   trace : bool;
-  trace_window : int option;
   crashes : (float * int) list;
   chaos : Tr_chaos.Injector.t option;
 }
@@ -22,7 +21,6 @@ let default_config ~n ~seed =
     network = Network.default;
     workload = Workload.Nothing;
     trace = false;
-    trace_window = None;
     crashes = [];
     chaos = None;
   }
@@ -347,9 +345,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
       | None -> Network.fixed_delay config.network channel
       | Some _ -> None
     in
-    let trace =
-      Trace.create ~enabled:config.trace ?window:config.trace_window ()
-    in
+    let trace = Trace.create ~enabled:config.trace () in
     let t =
       {
         config;

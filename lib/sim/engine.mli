@@ -23,10 +23,6 @@ type config = {
   network : Network.t;
   workload : Workload.spec;
   trace : bool;  (** Record a full event trace (memory-heavy). *)
-  trace_window : int option;
-      (** When set (and [trace] is on), keep only the most recent
-          [window] trace entries in a ring buffer — bounded memory for
-          long runs. [None] retains everything. *)
   crashes : (float * int) list;  (** (time, node) fail-stop injections. *)
   chaos : Tr_chaos.Injector.t option;
       (** Fault-injection shim on the delivery path: every protocol send

@@ -13,16 +13,12 @@ type entry = { time : float; event : event }
 (* Entries live in two parallel growable arrays: an unboxed [float
    array] of times and a generic array of events. Appending is O(1) with
    no per-entry cons cell; iteration is forward, so accessors never
-   [List.rev]. In ring mode ([window = Some w]) the arrays are a
-   fixed-size circular buffer holding the most recent [w] entries. *)
+   [List.rev]. *)
 type t = {
   enabled : bool;
-  window : int; (* 0 = unbounded; > 0 = ring capacity *)
   mutable times : float array;
   mutable evs : event array;
-  mutable head : int; (* index of the oldest stored entry (ring mode) *)
-  mutable stored : int; (* entries currently held *)
-  mutable total : int; (* entries ever recorded *)
+  mutable length : int;
   (* Derived views are memoized until the next [record]. *)
   mutable memo_events : entry list option;
 }
@@ -31,79 +27,38 @@ type t = {
    constructors are boxed, so the array is generic and safe to share. *)
 let filler_event = Crashed { node = min_int }
 
-let create ?(enabled = true) ?window () =
-  let window =
-    match window with
-    | None -> 0
-    | Some w ->
-        if w < 1 then invalid_arg "Trace.create: window < 1";
-        w
-  in
-  let initial_cap = if window > 0 then window else 0 in
-  {
-    enabled;
-    window;
-    times = Array.make initial_cap 0.0;
-    evs = Array.make initial_cap filler_event;
-    head = 0;
-    stored = 0;
-    total = 0;
-    memo_events = None;
-  }
+let create ?(enabled = true) () =
+  { enabled; times = [||]; evs = [||]; length = 0; memo_events = None }
 
 let enabled t = t.enabled
-let ring_window t = if t.window = 0 then None else Some t.window
 
 let grow t =
   let cap = Array.length t.times in
   let cap' = Stdlib.max 64 (2 * cap) in
   let times = Array.make cap' 0.0 in
   let evs = Array.make cap' filler_event in
-  Array.blit t.times 0 times 0 t.stored;
-  Array.blit t.evs 0 evs 0 t.stored;
+  Array.blit t.times 0 times 0 t.length;
+  Array.blit t.evs 0 evs 0 t.length;
   t.times <- times;
   t.evs <- evs
 
 let record t ~time event =
   if t.enabled then begin
     t.memo_events <- None;
-    t.total <- t.total + 1;
-    if t.window = 0 then begin
-      if t.stored = Array.length t.times then grow t;
-      t.times.(t.stored) <- time;
-      t.evs.(t.stored) <- event;
-      t.stored <- t.stored + 1
-    end
-    else if t.stored < t.window then begin
-      let i = (t.head + t.stored) mod t.window in
-      t.times.(i) <- time;
-      t.evs.(i) <- event;
-      t.stored <- t.stored + 1
-    end
-    else begin
-      (* Full ring: overwrite the oldest entry and advance the head. *)
-      t.times.(t.head) <- time;
-      t.evs.(t.head) <- event;
-      t.head <- (t.head + 1) mod t.window
-    end
+    if t.length = Array.length t.times then grow t;
+    t.times.(t.length) <- time;
+    t.evs.(t.length) <- event;
+    t.length <- t.length + 1
   end
 
-let length t = t.total
-let stored_length t = t.stored
-let dropped t = t.total - t.stored
+let length t = t.length
 
 (* Chronological iteration directly over the buffer — the shared
    substrate of every accessor below. *)
 let iter t f =
-  if t.window = 0 then
-    for i = 0 to t.stored - 1 do
-      f t.times.(i) t.evs.(i)
-    done
-  else
-    for k = 0 to t.stored - 1 do
-      let i = (t.head + k) mod t.window in
-      f t.times.(i) t.evs.(i)
-    done
+  for i = 0 to t.length - 1 do
+    f t.times.(i) t.evs.(i)
+  done
 
 let events t =
   match t.memo_events with
@@ -115,13 +70,6 @@ let events t =
       t.memo_events <- Some result;
       result
 
-let filter t ~f =
-  let acc = ref [] in
-  iter t (fun time event ->
-      let entry = { time; event } in
-      if f entry then acc := entry :: !acc);
-  List.rev !acc
-
 let collect t f =
   let acc = ref [] in
   iter t (fun time event ->
@@ -131,27 +79,6 @@ let collect t f =
 let token_possessions t =
   collect t (fun time event ->
       match event with Token_at { node } -> Some (time, node) | _ -> None)
-
-let pending_series t =
-  let count = ref 0 in
-  collect t (fun time event ->
-      match event with
-      | Request _ ->
-          incr count;
-          Some (time, !count)
-      | Served _ ->
-          decr count;
-          Some (time, !count)
-      | _ -> None)
-
-let served_series t =
-  let count = ref 0 in
-  collect t (fun time event ->
-      match event with
-      | Served _ ->
-          incr count;
-          Some (time, !count)
-      | _ -> None)
 
 let running_mean_waiting t ~window =
   if window < 1 then invalid_arg "Trace.running_mean_waiting: window < 1";

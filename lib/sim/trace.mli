@@ -8,13 +8,7 @@
     Storage is a growable pair of flat arrays (unboxed times + events):
     recording is O(1) per event with no per-entry cons cell, iteration is
     forward, and derived views are memoized until the next record. A
-    disabled trace costs one branch per event.
-
-    {b Ring mode.} [create ~window:w] bounds the trace to the most recent
-    [w] entries (O(window) memory however long the run); older entries are
-    silently discarded, {!length} still counts everything ever recorded,
-    and {!dropped} says how much the window lost. Derived series
-    reconstructed from a windowed trace see only the retained suffix. *)
+    disabled trace costs one branch per event. *)
 
 type event =
   | Sent of { src : int; dst : int; channel : Network.channel; label : string }
@@ -29,45 +23,20 @@ type event =
 type entry = { time : float; event : event }
 type t
 
-val create : ?enabled:bool -> ?window:int -> unit -> t
-(** [window] bounds the trace to its most recent [window] entries (ring
-    mode); omitted means unbounded.
-    @raise Invalid_argument if [window < 1]. *)
-
+val create : ?enabled:bool -> unit -> t
 val enabled : t -> bool
-
-val ring_window : t -> int option
-(** The ring capacity, or [None] for an unbounded trace. *)
 
 val record : t -> time:float -> event -> unit
 
 val events : t -> entry list
-(** Chronological (recording order); in ring mode, the retained window
-    only. Memoized: repeated calls without an intervening {!record}
-    return the same list without rebuilding it. *)
+(** Chronological (recording order). Memoized: repeated calls without an
+    intervening {!record} return the same list without rebuilding it. *)
 
 val length : t -> int
-(** Total number of events ever recorded (including any discarded by a
-    ring window). *)
-
-val stored_length : t -> int
-(** Number of events currently held ([length] minus {!dropped}). *)
-
-val dropped : t -> int
-(** Events discarded by the ring window (0 for unbounded traces). *)
-
-val filter : t -> f:(entry -> bool) -> entry list
+(** Number of events recorded. *)
 
 val token_possessions : t -> (float * int) list
 (** Times and holders of every [Token_at] event, chronological. *)
-
-val pending_series : t -> (float * int) list
-(** Outstanding-request count over time, one point per change
-    (reconstructed from [Request]/[Served] events). Useful for warm-up
-    and saturation analysis. *)
-
-val served_series : t -> (float * int) list
-(** Cumulative serves over time, one point per [Served] event. *)
 
 val running_mean_waiting : t -> window:int -> (float * float) list
 (** Sliding-window mean of the last [window] waiting times, one point per

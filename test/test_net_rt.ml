@@ -487,13 +487,13 @@ let test_unix_sockets_cluster () =
    the two per-grant allocation guards below: 20k deliveries after two
    revolutions of warm-up, with the shard's minor words, promoted words
    and major collections read by the tap at both ends of the window. *)
-type ring_window = {
+type ring_alloc = {
   minor_per_grant : float;
   promoted_per_grant : float;
   window_majors : int;
 }
 
-let ring_window =
+let ring_alloc =
   lazy
     (with_temp_dir (fun dir ->
          let n = 1024 and warm = 2048 and window = 20_000 in
@@ -555,7 +555,7 @@ let ring_window =
    queued arrival, a boxed statistic) is promoted. The budget is 4
    promoted words a grant; boxed per-request bookkeeping read 22. *)
 let test_ring_promotion_budget () =
-  let w = Lazy.force ring_window in
+  let w = Lazy.force ring_alloc in
   let reading =
     Printf.sprintf "%.1f promoted words per grant, %d major GCs in the window"
       w.promoted_per_grant w.window_majors
@@ -574,7 +574,7 @@ let test_ring_promotion_budget () =
    hash lookups, [Mutex.protect] closures and boxed clock reads read
    317.0. *)
 let test_ring_minor_budget () =
-  let w = Lazy.force ring_window in
+  let w = Lazy.force ring_alloc in
   let reading = Printf.sprintf "%.1f minor words per grant" w.minor_per_grant in
   print_endline reading;
   if not (w.minor_per_grant <= 243.0) then
@@ -1762,41 +1762,35 @@ let test_per_link_guard () =
   expect_invalid "bad per-link sample" (fun () ->
       Network.sample_delay net rng Network.Reliable ~src:1 ~dst:0)
 
-(* Fleet totals: counts add up, wall and p99 take the worst child, and
-   mean responsiveness weighs each child by its grants (a child that
-   served nothing carries a NaN mean and no weight). *)
-let test_fleet_total () =
-  let member ~grants ~wall ~resp ~p99 =
+(* The wall cap must be positive, and NaN is rejected like 0 and -1: a
+   NaN cap would make the lead shard's wait timeout NaN, so the cap
+   would never fire. The check runs before any node initialises or
+   shard domain starts. [infinity] means no cap. *)
+let test_max_wall_validation () =
+  let (Codecs.Packed ((module P), codec)) = Codecs.find_exn "ring" in
+  let config max_wall_s =
     {
-      Cluster.m_grants = grants;
-      m_frames_sent = 10 * grants;
-      m_wall_s = wall;
-      m_resp_mean = resp;
-      m_resp_p99 = p99;
-      m_wait_calls = 7;
-      m_fds_registered = 3;
-      m_decode_errors = 1;
+      (Cluster.default_config ~n:4 ~seed:3) with
+      unit_s = 2e-4;
+      shards = 1;
+      load = Cluster.Closed_loop { depth = 1 };
+      stop = Cluster.Grants 10;
+      max_wall_s;
     }
   in
-  let t =
-    Cluster.fleet_total
-      [
-        member ~grants:100 ~wall:2.0 ~resp:4.0 ~p99:9.0;
-        member ~grants:300 ~wall:3.0 ~resp:8.0 ~p99:6.0;
-        member ~grants:0 ~wall:1.0 ~resp:Float.nan ~p99:0.0;
-      ]
-  in
-  Alcotest.(check int) "grants" 400 t.Cluster.m_grants;
-  Alcotest.(check int) "frames" 4000 t.Cluster.m_frames_sent;
-  Alcotest.(check int) "waits" 21 t.Cluster.m_wait_calls;
-  Alcotest.(check int) "fds" 9 t.Cluster.m_fds_registered;
-  Alcotest.(check int) "decode errors" 3 t.Cluster.m_decode_errors;
-  Alcotest.(check (float 1e-9)) "wall" 3.0 t.Cluster.m_wall_s;
-  Alcotest.(check (float 1e-9)) "p99" 9.0 t.Cluster.m_resp_p99;
-  Alcotest.(check (float 1e-9)) "weighted resp" 7.0 t.Cluster.m_resp_mean;
-  let idle = member ~grants:0 ~wall:1.0 ~resp:Float.nan ~p99:0.0 in
-  Alcotest.(check bool) "no grants, no mean" true
-    (Float.is_nan (Cluster.fleet_total [ idle ]).Cluster.m_resp_mean)
+  List.iter
+    (fun cap ->
+      let attached = ref false in
+      expect_invalid (Printf.sprintf "max_wall_s = %g" cap) (fun () ->
+          Cluster.run
+            ~attach:(fun _ -> attached := true)
+            (config cap) (module P) codec);
+      Alcotest.(check bool)
+        (Printf.sprintf "max_wall_s = %g: rejected before attach" cap)
+        false !attached)
+    [ Float.nan; 0.0; -1.0; Float.neg_infinity ];
+  let r = Cluster.run (config Float.infinity) (module P) codec in
+  Alcotest.(check bool) "no cap still serves" true (r.Cluster.grants >= 10)
 
 let test_scenario_network_error () =
   match Tokenring.Scenario.network_of_string "uniform:3,1" with
@@ -1900,6 +1894,7 @@ let () =
           Alcotest.test_case "per-link guard" `Quick test_per_link_guard;
           Alcotest.test_case "scenario error" `Quick
             test_scenario_network_error;
+          Alcotest.test_case "cluster wall cap" `Quick
+            test_max_wall_validation;
         ] );
-      ("fleet", [ Alcotest.test_case "totals" `Quick test_fleet_total ]);
     ]

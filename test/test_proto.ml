@@ -10,7 +10,7 @@ let run_with (module P : Node_intf.PROTOCOL) ?(n = 32) ?(seed = 1)
     ?(workload = Workload.Nothing) ?(network = Network.default) ?(trace = false)
     ?(crashes = []) ~stop () =
   let config =
-    { Engine.n; seed; network; workload; trace; trace_window = None; crashes;
+    { Engine.n; seed; network; workload; trace; crashes;
       chaos = None }
   in
   Tokenring.Runner.run (module P) { config with trace } ~stop

@@ -876,12 +876,6 @@ let test_trace_series () =
   Trace.record t ~time:2.0 (Trace.Request { node = 1 });
   Trace.record t ~time:3.0 (Trace.Served { node = 0; waited = 2.0 });
   Trace.record t ~time:5.0 (Trace.Served { node = 1; waited = 3.0 });
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "pending"
-    [ (1.0, 1); (2.0, 2); (3.0, 1); (5.0, 0) ]
-    (Trace.pending_series t);
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "served" [ (3.0, 1); (5.0, 2) ] (Trace.served_series t);
   Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
     "running mean (window 2)"
     [ (3.0, 2.0); (5.0, 2.5) ]
@@ -919,31 +913,6 @@ let test_trace_events_memoized () =
   Alcotest.(check bool) "recording invalidates the memo" true
     (Trace.events t != first);
   Alcotest.(check int) "still complete" 101 (List.length (Trace.events t))
-
-let test_trace_ring_window () =
-  let t = Trace.create ~window:3 () in
-  Alcotest.(check (option int)) "window exposed" (Some 3) (Trace.ring_window t);
-  for i = 1 to 5 do
-    Trace.record t ~time:(float_of_int i) (Trace.Request { node = i })
-  done;
-  Alcotest.(check int) "total ever recorded" 5 (Trace.length t);
-  Alcotest.(check int) "bounded retention" 3 (Trace.stored_length t);
-  Alcotest.(check int) "dropped count" 2 (Trace.dropped t);
-  let nodes =
-    List.map
-      (fun { Trace.event; _ } ->
-        match event with Trace.Request { node } -> node | _ -> -1)
-      (Trace.events t)
-  in
-  Alcotest.(check (list int)) "keeps the most recent, in order" [ 3; 4; 5 ]
-    nodes
-
-let test_trace_window_invalid () =
-  Alcotest.(check bool) "window 0 rejected" true
-    (try
-       ignore (Trace.create ~window:0 ());
-       false
-     with Invalid_argument _ -> true)
 
 (* ---------------- Engine ---------------- *)
 
@@ -1133,23 +1102,6 @@ let test_engine_events_counter () =
   E.run t ~stop:(Engine.At_time 15.0);
   Alcotest.(check int) "counter accumulates across runs" 15
     (E.events_processed t)
-
-let test_engine_trace_window () =
-  let config =
-    {
-      (Engine.default_config ~n:4 ~seed:0) with
-      trace = true;
-      trace_window = Some 5;
-    }
-  in
-  let t = E.create config in
-  E.run t ~stop:(Engine.At_time 20.0);
-  let trace = E.trace t in
-  Alcotest.(check (option int)) "ring window wired" (Some 5)
-    (Trace.ring_window trace);
-  Alcotest.(check bool) "recorded more than the window" true
-    (Trace.length trace > 5);
-  Alcotest.(check int) "retention bounded" 5 (Trace.stored_length trace)
 
 (* Protocols use small positive timer keys; a key beyond the initial
    scalar-table bound must grow the table, not corrupt epochs. *)
@@ -1366,8 +1318,6 @@ let () =
           Alcotest.test_case "running-mean window" `Quick
             test_trace_running_mean_window_slides;
           Alcotest.test_case "events memoized" `Quick test_trace_events_memoized;
-          Alcotest.test_case "ring window" `Quick test_trace_ring_window;
-          Alcotest.test_case "window invalid" `Quick test_trace_window_invalid;
         ] );
       ( "engine",
         [
@@ -1384,7 +1334,6 @@ let () =
             test_engine_rejects_negative_timer;
           Alcotest.test_case "n too small" `Quick test_engine_n_too_small;
           Alcotest.test_case "events counter" `Quick test_engine_events_counter;
-          Alcotest.test_case "trace window" `Quick test_engine_trace_window;
           Alcotest.test_case "large timer key" `Quick
             test_engine_large_timer_key;
           Alcotest.test_case "dispatch releases payloads" `Quick
