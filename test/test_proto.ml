@@ -876,22 +876,41 @@ let prop_every_protocol_random_burst =
           serves o >= 40)
         all_protocols)
 
-(* [Proto_util.Traps] against a plain-list model: random pushes (from
-   a few requesters, so re-traps are common) and pops. After every step
-   the queue must agree with the model on [to_list], [size], [is_empty]
-   and [mem] for every requester; a pop must return the model's head. *)
+(* [Proto_util.Traps] against a plain-list model: random pushes and
+   pops. Half the runs draw requesters from a few ids, so re-traps are
+   common; the other half mostly push fresh ids up to 4095, so queues
+   grow past 64 entries. After every step the queue must agree with the
+   model on [to_list], [size], [is_empty] and [mem] for every id pushed
+   so far and a few never pushed; a pop must return the model's head. *)
+let traps_ops =
+  let small = QCheck.Gen.(list_size (0 -- 60) (opt (int_range 0 7))) in
+  let large =
+    QCheck.Gen.(
+      list_size (0 -- 300)
+        (frequency
+           [
+             (13, map Option.some (int_range 0 4095));
+             (2, map Option.some (int_range 0 7));
+             (5, return None);
+           ]))
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list (option int))
+    QCheck.Gen.(oneof [ small; large ])
+
 let prop_traps_model =
   let module Traps = Tr_proto.Proto_util.Traps in
-  QCheck.Test.make ~name:"traps match a FIFO list model" ~count:500
-    QCheck.(list_of_size Gen.(0 -- 60) (option (int_range 0 7)))
+  QCheck.Test.make ~name:"traps match a FIFO list model" ~count:500 traps_ops
     (fun ops ->
+      let probes =
+        List.sort_uniq Int.compare
+          (List.filter_map Fun.id ops @ [ 0; 8; 4095; 4096; -1 ])
+      in
       let agrees traps model =
         Traps.to_list traps = model
         && Traps.size traps = List.length model
         && Traps.is_empty traps = (model = [])
-        && List.for_all
-             (fun r -> Traps.mem traps r = List.mem r model)
-             (List.init 8 Fun.id)
+        && List.for_all (fun r -> Traps.mem traps r = List.mem r model) probes
       in
       let step (traps, model, ok) op =
         let traps, model, popped_ok =
@@ -910,6 +929,31 @@ let prop_traps_model =
       in
       let _, _, ok = List.fold_left step (Traps.empty, [], true) ops in
       ok)
+
+(* [Traps] is a persistent value: every queue built along a run keeps
+   its contents after the run goes on to push to and pop from the
+   queues derived from it, and after a second run branches off each of
+   them. *)
+let prop_traps_persistent =
+  let module Traps = Tr_proto.Proto_util.Traps in
+  QCheck.Test.make ~name:"older traps keep their contents" ~count:200
+    traps_ops (fun ops ->
+      let apply traps = function
+        | Some r -> Traps.push traps r
+        | None -> ( match Traps.pop traps with Some (_, t) -> t | None -> traps)
+      in
+      let _, history =
+        List.fold_left
+          (fun (traps, history) op ->
+            let traps = apply traps op in
+            (traps, (traps, Traps.to_list traps) :: history))
+          (Traps.empty, [ (Traps.empty, []) ])
+          ops
+      in
+      List.iter
+        (fun (traps, _) -> ignore (List.fold_left apply traps (List.rev ops)))
+        history;
+      List.for_all (fun (traps, contents) -> Traps.to_list traps = contents) history)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -937,7 +981,7 @@ let () =
         ]
         @ qsuite [ prop_binsearch_liveness_random_seeds; prop_binsearch_deterministic ]
       );
-      ("traps", qsuite [ prop_traps_model ]);
+      ("traps", qsuite [ prop_traps_model; prop_traps_persistent ]);
       ( "variants",
         [
           Alcotest.test_case "throttle reduces messages" `Quick

@@ -336,6 +336,64 @@ let prop_pqueue_model =
         ops;
       !ok && Pqueue.length q = List.length !model)
 
+(* The int-valued heap the engine queues its event handles on, against
+   the same stable sorted-list model: pushes carry distinct int values,
+   pops must return the model's head value after [peek_time] agreed on
+   its time, and the sequence counter must count every push, clears
+   included, since [clear] keeps it. Runs reach 600 operations, three
+   pushes to a pop, so the heap grows past 16, 32 and 64 entries. *)
+module Int_heap_under_test = struct
+  type t = int Pqueue.t
+
+  let create : unit -> t = Pqueue.create
+  let push (q : t) ~time v = Pqueue.push q ~time v
+  let pop_exn (q : t) = Pqueue.pop_exn q
+  let peek_time (q : t) = Pqueue.peek_time q
+  let length (q : t) = Pqueue.length q
+  let clear (q : t) = Pqueue.clear q
+  let next_seq (q : t) = q.Pqueue.next_seq
+end
+
+let prop_int_heap_model =
+  let module H = Int_heap_under_test in
+  QCheck.Test.make ~name:"int heap matches sorted-list model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_pq_op)
+       QCheck.Gen.(list_size (0 -- 600) pq_op))
+    (fun ops ->
+      let q = H.create () in
+      let model = ref [] in
+      let pushes = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push grid ->
+              let time = float_of_int grid in
+              (* Distinct values, spread over the int range. *)
+              let v = (!pushes * 7919) - 1_000_000 in
+              H.push q ~time v;
+              let rec ins = function
+                | (t', v') :: rest when t' <= time -> (t', v') :: ins rest
+                | rest -> (time, v) :: rest
+              in
+              model := ins !model;
+              incr pushes
+          | Clear ->
+              H.clear q;
+              model := []
+          | Pop -> (
+              match (H.peek_time q, !model) with
+              | None, [] -> ()
+              | Some t, (t', v') :: rest when t = t' ->
+                  if H.pop_exn q <> v' then ok := false;
+                  model := rest
+              | _ -> ok := false));
+          if H.length q <> List.length !model || H.next_seq q <> !pushes then
+            ok := false)
+        ops;
+      !ok)
+
 (* Popping must blank the vacated slot: a queue that stays alive (here
    via its keeper entry) must not pin payloads it already handed out. *)
 let test_pqueue_popped_slot_released () =
@@ -1243,6 +1301,154 @@ let test_engine_arena_growth () =
   Alcotest.(check (list (list (pair (float 1e-9) int))))
     "grown run matches the small run" small first_20
 
+(* A delivered message's event handle goes back on the free stack before
+   its handler runs, so the handler's first new event takes it again.
+   The next three protocols check every way that can go. *)
+
+(* The handler sends nothing but arms a timer, so the freed handle
+   becomes a Timer: the message slot it leaves behind must not pin the
+   delivered message. *)
+module Quiet = struct
+  type state = unit
+  type msg = string
+
+  let sent = Weak.create 1
+  let name = "quiet"
+  let describe = "receives one heap message and only arms a timer"
+  let classify _ = Metrics.Control_msg
+  let label _ = "quiet"
+
+  let[@inline never] send_fresh (ctx : msg Node_intf.ctx) =
+    let msg = String.init 64 (fun i -> Char.chr (65 + (i mod 26))) in
+    Weak.set sent 0 (Some msg);
+    ctx.send ~dst:1 msg
+
+  let init (ctx : msg Node_intf.ctx) = if ctx.self = 0 then send_fresh ctx
+
+  let on_message (ctx : msg Node_intf.ctx) state ~src:_ _msg =
+    ctx.set_timer ~delay:100.0 ~key:1;
+    state
+
+  let on_timer _ctx state ~key:_ = state
+  let on_request _ctx state = state
+end
+
+let test_engine_quiet_handler_releases () =
+  let module EQ = Engine.Make (Quiet) in
+  let t = EQ.create (Engine.default_config ~n:2 ~seed:0) in
+  EQ.run t ~stop:(Engine.At_time 10.0);
+  Alcotest.(check int) "the delivery dispatched" 1 (EQ.events_processed t);
+  ignore (Sys.opaque_identity (Array.make 64 0));
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "delivered message collected" true
+    (Weak.get Quiet.sent 0 = None);
+  EQ.run t ~stop:(Engine.At_time 200.0);
+  Alcotest.(check int) "the timer still fires" 2 (EQ.events_processed t)
+
+(* Each delivery forwards the very message it received, so the send
+   queues the same value in the handle it was delivered from. *)
+module Forward = struct
+  type state = { received : int; last : string option }
+  type msg = string
+
+  let hops = 50
+  let original = ref ""
+  let name = "forward"
+  let describe = "bounces one heap message between two nodes"
+  let classify _ = Metrics.Control_msg
+  let label _ = "forward"
+
+  let init (ctx : msg Node_intf.ctx) =
+    if ctx.self = 0 then begin
+      original := String.init 48 (fun i -> Char.chr (97 + (i mod 26)));
+      ctx.send ~dst:1 !original
+    end;
+    { received = 0; last = None }
+
+  let on_message (ctx : msg Node_intf.ctx) state ~src msg =
+    let received = state.received + 1 in
+    if received <= hops then ctx.send ~dst:src msg;
+    { received; last = Some msg }
+
+  let on_timer _ctx state ~key:_ = state
+  let on_request _ctx state = state
+end
+
+let test_engine_forwarded_message_intact () =
+  let module EF = Engine.Make (Forward) in
+  let t = EF.create (Engine.default_config ~n:2 ~seed:0) in
+  EF.run t ~stop:(Engine.At_time 1000.0);
+  let s0 = EF.state t 0 and s1 = EF.state t 1 in
+  Alcotest.(check int) "every hop delivered" ((2 * Forward.hops) + 1)
+    (EF.events_processed t);
+  List.iter
+    (fun (node, (s : Forward.state)) ->
+      match s.last with
+      | Some m ->
+          Alcotest.(check string)
+            (Printf.sprintf "node %d got the message intact" node)
+            !Forward.original m;
+          Alcotest.(check bool)
+            (Printf.sprintf "node %d got the same value" node)
+            true (m == !Forward.original)
+      | None -> Alcotest.failf "node %d got nothing" node)
+    [ (0, s0); (1, s1) ]
+
+(* Node 0 arms [armed] timers that never fire before the stop and sends
+   one message; node 1 answers it with two fresh messages. Over the
+   range of [armed] below, the two answers sometimes exhaust the event
+   arena, so the second one grows it after the first has taken the
+   delivered message's handle. Both answers must arrive intact. *)
+module Answer_two = struct
+  type state = { got : string list }
+  type msg = string
+
+  let armed = ref 0
+  let name = "answer-two"
+  let describe = "answers one message with two while timers fill the arena"
+  let classify _ = Metrics.Control_msg
+  let label m = m
+
+  let init (ctx : msg Node_intf.ctx) =
+    if ctx.self = 0 then begin
+      for key = 1 to !armed do
+        ctx.set_timer ~delay:1000.0 ~key
+      done;
+      ctx.send ~dst:1 (String.make 40 'q')
+    end;
+    { got = [] }
+
+  let on_message (ctx : msg Node_intf.ctx) state ~src:_ msg =
+    if ctx.self = 1 then begin
+      ctx.send ~dst:0 (String.init 40 (fun i -> Char.chr (97 + (i mod 26))));
+      ctx.send ~dst:0 (String.init 40 (fun i -> Char.chr (65 + (i mod 26))))
+    end;
+    { got = msg :: state.got }
+
+  let on_timer _ctx state ~key:_ = state
+  let on_request _ctx state = state
+end
+
+let test_engine_two_sends_grow_arena () =
+  let module EA = Engine.Make (Answer_two) in
+  let lower = String.init 40 (fun i -> Char.chr (97 + (i mod 26))) in
+  let upper = String.init 40 (fun i -> Char.chr (65 + (i mod 26))) in
+  for armed = 50 to 140 do
+    Answer_two.armed := armed;
+    let t = EA.create (Engine.default_config ~n:2 ~seed:0) in
+    EA.run t ~stop:(Engine.At_time 10.0);
+    Alcotest.(check int)
+      (Printf.sprintf "%d timers armed: three deliveries" armed)
+      3 (EA.events_processed t);
+    Alcotest.(check (list string))
+      (Printf.sprintf "%d timers armed: both answers intact" armed)
+      [ upper; lower ] (EA.state t 0).Answer_two.got;
+    Alcotest.(check (list string))
+      (Printf.sprintf "%d timers armed: the request intact" armed)
+      [ String.make 40 'q' ] (EA.state t 1).Answer_two.got
+  done
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1271,7 +1477,8 @@ let () =
           Alcotest.test_case "cleared slots released" `Quick
             test_pqueue_clear_releases;
         ]
-        @ qsuite [ prop_pqueue_sorted; prop_pqueue_model ] );
+        @ qsuite [ prop_pqueue_sorted; prop_pqueue_model; prop_int_heap_model ]
+      );
       ( "network",
         [
           Alcotest.test_case "constant delay" `Quick test_network_constant_delay;
@@ -1340,5 +1547,11 @@ let () =
             test_engine_dispatch_releases;
           Alcotest.test_case "event arena growth" `Quick
             test_engine_arena_growth;
+          Alcotest.test_case "quiet handler releases message" `Quick
+            test_engine_quiet_handler_releases;
+          Alcotest.test_case "forwarded message intact" `Quick
+            test_engine_forwarded_message_intact;
+          Alcotest.test_case "two sends grow the arena" `Quick
+            test_engine_two_sends_grow_arena;
         ] );
     ]
