@@ -382,19 +382,30 @@ let explore_cmd =
     Option.iter
       (fun d -> if d < 0 then die "--max-depth must be at least 0, got %d" d)
       max_depth;
-    let { Tr_trs.Explore.stats = s; perf = p; violations; _ } =
+    (* [bfs] keeps neither the BFS layers nor the visited-order list,
+       which nothing here reads, so the peak RSS below is the
+       exploration's own. *)
+    let (s : Tr_trs.Explore.stats), violations, wall_s, domains =
       with_jobs jobs (fun pool ->
-          Tr_trs.Explore.explore ~max_states ?max_depth ~check ?pool system
-            ~init)
+          let t0 = Unix.gettimeofday () in
+          let s, violations =
+            Tr_trs.Explore.bfs ~max_states ?max_depth ~check ?pool system ~init
+          in
+          let domains = Option.fold ~none:1 ~some:Tr_sim.Pool.domains pool in
+          (s, violations, Unix.gettimeofday () -. t0, domains))
     in
+    let states_per_s =
+      if wall_s > 0.0 then float_of_int s.states /. wall_s else 0.0
+    in
+    let peak_rss_kb = Tr_trs.Explore.peak_rss_kb () in
     let nviolations = List.length violations in
     (* perf goes to stderr: stdout is deterministic across domain
        counts and runs, so CI can diff -j 1 against -j 2 output. *)
     Format.eprintf
-      "explore: %.2f s, %.0f states/s, %d domain%s, peak RSS %d kB@."
-      p.wall_s p.states_per_s p.domains_used
-      (if p.domains_used = 1 then "" else "s")
-      p.peak_rss_kb;
+      "explore: %.2f s, %.0f states/s, %d domain%s, peak RSS %d kB@." wall_s
+      states_per_s domains
+      (if domains = 1 then "" else "s")
+      peak_rss_kb;
     if json then
       let open Tr_stats.Json in
       print_endline
@@ -408,10 +419,10 @@ let explore_cmd =
              ("max_depth", string_of_int s.max_depth);
              ("truncated", string_of_bool s.truncated);
              ("violations", string_of_int nviolations);
-             ("wall_s", json_float p.wall_s);
-             ("states_per_s", json_float p.states_per_s);
-             ("domains", string_of_int p.domains_used);
-             ("peak_rss_kb", string_of_int p.peak_rss_kb);
+             ("wall_s", json_float wall_s);
+             ("states_per_s", json_float states_per_s);
+             ("domains", string_of_int domains);
+             ("peak_rss_kb", string_of_int peak_rss_kb);
            ])
     else begin
       Format.printf "system: %s@.states: %d@.transitions: %d@.max-depth: \

@@ -598,13 +598,17 @@ let spec_space ?pool ?(quick = false) ?seed:_ () =
      exploration is exactly the workload those workers exist for. The visited
      counts are deterministic across domain counts, so the table stays
      byte-identical with and without a pool. *)
+  (* [bfs] builds no visited-order list, which the table does not read,
+     so the peak RSS noted below is the explorations' own. *)
   let results =
     List.concat_map
       (fun (_, make_spec) ->
         List.map
           (fun n ->
             let system, init = make_spec n in
-            Tr_trs.Explore.explore ~max_states:cap ?pool system ~init)
+            let t0 = Unix.gettimeofday () in
+            let stats, _ = Tr_trs.Explore.bfs ~max_states:cap ?pool system ~init in
+            (stats, Unix.gettimeofday () -. t0))
           sizes)
       specs
   in
@@ -616,23 +620,22 @@ let spec_space ?pool ?(quick = false) ?seed:_ () =
         List.iter
           (fun n ->
             match !remaining with
-            | o :: rest ->
+            | (stats, _) :: rest ->
                 remaining := rest;
                 Series.add s ~x:(float_of_int n)
-                  ~y:(float_of_int o.Tr_trs.Explore.stats.Tr_trs.Explore.states)
+                  ~y:(float_of_int stats.Tr_trs.Explore.states)
             | [] -> assert false)
           sizes;
         s)
       specs
   in
-  let total_states, total_wall, domains =
+  let total_states, total_wall =
     List.fold_left
-      (fun (states, wall, _) (o : Tr_trs.Explore.outcome) ->
-        ( states + o.stats.Tr_trs.Explore.states,
-          wall +. o.perf.Tr_trs.Explore.wall_s,
-          o.perf.Tr_trs.Explore.domains_used ))
-      (0, 0.0, 1) results
+      (fun (states, wall) ((stats : Tr_trs.Explore.stats), wall_s) ->
+        (states + stats.states, wall +. wall_s))
+      (0, 0.0) results
   in
+  let domains = Option.fold ~none:1 ~some:Tr_sim.Pool.domains pool in
   {
     id = "SPACE";
     title =

@@ -144,7 +144,10 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
      directly. *)
   let shards = Stdlib.min config.shards n_owned in
   let shard_of = Array.make n (-1) in
-  Array.iteri (fun idx i -> shard_of.(i) <- idx mod shards) owned_arr;
+  (* Each shard hosts a contiguous block of the owned ids, so a ring's
+     token crosses domains only at the [shards] block edges instead of
+     on every hop. *)
+  Array.iteri (fun idx i -> shard_of.(i) <- idx * shards / n_owned) owned_arr;
   (* Shard plumbing: the transport's shard (adopted before any domain
      starts, so no wake races its set), an activation mailbox (which
      nodes to step next — the shard never scans its full node list), and

@@ -8,7 +8,9 @@
 
     Nodes are sharded across a configurable number of domains (the
     container may have a single core, so one-domain-per-node would
-    oversubscribe; shards sleep when idle instead of spinning). Every
+    oversubscribe; shards sleep when idle instead of spinning), each
+    shard a contiguous block of the hosted ids, so neighbouring nodes
+    share a domain. Every
     shard, on either transport, runs the same event loop: it is
     {!Transport.adopt}ed before any domain starts, then steps only the
     nodes that {!Transport.wait} (ready fds, due loopback frames), other

@@ -54,11 +54,13 @@ let compile_stop stop =
 (* ---------------- event arena ---------------- *)
 
 (* An event is an int handle into the parallel arrays of an [arena];
-   the queue holds only handles. [tag] discriminates, and only the
-   fields of the active tag are meaningful. The scalar fields are
-   immediate arrays, so filling them in takes no write barrier; a
-   Deliver's message and an Arrival's node list are the only pointer
-   stores, each blanked again when the event is dispatched. *)
+   the queue is an [Int_heap] of handles, so queueing an event stores
+   only floats and ints. [tag] discriminates, and only the fields of the
+   active tag are meaningful. The scalar fields are immediate arrays, so
+   filling them in takes no write barrier; a Deliver's message and an
+   Arrival's node list are the only pointer stores. An Arrival's list is
+   blanked when the event is dispatched, a Deliver's message unless the
+   handler's own send took the handle back (see [run]). *)
 type event_tag = Deliver | Timer | Arrival | Crash
 
 type arena = {
@@ -146,7 +148,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
        access them through [t], so mutation is visible to every closure. *)
     mutable states : P.state array;
     mutable ctxs : P.msg Node_intf.ctx array;
-    queue : int Pqueue.t; (* event handles *)
+    queue : Int_heap.t; (* event handles *)
     events : arena;
     clock : clock;
     net_rng : Rng.t;
@@ -182,21 +184,21 @@ module Make (P : Node_intf.PROTOCOL) = struct
     let a = t.events in
     let h = alloc a Arrival ~src:0 in
     a.nodes.(h) <- nodes;
-    Pqueue.push t.queue ~time h
+    Int_heap.push t.queue ~time h
 
   let push_deliver t ~time ~src ~dst (msg : P.msg) =
     let a = t.events in
     let h = alloc a Deliver ~src in
     a.dst.(h) <- dst;
     a.msgs.(h) <- Obj.repr msg;
-    Pqueue.push t.queue ~time h
+    Int_heap.push t.queue ~time h
 
   let push_timer t ~time ~node ~key ~epoch =
     let a = t.events in
     let h = alloc a Timer ~src:node in
     a.dst.(h) <- key;
     a.epoch.(h) <- epoch;
-    Pqueue.push t.queue ~time h
+    Int_heap.push t.queue ~time h
 
   (* ---------------- timer epochs ---------------- *)
 
@@ -351,7 +353,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         config;
         states = [||];
         ctxs = [||];
-        queue = Pqueue.create ();
+        queue = Int_heap.create ();
         events = create_arena ();
         clock = { now = 0.0 };
         net_rng = Rng.create (config.seed lxor 0x2545F491);
@@ -389,7 +391,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
       (fun (time, node) ->
         if node < 0 || node >= t.config.n then
           invalid_arg "Engine: crash node out of range";
-        Pqueue.push t.queue ~time (alloc t.events Crash ~src:node))
+        Int_heap.push t.queue ~time (alloc t.events Crash ~src:node))
       t.config.crashes
 
   let initialize t =
@@ -454,33 +456,46 @@ module Make (P : Node_intf.PROTOCOL) = struct
     while !continue do
       (* The next event's time, read once; [infinity] on an empty queue,
          which the [len] test below stops on. It is read from the
-         private record: [Pqueue.top_time_exn] would return it boxed. *)
-      let time = if q.Pqueue.len = 0 then infinity else q.Pqueue.times.(0) in
+         private record: [Int_heap.top_time_exn] would return it boxed. *)
+      let time = if q.Int_heap.len = 0 then infinity else q.Int_heap.times.(0) in
       if
         t.clock.now > time_limit
         || Metrics.serves t.metrics >= serves_limit
         || Metrics.token_messages t.metrics >= token_limit
         (* Horizon check: with an [At_time] bound we must not pop events
            past it, so the clock never overshoots a time-limited run. *)
-        || q.Pqueue.len = 0
+        || q.Int_heap.len = 0
         || time > time_limit
       then continue := false
       else begin
-        let h = Pqueue.pop_exn q in
+        let h = Int_heap.pop_exn q in
         t.events_processed <- t.events_processed + 1;
         let now = t.clock.now in
         t.clock.now <- (if now >= time then now else time);
-        (* Copy the fields out, blank the pointer slot, free the handle,
-           then dispatch — the handler's own sends may reuse it
-           immediately. *)
+        (* Copy the fields out, free the handle, then dispatch: the
+           handler's first new event takes this handle straight back
+           off the free stack. *)
         let a = t.events in
         let src = a.src.(h) in
         match a.tags.(h) with
         | Deliver ->
             let dst = a.dst.(h) and msg : P.msg = Obj.obj a.msgs.(h) in
-            a.msgs.(h) <- no_msg;
             free a h;
-            deliver t ~src ~dst ~msg
+            let mark = a.free_len in
+            deliver t ~src ~dst ~msg;
+            (* Blank the message slot only if no send refilled it. On a
+               token pass the handler's send stores its (young) message
+               over the delivered (young) one, which the write barrier
+               passes over; blanking first and storing again would put
+               the slot in the remembered set on every delivery. The
+               handle is still free if it still sits at [mark - 1]: no
+               event is freed during a dispatch, and a grown arena's
+               free stack holds only new handles. If something else
+               took it, only a Deliver wrote its message slot. *)
+            if
+              (a.free_len >= mark && a.free.(mark - 1) = h)
+              || a.tags.(h) != Deliver
+            then a.msgs.(h) <- no_msg
         | Timer ->
             let key = a.dst.(h) and epoch = a.epoch.(h) in
             free a h;

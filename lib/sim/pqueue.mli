@@ -1,34 +1,22 @@
-(** Stable min-priority queue keyed by simulation time.
+(** Stable min-priority queue keyed by simulation time, for any payload
+    type.
 
     Entries with equal time leave the queue in insertion order (each push
     receives a monotone sequence number), which keeps executions
     deterministic when many events share a timestamp.
 
-    The implementation is a binary heap of int handles: heap order lives
-    in unboxed arrays of times, sequence numbers and handles, and each
-    payload sits in an arena slot indexed by its handle from push to pop.
-    Sifting moves only floats and ints, so it never takes the write
-    barrier: a push stores its payload once and a pop blanks that slot,
-    and those are its only pointer stores. Steady state allocates
+    The queue is an {!Int_heap} of handles into a payload arena: each
+    payload sits in the arena slot of its handle from push to pop, and
+    the heap sifts only the handle. A push stores its payload once and a
+    pop blanks that slot, and those are the queue's only pointer stores,
+    the only ones that take the write barrier. Steady state allocates
     nothing. Popped and cleared slots are overwritten with an immediate
     filler, so the queue never pins a payload the caller has already
-    consumed. *)
+    consumed. A caller whose payloads are already [int]s (the simulator
+    engine's event handles) uses {!Int_heap} directly and skips the
+    arena. *)
 
-type 'a t = private {
-  mutable times : float array;
-      (** Heap-ordered times; [times.(0)] is the earliest when [len > 0]. *)
-  mutable seqs : int array;  (** Insertion sequence numbers (tie-break). *)
-  mutable handles : int array;  (** Arena handles, parallel to [times]. *)
-  mutable payloads : Obj.t array;  (** Payload arena, indexed by handle. *)
-  mutable free : int array;  (** Free-handle stack: [free.(0 .. free_len - 1)]. *)
-  mutable free_len : int;
-  mutable len : int;  (** Live entries: heap slots [0 .. len - 1]. *)
-  mutable next_seq : int;
-}
-(** The record is [private]: callers may read it but not write it. A hot
-    loop in another module reads the head time as [q.times.(0)] and the
-    length as [q.len]: an unboxed float and an int, where a call to
-    {!top_time_exn} across the module boundary returns a boxed float. *)
+type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
@@ -38,8 +26,8 @@ val push : 'a t -> time:float -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest entry (ties: oldest insertion first).
-    Allocates the option/tuple; the event-loop hot path reads [times.(0)]
-    and calls {!pop_exn} instead. *)
+    Allocates the option/tuple; a hot loop calls {!top_time_exn} and
+    {!pop_exn} instead. *)
 
 val pop_exn : 'a t -> 'a
 (** Allocation-free [pop]: remove and return the earliest payload.
@@ -59,4 +47,4 @@ val clear : 'a t -> unit
     pushed after a [clear] still order after anything pushed before it
     at an equal timestamp, so a queue reused across runs keeps the
     global FIFO tie-break. Per-run sequence numbering comes from using a
-    fresh queue per run (as [Engine.create] does), never from [clear]. *)
+    fresh queue per run, never from [clear]. *)

@@ -955,6 +955,35 @@ let prop_traps_persistent =
         history;
       List.for_all (fun (traps, contents) -> Traps.to_list traps = contents) history)
 
+(* The contents alone fix a [Traps] value: a queue built by any run of
+   pushes and pops equals, structurally, the one built by pushing its
+   contents in order onto [empty]. *)
+let prop_traps_canonical =
+  let module Traps = Tr_proto.Proto_util.Traps in
+  QCheck.Test.make ~name:"equal contents give equal traps" ~count:200 traps_ops
+    (fun ops ->
+      let traps =
+        List.fold_left
+          (fun traps op ->
+            match op with
+            | Some r -> Traps.push traps r
+            | None -> (
+                match Traps.pop traps with Some (_, t) -> t | None -> traps))
+          Traps.empty ops
+      in
+      traps = List.fold_left Traps.push Traps.empty (Traps.to_list traps))
+
+let test_traps_rejects_bad_ids () =
+  let module Traps = Tr_proto.Proto_util.Traps in
+  List.iter
+    (fun id ->
+      match Traps.push Traps.empty id with
+      | _ -> Alcotest.failf "pushed requester %d" id
+      | exception Invalid_argument _ -> ())
+    [ -1; min_int; 1 lsl 31; max_int ];
+  Alcotest.(check (list int)) "largest id kept" [ (1 lsl 31) - 1 ]
+    (Traps.to_list (Traps.push Traps.empty ((1 lsl 31) - 1)))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -981,7 +1010,11 @@ let () =
         ]
         @ qsuite [ prop_binsearch_liveness_random_seeds; prop_binsearch_deterministic ]
       );
-      ("traps", qsuite [ prop_traps_model; prop_traps_persistent ]);
+      ( "traps",
+        Alcotest.test_case "rejects bad ids" `Quick test_traps_rejects_bad_ids
+        :: qsuite
+             [ prop_traps_model; prop_traps_persistent; prop_traps_canonical ]
+      );
       ( "variants",
         [
           Alcotest.test_case "throttle reduces messages" `Quick

@@ -343,15 +343,9 @@ let prop_pqueue_model =
    included, since [clear] keeps it. Runs reach 600 operations, three
    pushes to a pop, so the heap grows past 16, 32 and 64 entries. *)
 module Int_heap_under_test = struct
-  type t = int Pqueue.t
+  include Int_heap
 
-  let create : unit -> t = Pqueue.create
-  let push (q : t) ~time v = Pqueue.push q ~time v
-  let pop_exn (q : t) = Pqueue.pop_exn q
-  let peek_time (q : t) = Pqueue.peek_time q
-  let length (q : t) = Pqueue.length q
-  let clear (q : t) = Pqueue.clear q
-  let next_seq (q : t) = q.Pqueue.next_seq
+  let next_seq (q : t) = q.next_seq
 end
 
 let prop_int_heap_model =
