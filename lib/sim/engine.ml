@@ -456,7 +456,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     while !continue do
       (* The next event's time, read once; [infinity] on an empty queue,
          which the [len] test below stops on. It is read from the
-         private record: [Int_heap.top_time_exn] would return it boxed. *)
+         private record: a function returning it would box it. *)
       let time = if q.Int_heap.len = 0 then infinity else q.Int_heap.times.(0) in
       if
         t.clock.now > time_limit

@@ -13,7 +13,6 @@ type t = {
 
 let create () = { times = [||]; seqs = [||]; values = [||]; len = 0; next_seq = 0 }
 let length t = t.len
-let is_empty t = t.len = 0
 
 let grow t =
   let cap' = Int.max 16 (2 * Array.length t.times) in
@@ -48,10 +47,6 @@ let push t ~time value =
   t.times.(!i) <- time;
   t.seqs.(!i) <- seq;
   t.values.(!i) <- value
-
-let top_time_exn t =
-  if t.len = 0 then invalid_arg "Int_heap.top_time_exn: empty heap";
-  t.times.(0)
 
 let peek_time t = if t.len = 0 then None else Some t.times.(0)
 

@@ -20,22 +20,16 @@ type t = private {
 }
 (** The record is [private]: callers may read it but not write it. A hot
     loop in another module reads the head time as [t.times.(0)] and the
-    length as [t.len]: an unboxed float and an int, where a call to
-    {!top_time_exn} across the module boundary returns a boxed float. *)
+    length as [t.len]: an unboxed float and an int, where a function
+    returning the time across the module boundary would box it. *)
 
 val create : unit -> t
 val length : t -> int
-val is_empty : t -> bool
 val push : t -> time:float -> int -> unit
 
 val pop_exn : t -> int
 (** Remove the earliest entry (ties: oldest insertion first) and return
     its value. Allocates nothing.
-    @raise Invalid_argument on an empty heap. *)
-
-val top_time_exn : t -> float
-(** The earliest entry's time. Called from another module, it returns
-    the time as a boxed float.
     @raise Invalid_argument on an empty heap. *)
 
 val peek_time : t -> float option
