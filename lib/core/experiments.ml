@@ -607,7 +607,9 @@ let spec_space ?pool ?(quick = false) ?seed:_ () =
           (fun n ->
             let system, init = make_spec n in
             let t0 = Unix.gettimeofday () in
-            let stats, _ = Tr_trs.Explore.bfs ~max_states:cap ?pool system ~init in
+            let stats, _ =
+              Tr_trs.Explore.bfs ~max_states:cap ?pool system ~init
+            in
             (stats, Unix.gettimeofday () -. t0))
           sizes)
       specs

@@ -457,7 +457,9 @@ module Make (P : Node_intf.PROTOCOL) = struct
       (* The next event's time, read once; [infinity] on an empty queue,
          which the [len] test below stops on. It is read from the
          private record: a function returning it would box it. *)
-      let time = if q.Int_heap.len = 0 then infinity else q.Int_heap.times.(0) in
+      let time =
+        if q.Int_heap.len = 0 then infinity else q.Int_heap.times.(0)
+      in
       if
         t.clock.now > time_limit
         || Metrics.serves t.metrics >= serves_limit

@@ -11,7 +11,8 @@ type t = {
   mutable next_seq : int;
 }
 
-let create () = { times = [||]; seqs = [||]; values = [||]; len = 0; next_seq = 0 }
+let create () =
+  { times = [||]; seqs = [||]; values = [||]; len = 0; next_seq = 0 }
 let length t = t.len
 
 let grow t =

@@ -953,7 +953,9 @@ let prop_traps_persistent =
       List.iter
         (fun (traps, _) -> ignore (List.fold_left apply traps (List.rev ops)))
         history;
-      List.for_all (fun (traps, contents) -> Traps.to_list traps = contents) history)
+      List.for_all
+        (fun (traps, contents) -> Traps.to_list traps = contents)
+        history)
 
 (* The contents alone fix a [Traps] value: a queue built by any run of
    pushes and pops equals, structurally, the one built by pushing its

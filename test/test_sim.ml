@@ -342,20 +342,13 @@ let prop_pqueue_model =
    its time, and the sequence counter must count every push, clears
    included, since [clear] keeps it. Runs reach 600 operations, three
    pushes to a pop, so the heap grows past 16, 32 and 64 entries. *)
-module Int_heap_under_test = struct
-  include Int_heap
-
-  let next_seq (q : t) = q.next_seq
-end
-
 let prop_int_heap_model =
-  let module H = Int_heap_under_test in
   QCheck.Test.make ~name:"int heap matches sorted-list model" ~count:300
     (QCheck.make
        ~print:QCheck.Print.(list print_pq_op)
        QCheck.Gen.(list_size (0 -- 600) pq_op))
     (fun ops ->
-      let q = H.create () in
+      let q = Int_heap.create () in
       let model = ref [] in
       let pushes = ref 0 in
       let ok = ref true in
@@ -364,9 +357,9 @@ let prop_int_heap_model =
           (match op with
           | Push grid ->
               let time = float_of_int grid in
-              (* Distinct values, spread over the int range. *)
+              (* Distinct values, negative ones included. *)
               let v = (!pushes * 7919) - 1_000_000 in
-              H.push q ~time v;
+              Int_heap.push q ~time v;
               let rec ins = function
                 | (t', v') :: rest when t' <= time -> (t', v') :: ins rest
                 | rest -> (time, v) :: rest
@@ -374,16 +367,19 @@ let prop_int_heap_model =
               model := ins !model;
               incr pushes
           | Clear ->
-              H.clear q;
+              Int_heap.clear q;
               model := []
           | Pop -> (
-              match (H.peek_time q, !model) with
+              match (Int_heap.peek_time q, !model) with
               | None, [] -> ()
               | Some t, (t', v') :: rest when t = t' ->
-                  if H.pop_exn q <> v' then ok := false;
+                  if Int_heap.pop_exn q <> v' then ok := false;
                   model := rest
               | _ -> ok := false));
-          if H.length q <> List.length !model || H.next_seq q <> !pushes then
+          if
+            Int_heap.length q <> List.length !model
+            || q.Int_heap.next_seq <> !pushes
+          then
             ok := false)
         ops;
       !ok)
