@@ -28,11 +28,6 @@ type state = {
   traps : Traps.t;
 }
 
-let in_critical_section state =
-  match state.holding with
-  | In_cs _ -> true
-  | Not_holding | Lent | Parked _ -> false
-
 let timer_exit = 1
 
 let classify = function

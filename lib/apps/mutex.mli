@@ -49,8 +49,6 @@ val make :
 
 val protocol : (module Node_intf.PROTOCOL)
 
-val in_critical_section : state -> bool
-
 val cs_intervals : Trace.t -> (int * float * float) list
 (** [(node, enter, exit)] for every completed critical section recorded
     in the trace, in entry order. *)

@@ -27,9 +27,7 @@ type state = {
 }
 
 let delivered state = List.rev state.log
-let delivered_count state = List.length state.log
 let buffered_count state = IMap.cardinal state.buffer
-let next_expected_seq state = state.next_expected
 
 let classify = function
   | Token _ | Loan _ | Return _ -> Metrics.Token_msg

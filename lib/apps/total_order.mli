@@ -51,8 +51,5 @@ val protocol : (module Node_intf.PROTOCOL)
 val delivered : state -> payload list
 (** This node's delivery log, in delivery order. *)
 
-val delivered_count : state -> int
 val buffered_count : state -> int
 (** Broadcasts received out of order, awaiting their predecessors. *)
-
-val next_expected_seq : state -> int

@@ -48,15 +48,6 @@ let active window ~now = now >= window.from_ && now < window.until
 let clear_time t =
   List.fold_left (fun acc f -> Stdlib.max acc (window_of f).until) 0.0 t.faults
 
-let fault_label = function
-  | Partition _ -> "partition"
-  | Link_loss _ -> "loss"
-  | Duplicate _ -> "dup"
-  | Reorder _ -> "reorder"
-  | Corrupt _ -> "corrupt"
-  | Clock_skew _ -> "skew"
-  | Churn _ -> "churn"
-
 (* ---------------- parsing ---------------- *)
 
 let ( let* ) = Result.bind

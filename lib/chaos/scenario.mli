@@ -40,7 +40,6 @@ val spec : t -> string
 val faults : t -> fault list
 val window_of : fault -> window
 val active : window -> now:float -> bool
-val fault_label : fault -> string
 
 val clear_time : t -> float
 (** The instant every fault window has closed; recovery clocks start

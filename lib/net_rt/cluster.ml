@@ -187,7 +187,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   in
   (* Timer plumbing, index-addressed so ctx closures need no [rt]. *)
   let timers = Array.init n (fun _ -> Pqueue.create ()) in
-  let epochs = Array.init n (fun _ -> Hashtbl.create 8) in
   let req_inbox : float Mailbox.t array = Array.init n (fun _ -> Mailbox.create ()) in
   (* Requests pushed but not yet drained by the owning shard. Metrics
      only learn of a request at drain time, so [pending_at] adds this
@@ -206,15 +205,6 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     match config.chaos with
     | Some _ -> Array.init n (fun _ -> Pqueue.create ())
     | None -> [||]
-  in
-  let chaos_down node =
-    match config.chaos with
-    | None -> false
-    | Some inj ->
-        Tr_chaos.Injector.node_down inj ~now:(Clock.now clock) ~node
-  in
-  let current_epoch ~node ~key =
-    match Hashtbl.find_opt epochs.(node) key with Some e -> e | None -> 0
   in
   let control =
     {
@@ -241,139 +231,80 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
             + Atomic.get req_inflight.(i));
     }
   in
-  let make_ctx node : m Node_intf.ctx =
-    let rng = Rng.create ((config.seed * 1_000_003) + node) in
-    (* One scratch per node: only its owning shard encodes with it, so
-       steady-state sends allocate no fresh buffers. *)
-    let scratch = Codec.scratch () in
-    let send ?(channel = Network.Reliable) ~dst msg =
-      if dst < 0 || dst >= n then
-        invalid_arg "Cluster: send destination out of range";
-      let kind = P.classify msg in
-      Mutex.lock mu;
-      Metrics.on_message metrics channel kind;
-      Mutex.unlock mu;
-      (* Chaos interposition, live side: pre-encode decisions (drop /
-         duplicate / reorder), post-encode byte flips for corruption —
-         mangled frames go down the real wire and must be absorbed by
-         the decoder's resync path on the receiving shard. *)
-      match config.chaos with
-      | None ->
-          let frame = Codec.encode_frame scratch codec ~src:node ~channel msg in
-          Transport.send_frame transport ~src:node ~dst ~delay:hop_units frame
-      | Some inj ->
-          let now_u = Clock.now clock in
-          let a = Tr_chaos.Injector.on_send inj ~now:now_u ~src:node ~dst in
-          if not a.Tr_chaos.Injector.drop then begin
-            let frame =
-              Codec.encode_frame scratch codec ~src:node ~channel msg
-            in
-            if
-              (not a.Tr_chaos.Injector.corrupt)
-              && a.Tr_chaos.Injector.extra_delay = 0.0
-              && a.Tr_chaos.Injector.copies = 1
-            then
-              Transport.send_frame transport ~src:node ~dst ~delay:hop_units
-                frame
-            else begin
-              let payload = Buffer.contents frame in
-              let payload =
-                if a.Tr_chaos.Injector.corrupt then
-                  Tr_chaos.Injector.corrupt_payload inj ~src:node ~dst
-                    ~k:a.Tr_chaos.Injector.link_count payload
-                else payload
+  let host =
+    Node_host.create
+      (module P)
+      ~n ~seed:config.seed ~metrics
+      ~trace:(Trace.create ~enabled:false ())
+      ~chaos:config.chaos ~lock:mu
+      ~now:(fun () -> Clock.now clock)
+      ()
+  in
+  (* Chaos interposition, live side: pre-encode decisions (drop /
+     duplicate / reorder), post-encode byte flips for corruption —
+     mangled frames go down the real wire and must be absorbed by the
+     decoder's resync path on the receiving shard. [scratch] is the
+     sending node's own, so steady-state sends allocate no fresh
+     buffers. *)
+  let leave scratch ~src ~dst channel msg =
+    match config.chaos with
+    | None ->
+        let frame = Codec.encode_frame scratch codec ~src ~channel msg in
+        Transport.send_frame transport ~src ~dst ~delay:hop_units frame
+    | Some inj ->
+        let now_u = Clock.now clock in
+        let a = Tr_chaos.Injector.on_send inj ~now:now_u ~src ~dst in
+        if not a.Tr_chaos.Injector.drop then begin
+          let payload =
+            Buffer.contents (Codec.encode_frame scratch codec ~src ~channel msg)
+          in
+          let payload =
+            if a.Tr_chaos.Injector.corrupt then
+              Tr_chaos.Injector.corrupt_payload inj ~src ~dst
+                ~k:a.Tr_chaos.Injector.link_count payload
+            else payload
+          in
+          for _ = 1 to a.Tr_chaos.Injector.copies do
+            if a.Tr_chaos.Injector.extra_delay > 0.0 then begin
+              let release =
+                now_u +. hop_units +. a.Tr_chaos.Injector.extra_delay
               in
-              for _ = 1 to a.Tr_chaos.Injector.copies do
-                if a.Tr_chaos.Injector.extra_delay > 0.0 then begin
-                  let release =
-                    now_u +. hop_units +. a.Tr_chaos.Injector.extra_delay
-                  in
-                  Pqueue.push chaos_out.(node) ~time:release (dst, payload);
-                  Pqueue.push timer_index.(shard_of.(node)) ~time:release node
-                end
-                else
-                  Transport.send transport ~src:node ~dst ~delay:hop_units
-                    payload
-              done
+              Pqueue.push chaos_out.(src) ~time:release (dst, payload);
+              Pqueue.push timer_index.(shard_of.(src)) ~time:release src
             end
-          end
-    in
-    let set_timer ~delay ~key =
-      if delay < 0.0 then invalid_arg "Cluster: negative timer delay";
-      if key < 0 then invalid_arg "Cluster: negative timer key";
-      let delay =
-        match config.chaos with
-        | None -> delay
-        | Some inj ->
-            delay
-            *. Tr_chaos.Injector.timer_scale inj ~now:(Clock.now clock) ~node
-      in
-      let at = Clock.now clock +. delay in
-      Pqueue.push timers.(node) ~time:at (key, current_epoch ~node ~key);
-      Pqueue.push timer_index.(shard_of.(node)) ~time:at node
-    in
-    let cancel_timers ~key =
-      if key < 0 then invalid_arg "Cluster: negative timer key";
-      Hashtbl.replace epochs.(node) key (current_epoch ~node ~key + 1)
-    in
-    let serve () =
-      let t = Clock.now clock in
-      Mutex.lock mu;
-      if Metrics.pending metrics ~node = 0 then begin
-        Mutex.unlock mu;
-        invalid_arg
-          (Printf.sprintf "Cluster: node %d served with no pending request"
-             node)
-      end;
-      Metrics.on_serve metrics ~time:t ~node;
-      let grants = Metrics.serves metrics in
-      Mutex.unlock mu;
-      (match config.load with
-      | Closed_loop _ ->
-          (* Re-arm through the mailbox so the protocol handler finishes
-             before the next on_request fires (the simulator queues the
-             re-request as an event for the same reason). *)
-          push_request node (Clock.now clock);
-          note_local node
-      | _ -> ());
-      match config.stop with
-      | Grants k -> if grants >= k then signal_stop ()
-      | Duration _ -> ()
-    in
-    {
-      Node_intf.self = node;
-      n;
-      now = (fun () -> Clock.now clock);
-      rng;
-      send;
-      set_timer;
-      cancel_timers;
-      serve;
-      pending =
-        (fun () ->
-          Mutex.lock mu;
-          let p = Metrics.pending metrics ~node in
-          Mutex.unlock mu;
-          p);
-      possession =
-        (fun () ->
-          Mutex.lock mu;
-          Metrics.on_token_possession metrics ~node;
-          Mutex.unlock mu);
-      search_forward =
-        (fun () ->
-          Mutex.lock mu;
-          Metrics.on_search_forward metrics;
-          Mutex.unlock mu);
-      note = (fun _ -> ());
-    }
+            else Transport.send transport ~src ~dst ~delay:hop_units payload
+          done
+        end
+  in
+  let arm ~node ~delay ~key ~epoch =
+    let at = Clock.now clock +. delay in
+    Pqueue.push timers.(node) ~time:at (key, epoch);
+    Pqueue.push timer_index.(shard_of.(node)) ~time:at node
+  in
+  (* [serves] was read under [mu] together with this serve's own count:
+     a read outside it could miss the serve that reaches [Grants k] on a
+     multi-shard run, and no later serve might come to stop it. *)
+  let served ~node ~serves =
+    (match config.load with
+    | Closed_loop _ ->
+        (* Re-arm through the mailbox so the protocol handler finishes
+           before the next on_request fires (the simulator queues the
+           re-request as an event for the same reason). *)
+        push_request node (Clock.now clock);
+        note_local node
+    | _ -> ());
+    match config.stop with
+    | Grants k -> if serves >= k then signal_stop ()
+    | Duration _ -> ()
   in
   (* Initialise every hosted node before any shard runs: init sends (the
      initial token) sit queued in the transport until the loops start. *)
   let rts =
     List.map
       (fun i ->
-        let ctx = make_ctx i in
+        let ctx =
+          Node_host.ctx host i ~leave:(leave (Codec.scratch ())) ~arm ~served
+        in
         { id = i; st = P.init ctx; ctx })
       owned
   in
@@ -439,27 +370,20 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let step_node rt now_u =
     let i = rt.id in
     flush_chaos_out i now_u;
-    if chaos_down i then begin
+    if Node_host.down host ~node:i then begin
       (* Churned out: frames addressed to it are destroyed, timers and
          queued arrivals are parked for rejoin. Re-index the node at the
          window's close so the shard re-activates it then. *)
       Transport.poll transport ~owner:i (fun _ -> ());
-      match config.chaos with
-      | Some inj ->
-          let resume =
-            Tr_chaos.Injector.down_until inj ~now:(Clock.now clock) ~node:i
-          in
-          Pqueue.push timer_index.(shard_of.(i)) ~time:resume i
-      | None -> ()
+      let resume = Node_host.down_until host ~node:i in
+      Pqueue.push timer_index.(shard_of.(i)) ~time:resume i
     end
     else
     let arrivals = Mailbox.drain req_inbox.(i) in
     if Atomic.get alive.(i) then begin
       List.iter
         (fun at ->
-          Mutex.lock mu;
-          Metrics.on_request metrics ~time:at ~node:i;
-          Mutex.unlock mu;
+          Node_host.request host ~time:at ~node:i;
           (* Decrement after the metric records it: [pending_at] may
              briefly double-count, never read 0 for a queued request. *)
           Atomic.decr req_inflight.(i);
@@ -495,7 +419,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
         if (not (Pqueue.is_empty tq)) && Pqueue.top_time_exn tq <= tt then begin
           let key, ep = Pqueue.pop_exn tq in
           if Atomic.get alive.(i) then begin
-            if current_epoch ~node:i ~key = ep then
+            if Node_host.timer_live host ~node:i ~key ~epoch:ep then
               rt.st <- P.on_timer rt.ctx rt.st ~key
           end
           else continue := false

@@ -1,9 +1,11 @@
 (** Live cluster runner: the simulator's protocols over real transports.
 
     Every protocol in [lib/proto/] is a pure state machine against the
-    {!Tr_sim.Node_intf.ctx} capability record; the simulator implements
-    that record over a virtual event queue, and this module implements it
-    over wall-clock time and a {!Transport} — the protocol code runs
+    {!Tr_sim.Node_intf.ctx} capability record, which {!Tr_sim.Node_host}
+    builds for the simulator and this module alike. This module gives the
+    host wall-clock time, frames encoded onto a {!Transport}, per-node
+    timer heaps, closed-loop re-arming and the [Grants] stop, and the
+    mutex that guards the shared metrics — the protocol code runs
     unchanged, byte-for-byte.
 
     Nodes are sharded across a configurable number of domains (the
@@ -186,7 +188,9 @@ val run :
     an embedding service stores it to [inject] load and stop the run
     (typically from another domain, since [run] blocks).
     @raise Invalid_argument on an invalid [config] (a NaN [max_wall_s]
-    included), before any shard domain starts. *)
+    included), before any shard domain starts. The first exception a
+    shard raises (a misused [ctx] included) stops the run and is raised
+    again once every shard has joined. *)
 
 val run_packed : ?backend:backend_spec -> config -> Tr_wire.Codecs.packed -> report
 (** {!run} over a registry entry (protocol paired with its codec). *)

@@ -18,9 +18,6 @@ type state = {
   search : search option;
 }
 
-let active_search state =
-  Option.map (fun { position; span } -> (position, span)) state.search
-
 let classify = function
   | Token _ | Loan _ | Return _ -> Metrics.Token_msg
   | Probe _ | Reply _ -> Metrics.Control_msg

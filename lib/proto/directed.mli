@@ -27,7 +27,3 @@ val protocol_t :
   (module Node_intf.PROTOCOL with type state = state and type msg = msg)
 (** Typed handle (codec-derivation hook): lets the wire layer pair the
     protocol with its message codec without losing the [msg] equality. *)
-
-
-val active_search : state -> (int * int) option
-(** [(position, span)] of the requester's running probe, for tests. *)

@@ -11,10 +11,6 @@ type state = {
   token : token option;
 }
 
-let has_token state = Option.is_some state.token
-let request_number state ~of_node = state.rn.(of_node)
-let token_queue state = Option.map (fun t -> t.queue) state.token
-
 let classify = function
   | Request _ -> Metrics.Control_msg
   | Token _ -> Metrics.Token_msg

@@ -35,13 +35,3 @@ val protocol_t :
   (module Node_intf.PROTOCOL with type state = state and type msg = msg)
 (** Typed handle (codec-derivation hook): lets the wire layer pair the
     protocol with its message codec without losing the [msg] equality. *)
-
-
-(** {1 Introspection} *)
-
-val has_token : state -> bool
-val request_number : state -> of_node:int -> int
-(** This node's view of [of_node]'s latest request number. *)
-
-val token_queue : state -> int list option
-(** The waiting queue carried by the token, when this node holds it. *)

@@ -12,9 +12,6 @@ type state = {
   asked : bool;  (** A Request toward the holder is already in flight. *)
 }
 
-let holder_direction state =
-  if state.holder = self_dir then None else Some state.holder
-
 let queue state = state.queue
 
 let classify = function Token -> Metrics.Token_msg | Request -> Metrics.Control_msg

@@ -29,8 +29,5 @@ val protocol_t :
     protocol with its message codec without losing the [msg] equality. *)
 
 
-val holder_direction : state -> int option
-(** [None] if this node holds the token, [Some neighbour] otherwise. *)
-
 val queue : state -> int list
 (** Pending directions ([-1] encodes "self"), for tests. *)

@@ -13,22 +13,6 @@ type response =
   | Committed of { client : int; seq : int; global_seq : int }
   | Rejected of { client : int; seq : int; reason : string }
 
-let request_label = function
-  | Hello { client } -> Printf.sprintf "hello(c=%d)" client
-  | Acquire { client; seq } -> Printf.sprintf "acquire(c=%d s=%d)" client seq
-  | Release { client; seq } -> Printf.sprintf "release(c=%d s=%d)" client seq
-  | Publish { client; seq; payload } ->
-      Printf.sprintf "publish(c=%d s=%d |%d|)" client seq (String.length payload)
-
-let response_label = function
-  | Welcome { client; node } -> Printf.sprintf "welcome(c=%d n=%d)" client node
-  | Grant { client; seq } -> Printf.sprintf "grant(c=%d s=%d)" client seq
-  | Released { client; seq } -> Printf.sprintf "released(c=%d s=%d)" client seq
-  | Committed { client; seq; global_seq } ->
-      Printf.sprintf "committed(c=%d s=%d g=%d)" client seq global_seq
-  | Rejected { client; seq; reason } ->
-      Printf.sprintf "rejected(c=%d s=%d %s)" client seq reason
-
 let bad_tag codec tag =
   Error (Buf.Malformed (Printf.sprintf "%s: unknown message tag %#x" codec tag))
 

@@ -35,9 +35,6 @@ type response =
   | Committed of { client : int; seq : int; global_seq : int }
   | Rejected of { client : int; seq : int; reason : string }
 
-val request_label : request -> string
-val response_label : response -> string
-
 val request_codec : request Tr_wire.Codec.t
 (** Wire key 31, version 1. *)
 

@@ -160,13 +160,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
     workload : Workload.t;
     metrics : Metrics.t;
     trace : Trace.t;
-    tracing : bool; (* [Trace.enabled trace], read once at [create] *)
+    host : P.msg Node_host.t;
     crashed : bool array;
-    (* Timer epochs, scalar-keyed: slot [node * keyspace + key]. The
-       keyspace grows (rebuilding the table) if a protocol uses a key
-       >= the current bound; existing protocols use keys 1..5. *)
-    mutable timer_epochs : int array;
-    mutable keyspace : int;
     mutable events_processed : int;
     mutable initialized : bool;
   }
@@ -200,140 +195,56 @@ module Make (P : Node_intf.PROTOCOL) = struct
     a.epoch.(h) <- epoch;
     Int_heap.push t.queue ~time h
 
-  (* ---------------- timer epochs ---------------- *)
+  (* ---------------- runtime hooks ---------------- *)
 
-  let grow_keyspace t key =
-    let keyspace' = ref (Int.max 8 (2 * t.keyspace)) in
-    while key >= !keyspace' do
-      keyspace' := 2 * !keyspace'
-    done;
-    let keyspace' = !keyspace' in
-    let table = Array.make (t.config.n * keyspace') 0 in
-    for node = 0 to t.config.n - 1 do
-      for k = 0 to t.keyspace - 1 do
-        table.((node * keyspace') + k) <- t.timer_epochs.((node * t.keyspace) + k)
-      done
-    done;
-    t.timer_epochs <- table;
-    t.keyspace <- keyspace'
-
-  let timer_epoch t ~node ~key =
-    if key < t.keyspace then t.timer_epochs.((node * t.keyspace) + key) else 0
-
-  let bump_timer_epoch t ~node ~key =
-    if key >= t.keyspace then grow_keyspace t key;
-    let i = (node * t.keyspace) + key in
-    t.timer_epochs.(i) <- t.timer_epochs.(i) + 1
-
-  let check_timer_key key =
-    if key < 0 then invalid_arg "Engine: negative timer key"
-
-  (* ---------------- node contexts ---------------- *)
-
-  let make_ctx t node : P.msg Node_intf.ctx =
-    let rng = Rng.create ((t.config.seed * 1_000_003) + node) in
-    let send ?(channel = Network.Reliable) ~dst msg =
-      if dst < 0 || dst >= t.config.n then
-        invalid_arg "Engine: send destination out of range";
-      Metrics.on_message t.metrics channel (P.classify msg);
-      if t.tracing then
-        Trace.record t.trace ~time:t.clock.now
-          (Trace.Sent { src = node; dst; channel; label = P.label msg });
-      let fixed =
-        match channel with
-        | Network.Reliable -> t.reliable_fixed
-        | Network.Cheap -> t.cheap_fixed
-      in
-      match fixed with
-      | Some delay ->
-          push_deliver t ~time:(t.clock.now +. delay) ~src:node ~dst msg
-      | None -> (
-          (* Chaos interposition, delivery side: the injector decides
-             drop / duplicate / extra delay / corrupt for every protocol
-             send. The simulator has no bytes, so a corrupted message is
-             modelled as detect-and-drop — the abstract reading of the
-             live decoder discarding a mangled frame and resyncing. *)
-          let action =
-            match t.config.chaos with
-            | None -> no_chaos
-            | Some inj ->
-                Tr_chaos.Injector.on_send inj ~now:t.clock.now ~src:node ~dst
+  (* How a counted send leaves: queued at the channel's fixed delay, or
+     through chaos and the network model. *)
+  let[@inline] leave t ~src ~dst channel (msg : P.msg) =
+    let fixed =
+      match channel with
+      | Network.Reliable -> t.reliable_fixed
+      | Network.Cheap -> t.cheap_fixed
+    in
+    match fixed with
+    | Some delay -> push_deliver t ~time:(t.clock.now +. delay) ~src ~dst msg
+    | None -> (
+        (* Chaos interposition, delivery side: the injector decides
+           drop / duplicate / extra delay / corrupt for every protocol
+           send. The simulator has no bytes, so a corrupted message is
+           modelled as detect-and-drop — the abstract reading of the
+           live decoder discarding a mangled frame and resyncing. The
+           injector is asked first, the network's drop only when chaos
+           keeps the message, and the delay sampled last: each seeded
+           run replays its chaos schedule and network draws only while
+           this order holds. *)
+        let action =
+          match t.config.chaos with
+          | None -> no_chaos
+          | Some inj -> Tr_chaos.Injector.on_send inj ~now:t.clock.now ~src ~dst
+        in
+        if
+          action.Tr_chaos.Injector.drop || action.Tr_chaos.Injector.corrupt
+          || Network.dropped t.config.network t.net_rng channel ~src ~dst
+        then Node_host.dropped t.host ~src ~dst msg
+        else
+          let delay =
+            Network.sample_delay t.config.network t.net_rng channel ~src ~dst
           in
-          if
-            action.Tr_chaos.Injector.drop || action.Tr_chaos.Injector.corrupt
-            || Network.dropped t.config.network t.net_rng channel ~src:node
-                 ~dst
-          then begin
-            if t.tracing then
-              Trace.record t.trace ~time:t.clock.now
-                (Trace.Dropped { src = node; dst; label = P.label msg })
-          end
-          else
-            let delay =
-              Network.sample_delay t.config.network t.net_rng channel
-                ~src:node ~dst
-            in
-            let time =
-              t.clock.now +. delay +. action.Tr_chaos.Injector.extra_delay
-            in
-            for _ = 1 to action.Tr_chaos.Injector.copies do
-              push_deliver t ~time ~src:node ~dst msg
-            done)
-    in
-    let set_timer ~delay ~key =
-      if delay < 0.0 then invalid_arg "Engine: negative timer delay";
-      check_timer_key key;
-      let delay =
-        match t.config.chaos with
-        | None -> delay
-        | Some inj ->
-            delay *. Tr_chaos.Injector.timer_scale inj ~now:t.clock.now ~node
-      in
-      push_timer t ~time:(t.clock.now +. delay) ~node ~key
-        ~epoch:(timer_epoch t ~node ~key)
-    in
-    let cancel_timers ~key =
-      check_timer_key key;
-      bump_timer_epoch t ~node ~key
-    in
-    let serve () =
-      if Metrics.pending t.metrics ~node = 0 then
-        invalid_arg
-          (Printf.sprintf "Engine: node %d served with no pending request" node);
-      (* The option is only built when a trace wants the waited time. *)
-      if t.tracing then begin
-        let arrival = Option.get (Metrics.oldest_arrival t.metrics ~node) in
-        Trace.record t.trace ~time:t.clock.now
-          (Trace.Served { node; waited = t.clock.now -. arrival })
-      end;
-      Metrics.on_serve t.metrics ~time:t.clock.now ~node;
-      (* A [Continuous] competitor re-requests the moment it is served
-         (Theorem 3's adversary). *)
-      if Workload.wants_immediate_rerequest t.workload node then
-        push_arrival t ~time:t.clock.now [ node ]
-    in
-    {
-      Node_intf.self = node;
-      n = t.config.n;
-      now = (fun () -> t.clock.now);
-      rng;
-      send;
-      set_timer;
-      cancel_timers;
-      serve;
-      pending = (fun () -> Metrics.pending t.metrics ~node);
-      possession =
-        (fun () ->
-          Metrics.on_token_possession t.metrics ~node;
-          if t.tracing then
-            Trace.record t.trace ~time:t.clock.now (Trace.Token_at { node }));
-      search_forward = (fun () -> Metrics.on_search_forward t.metrics);
-      note =
-        (fun thunk ->
-          if t.tracing then
-            Trace.record t.trace ~time:t.clock.now
-              (Trace.Note { node; text = thunk () }));
-    }
+          let time =
+            t.clock.now +. delay +. action.Tr_chaos.Injector.extra_delay
+          in
+          for _ = 1 to action.Tr_chaos.Injector.copies do
+            push_deliver t ~time ~src ~dst msg
+          done)
+
+  let[@inline] arm t ~node ~delay ~key ~epoch =
+    push_timer t ~time:(t.clock.now +. delay) ~node ~key ~epoch
+
+  (* A [Continuous] competitor re-requests the moment it is served
+     (Theorem 3's adversary). *)
+  let[@inline] served t ~node ~serves:_ =
+    if Workload.wants_immediate_rerequest t.workload node then
+      push_arrival t ~time:t.clock.now [ node ]
 
   let create config =
     if config.n < 2 then invalid_arg "Engine.create: n < 2";
@@ -341,12 +252,13 @@ module Make (P : Node_intf.PROTOCOL) = struct
       Workload.make config.workload ~n:config.n
         ~rng:(Rng.create (config.seed lxor 0x5DEECE66D))
     in
-    let keyspace = 8 in
     let fixed channel =
       match config.chaos with
       | None -> Network.fixed_delay config.network channel
       | Some _ -> None
     in
+    let clock = { now = 0.0 } in
+    let metrics = Metrics.create ~n:config.n in
     let trace = Trace.create ~enabled:config.trace () in
     let t =
       {
@@ -355,22 +267,32 @@ module Make (P : Node_intf.PROTOCOL) = struct
         ctxs = [||];
         queue = Int_heap.create ();
         events = create_arena ();
-        clock = { now = 0.0 };
+        clock;
         net_rng = Rng.create (config.seed lxor 0x2545F491);
         reliable_fixed = fixed Network.Reliable;
         cheap_fixed = fixed Network.Cheap;
         workload;
-        metrics = Metrics.create ~n:config.n;
+        metrics;
         trace;
-        tracing = Trace.enabled trace;
+        host =
+          Node_host.create
+            (module P)
+            ~n:config.n ~seed:config.seed ~metrics ~trace ~chaos:config.chaos
+            ~now:(fun () -> clock.now)
+            ();
         crashed = Array.make config.n false;
-        timer_epochs = Array.make (config.n * keyspace) 0;
-        keyspace;
         events_processed = 0;
         initialized = false;
       }
     in
-    t.ctxs <- Array.init config.n (fun node -> make_ctx t node);
+    (* Closures, not partial applications: each hook's body inlines
+       into the one closure the host calls. *)
+    let leave ~src ~dst channel msg = leave t ~src ~dst channel msg
+    and arm ~node ~delay ~key ~epoch = arm t ~node ~delay ~key ~epoch
+    and served ~node ~serves = served t ~node ~serves in
+    t.ctxs <-
+      Array.init config.n (fun node ->
+          Node_host.ctx t.host node ~leave ~arm ~served);
     t.states <- Array.init config.n (fun node -> P.init t.ctxs.(node));
     t
 
@@ -401,52 +323,39 @@ module Make (P : Node_intf.PROTOCOL) = struct
       schedule_crashes t
     end
 
-  (* Churn: a node inside a down-window is unreachable — deliveries to
-     it are destroyed (that is the fault being injected: a token sent to
-     a churned node is lost). *)
-  let chaos_down t node =
-    match t.config.chaos with
-    | None -> false
-    | Some inj -> Tr_chaos.Injector.node_down inj ~now:t.clock.now ~node
-
+  (* A churned node is unreachable: a token sent to it is lost, which is
+     the fault being injected. *)
   let deliver t ~src ~dst ~msg =
-    if not (t.crashed.(dst) || chaos_down t dst) then begin
-      if t.tracing then
-        Trace.record t.trace ~time:t.clock.now
-          (Trace.Delivered { src; dst; label = P.label msg });
+    if not (t.crashed.(dst) || Node_host.down t.host ~node:dst) then begin
+      Node_host.delivered t.host ~src ~dst msg;
       t.states.(dst) <- P.on_message t.ctxs.(dst) t.states.(dst) ~src msg
     end
 
   let fire_timer t ~node ~key ~epoch =
-    if (not t.crashed.(node)) && epoch >= timer_epoch t ~node ~key then begin
+    if (not t.crashed.(node)) && Node_host.timer_live t.host ~node ~key ~epoch
+    then begin
       (* Unlike deliveries, a down node's timers are parked, not lost:
          they re-fire when the node rejoins, so timeout-driven recovery
          (token regeneration) resumes against its stale state. *)
-      let resume =
-        match t.config.chaos with
-        | None -> t.clock.now
-        | Some inj -> Tr_chaos.Injector.down_until inj ~now:t.clock.now ~node
-      in
-      if resume > t.clock.now then
+      if Node_host.down t.host ~node then
+        let resume = Node_host.down_until t.host ~node in
         push_timer t ~time:(resume +. 1e-9) ~node ~key ~epoch
       else t.states.(node) <- P.on_timer t.ctxs.(node) t.states.(node) ~key
     end
 
   let arrive t nodes =
-    let live node = not (t.crashed.(node) || chaos_down t node) in
+    let live node = not (t.crashed.(node) || Node_host.down t.host ~node) in
     List.iter
       (fun node ->
         if live node then begin
-          Metrics.on_request t.metrics ~time:t.clock.now ~node;
-          if t.tracing then
-            Trace.record t.trace ~time:t.clock.now (Trace.Request { node });
+          Node_host.request t.host ~time:t.clock.now ~node;
           t.states.(node) <- P.on_request t.ctxs.(node) t.states.(node)
         end)
       nodes
 
   let crash t node =
     t.crashed.(node) <- true;
-    Trace.record t.trace ~time:t.clock.now (Trace.Crashed { node })
+    Node_host.crashed t.host ~node
 
   let run t ~stop =
     initialize t;

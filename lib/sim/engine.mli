@@ -2,8 +2,11 @@
 
     [Make (P)] instantiates the event loop for protocol [P]: it creates
     [n] node states, drives the workload's request arrivals, routes
-    messages through the {!Network} model, delivers timers, applies crash
-    injections, and feeds {!Metrics} and {!Trace}.
+    messages through the {!Network} model, delivers timers and applies
+    crash injections. Each node's context comes from {!Node_host}, which
+    feeds {!Metrics} and {!Trace}; the engine gives it the virtual clock,
+    a send's way onto the event queue, timer events and the
+    [Continuous] re-request.
 
     Time semantics follow the paper's §4 cost model: rules that only touch
     local state cost zero time; every message costs its sampled network

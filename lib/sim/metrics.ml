@@ -165,8 +165,6 @@ let create ~n =
     total_possessions = 0;
   }
 
-let n t = t.n
-
 let on_request t ~time ~node =
   let q = t.pending.(node) in
   if t.use_log then begin
@@ -269,7 +267,6 @@ let token_messages t = t.token_messages
 let control_messages t = t.control_messages
 let cheap_messages t = t.cheap_messages
 let search_forwards t = t.search_forwards
-let possessions t ~node = t.possessions.(node)
 let total_possessions t = t.total_possessions
 let max_possessions t = Array.fold_left Int.max 0 t.possessions
 

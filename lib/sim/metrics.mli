@@ -25,8 +25,6 @@ type t
 val create : n:int -> t
 (** @raise Invalid_argument if [n < 1]. *)
 
-val n : t -> int
-
 (** {1 Feeding events} *)
 
 val on_request : t -> time:float -> node:int -> unit
@@ -62,7 +60,6 @@ val cheap_messages : t -> int
 (** Messages sent on the [Cheap] channel (independent of {!msg_class}). *)
 
 val search_forwards : t -> int
-val possessions : t -> node:int -> int
 val total_possessions : t -> int
 val max_possessions : t -> int
 (** Highest possession count over all nodes (load-concentration probe). *)

@@ -1,0 +1,156 @@
+type 'msg t = {
+  n : int;
+  seed : int;
+  classify : 'msg -> Metrics.msg_class;
+  label : 'msg -> string;
+  metrics : Metrics.t;
+  trace : Trace.t;
+  tracing : bool; (* [Trace.enabled trace], read once *)
+  chaos : Tr_chaos.Injector.t option;
+  lock : Mutex.t option;
+  now : unit -> float;
+  (* [epochs.(node).(key)]; a key past its row is epoch 0. A row
+     grows when its own node cancels a key past its end. *)
+  epochs : int array array;
+}
+
+let create (type m) (module P : Node_intf.PROTOCOL with type msg = m) ~n ~seed
+    ~metrics ~trace ~chaos ?lock ~now () : m t =
+  {
+    n;
+    seed;
+    classify = P.classify;
+    label = P.label;
+    metrics;
+    trace;
+    tracing = Trace.enabled trace;
+    chaos;
+    lock;
+    now;
+    epochs = Array.init n (fun _ -> Array.make 8 0);
+  }
+
+(* [@inline]: on the simulator's per-event path, which has no lock and
+   usually no trace, each of these helpers costs one test, not a call. *)
+let[@inline] lock h = match h.lock with Some mu -> Mutex.lock mu | None -> ()
+
+let[@inline] unlock h =
+  match h.lock with Some mu -> Mutex.unlock mu | None -> ()
+
+let[@inline] epoch h ~node ~key =
+  let row = h.epochs.(node) in
+  if key < Array.length row then row.(key) else 0
+
+let[@inline] timer_live h ~node ~key ~epoch:e = e >= epoch h ~node ~key
+
+let check_key key = if key < 0 then invalid_arg "Node_host: negative timer key"
+
+let cancel h ~node ~key =
+  check_key key;
+  let row = h.epochs.(node) in
+  if key >= Array.length row then begin
+    let row' = Array.make (Int.max (2 * Array.length row) (key + 1)) 0 in
+    Array.blit row 0 row' 0 (Array.length row);
+    h.epochs.(node) <- row'
+  end;
+  let row = h.epochs.(node) in
+  row.(key) <- row.(key) + 1
+
+let[@inline] down h ~node =
+  match h.chaos with
+  | None -> false
+  | Some inj -> Tr_chaos.Injector.node_down inj ~now:(h.now ()) ~node
+
+let down_until h ~node =
+  match h.chaos with
+  | None -> h.now ()
+  | Some inj -> Tr_chaos.Injector.down_until inj ~now:(h.now ()) ~node
+
+let record h event = Trace.record h.trace ~time:(h.now ()) event
+
+let[@inline] request h ~time ~node =
+  lock h;
+  Metrics.on_request h.metrics ~time ~node;
+  unlock h;
+  if h.tracing then Trace.record h.trace ~time (Trace.Request { node })
+
+let[@inline] delivered h ~src ~dst msg =
+  if h.tracing then record h (Trace.Delivered { src; dst; label = h.label msg })
+
+let dropped h ~src ~dst msg =
+  if h.tracing then record h (Trace.Dropped { src; dst; label = h.label msg })
+
+let crashed h ~node = if h.tracing then record h (Trace.Crashed { node })
+
+let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
+  let send ?(channel = Network.Reliable) ~dst msg =
+    if dst < 0 || dst >= h.n then
+      invalid_arg "Node_host: send destination out of range";
+    let cls = h.classify msg in
+    lock h;
+    Metrics.on_message h.metrics channel cls;
+    unlock h;
+    if h.tracing then
+      record h (Trace.Sent { src = node; dst; channel; label = h.label msg });
+    (* The message is counted and traced before it leaves: the trace
+       digests pin the Sent line ahead of any Dropped line, and the
+       simulator's leave draws chaos and network randomness in a fixed
+       order that this must not move. *)
+    leave ~src:node ~dst channel msg
+  in
+  let set_timer ~delay ~key =
+    if delay < 0.0 then invalid_arg "Node_host: negative timer delay";
+    check_key key;
+    let epoch = epoch h ~node ~key in
+    match h.chaos with
+    | None -> arm ~node ~delay ~key ~epoch
+    | Some inj ->
+        let scale = Tr_chaos.Injector.timer_scale inj ~now:(h.now ()) ~node in
+        arm ~node ~delay:(delay *. scale) ~key ~epoch
+  in
+  let serve () =
+    let time = h.now () in
+    if Metrics.pending h.metrics ~node = 0 then
+      invalid_arg
+        (Printf.sprintf "Node_host: node %d served with no pending request"
+           node);
+    lock h;
+    (* The option is only built when a trace wants the waited time. *)
+    if h.tracing then begin
+      let arrival = Option.get (Metrics.oldest_arrival h.metrics ~node) in
+      Trace.record h.trace ~time
+        (Trace.Served { node; waited = time -. arrival })
+    end;
+    Metrics.on_serve h.metrics ~time ~node;
+    (* Read in the same critical section as this serve's own count, so
+       the serve that reaches a runtime's stop target sees it. *)
+    let serves = Metrics.serves h.metrics in
+    unlock h;
+    served ~node ~serves
+  in
+  {
+    Node_intf.self = node;
+    n = h.n;
+    now = h.now;
+    rng = Rng.create ((h.seed * 1_000_003) + node);
+    send;
+    set_timer;
+    cancel_timers = cancel h ~node;
+    serve;
+    (* No lock: only this node's requests and serves change its count. *)
+    pending = (fun () -> Metrics.pending h.metrics ~node);
+    possession =
+      (fun () ->
+        lock h;
+        Metrics.on_token_possession h.metrics ~node;
+        unlock h;
+        if h.tracing then record h (Trace.Token_at { node }));
+    search_forward =
+      (fun () ->
+        lock h;
+        Metrics.on_search_forward h.metrics;
+        unlock h);
+    note =
+      (fun thunk ->
+        if h.tracing then record h (Trace.Note { node; text = thunk () }));
+  }

@@ -52,10 +52,6 @@ let exponential t ~mean =
 
 let uniform_range t ~lo ~hi = lo +. float t (hi -. lo)
 
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

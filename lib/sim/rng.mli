@@ -35,9 +35,5 @@ val exponential : t -> mean:float -> float
 
 val uniform_range : t -> lo:float -> hi:float -> float
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array.
-    @raise Invalid_argument on an empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -4,8 +4,6 @@ let pp_error ppf = function
   | Truncated -> Format.pp_print_string ppf "truncated input"
   | Malformed reason -> Format.fprintf ppf "malformed input: %s" reason
 
-let error_to_string e = Format.asprintf "%a" pp_error e
-
 (* Zigzag maps small-magnitude signed ints to small unsigned ints:
    0 -> 0, -1 -> 1, 1 -> 2, -2 -> 3, ... On 63-bit OCaml ints the
    round-trip is exact for every representable value. *)

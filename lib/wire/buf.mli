@@ -16,7 +16,6 @@ type error =
   | Malformed of string  (** Structurally invalid; more bytes won't help. *)
 
 val pp_error : Format.formatter -> error -> unit
-val error_to_string : error -> string
 
 (** {1 Encoding} *)
 

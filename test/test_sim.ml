@@ -1075,58 +1075,6 @@ module Timers = struct
   let on_request _ctx state = state
 end
 
-module Rogue = struct
-  type state = unit
-  type msg = Out
-
-  let name = "rogue"
-  let describe = "sends out of range"
-  let classify Out = Metrics.Control_msg
-  let label Out = "out"
-
-  let init (ctx : msg Node_intf.ctx) =
-    if ctx.self = 0 then ctx.send ~dst:99 Out;
-    ()
-
-  let on_message _ctx state ~src:_ Out = state
-  let on_timer _ctx state ~key:_ = state
-  let on_request _ctx state = state
-end
-
-let test_engine_rejects_bad_send () =
-  let module ER = Engine.Make (Rogue) in
-  Alcotest.(check bool) "out-of-range dst raises at init" true
-    (try
-       ignore (ER.create (Engine.default_config ~n:4 ~seed:0));
-       false
-     with Invalid_argument _ -> true)
-
-module NegTimer = struct
-  type state = unit
-  type msg = Never2 [@warning "-37"]
-
-  let name = "neg-timer"
-  let describe = "sets a negative timer"
-  let classify Never2 = Metrics.Control_msg
-  let label Never2 = "never"
-
-  let init (ctx : msg Node_intf.ctx) =
-    if ctx.self = 0 then ctx.set_timer ~delay:(-1.0) ~key:1;
-    ()
-
-  let on_message _ctx state ~src:_ Never2 = state
-  let on_timer _ctx state ~key:_ = state
-  let on_request _ctx state = state
-end
-
-let test_engine_rejects_negative_timer () =
-  let module EN = Engine.Make (NegTimer) in
-  Alcotest.(check bool) "negative delay raises" true
-    (try
-       ignore (EN.create (Engine.default_config ~n:2 ~seed:0));
-       false
-     with Invalid_argument _ -> true)
-
 let test_engine_n_too_small () =
   Alcotest.(check bool) "n < 2 rejected" true
     (try
@@ -1150,42 +1098,6 @@ let test_engine_events_counter () =
   E.run t ~stop:(Engine.At_time 15.0);
   Alcotest.(check int) "counter accumulates across runs" 15
     (E.events_processed t)
-
-(* Protocols use small positive timer keys; a key beyond the initial
-   scalar-table bound must grow the table, not corrupt epochs. *)
-module BigKey = struct
-  type state = { fired : int list }
-  type msg = Never3 [@warning "-37"]
-
-  let name = "big-key"
-  let describe = "uses a timer key past the initial keyspace"
-  let classify Never3 = Metrics.Control_msg
-  let label Never3 = "never"
-
-  let init (ctx : msg Node_intf.ctx) =
-    if ctx.self = 0 then begin
-      ctx.set_timer ~delay:1.0 ~key:97;
-      ctx.set_timer ~delay:2.0 ~key:97;
-      ctx.set_timer ~delay:3.0 ~key:2
-    end;
-    { fired = [] }
-
-  let on_message _ctx state ~src:_ Never3 = state
-
-  let on_timer (ctx : msg Node_intf.ctx) state ~key =
-    (* First key-97 firing cancels the second one. *)
-    if key = 97 && state.fired = [] then ctx.cancel_timers ~key:97;
-    { fired = key :: state.fired }
-
-  let on_request _ctx state = state
-end
-
-let test_engine_large_timer_key () =
-  let module EB = Engine.Make (BigKey) in
-  let t = EB.create (Engine.default_config ~n:2 ~seed:0) in
-  EB.run t ~stop:(Engine.At_time 10.0);
-  Alcotest.(check (list int)) "key-97 fires once, key-2 unaffected" [ 2; 97 ]
-    (EB.state t 0).BigKey.fired
 
 (* The engine must not pin what it has dispatched. Node 0 sends one
    fresh string to node 1, which drops it; [sent] watches it. *)
@@ -1441,6 +1353,125 @@ let test_engine_two_sends_grow_arena () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ---------------- Ctx misuse, both runtimes ---------------- *)
+
+(* One table of ctx misuse, run through the simulator and through a
+   two-shard loopback cluster alike: both build their contexts through
+   [Node_host]. Node 0 misbehaves from a zero-delay timer, so on the
+   cluster the exception rises on a shard and [Cluster.run] re-raises it. *)
+let misuse act : (module Node_intf.PROTOCOL with type msg = unit) =
+  (module struct
+    type state = unit
+    type msg = unit
+
+    let name = "misuse"
+    let describe = "misuses its context"
+    let classify () = Metrics.Control_msg
+    let label () = "unit"
+
+    let init (ctx : msg Node_intf.ctx) =
+      if ctx.self = 0 then ctx.set_timer ~delay:0.0 ~key:1
+
+    let on_message _ctx () ~src:_ () = ()
+    let on_timer ctx () ~key = if key = 1 then act ctx
+    let on_request _ctx () = ()
+  end)
+
+exception Fired of int list
+
+(* Every node sets two timers on a key past the epoch table's initial
+   row and one on key 2; the first key-97 firing cancels the second.
+   The first key-2 firing reports its node's firings: on two shards,
+   the nodes of both grow their epoch rows at about the same time. *)
+module BigKey = struct
+  type state = int list (* keys fired, newest first *)
+  type msg = unit
+
+  let name = "big-key"
+  let describe = "uses a timer key past the initial keyspace"
+  let classify () = Metrics.Control_msg
+  let label () = "unit"
+
+  let init (ctx : msg Node_intf.ctx) =
+    ctx.set_timer ~delay:1.0 ~key:97;
+    ctx.set_timer ~delay:2.0 ~key:97;
+    ctx.set_timer ~delay:3.0 ~key:2;
+    []
+
+  let on_message _ctx state ~src:_ () = state
+
+  let on_timer (ctx : msg Node_intf.ctx) state ~key =
+    if key = 97 && state = [] then ctx.cancel_timers ~key:97;
+    if key = 2 then raise (Fired (List.rev (key :: state)));
+    key :: state
+
+  let on_request _ctx state = state
+end
+
+let unit_codec : unit Tr_wire.Codec.t =
+  {
+    name = "unit";
+    key = 250;
+    version = 1;
+    encode_msg = (fun _ () -> ());
+    decode_msg = (fun _ -> Ok ());
+  }
+
+(* The host's own check, not an index error further down. *)
+let invalid = function
+  | Invalid_argument m -> String.starts_with ~prefix:"Node_host: " m
+  | _ -> false
+
+(* name, protocol, the exception the run must end with *)
+let misuse_table =
+  [
+    ( "rejects bad send",
+      misuse (fun (ctx : unit Node_intf.ctx) -> ctx.send ~dst:99 ()),
+      invalid );
+    ( "rejects negative timer",
+      misuse (fun ctx -> ctx.set_timer ~delay:(-1.0) ~key:2),
+      invalid );
+    ( "rejects negative timer key",
+      misuse (fun ctx -> ctx.set_timer ~delay:1.0 ~key:(-1)),
+      invalid );
+    ( "rejects negative cancel key",
+      misuse (fun ctx -> ctx.cancel_timers ~key:(-1)),
+      invalid );
+    ( "rejects serve with no request",
+      misuse (fun ctx -> ctx.serve ()),
+      invalid );
+    ( "large timer key",
+      (module BigKey),
+      function Fired [ 97; 2 ] -> true | _ -> false );
+  ]
+
+let run_engine (module P : Node_intf.PROTOCOL with type msg = unit) =
+  let module EP = Engine.Make (P) in
+  let t = EP.create (Engine.default_config ~n:4 ~seed:0) in
+  EP.run t ~stop:(Engine.At_time 10.0)
+
+let run_cluster proto =
+  ignore
+    (Tr_net_rt.Cluster.run
+       {
+         (Tr_net_rt.Cluster.default_config ~n:4 ~seed:0) with
+         shards = 2;
+         stop = Tr_net_rt.Cluster.Duration 10.0;
+         max_wall_s = 10.0;
+       }
+       proto unit_codec)
+
+let misuse_cases run =
+  List.map
+    (fun (name, proto, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          match run proto with
+          | () -> Alcotest.fail "the run ended without an exception"
+          | exception e ->
+              if not (expected e) then
+                Alcotest.failf "unexpected exception %s" (Printexc.to_string e)))
+    misuse_table
+
 let () =
   Alcotest.run "sim"
     [
@@ -1526,13 +1557,8 @@ let () =
           Alcotest.test_case "request_now" `Quick test_engine_request_now;
           Alcotest.test_case "timer cancellation" `Quick
             test_engine_timer_cancellation;
-          Alcotest.test_case "rejects bad send" `Quick test_engine_rejects_bad_send;
-          Alcotest.test_case "rejects negative timer" `Quick
-            test_engine_rejects_negative_timer;
           Alcotest.test_case "n too small" `Quick test_engine_n_too_small;
           Alcotest.test_case "events counter" `Quick test_engine_events_counter;
-          Alcotest.test_case "large timer key" `Quick
-            test_engine_large_timer_key;
           Alcotest.test_case "dispatch releases payloads" `Quick
             test_engine_dispatch_releases;
           Alcotest.test_case "event arena growth" `Quick
@@ -1543,5 +1569,7 @@ let () =
             test_engine_forwarded_message_intact;
           Alcotest.test_case "two sends grow the arena" `Quick
             test_engine_two_sends_grow_arena;
-        ] );
+        ]
+        @ misuse_cases run_engine );
+      ("cluster", misuse_cases run_cluster);
     ]
