@@ -14,16 +14,16 @@ let unit_s t = t.unit_s
    ordering of timers and frame deliveries across domains rests on reads
    being non-decreasing, so that stays a checked invariant rather than a
    trusted one: every read is clamped to the latest any domain saw. The
-   clamp works on int nanoseconds, which an [Atomic] holds unboxed. *)
+   clamp works on int nanoseconds, which an [Atomic] holds unboxed. A
+   loop, not a local recursive function: that would be a closure
+   allocated on every read. *)
 let now_ns t =
   let v = monotonic_ns () - t.epoch_ns in
-  let rec bump () =
-    let prev = Atomic.get t.last_ns in
-    if v <= prev then prev
-    else if Atomic.compare_and_set t.last_ns prev v then v
-    else bump ()
-  in
-  bump ()
+  let prev = ref (Atomic.get t.last_ns) in
+  while v > !prev && not (Atomic.compare_and_set t.last_ns !prev v) do
+    prev := Atomic.get t.last_ns
+  done;
+  if v > !prev then v else !prev
 
 let now t = float_of_int (now_ns t) *. 1e-9 /. t.unit_s
 let elapsed_wall t = float_of_int (now_ns t) *. 1e-9

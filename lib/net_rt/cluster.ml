@@ -120,7 +120,7 @@ let validate (config : config) =
       if not (Float.is_finite d) || d <= 0.0 then
         invalid_arg "Cluster.run: duration <= 0"
 
-let run (type m) ?tap ?attach ?(backend = Loopback) config
+let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
     (module P : Node_intf.PROTOCOL with type msg = m) (codec : m Codec.t) :
     report =
   validate config;
@@ -231,11 +231,21 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
             + Atomic.get req_inflight.(i));
     }
   in
+  (* The tap is the observer's deliveries, handed the control handle. *)
+  let tap =
+    match tap with
+    | None -> None
+    | Some f ->
+        Some
+          (fun ~time:_ -> function
+            | Node_intf.Delivered { dst; msg; _ } -> f control ~self:dst msg
+            | _ -> ())
+  in
   let host =
     Node_host.create
       (module P)
       ~n ~seed:config.seed ~metrics
-      ~trace:(Trace.create ~enabled:false ())
+      ?observe:(Node_host.tee observe tap)
       ~chaos:config.chaos ~lock:mu
       ~now:(fun () -> Clock.now clock)
       ()
@@ -254,7 +264,8 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     | Some inj ->
         let now_u = Clock.now clock in
         let a = Tr_chaos.Injector.on_send inj ~now:now_u ~src ~dst in
-        if not a.Tr_chaos.Injector.drop then begin
+        if a.Tr_chaos.Injector.drop then Node_host.dropped host ~src ~dst msg
+        else begin
           let payload =
             Buffer.contents (Codec.encode_frame scratch codec ~src ~channel msg)
           in
@@ -297,16 +308,28 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
     | Grants k -> if serves >= k then signal_stop ()
     | Duration _ -> ()
   in
+  (* A start that fails — a [P.init] or an [attach] that raises — closes
+     the transport, whose shards' readiness sets and wake pipes are open
+     by now. *)
+  let or_close f =
+    try f ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Transport.close transport;
+      Printexc.raise_with_backtrace e bt
+  in
   (* Initialise every hosted node before any shard runs: init sends (the
      initial token) sit queued in the transport until the loops start. *)
   let rts =
-    List.map
-      (fun i ->
-        let ctx =
-          Node_host.ctx host i ~leave:(leave (Codec.scratch ())) ~arm ~served
-        in
-        { id = i; st = P.init ctx; ctx })
-      owned
+    or_close (fun () ->
+        List.map
+          (fun i ->
+            let ctx =
+              Node_host.ctx host i ~leave:(leave (Codec.scratch ())) ~arm
+                ~served
+            in
+            { id = i; st = P.init ctx; ctx })
+          owned)
   in
   (* Closed-loop priming: [depth] outstanding requests per node at t=0. *)
   (match config.load with
@@ -396,12 +419,12 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
             | Error _ -> Transport.count_decode_error transport
             | Ok { Codec.src; channel = _; msg } ->
                 if Atomic.get alive.(i) then begin
-                  rt.st <- P.on_message rt.ctx rt.st ~src msg;
-                  (* The tap observes a *processed* delivery, so a tap
-                     that kills this node models a crash just after
-                     handling the message — e.g. while holding a token
-                     it has already acknowledged. *)
-                  match tap with Some f -> f control ~self:i msg | None -> ()
+                  (* Emitted before the handler, which runs whatever the
+                     observer does: one that kills this node models a
+                     crash just after handling the message — e.g. while
+                     holding a token it has already acknowledged. *)
+                  Node_host.delivered host ~src ~dst:i msg;
+                  rt.st <- P.on_message rt.ctx rt.st ~src msg
                 end)
       in
       (* Interleave timers and frame deliveries in due-time order, as
@@ -419,8 +442,10 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
         if (not (Pqueue.is_empty tq)) && Pqueue.top_time_exn tq <= tt then begin
           let key, ep = Pqueue.pop_exn tq in
           if Atomic.get alive.(i) then begin
-            if Node_host.timer_live host ~node:i ~key ~epoch:ep then
+            if Node_host.timer_live host ~node:i ~key ~epoch:ep then begin
+              Node_host.timer_fired host ~node:i ~key;
               rt.st <- P.on_timer rt.ctx rt.st ~key
+            end
           end
           else continue := false
         end
@@ -523,7 +548,7 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   in
   (* Hand the control handle to an embedding service (e.g. a client
      front-end injecting External load) before the shards start. *)
-  (match attach with Some f -> f control | None -> ());
+  or_close (fun () -> match attach with Some f -> f control | None -> ());
   let domains =
     List.mapi
       (fun s nodes ->
@@ -539,6 +564,16 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
   let s = Transport.snapshot transport in
   let wait_calls = s.Transport.snap_wait_calls in
   let grants = Metrics.serves metrics in
+  let chaos_spec, chaos_injected, chaos_total_injected, chaos_digest =
+    match config.chaos with
+    | None -> ("", [], 0, 0)
+    | Some inj ->
+        Tr_chaos.Injector.
+          ( Tr_chaos.Scenario.spec (scenario inj),
+            counts inj,
+            total_injected inj,
+            schedule_digest inj )
+  in
   {
     protocol = P.name;
     n;
@@ -580,22 +615,10 @@ let run (type m) ?tap ?attach ?(backend = Loopback) config
        and survived, the number chaos corruption runs assert on. *)
     corrupt_frames_detected =
       s.Transport.snap_decode_errors + s.Transport.snap_resync_skips;
-    chaos_spec =
-      (match config.chaos with
-      | None -> ""
-      | Some inj -> Tr_chaos.Scenario.spec (Tr_chaos.Injector.scenario inj));
-    chaos_injected =
-      (match config.chaos with
-      | None -> []
-      | Some inj -> Tr_chaos.Injector.counts inj);
-    chaos_total_injected =
-      (match config.chaos with
-      | None -> 0
-      | Some inj -> Tr_chaos.Injector.total_injected inj);
-    chaos_digest =
-      (match config.chaos with
-      | None -> 0
-      | Some inj -> Tr_chaos.Injector.schedule_digest inj);
+    chaos_spec;
+    chaos_injected;
+    chaos_total_injected;
+    chaos_digest;
     metrics;
   }
 

@@ -171,6 +171,7 @@ type backend_spec =
   | Sockets of { owned : int list; addrs : Unix.sockaddr array }
 
 val run :
+  ?observe:'m Tr_sim.Node_intf.observer ->
   ?tap:(control -> self:int -> 'm -> unit) ->
   ?attach:(control -> unit) ->
   ?backend:backend_spec ->
@@ -179,14 +180,28 @@ val run :
   'm Tr_wire.Codec.t ->
   report
 (** Blocks until the stop condition (or wall cap) is reached, then joins
-    all shard domains and closes the transport. [tap] observes every
-    processed delivery on the receiving shard's domain (after the
-    protocol's [on_message]) — it must do its own locking if it
-    accumulates state. A tap that kills the receiving node models a
-    crash just after handling the message. [attach] receives the
-    {!control} handle after node init but before any shard domain runs —
-    an embedding service stores it to [inject] load and stop the run
-    (typically from another domain, since [run] blocks).
+    all shard domains and closes the transport.
+
+    [observe] sees every {!Tr_sim.Node_intf.event}, timed by the
+    cluster's clock in units, outside the metrics lock, on the domain
+    that caused it: the caller's during node init, then the shard that
+    hosts the node (the receiver's for [Delivered], the sender's for
+    [Sent]). Shards call it concurrently, so it does its own locking.
+    No [Crashed] is emitted: {!control.kill} is the embedder's own act.
+    [tap] is the same stream's [Delivered] events, handed {!control},
+    after [observe].
+
+    [Delivered] is emitted just before the receiver's [on_message], and
+    the handler runs whatever the observer does. So a [tap] that kills
+    the receiving node models a crash just after handling the message:
+    the handler still runs and its sends leave, and every later frame,
+    timer and request for the node is discarded.
+
+    [attach] receives the {!control} handle after node init but before
+    any shard domain runs — an embedding service stores it to [inject]
+    load and stop the run (typically from another domain, since [run]
+    blocks). If a node's [init] or [attach] raises, the transport is
+    closed and the exception raised again.
     @raise Invalid_argument on an invalid [config] (a NaN [max_wall_s]
     included), before any shard domain starts. The first exception a
     shard raises (a misused [ctx] included) stops the run and is raised

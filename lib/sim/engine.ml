@@ -246,7 +246,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
     if Workload.wants_immediate_rerequest t.workload node then
       push_arrival t ~time:t.clock.now [ node ]
 
-  let create config =
+  let create ?observe config =
     if config.n < 2 then invalid_arg "Engine.create: n < 2";
     let workload =
       Workload.make config.workload ~n:config.n
@@ -259,7 +259,12 @@ module Make (P : Node_intf.PROTOCOL) = struct
     in
     let clock = { now = 0.0 } in
     let metrics = Metrics.create ~n:config.n in
-    let trace = Trace.create ~enabled:config.trace () in
+    let trace = Trace.create () in
+    let observe =
+      if config.trace then
+        Node_host.tee (Some (Trace.observe trace ~label:P.label)) observe
+      else observe
+    in
     let t =
       {
         config;
@@ -277,7 +282,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
         host =
           Node_host.create
             (module P)
-            ~n:config.n ~seed:config.seed ~metrics ~trace ~chaos:config.chaos
+            ~n:config.n ~seed:config.seed ~metrics ?observe ~chaos:config.chaos
             ~now:(fun () -> clock.now)
             ();
         crashed = Array.make config.n false;
@@ -340,7 +345,10 @@ module Make (P : Node_intf.PROTOCOL) = struct
       if Node_host.down t.host ~node then
         let resume = Node_host.down_until t.host ~node in
         push_timer t ~time:(resume +. 1e-9) ~node ~key ~epoch
-      else t.states.(node) <- P.on_timer t.ctxs.(node) t.states.(node) ~key
+      else begin
+        Node_host.timer_fired t.host ~node ~key;
+        t.states.(node) <- P.on_timer t.ctxs.(node) t.states.(node) ~key
+      end
     end
 
   let arrive t nodes =

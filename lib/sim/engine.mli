@@ -8,6 +8,11 @@
     a send's way onto the event queue, timer events and the
     [Continuous] re-request.
 
+    Observation: the host emits each {!Node_intf.event} to one optional
+    observer, given to {!Make.create} as [?observe]. A config with
+    [trace = true] attaches {!Trace.observe} beside it; with neither,
+    an event costs one test and allocates nothing.
+
     Time semantics follow the paper's §4 cost model: rules that only touch
     local state cost zero time; every message costs its sampled network
     delay (one unit by default). *)
@@ -25,7 +30,9 @@ type config = {
   seed : int;
   network : Network.t;
   workload : Workload.spec;
-  trace : bool;  (** Record a full event trace (memory-heavy). *)
+  trace : bool;
+      (** Record a full event trace (memory-heavy): attaches the
+          {!Trace} observer. *)
   crashes : (float * int) list;  (** (time, node) fail-stop injections. *)
   chaos : Tr_chaos.Injector.t option;
       (** Fault-injection shim on the delivery path: every protocol send
@@ -43,9 +50,11 @@ val default_config : n:int -> seed:int -> config
 module Make (P : Node_intf.PROTOCOL) : sig
   type t
 
-  val create : config -> t
+  val create : ?observe:P.msg Node_intf.observer -> config -> t
   (** Builds node states (calling [P.init] on each) but processes no
-      events. @raise Invalid_argument if [config.n < 2]. *)
+      events. [observe] sees every event of the run, in order, after
+      the trace's own observer when [config.trace] is set.
+      @raise Invalid_argument if [config.n < 2]. *)
 
   val run : t -> stop:stop -> unit
   (** Process events until the stop condition triggers or the event queue

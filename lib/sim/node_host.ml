@@ -2,10 +2,8 @@ type 'msg t = {
   n : int;
   seed : int;
   classify : 'msg -> Metrics.msg_class;
-  label : 'msg -> string;
   metrics : Metrics.t;
-  trace : Trace.t;
-  tracing : bool; (* [Trace.enabled trace], read once *)
+  observe : 'msg Node_intf.observer option;
   chaos : Tr_chaos.Injector.t option;
   lock : Mutex.t option;
   now : unit -> float;
@@ -15,23 +13,28 @@ type 'msg t = {
 }
 
 let create (type m) (module P : Node_intf.PROTOCOL with type msg = m) ~n ~seed
-    ~metrics ~trace ~chaos ?lock ~now () : m t =
+    ~metrics ?observe ~chaos ?lock ~now () : m t =
   {
     n;
     seed;
     classify = P.classify;
-    label = P.label;
     metrics;
-    trace;
-    tracing = Trace.enabled trace;
+    observe;
     chaos;
     lock;
     now;
     epochs = Array.init n (fun _ -> Array.make 8 0);
   }
 
+let tee a b =
+  match (a, b) with
+  | None, o | o, None -> o
+  | Some f, Some g -> Some (fun ~time e -> f ~time e; g ~time e)
+
 (* [@inline]: on the simulator's per-event path, which has no lock and
-   usually no trace, each of these helpers costs one test, not a call. *)
+   usually no observer, each of these helpers costs one test, not a
+   call. Each event kind is built at one site below, inside the test,
+   so no event is allocated when no observer is attached. *)
 let[@inline] lock h = match h.lock with Some mu -> Mutex.lock mu | None -> ()
 
 let[@inline] unlock h =
@@ -66,21 +69,31 @@ let down_until h ~node =
   | None -> h.now ()
   | Some inj -> Tr_chaos.Injector.down_until inj ~now:(h.now ()) ~node
 
-let record h event = Trace.record h.trace ~time:(h.now ()) event
-
 let[@inline] request h ~time ~node =
   lock h;
   Metrics.on_request h.metrics ~time ~node;
   unlock h;
-  if h.tracing then Trace.record h.trace ~time (Trace.Request { node })
+  match h.observe with Some f -> f ~time (Request { node }) | None -> ()
 
 let[@inline] delivered h ~src ~dst msg =
-  if h.tracing then record h (Trace.Delivered { src; dst; label = h.label msg })
+  match h.observe with
+  | Some f -> f ~time:(h.now ()) (Delivered { src; dst; msg })
+  | None -> ()
 
 let dropped h ~src ~dst msg =
-  if h.tracing then record h (Trace.Dropped { src; dst; label = h.label msg })
+  match h.observe with
+  | Some f -> f ~time:(h.now ()) (Dropped { src; dst; msg })
+  | None -> ()
 
-let crashed h ~node = if h.tracing then record h (Trace.Crashed { node })
+let[@inline] timer_fired h ~node ~key =
+  match h.observe with
+  | Some f -> f ~time:(h.now ()) (Timer_fired { node; key })
+  | None -> ()
+
+let crashed h ~node =
+  match h.observe with
+  | Some f -> f ~time:(h.now ()) (Crashed { node })
+  | None -> ()
 
 let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
   let send ?(channel = Network.Reliable) ~dst msg =
@@ -90,9 +103,10 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
     lock h;
     Metrics.on_message h.metrics channel cls;
     unlock h;
-    if h.tracing then
-      record h (Trace.Sent { src = node; dst; channel; label = h.label msg });
-    (* The message is counted and traced before it leaves: the trace
+    (match h.observe with
+    | Some f -> f ~time:(h.now ()) (Sent { src = node; dst; channel; msg })
+    | None -> ());
+    (* The message is counted and observed before it leaves: the trace
        digests pin the Sent line ahead of any Dropped line, and the
        simulator's leave draws chaos and network randomness in a fixed
        order that this must not move. *)
@@ -114,13 +128,14 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
       invalid_arg
         (Printf.sprintf "Node_host: node %d served with no pending request"
            node);
+    (* Outside the lock, like every emit: an observer may call back into
+       the runtime. The option is only built when one is attached. *)
+    (match h.observe with
+    | Some f ->
+        let arrival = Option.get (Metrics.oldest_arrival h.metrics ~node) in
+        f ~time (Served { node; waited = time -. arrival })
+    | None -> ());
     lock h;
-    (* The option is only built when a trace wants the waited time. *)
-    if h.tracing then begin
-      let arrival = Option.get (Metrics.oldest_arrival h.metrics ~node) in
-      Trace.record h.trace ~time
-        (Trace.Served { node; waited = time -. arrival })
-    end;
     Metrics.on_serve h.metrics ~time ~node;
     (* Read in the same critical section as this serve's own count, so
        the serve that reaches a runtime's stop target sees it. *)
@@ -144,13 +159,20 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
         lock h;
         Metrics.on_token_possession h.metrics ~node;
         unlock h;
-        if h.tracing then record h (Trace.Token_at { node }));
+        match h.observe with
+        | Some f -> f ~time:(h.now ()) (Token_at { node })
+        | None -> ());
     search_forward =
       (fun () ->
         lock h;
         Metrics.on_search_forward h.metrics;
-        unlock h);
+        unlock h;
+        match h.observe with
+        | Some f -> f ~time:(h.now ()) (Search_forward { node })
+        | None -> ());
     note =
       (fun thunk ->
-        if h.tracing then record h (Trace.Note { node; text = thunk () }));
+        match h.observe with
+        | Some f -> f ~time:(h.now ()) (Note { node; text = thunk () })
+        | None -> ());
   }

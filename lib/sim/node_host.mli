@@ -5,9 +5,11 @@
     per-node RNG seed [(seed * 1_000_003) + node], the checks on a send's
     destination and on timer delays and keys, chaos clock-skew scaling of
     timer delays, timer epochs for [cancel_timers], [serve]'s
-    pending-request check, and every {!Metrics} and {!Trace} call. The
-    epoch table has one row per node, written only by that node's
-    handlers, so shards owning disjoint nodes never race on it. *)
+    pending-request check, every {!Metrics} update, and every
+    {!Node_intf.event}: each kind is built at one site here and handed
+    to the one optional observer. The epoch table has one row per node,
+    written only by that node's handlers, so shards owning disjoint
+    nodes never race on it. *)
 
 type 'msg t
 
@@ -16,7 +18,7 @@ val create :
   n:int ->
   seed:int ->
   metrics:Metrics.t ->
-  trace:Trace.t ->
+  ?observe:'msg Node_intf.observer ->
   chaos:Tr_chaos.Injector.t option ->
   ?lock:Mutex.t ->
   now:(unit -> float) ->
@@ -25,7 +27,15 @@ val create :
 (** [lock], when given, is held around every {!Metrics} update the host
     makes. A node's own pending count is read without it, so a runtime
     must run each node's requests, serves and handlers on one domain at
-    a time. [now] reads the runtime's clock, in time units. *)
+    a time. [now] reads the runtime's clock, in time units. [observe]
+    sees every event, outside the lock, on the domain that caused it;
+    with none attached an event costs one test. *)
+
+val tee :
+  'msg Node_intf.observer option ->
+  'msg Node_intf.observer option ->
+  'msg Node_intf.observer option
+(** Both observers, the first called first. *)
 
 val ctx :
   'msg t ->
@@ -44,15 +54,17 @@ val timer_live : 'msg t -> node:int -> key:int -> epoch:int -> bool
 (** No [cancel_timers ~key] at [node] since the timer was armed. *)
 
 val request : 'msg t -> time:float -> node:int -> unit
-(** Count and trace a request arriving at [node] at [time]. *)
+(** Count and emit a request arriving at [node] at [time]. *)
 
 val down : 'msg t -> node:int -> bool
 val down_until : 'msg t -> node:int -> float
 (** Whether [node] is inside a chaos churn window now, and when that
     window closes (now if it is not). *)
 
-(** The runtime's own trace lines; no-ops when tracing is off. *)
+(** The events only the runtime sees. A runtime emits [delivered] and
+    [timer_fired] just before it runs the handler. *)
 
 val delivered : 'msg t -> src:int -> dst:int -> 'msg -> unit
 val dropped : 'msg t -> src:int -> dst:int -> 'msg -> unit
+val timer_fired : 'msg t -> node:int -> key:int -> unit
 val crashed : 'msg t -> node:int -> unit

@@ -5,6 +5,33 @@
     the engine passes to every handler, so protocols contain no global
     state and runs are reproducible from the seed. *)
 
+(** One observed step of a run, emitted by {!Node_host} for both
+    runtimes to at most one observer. {!Trace} keeps the [string]
+    instance, messages rendered by [label]; the module lets it include
+    the constructors. *)
+module Event = struct
+  type 'msg event =
+    | Sent of { src : int; dst : int; channel : Network.channel; msg : 'msg }
+        (** Counted, and about to leave (or be dropped). *)
+    | Delivered of { src : int; dst : int; msg : 'msg }
+        (** Emitted before the receiver's handler runs. *)
+    | Dropped of { src : int; dst : int; msg : 'msg }
+    | Timer_fired of { node : int; key : int }
+        (** A live timer, emitted before the handler runs. *)
+    | Request of { node : int }
+    | Served of { node : int; waited : float }
+    | Token_at of { node : int }  (** Token possession began at [node]. *)
+    | Search_forward of { node : int }
+        (** One forwarding hop of a search message (Lemma 6). *)
+    | Crashed of { node : int }
+    | Note of { node : int; text : string }
+end
+
+include Event
+
+type 'msg observer = time:float -> 'msg event -> unit
+(** Called with the runtime's clock, in time units, at each event. *)
+
 type 'msg ctx = {
   self : int;  (** This node's identifier, [0 .. n-1]. *)
   n : int;  (** Number of nodes in the ring. *)
@@ -27,7 +54,8 @@ type 'msg ctx = {
   search_forward : unit -> unit;
       (** Record one forwarding hop of a search message (Lemma 6 metric). *)
   note : (unit -> string) -> unit;
-      (** Trace annotation; the thunk only runs when tracing is enabled. *)
+      (** Trace annotation; the thunk only runs when an observer is
+          attached. *)
 }
 
 (** Cyclic successor/predecessor arithmetic used by every ring protocol. *)
@@ -56,7 +84,7 @@ module type PROTOCOL = sig
       hint (cheap). Drives message accounting. *)
 
   val label : msg -> string
-  (** Compact rendering for traces. *)
+  (** Compact rendering for traces (see {!Trace.observe}). *)
 
   val init : msg ctx -> state
   (** Called once per node before time starts. By convention node 0 is

@@ -1,23 +1,14 @@
-type event =
-  | Sent of { src : int; dst : int; channel : Network.channel; label : string }
-  | Delivered of { src : int; dst : int; label : string }
-  | Dropped of { src : int; dst : int; label : string }
-  | Request of { node : int }
-  | Served of { node : int; waited : float }
-  | Token_at of { node : int }
-  | Crashed of { node : int }
-  | Note of { node : int; text : string }
+include Node_intf.Event
 
-type entry = { time : float; event : event }
+type entry = { time : float; event : string event }
 
 (* Entries live in two parallel growable arrays: an unboxed [float
    array] of times and a generic array of events. Appending is O(1) with
    no per-entry cons cell; iteration is forward, so accessors never
    [List.rev]. *)
 type t = {
-  enabled : bool;
   mutable times : float array;
-  mutable evs : event array;
+  mutable evs : string event array;
   mutable length : int;
   (* Derived views are memoized until the next [record]. *)
   mutable memo_events : entry list option;
@@ -27,10 +18,7 @@ type t = {
    constructors are boxed, so the array is generic and safe to share. *)
 let filler_event = Crashed { node = min_int }
 
-let create ?(enabled = true) () =
-  { enabled; times = [||]; evs = [||]; length = 0; memo_events = None }
-
-let enabled t = t.enabled
+let create () = { times = [||]; evs = [||]; length = 0; memo_events = None }
 
 let grow t =
   let cap = Array.length t.times in
@@ -43,13 +31,30 @@ let grow t =
   t.evs <- evs
 
 let record t ~time event =
-  if t.enabled then begin
-    t.memo_events <- None;
-    if t.length = Array.length t.times then grow t;
-    t.times.(t.length) <- time;
-    t.evs.(t.length) <- event;
-    t.length <- t.length + 1
-  end
+  t.memo_events <- None;
+  if t.length = Array.length t.times then grow t;
+  t.times.(t.length) <- time;
+  t.evs.(t.length) <- event;
+  t.length <- t.length + 1
+
+(* The one rendering of a message into the trace. Timer firings and
+   search forwards are left out, which keeps every trace digest. *)
+let render ~label : _ event -> string event option = function
+  | Sent { src; dst; channel; msg } ->
+      Some (Sent { src; dst; channel; msg = label msg })
+  | Delivered { src; dst; msg } -> Some (Delivered { src; dst; msg = label msg })
+  | Dropped { src; dst; msg } -> Some (Dropped { src; dst; msg = label msg })
+  | Timer_fired _ | Search_forward _ -> None
+  | Request { node } -> Some (Request { node })
+  | Served { node; waited } -> Some (Served { node; waited })
+  | Token_at { node } -> Some (Token_at { node })
+  | Crashed { node } -> Some (Crashed { node })
+  | Note { node; text } -> Some (Note { node; text })
+
+let observe t ~label ~time event =
+  match render ~label event with
+  | Some event -> record t ~time event
+  | None -> ()
 
 let length t = t.length
 
@@ -97,13 +102,14 @@ let running_mean_waiting t ~window =
       | _ -> None)
 
 let pp_event ppf = function
-  | Sent { src; dst; channel; label } ->
+  | Sent { src; dst; channel; msg } ->
       Format.fprintf ppf "send %d->%d [%a] %s" src dst Network.pp_channel
-        channel label
-  | Delivered { src; dst; label } ->
-      Format.fprintf ppf "recv %d->%d %s" src dst label
-  | Dropped { src; dst; label } ->
-      Format.fprintf ppf "drop %d->%d %s" src dst label
+        channel msg
+  | Delivered { src; dst; msg } ->
+      Format.fprintf ppf "recv %d->%d %s" src dst msg
+  | Dropped { src; dst; msg } -> Format.fprintf ppf "drop %d->%d %s" src dst msg
+  | Timer_fired { node; key } -> Format.fprintf ppf "timer @%d key %d" node key
+  | Search_forward { node } -> Format.fprintf ppf "forward @%d" node
   | Request { node } -> Format.fprintf ppf "request @%d" node
   | Served { node; waited } ->
       Format.fprintf ppf "served @%d (waited %.3g)" node waited

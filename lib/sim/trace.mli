@@ -5,28 +5,33 @@
     service, fairness windows, token uniqueness); debugging uses the
     pretty-printed form.
 
-    Storage is a growable pair of flat arrays (unboxed times + events):
-    recording is O(1) per event with no per-entry cons cell, iteration is
-    forward, and derived views are memoized until the next record. A
-    disabled trace costs one branch per event. *)
+    A run fills a trace through {!observe}, one consumer of the typed
+    event stream. Storage is a growable pair of flat arrays (unboxed
+    times + events): recording is O(1) per event with no per-entry cons
+    cell, iteration is forward, and derived views are memoized until the
+    next record. *)
 
-type event =
-  | Sent of { src : int; dst : int; channel : Network.channel; label : string }
-  | Delivered of { src : int; dst : int; label : string }
-  | Dropped of { src : int; dst : int; label : string }
-  | Request of { node : int }
-  | Served of { node : int; waited : float }
-  | Token_at of { node : int }  (** Token possession began at [node]. *)
-  | Crashed of { node : int }
-  | Note of { node : int; text : string }
+include module type of struct
+  include Node_intf.Event
+end
+(** A trace stores [string event]s: each message rendered by the
+    protocol's [label]. *)
 
-type entry = { time : float; event : event }
+type entry = { time : float; event : string event }
 type t
 
-val create : ?enabled:bool -> unit -> t
-val enabled : t -> bool
+val create : unit -> t
 
-val record : t -> time:float -> event -> unit
+val record : t -> time:float -> string event -> unit
+
+val render : label:('msg -> string) -> 'msg event -> string event option
+(** The event as the trace keeps it, messages rendered through [label];
+    [None] for [Timer_fired] and [Search_forward], which no trace
+    shows. *)
+
+val observe : t -> label:('msg -> string) -> 'msg Node_intf.observer
+(** The trace as an observer: records each event {!render} keeps. The
+    simulator attaches one when its config asks for a trace. *)
 
 val events : t -> entry list
 (** Chronological (recording order). Memoized: repeated calls without an
@@ -44,5 +49,5 @@ val running_mean_waiting : t -> window:int -> (float * float) list
     paper's "1000 rounds" steady-state question).
     @raise Invalid_argument if [window < 1]. *)
 
-val pp_event : Format.formatter -> event -> unit
+val pp_event : Format.formatter -> string event -> unit
 val pp : Format.formatter -> t -> unit

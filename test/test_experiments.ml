@@ -465,6 +465,34 @@ let test_golden_trace protocol golden () =
     (read_file ("golden/" ^ golden))
     (Format.asprintf "%a" Tokenring.Trace.pp o.Tokenring.Runner.trace)
 
+(* The trace is a pure rendering of the observer stream: the same run
+   with the trace off and only an observer, its events rendered through
+   the protocol's label and [Trace.pp_event], prints the golden trace
+   byte for byte. The stream's search forwards are the metric's. *)
+let test_golden_observer (module P : Tokenring.Node_intf.PROTOCOL) golden () =
+  let module E = Tokenring.Engine.Make (P) in
+  let b = Buffer.create 16384 in
+  let ppf = Format.formatter_of_buffer b in
+  let forwards = ref 0 in
+  let observe ~time event =
+    (match event with
+    | Tokenring.Node_intf.Search_forward _ -> incr forwards
+    | _ -> ());
+    match Tokenring.Trace.render ~label:P.label event with
+    | Some e -> Format.fprintf ppf "%10.3f  %a@\n" time Tokenring.Trace.pp_event e
+    | None -> ()
+  in
+  let t = E.create ~observe { golden_trace_config with trace = false } in
+  E.run t ~stop:(Tokenring.Engine.After_serves 20);
+  Format.pp_print_flush ppf ();
+  Alcotest.(check int) "trace off" 0 (Tokenring.Trace.length (E.trace t));
+  Alcotest.(check string) "rendered stream equals the golden trace"
+    (read_file ("golden/" ^ golden))
+    (Buffer.contents b);
+  Alcotest.(check int) "search forwards"
+    (Tokenring.Metrics.search_forwards (E.metrics t))
+    !forwards
+
 (* One digest per registry protocol and per hybrid-app directive: the
    MD5 of the rendered traces of two fixed runs (n = 8, seed 5, a fixed
    serve count), one under heavy and one under light load, so that both
@@ -627,6 +655,12 @@ let () =
             (test_golden_trace Tr_proto.Ring.protocol "trace_ring_n8_seed3.txt");
           Alcotest.test_case "binsearch trace" `Quick
             (test_golden_trace Tr_proto.Binsearch.protocol
+               "trace_binsearch_n8_seed3.txt");
+          Alcotest.test_case "ring observer stream" `Quick
+            (test_golden_observer Tr_proto.Ring.protocol
+               "trace_ring_n8_seed3.txt");
+          Alcotest.test_case "binsearch observer stream" `Quick
+            (test_golden_observer Tr_proto.Binsearch.protocol
                "trace_binsearch_n8_seed3.txt");
           Alcotest.test_case "digests cover the registry" `Quick
             test_protocol_digests_cover_registry;

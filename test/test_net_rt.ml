@@ -386,6 +386,32 @@ let test_live_regeneration () =
     true
     (report.Cluster.grants > 20)
 
+(* The rule the two tests around this one rest on, without their
+   timeouts: a tap that kills the receiving node runs before the
+   handler, and the handler still runs. On a one-shard loopback ring,
+   node 3, killed on its first token, passes it on to node 4; one
+   revolution later node 2 sends it the token again, and node 3
+   receives nothing. *)
+let test_kill_after_handle () =
+  let log = ref [] in
+  let tap (control : Cluster.control) ~self (Tr_proto.Ring.Token { stamp }) =
+    log := (self, stamp) :: !log;
+    if self = 3 then control.Cluster.kill 3
+  in
+  ignore
+    (Cluster.run ~tap
+       {
+         (Cluster.default_config ~n:6 ~seed:1) with
+         shards = 1;
+         stop = Cluster.Duration 30.0;
+         max_wall_s = 10.0;
+       }
+       (module Tr_proto.Ring)
+       Codecs.ring);
+  Alcotest.(check (list (pair int int)))
+    "deliveries" [ (1, 1); (2, 2); (3, 3); (4, 4); (5, 5); (0, 6); (1, 7); (2, 8) ]
+    (List.rev !log)
+
 (* The fail-safe binsearch keeps the full search machinery (gimmes,
    traps, loans) on top of acknowledged rotation, so the live kill test
    asserts recovery (a higher-generation token reaches the survivors)
@@ -566,13 +592,15 @@ let test_ring_promotion_budget () =
 
 (* Everything one socket hop allocates on the shard: the handler's
    state and message, the frame's encode and decode, the transport's
-   and the shard loop's bookkeeping. The count is a pure function of
+   and the shard loop's bookkeeping, and the events the node host
+   builds for the tap's observer. The count is a pure function of
    the code (every delivery takes the same path), so it repeats
-   exactly. This code reads 221.0 words and the budget is 243, that
-   count plus about 10 %; compiled with -opaque (dune's dev profile),
-   so that no call across modules is inlined, it reads 240.0; per-hop
-   hash lookups, [Mutex.protect] closures and boxed clock reads read
-   317.0. *)
+   exactly. The budget is 243, a reading of 221.0 words plus about
+   10 %; this code reads 228.0, with the tap's five events a hop and
+   their boxed times. Compiled with -opaque (dune's dev profile), so
+   that no call across modules is inlined, it reads 247.0 (238.0
+   before the events); per-hop hash lookups, [Mutex.protect] closures
+   and boxed clock reads read 317.0. *)
 let test_ring_minor_budget () =
   let w = Lazy.force ring_alloc in
   let reading = Printf.sprintf "%.1f minor words per grant" w.minor_per_grant in
@@ -1628,7 +1656,8 @@ let test_adversarial_chunking () =
    closed-loop run's processed-message sequence is deterministic (ring
    and binsearch use no timers, all channels share the one-unit hop
    delay, and a single shard processes deliveries in due-time order =
-   emission order), so the tap log must match a committed golden file.
+   emission order), so the log of its observer's [Delivered] events must
+   match a committed golden file.
 
    Two guards against wall-clock jitter: the unit scale is far above
    scheduling noise, and only the first [keep] lines are compared — the
@@ -1655,17 +1684,17 @@ let capture_live_log (type m) ~(protocol : (module Tr_sim.Node_intf.PROTOCOL
   let mu = Mutex.create () in
   let log = ref [] in
   let count = ref 0 in
-  let tap _control ~self msg =
-    Mutex.lock mu;
-    (if !count < keep then
-       let line = Printf.sprintf "%d %s" self (render msg) in
-       if filter line then begin
-         log := line :: !log;
-         incr count
-       end);
-    Mutex.unlock mu
+  let observe ~time:_ = function
+    | Node_intf.Delivered { dst; msg; _ } when filter msg ->
+        Mutex.lock mu;
+        if !count < keep then begin
+          log := Printf.sprintf "%d %s" dst (render msg) :: !log;
+          incr count
+        end;
+        Mutex.unlock mu
+    | _ -> ()
   in
-  let report = Cluster.run ~tap config protocol codec in
+  let report = Cluster.run ~observe config protocol codec in
   Alcotest.(check int) "zero decode errors" 0 report.Cluster.decode_errors;
   Alcotest.(check bool) "no frames dropped" true
     (report.Cluster.frames_dropped = 0);
@@ -1712,11 +1741,7 @@ let test_golden_live_binsearch () =
      4 ms unit. Token movement and the Loan/Return chain are serialized
      by the unique token, so that subsequence is the deterministic
      semantic core — verified identical across 8 repeat runs. *)
-  let filter line =
-    match String.index_opt line ' ' with
-    | Some i -> i + 1 < String.length line && line.[i + 1] <> 'G'
-    | None -> false
-  in
+  let filter = function Tr_proto.Binsearch.Gimme _ -> false | _ -> true in
   let log =
     capture_live_log
       ~protocol:(module (val Tr_proto.Binsearch.make ()))
@@ -1827,6 +1852,7 @@ let () =
       ( "failure",
         [
           Alcotest.test_case "live regeneration" `Quick test_live_regeneration;
+          Alcotest.test_case "kill after handle" `Quick test_kill_after_handle;
           Alcotest.test_case "failsafe-search live regeneration" `Quick
             test_live_failsafe_search_regeneration;
         ] );

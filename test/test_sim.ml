@@ -903,11 +903,6 @@ let test_metrics_steady_state_alloc () =
 
 (* ---------------- Trace ---------------- *)
 
-let test_trace_disabled () =
-  let t = Trace.create ~enabled:false () in
-  Trace.record t ~time:1.0 (Trace.Request { node = 0 });
-  Alcotest.(check int) "nothing recorded" 0 (Trace.length t)
-
 let test_trace_possessions () =
   let t = Trace.create () in
   Trace.record t ~time:1.0 (Trace.Token_at { node = 0 });
@@ -992,6 +987,17 @@ module Ping = struct
 end
 
 module E = Engine.Make (Ping)
+
+(* A run records a trace only when its config asks for one: the trace is
+   an observer the engine attaches, not a flag that each event tests. *)
+let test_trace_disabled () =
+  let run trace =
+    let t = E.create { (Engine.default_config ~n:4 ~seed:0) with trace } in
+    E.run t ~stop:(Engine.At_time 5.0);
+    Trace.length (E.trace t)
+  in
+  Alcotest.(check int) "nothing recorded" 0 (run false);
+  Alcotest.(check bool) "recorded when asked" true (run true > 0)
 
 let test_engine_unit_delay_rotation () =
   let t = E.create (Engine.default_config ~n:4 ~seed:0) in
@@ -1358,8 +1364,11 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 (* One table of ctx misuse, run through the simulator and through a
    two-shard loopback cluster alike: both build their contexts through
    [Node_host]. Node 0 misbehaves from a zero-delay timer, so on the
-   cluster the exception rises on a shard and [Cluster.run] re-raises it. *)
-let misuse act : (module Node_intf.PROTOCOL with type msg = unit) =
+   cluster the exception rises on a shard and [Cluster.run] re-raises it,
+   or, with [at_init], from [init], which the cluster runs before any
+   shard starts. *)
+let misuse ?(at_init = false) act :
+    (module Node_intf.PROTOCOL with type msg = unit) =
   (module struct
     type state = unit
     type msg = unit
@@ -1370,7 +1379,8 @@ let misuse act : (module Node_intf.PROTOCOL with type msg = unit) =
     let label () = "unit"
 
     let init (ctx : msg Node_intf.ctx) =
-      if ctx.self = 0 then ctx.set_timer ~delay:0.0 ~key:1
+      if ctx.self = 0 then
+        if at_init then act ctx else ctx.set_timer ~delay:0.0 ~key:1
 
     let on_message _ctx () ~src:_ () = ()
     let on_timer ctx () ~key = if key = 1 then act ctx
@@ -1428,6 +1438,9 @@ let misuse_table =
     ( "rejects bad send",
       misuse (fun (ctx : unit Node_intf.ctx) -> ctx.send ~dst:99 ()),
       invalid );
+    ( "rejects bad send from init",
+      misuse ~at_init:true (fun ctx -> ctx.send ~dst:99 ()),
+      invalid );
     ( "rejects negative timer",
       misuse (fun ctx -> ctx.set_timer ~delay:(-1.0) ~key:2),
       invalid );
@@ -1460,6 +1473,21 @@ let run_cluster proto =
          max_wall_s = 10.0;
        }
        proto unit_codec)
+
+(* A cluster whose start fails closes its transport: each shard's
+   readiness set and wake pipe, 6 fds a run at n = 4 on 2 shards. *)
+let test_failed_start_closes_transport () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let proto = misuse ~at_init:true (fun ctx -> ctx.send ~dst:99 ()) in
+    let before = fds () in
+    for _ = 1 to 5 do
+      match run_cluster proto with
+      | () -> Alcotest.fail "the run ended without an exception"
+      | exception e when invalid e -> ()
+    done;
+    Alcotest.(check int) "open fds after 5 failed starts" before (fds ())
+  end
 
 let misuse_cases run =
   List.map
@@ -1571,5 +1599,10 @@ let () =
             test_engine_two_sends_grow_arena;
         ]
         @ misuse_cases run_engine );
-      ("cluster", misuse_cases run_cluster);
+      ( "cluster",
+        misuse_cases run_cluster
+        @ [
+            Alcotest.test_case "failed start closes the transport" `Quick
+              test_failed_start_closes_transport;
+          ] );
     ]
