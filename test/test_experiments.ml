@@ -656,12 +656,6 @@ let () =
           Alcotest.test_case "binsearch trace" `Quick
             (test_golden_trace Tr_proto.Binsearch.protocol
                "trace_binsearch_n8_seed3.txt");
-          Alcotest.test_case "ring observer stream" `Quick
-            (test_golden_observer Tr_proto.Ring.protocol
-               "trace_ring_n8_seed3.txt");
-          Alcotest.test_case "binsearch observer stream" `Quick
-            (test_golden_observer Tr_proto.Binsearch.protocol
-               "trace_binsearch_n8_seed3.txt");
           Alcotest.test_case "digests cover the registry" `Quick
             test_protocol_digests_cover_registry;
         ]
@@ -674,7 +668,15 @@ let () =
             (fun (name, protocol, want) ->
               Alcotest.test_case (name ^ " digest") `Quick
                 (test_app_digest name protocol want))
-            app_digests );
+            app_digests
+        @ [
+            Alcotest.test_case "ring observer stream" `Quick
+              (test_golden_observer Tr_proto.Ring.protocol
+                 "trace_ring_n8_seed3.txt");
+            Alcotest.test_case "binsearch observer stream" `Quick
+              (test_golden_observer Tr_proto.Binsearch.protocol
+                 "trace_binsearch_n8_seed3.txt");
+          ] );
       ( "delay paths",
         [
           Alcotest.test_case "constant 0 floored on both paths" `Quick
