@@ -163,7 +163,9 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
   let act_inbox = Array.init shards (fun _ -> Mailbox.create ()) in
   let timer_index = Array.init shards (fun _ -> Pqueue.create ()) in
   let metrics = Metrics.create ~n in
-  let mu = Mutex.create () in
+  (* The host's metrics lock, needed only where several shards write the
+     metrics: on one shard the one writer is that shard's domain. *)
+  let lock = if shards > 1 then Some (Mutex.create ()) else None in
   let stop_flag = Atomic.make false in
   let alive = Array.init n (fun _ -> Atomic.make true) in
   let failure_box : exn option Atomic.t = Atomic.make None in
@@ -223,11 +225,17 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
             wake_node i
           end);
       transport_stats = Transport.stats transport;
+      (* Without a lock the count is read while its one writer, the sole
+         shard, may be changing it. That is safe: it is one int field,
+         and an OCaml 5 int read never tears, so it reads the count from
+         just before or just after the change. *)
       pending_at =
         (fun i ->
           if i < 0 || i >= n then 0
           else
-            Mutex.protect mu (fun () -> Metrics.pending metrics ~node:i)
+            (match lock with
+            | Some mu -> Mutex.protect mu (fun () -> Metrics.pending metrics ~node:i)
+            | None -> Metrics.pending metrics ~node:i)
             + Atomic.get req_inflight.(i));
     }
   in
@@ -241,14 +249,28 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
             | Node_intf.Delivered { dst; msg; _ } -> f control ~self:dst msg
             | _ -> ())
   in
+  (* Each handler runs at one instant: the clock is read the first time
+     the handler asks (for an event's time, a serve, a due time, a
+     re-request or [ctx.now]) and that reading serves the rest of it.
+     [fresh] opens a node's slot before each handler; only the node's
+     own shard touches it. *)
+  let instants = Array.make n Float.nan in
+  let now_at i =
+    let t = instants.(i) in
+    if Float.is_nan t then begin
+      let t = Clock.now clock in
+      instants.(i) <- t;
+      t
+    end
+    else t
+  in
+  let fresh i = instants.(i) <- Float.nan in
   let host =
     Node_host.create
       (module P)
       ~n ~seed:config.seed ~metrics
       ?observe:(Node_host.tee observe tap)
-      ~chaos:config.chaos ~lock:mu
-      ~now:(fun () -> Clock.now clock)
-      ()
+      ~chaos:config.chaos ?lock ~now:now_at ()
   in
   (* Chaos interposition, live side: pre-encode decisions (drop /
      duplicate / reorder), post-encode byte flips for corruption —
@@ -262,7 +284,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
         let frame = Codec.encode_frame scratch codec ~src ~channel msg in
         Transport.send_frame transport ~src ~dst ~delay:hop_units frame
     | Some inj ->
-        let now_u = Clock.now clock in
+        let now_u = now_at src in
         let a = Tr_chaos.Injector.on_send inj ~now:now_u ~src ~dst in
         if a.Tr_chaos.Injector.drop then Node_host.dropped host ~src ~dst msg
         else begin
@@ -288,11 +310,11 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
         end
   in
   let arm ~node ~delay ~key ~epoch =
-    let at = Clock.now clock +. delay in
+    let at = now_at node +. delay in
     Pqueue.push timers.(node) ~time:at (key, epoch);
     Pqueue.push timer_index.(shard_of.(node)) ~time:at node
   in
-  (* [serves] was read under [mu] together with this serve's own count:
+  (* [serves] was read under the lock together with this serve's own count:
      a read outside it could miss the serve that reaches [Grants k] on a
      multi-shard run, and no later serve might come to stop it. *)
   let served ~node ~serves =
@@ -301,7 +323,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
         (* Re-arm through the mailbox so the protocol handler finishes
            before the next on_request fires (the simulator queues the
            re-request as an event for the same reason). *)
-        push_request node (Clock.now clock);
+        push_request node (now_at node);
         note_local node
     | _ -> ());
     match config.stop with
@@ -392,6 +414,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
   in
   let step_node rt now_u =
     let i = rt.id in
+    fresh i;
     flush_chaos_out i now_u;
     if Node_host.down host ~node:i then begin
       (* Churned out: frames addressed to it are destroyed, timers and
@@ -406,6 +429,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
     if Atomic.get alive.(i) then begin
       List.iter
         (fun at ->
+          fresh i;
           Node_host.request host ~time:at ~node:i;
           (* Decrement after the metric records it: [pending_at] may
              briefly double-count, never read 0 for a queued request. *)
@@ -423,6 +447,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
                      observer does: one that kills this node models a
                      crash just after handling the message — e.g. while
                      holding a token it has already acknowledged. *)
+                  fresh i;
                   Node_host.delivered host ~src ~dst:i msg;
                   rt.st <- P.on_message rt.ctx rt.st ~src msg
                 end)
@@ -443,6 +468,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
           let key, ep = Pqueue.pop_exn tq in
           if Atomic.get alive.(i) then begin
             if Node_host.timer_live host ~node:i ~key ~epoch:ep then begin
+              fresh i;
               Node_host.timer_fired host ~node:i ~key;
               rt.st <- P.on_timer rt.ctx rt.st ~key
             end

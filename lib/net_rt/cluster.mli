@@ -4,9 +4,12 @@
     {!Tr_sim.Node_intf.ctx} capability record, which {!Tr_sim.Node_host}
     builds for the simulator and this module alike. This module gives the
     host wall-clock time, frames encoded onto a {!Transport}, per-node
-    timer heaps, closed-loop re-arming and the [Grants] stop, and the
-    mutex that guards the shared metrics — the protocol code runs
-    unchanged, byte-for-byte.
+    timer heaps, closed-loop re-arming and the [Grants] stop, and, on a
+    cluster of several shards, the mutex that guards the shared metrics
+    — the protocol code runs unchanged, byte-for-byte. Each handler
+    runs at one instant: its events, serve, due times, closed-loop
+    re-request and [ctx.now] all share the one clock reading taken when
+    the handler first asks for the time.
 
     Nodes are sharded across a configurable number of domains (the
     container may have a single core, so one-domain-per-node would
@@ -20,7 +23,12 @@
     — fire due timers, poll the transport for frames, decode them
     through the protocol's codec, and process queued requests. The lead
     shard also sleeps no later than the next open-loop arrival and the
-    stop deadline. Each shard domain sets a 1 us timer slack, so a timed
+    stop deadline. On the sockets backend, nodes of one shard talk over
+    socket pairs, so a hop between them is one [write] and one [read]
+    and the shard asks the kernel for readiness only on every 64th pass
+    while such work is in hand; frames from other shards or processes
+    and new connections wait at most 63 passes (see {!Transport.wait}).
+    Each shard domain sets a 1 us timer slack, so a timed
     wake lands on its due time rather than up to 50 us after it (a
     quarter unit at 0.2 ms units). On loopback every hop takes one time
     unit, on either channel, as in the simulator's default network.
@@ -147,8 +155,10 @@ type report = {
       (** Frames delivered through the in-process fast path. *)
   syscalls_per_grant : float;
       (** (write + read + wait syscalls) / grants — every syscall the
-          shards paid per grant. A socket hop costs ~3 (write, wait,
-          read); the in-process path collapses it toward 0. *)
+          shards paid per grant. A socket hop inside one shard costs ~2
+          (write, read, and a kernel wait every 64th pass); one between
+          shards or processes ~3 (write, wait, read); the in-process
+          path collapses it toward 0. *)
   corrupt_frames_detected : int;
       (** Cluster-level corruption roll-up: [decode_errors +
           resync_skips] — every frame the wire layer had to reject or

@@ -389,7 +389,9 @@ module Sockets = struct
   type conn_in = {
     fd : Unix.file_descr;
     dec : Frame.Decoder.t;
-    mutable ready : bool;  (** Queued in its node's [ready_ins]. *)
+    mutable ready : bool;
+        (** Queued in its node's [ready_ins]; a dropped connection stays
+            [ready] for good, so nothing queues it again. *)
   }
 
   (* Outgoing frames coalesce into one flat buffer, flushed with a
@@ -399,7 +401,13 @@ module Sockets = struct
      open the stream with garbage and force a resync at the receiver. *)
   type conn_out = {
     addr : Unix.sockaddr;
+    local : node option;
+        (** The destination, when it is hosted here behind a Unix-domain
+            address: a candidate for a socket pair. *)
     mutable fd : Unix.file_descr option;
+    mutable peer : conn_in option;
+        (** The receive end of this connection's socket pair, registered
+            in the same shard; [None] for a dialled connection. *)
     out : Stream_io.out;
     bounds : int Queue.t;  (** Byte length of each queued frame, in order. *)
     mutable head_off : int;  (** Bytes of the head frame already written. *)
@@ -409,13 +417,11 @@ module Sockets = struct
     mutable in_retry : bool;  (** Queued in its shard set's [retry_outs]. *)
   }
 
-  let queued co = Stream_io.queued co.out
-
   (* A node is {e tracked} once [adopt] hands it to a shard: its fds
      then live in that shard's readiness set and [poll] touches only what
      the last wait reported ready — O(ready), not O(connections). Polling
      a node before that is a caller error. *)
-  type node = {
+  and node = {
     id : int;
     listen : Unix.file_descr;
     nodelay : bool;
@@ -452,11 +458,17 @@ module Sockets = struct
             callback rides along as their context. *)
     mutable retry_outs : (node * conn_out) list;
         (** Down peers with queued bytes, waiting out their backoff. *)
+    mutable hand_nodes : node array;
+    mutable hand_ins : conn_in array;
+    mutable hand_len : int;
+        (** Paired receive ends a flush has filled since the last wait,
+            with their nodes (a stack, grown on demand): work the next
+            wait hands out without asking the kernel. *)
     mutable ewma_gap : float;  (** Recent inter-event gap estimate (s). *)
     mutable last_event : float;
     mutable wait_skips : int;
-        (** Consecutive kernel waits elided because in-process work was
-            already in hand (bounded so socket fds are still visited). *)
+        (** Consecutive kernel waits elided because work was already in
+            hand (bounded so every fd is still visited). *)
   }
 
   and entry =
@@ -464,6 +476,8 @@ module Sockets = struct
     | Listener of node
     | In of node * conn_in
     | Out of node * conn_out
+
+  let queued co = Stream_io.queued co.out
 
   (* Registration keeps the [fds_registered] gauge honest: an fd counts
      once, however often its interest mask changes. Removal must happen
@@ -501,6 +515,7 @@ module Sockets = struct
         close_quietly fd
     | None -> ());
     co.fd <- None;
+    co.peer <- None;
     if co.head_off > 0 then begin
       (* Drop the half-written head frame whole; its tail must not open
          the next connection mid-frame. *)
@@ -513,7 +528,28 @@ module Sockets = struct
     co.retry_at <- Unix.gettimeofday () +. co.backoff;
     Atomic.incr stats.reconnects
 
-  let dial stats set node co =
+  (* A destination in this very shard needs neither its listener nor the
+     kernel's readiness report: both ends of a socket pair are registered
+     at once, the receive end as the destination's inbound connection,
+     and each flush that fills it hands the destination its work (see
+     [hand]). The pair is connected from the start, so the send end asks
+     for writability only once a write is cut short. A failing
+     [socketpair] (fd exhaustion) raises, as [socket] does in
+     [connect]. *)
+  let pair stats set node co dnode =
+    let snd, rcv =
+      Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+    in
+    Unix.set_nonblock snd;
+    Unix.set_nonblock rcv;
+    let ci = { fd = rcv; dec = Frame.Decoder.create (); ready = false } in
+    dnode.ins <- ci :: dnode.ins;
+    reg stats set rcv (In (dnode, ci)) ~read:true ~write:false;
+    co.fd <- Some snd;
+    co.peer <- Some ci;
+    reg stats set snd (Out (node, co)) ~read:false ~write:false
+
+  let connect stats set node co =
     let fd = Unix.socket (Unix.domain_of_sockaddr co.addr) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     (match co.addr with
@@ -536,6 +572,14 @@ module Sockets = struct
         co.fd <- None;
         tear_down stats set co
 
+  let in_shard set dnode =
+    match Atomic.get dnode.tracked with Some s -> s == set | None -> false
+
+  let dial stats set node co =
+    match co.local with
+    | Some dnode when in_shard set dnode -> pair stats set node co dnode
+    | _ -> connect stats set node co
+
   (* Append one [len]-byte frame; the caller has already counted it. *)
   let append co ~len blit =
     Stream_io.append co.out ~len blit;
@@ -557,6 +601,31 @@ module Sockets = struct
     in
     pop wrote
 
+  (* [a] with room for index [len], the new tail filled with [fill]. *)
+  let room a len fill =
+    if len < Array.length a then a
+    else begin
+      let b = Array.make (Int.max 16 (2 * len)) fill in
+      Array.blit a 0 b 0 len;
+      b
+    end
+
+  (* A flush filled a pair's receive end: keep it for the next wait,
+     which queues it as a readiness report would. Until then no poll
+     reads it, so a shard pass carries each frame one hop, as when the
+     kernel reported it. *)
+  let hand set co ci =
+    match co.local with
+    | Some dnode when not ci.ready ->
+        ci.ready <- true;
+        let len = set.hand_len in
+        set.hand_nodes <- room set.hand_nodes len dnode;
+        set.hand_ins <- room set.hand_ins len ci;
+        set.hand_nodes.(len) <- dnode;
+        set.hand_ins.(len) <- ci;
+        set.hand_len <- len + 1
+    | _ -> ()
+
   (* One [write] covering every queued frame; a partial write means the
      kernel buffer is full, so stop rather than spin. Sends between two
      polls therefore cost at most one syscall total. *)
@@ -573,7 +642,10 @@ module Sockets = struct
           Atomic.incr stats.write_syscalls;
           if wrote >= 0 then begin
             co.backoff <- backoff_min;
-            advance co wrote
+            advance co wrote;
+            match co.peer with
+            | Some ci when wrote > 0 -> hand set co ci
+            | _ -> ()
           end
           else if wrote = Stream_io.failed then tear_down stats set co
           (* Otherwise still connecting, or the kernel buffer is full;
@@ -612,6 +684,7 @@ module Sockets = struct
     open_
 
   let drop_in stats set node (ci : conn_in) =
+    ci.ready <- true;
     unreg stats set ci.fd;
     close_quietly ci.fd;
     node.ins <- List.filter (fun c -> c != ci) node.ins
@@ -658,6 +731,27 @@ module Sockets = struct
                   end
             end)
           busy
+
+  (* Queue the paired receive ends flushed since the last wait and
+     activate their nodes; whether there were any. *)
+  let hand_out set on_ready =
+    let handed = set.hand_len > 0 in
+    for k = 0 to set.hand_len - 1 do
+      let dnode = set.hand_nodes.(k) in
+      dnode.ready_ins <- set.hand_ins.(k) :: dnode.ready_ins;
+      on_ready dnode.id
+    done;
+    set.hand_len <- 0;
+    handed
+
+  (* In-process frames need no fd: the senders' notifications become
+     activations. *)
+  let rec activate on_ready = function
+    | [] -> ()
+    | (dnode : node) :: rest ->
+        Atomic.set dnode.ipc_queued false;
+        on_ready dnode.id;
+        activate on_ready rest
 
   let env_flag name =
     match Sys.getenv_opt name with
@@ -743,7 +837,12 @@ module Sockets = struct
                 let co =
                   {
                     addr = addrs.(dst);
+                    local =
+                      (match addrs.(dst) with
+                      | Unix.ADDR_UNIX _ -> hosted.(dst)
+                      | Unix.ADDR_INET _ -> None);
                     fd = None;
+                    peer = None;
                     out = Stream_io.out out_initial;
                     bounds = Queue.create ();
                     head_off = 0;
@@ -861,20 +960,9 @@ module Sockets = struct
        each event is dispatched through the fd index and surfaced to the
        caller as an [on_ready owner] activation, so the shard loop knows
        exactly which nodes to poll — no per-node scan at any point. *)
-    let wait set ~timeout_s ~on_ready =
+    let visit set ~in_hand ~timeout_s ~on_ready =
       let timeout = ref (Float.max 0.0 (Float.min timeout_s max_wait_s)) in
-      (* In-process frames need no fd: drain the senders' notifications
-         into activations. *)
-      let rec activate = function
-        | [] -> ()
-        | (dnode : node) :: rest ->
-            Atomic.set dnode.ipc_queued false;
-            on_ready dnode.id;
-            activate rest
-      in
-      let woken = Mailbox.drain set.bell.notified in
-      activate woken;
-      if woken <> [] then timeout := 0.0;
+      if in_hand then timeout := 0.0;
       (* Down peers with queued bytes wake their owner when the backoff
          expires; until then they bound the sleep. *)
       if set.retry_outs <> [] then begin
@@ -923,12 +1011,9 @@ module Sockets = struct
          end
          else Atomic.incr stats.spin_misses
        end);
-      (* With in-process work already in hand, the kernel visit can be
-         pure overhead: there is nothing to block for (timeout 0). The
-         absence of socket events cannot be proved from user space, so
-         skips are bounded: every 64th wait visits the kernel and picks
-         up whatever accrued. *)
-      if woken <> [] && !timeout <= 0.0 && set.wait_skips < 63 then
+      (* Work in hand skips the kernel here too, once the retries are
+         settled (see [wait]). *)
+      if in_hand && !timeout <= 0.0 && set.wait_skips < 63 then
         set.wait_skips <- set.wait_skips + 1
       else begin
         set.wait_skips <- 0;
@@ -973,9 +1058,10 @@ module Sockets = struct
           (fun (cfd, co) ->
             unreg stats set cfd;
             close_quietly cfd;
-            co.fd <- None)
+            co.fd <- None;
+            co.peer <- None)
           !dead_outs;
-        activate (Mailbox.drain set.bell.notified);
+        activate on_ready (Mailbox.drain set.bell.notified);
         (* Only the spin window reads the gap estimate. *)
         if spin && ready > 0 then begin
           let now = Unix.gettimeofday () in
@@ -984,6 +1070,23 @@ module Sockets = struct
           set.last_event <- now
         end
       end
+    in
+    (* Paired and in-process work first: their nodes are known without
+       the kernel. With such work in hand, the kernel visit can be pure
+       overhead: there is nothing to block for (timeout 0). The absence
+       of other socket events (accepts, frames from other shards and
+       processes) cannot be proved from user space, so skips are
+       bounded: every 64th wait visits the kernel and picks up whatever
+       accrued. A skip allocates nothing. *)
+    let wait set ~timeout_s ~on_ready =
+      let handed = hand_out set on_ready in
+      let woken = Mailbox.drain set.bell.notified in
+      activate on_ready woken;
+      let in_hand = handed || match woken with [] -> false | _ -> true in
+      match set.retry_outs with
+      | [] when in_hand && set.wait_skips < 63 ->
+          set.wait_skips <- set.wait_skips + 1
+      | _ -> visit set ~in_hand ~timeout_s ~on_ready
     in
     (* Build the shard's set with its wake pipe and listeners
        registered, once. *)
@@ -1004,9 +1107,14 @@ module Sockets = struct
               true);
           resync = (fun _ -> Atomic.incr stats.resync_skips);
           retry_outs = [];
+          hand_nodes = [||];
+          hand_ins = [||];
+          hand_len = 0;
           ewma_gap = 1e-3;
           last_event = Unix.gettimeofday ();
-          wait_skips = 0;
+          (* The first wait visits the kernel: it has no earlier
+             visit to count from. *)
+          wait_skips = 63;
         }
       in
       List.iter (track_node set) nodes;

@@ -39,7 +39,18 @@
     events (and, on loopback, due frames) are surfaced to the caller as
     [on_ready owner] activations so the shard loop knows exactly which
     nodes to poll. On both transports a node must be adopted before its
-    first {!poll}. *)
+    first {!poll}.
+
+    {b Socket pairs.} A node sending to a destination that the same
+    shard hosts behind a Unix-domain address gets a [socketpair(2)]
+    instead of a dialled connection: the receive end is registered as
+    the destination's inbound connection at once, neither listener is
+    involved, and each flush that writes bytes on the pair queues that
+    one receive end for the next {!wait}, which activates its node
+    without asking the kernel. A same-shard hop therefore costs one
+    [write] and one [read]. Peers on another shard of this transport,
+    in another process or behind TCP addresses keep connect/accept and
+    the kernel's readiness report. *)
 
 type stats = {
   frames_sent : int Atomic.t;
@@ -178,7 +189,12 @@ val wait :
 
     On sockets this blocks in the shard's readiness set at O(ready)
     cost; pending reconnect deadlines bound the sleep and activate their
-    owner when due. On loopback it reports the owners whose frames are
+    owner when due. A wait that finds work in hand (socket-pair frames
+    flushed since the last wait, or in-process frames) activates it and
+    skips the kernel, at most 63 times in a row: the first wait and
+    every 64th still visit the kernel, with timeout 0. So listener
+    accepts and frames from other shards and processes wait at most 63
+    loop passes while a shard always has paired work. On loopback it reports the owners whose frames are
     due, sleeping first (at most until the earliest due frame) only if
     none is. A loopback send wakes the destination's sleeping shard. *)
 
@@ -225,10 +241,9 @@ val sockets :
 
     [inproc] (default [TR_INPROC], else off) routes frames between
     co-hosted nodes through lock-free in-process mailboxes — identical
-    framing and delivery order, zero syscalls per hop. A {!wait} that
-    drained in-process work skips the kernel visit entirely when it has
-    nothing to block for, at most 63 times in a row, so socket fds are
-    still visited. Cross-process peers are unaffected.
+    framing and delivery order, zero syscalls per hop. In-process work
+    in hand lets a {!wait} skip the kernel as paired work does.
+    Cross-process peers are unaffected.
     @raise Invalid_argument on bad [owned] ids or array size.
     @raise Failure on a bad [TR_READINESS] value, or when a hosted
     node's listener cannot be created (missing Unix-domain directory,

@@ -283,7 +283,7 @@ module Make (P : Node_intf.PROTOCOL) = struct
           Node_host.create
             (module P)
             ~n:config.n ~seed:config.seed ~metrics ?observe ~chaos:config.chaos
-            ~now:(fun () -> clock.now)
+            ~now:(fun _ -> clock.now)
             ();
         crashed = Array.make config.n false;
         events_processed = 0;

@@ -257,6 +257,11 @@ let oldest_arrival t ~node =
   let q = t.pending.(node) in
   if q.len = 0 then None else Some q.buf.(q.head)
 
+let[@inline] oldest_arrival_exn t ~node =
+  let q = t.pending.(node) in
+  if q.len = 0 then invalid_arg "Metrics.oldest_arrival_exn: nothing pending";
+  q.buf.(q.head)
+
 let total_pending t = t.total_pending
 let serves t = t.serves
 let responsiveness t = t.responsiveness.summary

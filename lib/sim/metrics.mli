@@ -46,6 +46,12 @@ val pending : t -> node:int -> int
 (** [oldest_arrival t ~node] is the arrival time of the node's oldest
     outstanding request, if any. *)
 val oldest_arrival : t -> node:int -> float option
+
+(** As {!oldest_arrival}, without the option: where the caller inlines
+    it, it allocates nothing.
+    @raise Invalid_argument if [node] has nothing pending. *)
+val oldest_arrival_exn : t -> node:int -> float
+
 val total_pending : t -> int
 val serves : t -> int
 val responsiveness : t -> Tr_stats.Summary.t

@@ -6,7 +6,7 @@ type 'msg t = {
   observe : 'msg Node_intf.observer option;
   chaos : Tr_chaos.Injector.t option;
   lock : Mutex.t option;
-  now : unit -> float;
+  now : int -> float;  (** The instant of a node's running handler. *)
   (* [epochs.(node).(key)]; a key past its row is epoch 0. A row
      grows when its own node cancels a key past its end. *)
   epochs : int array array;
@@ -62,12 +62,12 @@ let cancel h ~node ~key =
 let[@inline] down h ~node =
   match h.chaos with
   | None -> false
-  | Some inj -> Tr_chaos.Injector.node_down inj ~now:(h.now ()) ~node
+  | Some inj -> Tr_chaos.Injector.node_down inj ~now:(h.now node) ~node
 
 let down_until h ~node =
   match h.chaos with
-  | None -> h.now ()
-  | Some inj -> Tr_chaos.Injector.down_until inj ~now:(h.now ()) ~node
+  | None -> h.now node
+  | Some inj -> Tr_chaos.Injector.down_until inj ~now:(h.now node) ~node
 
 let[@inline] request h ~time ~node =
   lock h;
@@ -77,22 +77,22 @@ let[@inline] request h ~time ~node =
 
 let[@inline] delivered h ~src ~dst msg =
   match h.observe with
-  | Some f -> f ~time:(h.now ()) (Delivered { src; dst; msg })
+  | Some f -> f ~time:(h.now dst) (Delivered { src; dst; msg })
   | None -> ()
 
 let dropped h ~src ~dst msg =
   match h.observe with
-  | Some f -> f ~time:(h.now ()) (Dropped { src; dst; msg })
+  | Some f -> f ~time:(h.now src) (Dropped { src; dst; msg })
   | None -> ()
 
 let[@inline] timer_fired h ~node ~key =
   match h.observe with
-  | Some f -> f ~time:(h.now ()) (Timer_fired { node; key })
+  | Some f -> f ~time:(h.now node) (Timer_fired { node; key })
   | None -> ()
 
 let crashed h ~node =
   match h.observe with
-  | Some f -> f ~time:(h.now ()) (Crashed { node })
+  | Some f -> f ~time:(h.now node) (Crashed { node })
   | None -> ()
 
 let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
@@ -104,7 +104,7 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
     Metrics.on_message h.metrics channel cls;
     unlock h;
     (match h.observe with
-    | Some f -> f ~time:(h.now ()) (Sent { src = node; dst; channel; msg })
+    | Some f -> f ~time:(h.now node) (Sent { src = node; dst; channel; msg })
     | None -> ());
     (* The message is counted and observed before it leaves: the trace
        digests pin the Sent line ahead of any Dropped line, and the
@@ -119,21 +119,22 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
     match h.chaos with
     | None -> arm ~node ~delay ~key ~epoch
     | Some inj ->
-        let scale = Tr_chaos.Injector.timer_scale inj ~now:(h.now ()) ~node in
+        let scale = Tr_chaos.Injector.timer_scale inj ~now:(h.now node) ~node in
         arm ~node ~delay:(delay *. scale) ~key ~epoch
   in
   let serve () =
-    let time = h.now () in
+    let time = h.now node in
     if Metrics.pending h.metrics ~node = 0 then
       invalid_arg
         (Printf.sprintf "Node_host: node %d served with no pending request"
            node);
     (* Outside the lock, like every emit: an observer may call back into
-       the runtime. The option is only built when one is attached. *)
+       the runtime. *)
     (match h.observe with
     | Some f ->
-        let arrival = Option.get (Metrics.oldest_arrival h.metrics ~node) in
-        f ~time (Served { node; waited = time -. arrival })
+        f ~time
+          (Served
+             { node; waited = time -. Metrics.oldest_arrival_exn h.metrics ~node })
     | None -> ());
     lock h;
     Metrics.on_serve h.metrics ~time ~node;
@@ -146,7 +147,7 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
   {
     Node_intf.self = node;
     n = h.n;
-    now = h.now;
+    now = (fun () -> h.now node);
     rng = Rng.create ((h.seed * 1_000_003) + node);
     send;
     set_timer;
@@ -160,7 +161,7 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
         Metrics.on_token_possession h.metrics ~node;
         unlock h;
         match h.observe with
-        | Some f -> f ~time:(h.now ()) (Token_at { node })
+        | Some f -> f ~time:(h.now node) (Token_at { node })
         | None -> ());
     search_forward =
       (fun () ->
@@ -168,11 +169,11 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
         Metrics.on_search_forward h.metrics;
         unlock h;
         match h.observe with
-        | Some f -> f ~time:(h.now ()) (Search_forward { node })
+        | Some f -> f ~time:(h.now node) (Search_forward { node })
         | None -> ());
     note =
       (fun thunk ->
         match h.observe with
-        | Some f -> f ~time:(h.now ()) (Note { node; text = thunk () })
+        | Some f -> f ~time:(h.now node) (Note { node; text = thunk () })
         | None -> ());
   }
