@@ -45,20 +45,25 @@ let run ~domains =
   let rss_reset = E.reset_peak_rss () in
   let system = Tr_specs.System_binsearch.system ~n in
   let init = Tr_specs.System_binsearch.initial ~n ~data_budget in
-  let o = E.explore ~max_states:cap ~domains system ~init in
+  let t0 = Unix.gettimeofday () in
+  let stats, _ = E.bfs ~max_states:cap ~domains system ~init in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let states_per_s =
+    if wall_s > 0.0 then float_of_int stats.E.states /. wall_s else 0.0
+  in
+  let peak_rss_kb = E.peak_rss_kb () in
   Format.eprintf "  %d states in %.2f s (%.0f states/s), peak RSS %d kB%s@."
-    o.E.stats.E.states o.E.perf.E.wall_s o.E.perf.E.states_per_s
-    o.E.perf.E.peak_rss_kb
+    stats.E.states wall_s states_per_s peak_rss_kb
     (if rss_reset then "" else " (cumulative: RSS reset unavailable)");
   {
     domains;
-    states = o.E.stats.E.states;
-    transitions = o.E.stats.E.transitions;
-    max_depth = o.E.stats.E.max_depth;
-    truncated = o.E.stats.E.truncated;
-    wall_s = o.E.perf.E.wall_s;
-    states_per_s = o.E.perf.E.states_per_s;
-    peak_rss_kb = o.E.perf.E.peak_rss_kb;
+    states = stats.E.states;
+    transitions = stats.E.transitions;
+    max_depth = stats.E.max_depth;
+    truncated = stats.E.truncated;
+    wall_s;
+    states_per_s;
+    peak_rss_kb;
     rss_reset;
   }
 

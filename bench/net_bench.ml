@@ -25,6 +25,7 @@ module Clock = Tr_net_rt.Clock
 module Transport = Tr_net_rt.Transport
 module Cluster = Tr_net_rt.Cluster
 module Readiness = Tr_net_rt.Readiness
+module Stream_io = Tr_net_rt.Stream_io
 module Codec = Tr_wire.Codec
 module Codecs = Tr_wire.Codecs
 module Metrics = Tr_sim.Metrics
@@ -79,12 +80,10 @@ let pump_loopback ~total () =
   while !received < total do
     let k = Stdlib.min batch (total - !sent) in
     for _ = 1 to k do
-      let frame =
-        Codec.encode_frame scratch Codecs.ring ~src:0
-          ~channel:Tr_sim.Network.Reliable
-          (Tr_proto.Ring.Token { stamp = !sent })
-      in
-      Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0 frame;
+      Codec.encode_payload scratch Codecs.ring ~src:0
+        ~channel:Tr_sim.Network.Reliable
+        (Tr_proto.Ring.Token { stamp = !sent })
+      |> Transport.send_payload t ~src:0 ~dst:1 ~delay:0.0;
       incr sent
     done;
     (* The wait settles the batch and reports node 1's due frames;
@@ -93,8 +92,8 @@ let pump_loopback ~total () =
     Transport.poll t ~owner:1 on_frame
   done;
   Transport.close t;
-  let stats = Transport.stats t in
-  (Atomic.get stats.Transport.frames_sent, Atomic.get stats.Transport.bytes_sent)
+  let s = Transport.snapshot t in
+  (s.Transport.snap_frames_sent, s.Transport.snap_bytes_sent)
 
 let with_temp_dir f =
   let dir =
@@ -135,12 +134,10 @@ let pump_uds ~total () =
       while !received < total do
         let k = Stdlib.min batch (total - !sent) in
         for _ = 1 to k do
-          let frame =
-            Codec.encode_frame scratch Codecs.ring ~src:0
-              ~channel:Tr_sim.Network.Reliable
-              (Tr_proto.Ring.Token { stamp = !sent })
-          in
-          Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0 frame;
+          Codec.encode_payload scratch Codecs.ring ~src:0
+            ~channel:Tr_sim.Network.Reliable
+            (Tr_proto.Ring.Token { stamp = !sent })
+          |> Transport.send_payload t ~src:0 ~dst:1 ~delay:0.0;
           incr sent
         done;
         (* Flush node 0's coalesced buffer, let the wait report node 1's
@@ -149,12 +146,12 @@ let pump_uds ~total () =
         Transport.wait t shard ~timeout_s:0.0 ();
         Transport.poll t ~owner:1 on_frame
       done;
-      let stats = Transport.stats t in
+      let s = Transport.snapshot t in
       let counters =
-        ( Atomic.get stats.Transport.frames_sent,
-          Atomic.get stats.Transport.bytes_sent,
-          Atomic.get stats.Transport.write_syscalls,
-          Atomic.get stats.Transport.read_syscalls )
+        ( s.Transport.snap_frames_sent,
+          s.Transport.snap_bytes_sent,
+          s.Transport.snap_write_syscalls,
+          s.Transport.snap_read_syscalls )
       in
       Transport.close t;
       counters)
@@ -480,6 +477,30 @@ let micro () =
         done;
         ignore (Tr_net_rt.Mailbox.drain mb)
       done);
+  (* The socket hop's floor: what a ring-uds hop costs the kernel
+     alone. One 12-byte frame written into one of 1024 Unix-domain
+     socket pairs and read out at the other end, the next pair each
+     time, as the ring's token goes round; no decode, no handler. *)
+  ignore (Readiness.raise_nofile ());
+  let pairs =
+    Array.init 1024 (fun _ ->
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock a;
+        Unix.set_nonblock b;
+        (a, b))
+  in
+  let hop = Bytes.make 12 '\000' and into = Bytes.create 65536 in
+  stage "socket_hop_floor" (fun () ->
+      for i = 1 to iters do
+        let a, b = pairs.(i land 1023) in
+        if Stream_io.write a hop 0 12 <> 12 then failwith "short write";
+        if Stream_io.read b into 0 65536 <> 12 then failwith "short read"
+      done);
+  Array.iter
+    (fun (a, b) ->
+      Unix.close a;
+      Unix.close b)
+    pairs;
   let pq = Tr_sim.Pqueue.create () in
   stage "pqueue_push_pop" (fun () ->
       for _ = 1 to iters / 64 do

@@ -99,6 +99,8 @@ type ('state, 'msg) rt = {
   id : int;
   mutable st : 'state;
   ctx : 'msg Node_intf.ctx;
+  mutable on_view : Frame.view -> unit;
+      (** The node's delivery callback, built once. *)
 }
 
 let validate (config : config) =
@@ -168,6 +170,11 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
   let lock = if shards > 1 then Some (Mutex.create ()) else None in
   let stop_flag = Atomic.make false in
   let alive = Array.init n (fun _ -> Atomic.make true) in
+  (* Kills so far: while none, every node is alive, and a step reads
+     this one shared counter instead of its node's own flag. A kill
+     counts after it clears the flag. *)
+  let kills = Atomic.make 0 in
+  let is_alive i = Atomic.get kills = 0 || Atomic.get alive.(i) in
   let failure_box : exn option Atomic.t = Atomic.make None in
   let signal_stop () =
     Atomic.set stop_flag true;
@@ -182,21 +189,74 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
       Transport.wake tshards.(shard_of.(i))
     end
   in
-  (* Same-shard activation (a serve re-arming its own node): the shard
-     drains its mailbox before every sleep, so no pipe write is needed. *)
-  let note_local i =
-    if shard_of.(i) >= 0 then Mailbox.push act_inbox.(shard_of.(i)) i
+  (* A closed-loop re-request never leaves its shard: the serve that
+     makes it runs there. Its time waits in the node's own ring and its
+     node in the shard's [requeued] list, which the shard drains where
+     it drains its mailbox, so the node's next step runs [on_request]
+     as a mailbox arrival would have, with no atomic and no
+     allocation. A shard's rings share one flat array of its own,
+     [local_cap.(s)] slots a node, so that neighbours' times share cache
+     lines; a node that needs more slots doubles its shard's rings.
+     [local_len.(i)] is also the count [pending_at] adds: an int read
+     from another domain never tears. *)
+  let local_cap = Array.make shards 1 in
+  let local_times = Array.init shards (fun _ -> Array.make n 0.0) in
+  let local_head = Array.make n 0 in
+  let local_len = Array.make n 0 in
+  let requeued = Array.init shards (fun _ -> Array.make 16 0) in
+  let requeued_len = Array.make shards 0 in
+  let local_slot i k =
+    let cap = local_cap.(shard_of.(i)) in
+    let p = local_head.(i) + k in
+    (i * cap) + if p >= cap then p - cap else p
+  in
+  let grow_local s =
+    let cap = local_cap.(s) in
+    let bigger = Array.make (n * 2 * cap) 0.0 in
+    for j = 0 to n - 1 do
+      if shard_of.(j) = s then begin
+        for k = 0 to local_len.(j) - 1 do
+          bigger.((j * 2 * cap) + k) <- local_times.(s).(local_slot j k)
+        done;
+        local_head.(j) <- 0
+      end
+    done;
+    local_times.(s) <- bigger;
+    local_cap.(s) <- 2 * cap
+  in
+  let requeue i at =
+    let s = shard_of.(i) in
+    let k = local_len.(i) in
+    if k = local_cap.(s) then grow_local s;
+    local_times.(s).(local_slot i k) <- at;
+    local_len.(i) <- k + 1;
+    let len = requeued_len.(s) in
+    if len = Array.length requeued.(s) then begin
+      let bigger = Array.make (2 * len) 0 in
+      Array.blit requeued.(s) 0 bigger 0 len;
+      requeued.(s) <- bigger
+    end;
+    requeued.(s).(len) <- i;
+    requeued_len.(s) <- len + 1
   in
   (* Timer plumbing, index-addressed so ctx closures need no [rt]. *)
   let timers = Array.init n (fun _ -> Pqueue.create ()) in
+  (* [armed.(i)] is the length of [timers.(i)]: a step of a node with
+     no timer reads one int, not the queue. *)
+  let armed = Array.make n 0 in
   let req_inbox : float Mailbox.t array = Array.init n (fun _ -> Mailbox.create ()) in
   (* Requests pushed but not yet drained by the owning shard. Metrics
      only learn of a request at drain time, so [pending_at] adds this
      on top — otherwise a poll racing the shard (chaos recovery probes)
      reads pending=0 for a request that is merely still in the mailbox. *)
   let req_inflight = Array.init n (fun _ -> Atomic.make 0) in
+  (* Requests pushed to a shard's nodes and not yet drained, counted
+     before the push: while it reads 0, a step need not look at its
+     node's mailbox. *)
+  let arriving = Array.init (Stdlib.max 1 shards) (fun _ -> Atomic.make 0) in
   let push_request i at =
     Atomic.incr req_inflight.(i);
+    if shard_of.(i) >= 0 then Atomic.incr arriving.(shard_of.(i));
     Mailbox.push req_inbox.(i) at
   in
   (* Chaos holdback: reordered frames wait here (per source node, owned
@@ -212,7 +272,10 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
     {
       kill =
         (fun i ->
-          if i >= 0 && i < n then Atomic.set alive.(i) false);
+          if i >= 0 && i < n then begin
+            Atomic.set alive.(i) false;
+            Atomic.incr kills
+          end);
       request_stop = signal_stop;
       live_now = (fun () -> Clock.now clock);
       inject =
@@ -220,7 +283,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
           (* External request arrival (service front-end): queue it for
              the owning shard and poke that shard's wake pipe. Safe from
              any domain — the mailbox is lock-free. *)
-          if i >= 0 && i < n && Atomic.get alive.(i) then begin
+          if i >= 0 && i < n && is_alive i then begin
             push_request i (Clock.now clock);
             wake_node i
           end);
@@ -236,18 +299,9 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
             (match lock with
             | Some mu -> Mutex.protect mu (fun () -> Metrics.pending metrics ~node:i)
             | None -> Metrics.pending metrics ~node:i)
-            + Atomic.get req_inflight.(i));
+            + Atomic.get req_inflight.(i)
+            + local_len.(i));
     }
-  in
-  (* The tap is the observer's deliveries, handed the control handle. *)
-  let tap =
-    match tap with
-    | None -> None
-    | Some f ->
-        Some
-          (fun ~time:_ -> function
-            | Node_intf.Delivered { dst; msg; _ } -> f control ~self:dst msg
-            | _ -> ())
   in
   (* Each handler runs at one instant: the clock is read the first time
      the handler asks (for an event's time, a serve, a due time, a
@@ -255,22 +309,19 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
      [fresh] opens a node's slot before each handler; only the node's
      own shard touches it. *)
   let instants = Array.make n Float.nan in
+  let stamp i =
+    if Float.is_nan instants.(i) then instants.(i) <- Clock.now clock
+  in
   let now_at i =
-    let t = instants.(i) in
-    if Float.is_nan t then begin
-      let t = Clock.now clock in
-      instants.(i) <- t;
-      t
-    end
-    else t
+    stamp i;
+    instants.(i)
   in
   let fresh i = instants.(i) <- Float.nan in
   let host =
     Node_host.create
       (module P)
-      ~n ~seed:config.seed ~metrics
-      ?observe:(Node_host.tee observe tap)
-      ~chaos:config.chaos ?lock ~now:now_at ()
+      ~n ~seed:config.seed ~metrics ?observe ~chaos:config.chaos ?lock
+      ~instants ~stamp ()
   in
   (* Chaos interposition, live side: pre-encode decisions (drop /
      duplicate / reorder), post-encode byte flips for corruption —
@@ -281,8 +332,8 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
   let leave scratch ~src ~dst channel msg =
     match config.chaos with
     | None ->
-        let frame = Codec.encode_frame scratch codec ~src ~channel msg in
-        Transport.send_frame transport ~src ~dst ~delay:hop_units frame
+        Transport.send_payload transport ~src ~dst ~delay:hop_units
+          (Codec.encode_payload scratch codec ~src ~channel msg)
     | Some inj ->
         let now_u = now_at src in
         let a = Tr_chaos.Injector.on_send inj ~now:now_u ~src ~dst in
@@ -312,6 +363,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
   let arm ~node ~delay ~key ~epoch =
     let at = now_at node +. delay in
     Pqueue.push timers.(node) ~time:at (key, epoch);
+    armed.(node) <- armed.(node) + 1;
     Pqueue.push timer_index.(shard_of.(node)) ~time:at node
   in
   (* [serves] was read under the lock together with this serve's own count:
@@ -320,11 +372,10 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
   let served ~node ~serves =
     (match config.load with
     | Closed_loop _ ->
-        (* Re-arm through the mailbox so the protocol handler finishes
-           before the next on_request fires (the simulator queues the
-           re-request as an event for the same reason). *)
-        push_request node (now_at node);
-        note_local node
+        (* Re-arm through the shard's queue so the protocol handler
+           finishes before the next on_request fires (the simulator
+           queues the re-request as an event for the same reason). *)
+        requeue node (now_at node)
     | _ -> ());
     match config.stop with
     | Grants k -> if serves >= k then signal_stop ()
@@ -350,7 +401,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
               Node_host.ctx host i ~leave:(leave (Codec.scratch ())) ~arm
                 ~served
             in
-            { id = i; st = P.init ctx; ctx })
+            { id = i; st = P.init ctx; ctx; on_view = ignore })
           owned)
   in
   (* Closed-loop priming: [depth] outstanding requests per node at t=0. *)
@@ -375,7 +426,7 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
           while !next <= now_u && not (Atomic.get stop_flag) do
             let live = ref 0 in
             for j = 0 to n_owned - 1 do
-              if Atomic.get alive.(owned_arr.(j)) then incr live
+              if is_alive owned_arr.(j) then incr live
             done;
             (if !live = 0 then signal_stop ()
              else begin
@@ -386,9 +437,9 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
                let k = ref (Rng.int rng !live) and j = ref 0 in
                while
                  !j < n_owned - 1
-                 && (!k > 0 || not (Atomic.get alive.(owned_arr.(!j))))
+                 && (!k > 0 || not (is_alive owned_arr.(!j)))
                do
-                 if Atomic.get alive.(owned_arr.(!j)) then decr k;
+                 if is_alive owned_arr.(!j) then decr k;
                  incr j
                done;
                let pick = owned_arr.(!j) in
@@ -412,6 +463,51 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
       done
     end
   in
+  (* One decode cursor per shard, repointed at each frame. *)
+  let cursors =
+    Array.init shards (fun _ -> Buf.Dec.of_bytes Bytes.empty ~pos:0 ~limit:0)
+  in
+  (* Deliveries decode straight into the handler: no envelope, result or
+     closure is made per frame. *)
+  let on_view rt =
+    let i = rt.id and cur = cursors.(shard_of.(rt.id)) in
+    let on_msg src (_ : Network.channel) msg =
+      if is_alive i then begin
+        (* Emitted before the handler, which runs whatever the observer
+           does: one that kills this node models a crash just after
+           handling the message — e.g. while holding a token it has
+           already acknowledged. *)
+        fresh i;
+        Node_host.delivered host ~src ~dst:i msg;
+        (match tap with Some f -> f control ~self:i msg | None -> ());
+        rt.st <- P.on_message rt.ctx rt.st ~src msg
+      end
+    in
+    let on_error (_ : Buf.error) =
+      Transport.count_decode_error transport ~owner:i
+    in
+    fun (v : Frame.view) ->
+      Buf.Dec.reset cur v.Frame.buf ~pos:v.Frame.off
+        ~limit:(v.Frame.off + v.Frame.len);
+      Codec.decode_with codec cur ~ok:on_msg ~error:on_error
+  in
+  List.iter (fun rt -> rt.on_view <- on_view rt) rts;
+  let discard (_ : Frame.view) = () in
+  let request rt at =
+    let i = rt.id in
+    fresh i;
+    Node_host.request host ~time:at ~node:i;
+    rt.st <- P.on_request rt.ctx rt.st
+  in
+  let rec requests rt = function
+    | [] -> ()
+    | at :: rest ->
+        request rt at;
+        (* Decrement after the metric records it: [pending_at] may
+           briefly double-count, never read 0 for a queued request. *)
+        Atomic.decr req_inflight.(rt.id);
+        requests rt rest
+  in
   let step_node rt now_u =
     let i = rt.id in
     fresh i;
@@ -420,53 +516,49 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
       (* Churned out: frames addressed to it are destroyed, timers and
          queued arrivals are parked for rejoin. Re-index the node at the
          window's close so the shard re-activates it then. *)
-      Transport.poll transport ~owner:i (fun _ -> ());
+      Transport.poll transport ~owner:i discard;
       let resume = Node_host.down_until host ~node:i in
       Pqueue.push timer_index.(shard_of.(i)) ~time:resume i
     end
     else
-    let arrivals = Mailbox.drain req_inbox.(i) in
-    if Atomic.get alive.(i) then begin
-      List.iter
-        (fun at ->
-          fresh i;
-          Node_host.request host ~time:at ~node:i;
-          (* Decrement after the metric records it: [pending_at] may
-             briefly double-count, never read 0 for a queued request. *)
-          Atomic.decr req_inflight.(i);
-          rt.st <- P.on_request rt.ctx rt.st)
-        arrivals;
+    let arrivals =
+      let waiting = arriving.(shard_of.(i)) in
+      if Atomic.get waiting = 0 || Mailbox.is_empty req_inbox.(i) then []
+      else begin
+        let drained = Mailbox.drain req_inbox.(i) in
+        ignore (Atomic.fetch_and_add waiting (- List.length drained) : int);
+        drained
+      end
+    in
+    if is_alive i then begin
+      (* Re-requests first, in the order they were made: a mailbox
+         arrival comes from another domain, unordered against them. *)
+      for _ = 1 to local_len.(i) do
+        (* The front time stays queued, and counted, until its request
+           is recorded. A handler may re-request meanwhile: that lands
+           behind these, for the next step. *)
+        let s = shard_of.(i) in
+        request rt local_times.(s).(local_slot i 0);
+        let h = local_head.(i) + 1 in
+        local_head.(i) <- (if h = local_cap.(s) then 0 else h);
+        local_len.(i) <- local_len.(i) - 1
+      done;
+      requests rt arrivals;
       let tq = timers.(i) in
-      let deliver ?upto () =
-        Transport.poll transport ?upto ~owner:i (fun view ->
-            match Codec.decode_view codec view with
-            | Error _ -> Transport.count_decode_error transport
-            | Ok { Codec.src; channel = _; msg } ->
-                if Atomic.get alive.(i) then begin
-                  (* Emitted before the handler, which runs whatever the
-                     observer does: one that kills this node models a
-                     crash just after handling the message — e.g. while
-                     holding a token it has already acknowledged. *)
-                  fresh i;
-                  Node_host.delivered host ~src ~dst:i msg;
-                  rt.st <- P.on_message rt.ctx rt.st ~src msg
-                end)
-      in
       (* Interleave timers and frame deliveries in due-time order, as
          the discrete-event engine would: when the shard runs late both
          may be due at once, and firing an ack timeout before the ack
          frame that precedes it would fabricate a failure. *)
       let continue = ref true in
-      while
-        !continue && (not (Pqueue.is_empty tq)) && Pqueue.top_time_exn tq <= now_u
-      do
+      while !continue && armed.(i) > 0 && Pqueue.top_time_exn tq <= now_u do
         let tt = Pqueue.top_time_exn tq in
-        deliver ~upto:tt ();
+        Transport.poll transport ~upto:tt ~owner:i rt.on_view;
         (* Deliveries may have armed an earlier timer or cancelled this
            one; only fire if this slot is still frontmost. *)
-        if (not (Pqueue.is_empty tq)) && Pqueue.top_time_exn tq <= tt then begin
+        if armed.(i) > 0 && Pqueue.top_time_exn tq <= tt then begin
           let key, ep = Pqueue.pop_exn tq in
-          if Atomic.get alive.(i) then begin
+          armed.(i) <- armed.(i) - 1;
+          if is_alive i then begin
             if Node_host.timer_live host ~node:i ~key ~epoch:ep then begin
               fresh i;
               Node_host.timer_fired host ~node:i ~key;
@@ -476,18 +568,21 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
           else continue := false
         end
       done;
-      if Atomic.get alive.(i) then deliver ()
+      if is_alive i then Transport.poll transport ~owner:i rt.on_view
       else begin
         Pqueue.clear tq;
-        Transport.poll transport ~owner:i (fun _ -> ())
+        armed.(i) <- 0;
+        Transport.poll transport ~owner:i discard
       end
     end
     else begin
       (* Dead node: everything addressed to it evaporates. The drained
-         arrivals keep their [req_inflight] counts — a dead node can
-         never serve, so [pending_at] must not read 0 for them. *)
+         arrivals keep their [req_inflight] counts and re-requests their
+         [local_len] — a dead node can never serve, so [pending_at] must
+         not read 0 for them. *)
       Pqueue.clear timers.(i);
-      Transport.poll transport ~owner:i (fun _ -> ())
+      armed.(i) <- 0;
+      Transport.poll transport ~owner:i discard
     end
   in
   let shard_rts =
@@ -513,15 +608,33 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
     let rt_of = Array.make n None in
     List.iter (fun rt -> rt_of.(rt.id) <- Some rt) shard_rts;
     let on_q = Array.make n false in
-    let q = Queue.create () in
+    (* The activation FIFO: a ring of node ids, grown on demand. *)
+    let q = ref (Array.make 64 0) and q_head = ref 0 and q_len = ref 0 in
     let activate i =
       if i >= 0 && i < n && not on_q.(i) then begin
         on_q.(i) <- true;
-        Queue.add i q
+        let a = !q in
+        let cap = Array.length a in
+        if !q_len = cap then begin
+          let b = Array.make (2 * cap) 0 in
+          for k = 0 to cap - 1 do
+            b.(k) <- a.((!q_head + k) land (cap - 1))
+          done;
+          q := b;
+          q_head := 0
+        end;
+        let a = !q in
+        a.((!q_head + !q_len) land (Array.length a - 1)) <- i;
+        incr q_len
       end
     in
+    let on_ready = Some activate in
     (* Sweep every owner once: init sends are still unflushed. *)
     List.iter (fun rt -> activate rt.id) shard_rts;
+    (* Floats compared in place: [Float.min] and [Float.max] are calls
+       that box. *)
+    let fmin (a : float) b = if a <= b then a else b in
+    let wall_cap_u = config.max_wall_s /. config.unit_s in
     try
       while not (Atomic.get stop_flag) do
         let now_u = Clock.now clock in
@@ -531,16 +644,23 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
             if now_u >= stop_at then signal_stop ();
             match open_loop with Some (pump, _) -> pump now_u | None -> ()
           end;
-          List.iter activate (Mailbox.drain inbox);
+          let local = requeued.(shard) in
+          for k = 0 to requeued_len.(shard) - 1 do
+            activate local.(k)
+          done;
+          requeued_len.(shard) <- 0;
+          if not (Mailbox.is_empty inbox) then
+            List.iter activate (Mailbox.drain inbox);
           while
-            match Pqueue.peek_time tindex with
-            | Some t -> t <= now_u
-            | None -> false
+            (not (Pqueue.is_empty tindex)) && Pqueue.top_time_exn tindex <= now_u
           do
             activate (Pqueue.pop_exn tindex)
           done;
-          while not (Queue.is_empty q) do
-            let i = Queue.pop q in
+          while !q_len > 0 do
+            let a = !q in
+            let i = a.(!q_head) in
+            q_head := (!q_head + 1) land (Array.length a - 1);
+            decr q_len;
             on_q.(i) <- false;
             match rt_of.(i) with
             | Some rt -> step_node rt now_u
@@ -548,23 +668,24 @@ let run (type m) ?observe ?tap ?attach ?(backend = Loopback) config
           done;
           if not (Atomic.get stop_flag) then begin
             let next =
-              match Pqueue.peek_time tindex with Some t -> t | None -> infinity
+              if Pqueue.is_empty tindex then infinity
+              else Pqueue.top_time_exn tindex
             in
             (* The lead shard also wakes for the next open-loop arrival
                and for either stop deadline, so none waits out the cap. *)
             let next =
               if lead then
-                Float.min next
-                  (Float.min (Float.min (next_arrival ()) stop_at)
-                     (config.max_wall_s /. config.unit_s))
+                fmin next (fmin (fmin (next_arrival ()) stop_at) wall_cap_u)
               else next
             in
             let timeout_s =
-              if not (Mailbox.is_empty inbox) then 0.0
+              if requeued_len.(shard) > 0 || not (Mailbox.is_empty inbox) then
+                0.0
               else
-                Float.max 0.0 ((next -. Clock.now clock) *. config.unit_s)
+                let t = (next -. Clock.now clock) *. config.unit_s in
+                if t >= 0.0 then t else 0.0
             in
-            Transport.wait transport tshard ~on_ready:activate ~timeout_s ()
+            Transport.wait transport tshard ?on_ready ~timeout_s ()
           end
         end
       done

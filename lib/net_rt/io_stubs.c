@@ -22,6 +22,7 @@
 #define TR_IO_FAILED (-3)     /* anything else */
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -46,17 +47,23 @@ static value tr_io_result(ssize_t n)
   }
 }
 
-/* The caller has checked pos and len against the buffer. */
+/* The caller has checked pos and len against the buffer. The fd is a
+   socket, so these are recv and send: the same bytes as read and write,
+   without the file layer's per-call checks and notifications around
+   them. On a 2-CPU x86-64 VM, a 12-byte write and read over 1024
+   Unix-domain socket pairs took 1.10 us, a send and recv 0.92 us.
+   MSG_NOSIGNAL turns a write to a closed peer into EPIPE on this call
+   alone, SIGPIPE handler or not. */
 CAMLprim value tr_io_read(value fd, value buf, value pos, value len)
 {
   return tr_io_result(
-      read(Int_val(fd), Bytes_val(buf) + Long_val(pos), Long_val(len)));
+      recv(Int_val(fd), Bytes_val(buf) + Long_val(pos), Long_val(len), 0));
 }
 
 CAMLprim value tr_io_write(value fd, value buf, value pos, value len)
 {
-  return tr_io_result(
-      write(Int_val(fd), Bytes_val(buf) + Long_val(pos), Long_val(len)));
+  return tr_io_result(send(Int_val(fd), Bytes_val(buf) + Long_val(pos),
+                           Long_val(len), MSG_NOSIGNAL));
 }
 
 /* CLOCK_MONOTONIC in nanoseconds: 63-bit ints hold 146 years of it. */

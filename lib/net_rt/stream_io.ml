@@ -63,7 +63,9 @@ type out = {
 let out capacity = { bytes = Bytes.create capacity; pos = 0; len = 0 }
 let queued o = o.len - o.pos
 
-let append o ~len blit =
+(* Room for [len] more bytes: the live bytes first move to the
+   buffer's start, then the capacity doubles until they fit. *)
+let reserve o len =
   if o.len + len > Bytes.length o.bytes then begin
     if o.pos > 0 then begin
       Bytes.blit o.bytes o.pos o.bytes 0 (queued o);
@@ -79,8 +81,23 @@ let append o ~len blit =
       Bytes.blit o.bytes 0 bigger 0 o.len;
       o.bytes <- bigger
     end
-  end;
+  end
+
+let append o ~len blit =
+  reserve o len;
   blit o.bytes o.len;
+  o.len <- o.len + len
+
+let frame_length payload =
+  let plen = Buffer.length payload in
+  Frame.header_length plen + plen
+
+let append_frame o payload =
+  let plen = Buffer.length payload in
+  let len = Frame.header_length plen + plen in
+  reserve o len;
+  let h = Frame.write_header o.bytes o.len plen in
+  Buffer.blit payload 0 o.bytes (o.len + h) plen;
   o.len <- o.len + len
 
 let append_buffer o buf =
@@ -103,20 +120,25 @@ let flush fd o =
     wrote
   end
 
-type reader = { buf : Bytes.t; mutable reads : int }
+type reader = { buf : Bytes.t; mutable reads : int; view : Frame.view }
 
-let reader () = { buf = Bytes.create 65536; reads = 0 }
+let reader () =
+  {
+    buf = Bytes.create 65536;
+    reads = 0;
+    view = { Frame.buf = Bytes.empty; off = 0; len = 0 };
+  }
 
-(* Views borrow the decoder's buffer; that is safe because nothing feeds
-   [dec] until the callback returns. Both loops are top-level so that a
-   call allocates no closure. *)
-let rec drain dec ~skip ~view ctx =
-  match Frame.Decoder.next_view dec with
-  | Frame.Decoder.View v -> view ctx v && drain dec ~skip ~view ctx
-  | Frame.Decoder.Skip_view _ ->
+(* The reader lends its one view to every payload; that is safe because
+   nothing feeds [dec] until the callback returns. Both loops are
+   top-level so that a call allocates no closure. *)
+let rec drain r dec ~skip ~view ctx =
+  match Frame.Decoder.next_into dec r.view with
+  | Frame.Decoder.Payload -> view ctx r.view && drain r dec ~skip ~view ctx
+  | Frame.Decoder.Skipped ->
       skip ctx;
-      drain dec ~skip ~view ctx
-  | Frame.Decoder.Await_view -> true
+      drain r dec ~skip ~view ctx
+  | Frame.Decoder.Wait -> true
 
 (* A short read means the socket is drained for now, so only a full
    buffer reads again. *)
@@ -125,7 +147,7 @@ let rec read_frames r fd dec ~skip ~view ctx =
   r.reads <- r.reads + 1;
   if k > 0 then begin
     Frame.Decoder.feed_sub dec r.buf ~pos:0 ~len:k;
-    if drain dec ~skip ~view ctx && k = Bytes.length r.buf then
+    if drain r dec ~skip ~view ctx && k = Bytes.length r.buf then
       read_frames r fd dec ~skip ~view ctx
     else true
   end

@@ -1,5 +1,53 @@
 open Tr_wire
 
+(* One shard's counters. They are plain ints, because only the shard's
+   own domain writes them: its nodes send, read, write and wait there.
+   A node that no shard has adopted yet counts in the transport's own
+   block, which only the domain that drives it before adoption writes.
+   [snapshot] sums the blocks; a reader on another domain sees each
+   int as some value it held, never a torn one. *)
+type counters = {
+  mutable c_frames_sent : int;
+  mutable c_bytes_sent : int;
+  mutable c_frames_received : int;
+  mutable c_decode_errors : int;
+  mutable c_resync_skips : int;
+  mutable c_reconnects : int;
+  mutable c_frames_dropped : int;
+  mutable c_out_hwm_bytes : int;
+  mutable c_write_syscalls : int;
+  mutable c_read_syscalls : int;
+  mutable c_wait_calls : int;
+  mutable c_fds_ready : int;
+  mutable c_fds_registered : int;
+  mutable c_spin_hits : int;
+  mutable c_spin_misses : int;
+  mutable c_inproc_frames : int;
+}
+
+let counters () =
+  {
+    c_frames_sent = 0;
+    c_bytes_sent = 0;
+    c_frames_received = 0;
+    c_decode_errors = 0;
+    c_resync_skips = 0;
+    c_reconnects = 0;
+    c_frames_dropped = 0;
+    c_out_hwm_bytes = 0;
+    c_write_syscalls = 0;
+    c_read_syscalls = 0;
+    c_wait_calls = 0;
+    c_fds_ready = 0;
+    c_fds_registered = 0;
+    c_spin_hits = 0;
+    c_spin_misses = 0;
+    c_inproc_frames = 0;
+  }
+
+(* The totals the latest snapshot read, kept for readers of the
+   record's fields, and the live blocks: the transport's own last,
+   each adopted shard's put in front of it. *)
 type stats = {
   frames_sent : int Atomic.t;
   bytes_sent : int Atomic.t;
@@ -17,9 +65,10 @@ type stats = {
   spin_hits : int Atomic.t;
   spin_misses : int Atomic.t;
   inproc_frames : int Atomic.t;
+  blocks : counters list Atomic.t;
 }
 
-let make_stats () =
+let make_stats base =
   {
     frames_sent = Atomic.make 0;
     bytes_sent = Atomic.make 0;
@@ -37,7 +86,13 @@ let make_stats () =
     spin_hits = Atomic.make 0;
     spin_misses = Atomic.make 0;
     inproc_frames = Atomic.make 0;
+    blocks = Atomic.make [ base ];
   }
+
+let rec add_block stats c =
+  let old = Atomic.get stats.blocks in
+  if not (Atomic.compare_and_set stats.blocks old (c :: old)) then
+    add_block stats c
 
 (* A coherent point-in-time copy: every counter read exactly once, so a
    report racing live shards (or their teardown) can never observe a
@@ -61,30 +116,74 @@ type snapshot = {
   snap_inproc_frames : int;
 }
 
+(* Sum every block, reading each of its counters once, and publish the
+   totals in the stats' own fields. The high-water mark is a maximum,
+   the rest are sums. *)
 let snapshot_of_stats s =
+  let t = counters () in
+  List.iter
+    (fun c ->
+      t.c_frames_sent <- t.c_frames_sent + c.c_frames_sent;
+      t.c_bytes_sent <- t.c_bytes_sent + c.c_bytes_sent;
+      t.c_frames_received <- t.c_frames_received + c.c_frames_received;
+      t.c_decode_errors <- t.c_decode_errors + c.c_decode_errors;
+      t.c_resync_skips <- t.c_resync_skips + c.c_resync_skips;
+      t.c_reconnects <- t.c_reconnects + c.c_reconnects;
+      t.c_frames_dropped <- t.c_frames_dropped + c.c_frames_dropped;
+      t.c_out_hwm_bytes <- Int.max t.c_out_hwm_bytes c.c_out_hwm_bytes;
+      t.c_write_syscalls <- t.c_write_syscalls + c.c_write_syscalls;
+      t.c_read_syscalls <- t.c_read_syscalls + c.c_read_syscalls;
+      t.c_wait_calls <- t.c_wait_calls + c.c_wait_calls;
+      t.c_fds_ready <- t.c_fds_ready + c.c_fds_ready;
+      t.c_fds_registered <- t.c_fds_registered + c.c_fds_registered;
+      t.c_spin_hits <- t.c_spin_hits + c.c_spin_hits;
+      t.c_spin_misses <- t.c_spin_misses + c.c_spin_misses;
+      t.c_inproc_frames <- t.c_inproc_frames + c.c_inproc_frames)
+    (Atomic.get s.blocks);
+  Atomic.set s.frames_sent t.c_frames_sent;
+  Atomic.set s.bytes_sent t.c_bytes_sent;
+  Atomic.set s.frames_received t.c_frames_received;
+  Atomic.set s.decode_errors t.c_decode_errors;
+  Atomic.set s.resync_skips t.c_resync_skips;
+  Atomic.set s.reconnects t.c_reconnects;
+  Atomic.set s.frames_dropped t.c_frames_dropped;
+  Atomic.set s.out_hwm_bytes t.c_out_hwm_bytes;
+  Atomic.set s.write_syscalls t.c_write_syscalls;
+  Atomic.set s.read_syscalls t.c_read_syscalls;
+  Atomic.set s.wait_calls t.c_wait_calls;
+  Atomic.set s.fds_ready t.c_fds_ready;
+  Atomic.set s.fds_registered t.c_fds_registered;
+  Atomic.set s.spin_hits t.c_spin_hits;
+  Atomic.set s.spin_misses t.c_spin_misses;
+  Atomic.set s.inproc_frames t.c_inproc_frames;
   {
-    snap_frames_sent = Atomic.get s.frames_sent;
-    snap_bytes_sent = Atomic.get s.bytes_sent;
-    snap_frames_received = Atomic.get s.frames_received;
-    snap_decode_errors = Atomic.get s.decode_errors;
-    snap_resync_skips = Atomic.get s.resync_skips;
-    snap_reconnects = Atomic.get s.reconnects;
-    snap_frames_dropped = Atomic.get s.frames_dropped;
-    snap_out_hwm_bytes = Atomic.get s.out_hwm_bytes;
-    snap_write_syscalls = Atomic.get s.write_syscalls;
-    snap_read_syscalls = Atomic.get s.read_syscalls;
-    snap_wait_calls = Atomic.get s.wait_calls;
-    snap_fds_ready = Atomic.get s.fds_ready;
-    snap_fds_registered = Atomic.get s.fds_registered;
-    snap_spin_hits = Atomic.get s.spin_hits;
-    snap_spin_misses = Atomic.get s.spin_misses;
-    snap_inproc_frames = Atomic.get s.inproc_frames;
+    snap_frames_sent = t.c_frames_sent;
+    snap_bytes_sent = t.c_bytes_sent;
+    snap_frames_received = t.c_frames_received;
+    snap_decode_errors = t.c_decode_errors;
+    snap_resync_skips = t.c_resync_skips;
+    snap_reconnects = t.c_reconnects;
+    snap_frames_dropped = t.c_frames_dropped;
+    snap_out_hwm_bytes = t.c_out_hwm_bytes;
+    snap_write_syscalls = t.c_write_syscalls;
+    snap_read_syscalls = t.c_read_syscalls;
+    snap_wait_calls = t.c_wait_calls;
+    snap_fds_ready = t.c_fds_ready;
+    snap_fds_registered = t.c_fds_registered;
+    snap_spin_hits = t.c_spin_hits;
+    snap_spin_misses = t.c_spin_misses;
+    snap_inproc_frames = t.c_inproc_frames;
   }
+
+(* The timeout of the shard's next wait, in an all-float record so that
+   [wait] stores it unboxed. *)
+type deadline = { mutable timeout_s : float }
 
 (* A shard's handle, made once by [adopt]: everything a wait needs is
    already resolved, so no call on it walks the shard's owners. *)
 type shard = {
-  shard_wait : timeout_s:float -> on_ready:(int -> unit) -> unit;
+  shard_wait : (int -> unit) -> unit;
+  shard_deadline : deadline;
   shard_wake : Wakeup.t;  (** The shard's one wake pipe. *)
 }
 
@@ -93,28 +192,36 @@ type t = {
   readiness : string;
   stats : stats;
   send : src:int -> dst:int -> delay:float -> string -> unit;
-  send_frame : src:int -> dst:int -> delay:float -> Buffer.t -> unit;
+  send_payload : src:int -> dst:int -> delay:float -> Buffer.t -> unit;
   poll : owner:int -> upto:float -> (Frame.view -> unit) -> unit;
   adopt : int list -> shard;
+  decode_error : int -> unit;
   close : unit -> unit;
 }
 
 let name t = t.name
 let readiness_backend t = t.readiness
-let stats t = t.stats
 let snapshot t = snapshot_of_stats t.stats
+
+let stats t =
+  ignore (snapshot t : snapshot);
+  t.stats
+
 let send t = t.send
-let send_frame t = t.send_frame
+let send_payload t = t.send_payload
 let poll t ?(upto = infinity) ~owner f = t.poll ~owner ~upto f
 
 let adopt t ~owners = t.adopt owners
 
-let wait (_ : t) shard ?(on_ready = fun _ -> ()) ~timeout_s () =
-  shard.shard_wait ~timeout_s ~on_ready
+let ignore_ready (_ : int) = ()
+
+let[@inline] wait (_ : t) shard ?(on_ready = ignore_ready) ~timeout_s () =
+  shard.shard_deadline.timeout_s <- timeout_s;
+  shard.shard_wait on_ready
 
 let wake shard = Wakeup.wake shard.shard_wake
 
-let count_decode_error t = Atomic.incr t.stats.decode_errors
+let count_decode_error t ~owner = t.decode_error owner
 let close t = t.close ()
 
 (* Upper bound on any readiness sleep: a safety net against a lost
@@ -126,13 +233,22 @@ let resolve_readiness = function
   | Some b -> Readiness.resolve ~source:"forced" b
   | None -> Readiness.default_backend ()
 
+(* One frame carrying the payload's contents, as a string: what an
+   in-process hop hands to the destination's mailbox. *)
+let frame_string payload =
+  let plen = Buffer.length payload in
+  let frame = Bytes.create (Frame.header_length plen + plen) in
+  let h = Frame.write_header frame 0 plen in
+  Buffer.blit payload 0 frame h plen;
+  Bytes.unsafe_to_string frame
+
 (* Decode one whole in-process frame in place. *)
-let deliver_exact stats f frame =
+let deliver_exact c f frame =
   match Frame.decode_exact frame with
   | Ok v ->
-      Atomic.incr stats.frames_received;
+      c.c_frames_received <- c.c_frames_received + 1;
       f v
-  | Error _ -> Atomic.incr stats.resync_skips
+  | Error _ -> c.c_resync_skips <- c.c_resync_skips + 1
 
 let check_node ~what ~n i =
   if i < 0 || i >= n then
@@ -176,18 +292,22 @@ type 'node doorbell = {
   wake_fd : int;
   idle : bool Atomic.t;
   notified : 'node Mailbox.t;
+  counts : counters;  (** The shard's counters. *)
 }
 
 let doorbell stats backend =
   let rd = Readiness.create ~backend () and wake = Wakeup.create () in
+  let counts = counters () in
+  add_block stats counts;
   Readiness.set rd (Wakeup.read_fd wake) ~read:true ~write:false;
-  Atomic.incr stats.fds_registered;
+  counts.c_fds_registered <- 1;
   {
     rd;
     wake;
     wake_fd = fd_int (Wakeup.read_fd wake);
     idle = Atomic.make false;
     notified = Mailbox.create ();
+    counts;
   }
 
 (* The sender's half, after the frame is pushed. The node's [queued]
@@ -199,19 +319,21 @@ let ring bell ~queued node =
 
 (* The shard's half: declare idle, recheck, block. [on_fd] sees every
    ready fd, the wake pipe's included. Returns the number ready. *)
-let block stats bell ~timeout_s on_fd =
+let block bell ~timeout_s on_fd =
+  let c = bell.counts in
   Atomic.set bell.idle true;
   let timeout_s = if Mailbox.is_empty bell.notified then timeout_s else 0.0 in
-  Atomic.incr stats.wait_calls;
+  c.c_wait_calls <- c.c_wait_calls + 1;
   let ready = Readiness.wait bell.rd ~timeout_s on_fd in
   Atomic.set bell.idle false;
-  ignore (Atomic.fetch_and_add stats.fds_ready ready);
+  c.c_fds_ready <- c.c_fds_ready + ready;
   ready
 
 (* Drain the wake pipe, counting its reads; only when the set reported
    it. *)
-let drain_wake stats bell =
-  ignore (Atomic.fetch_and_add stats.read_syscalls (Wakeup.drain bell.wake))
+let drain_wake bell =
+  let c = bell.counts in
+  c.c_read_syscalls <- c.c_read_syscalls + Wakeup.drain bell.wake
 
 let close_doorbell bell =
   Readiness.close bell.rd;
@@ -230,6 +352,8 @@ module Loopback = struct
     pending : string Tr_sim.Pqueue.t;
     tracked : shard_set option Atomic.t;  (** Set once, by [adopt]. *)
     queued : bool Atomic.t;  (** Queued in its shard's [notified]. *)
+    mutable counts : counters;
+        (** Its shard's counters once adopted, the transport's before. *)
   }
 
   and shard_set = {
@@ -252,7 +376,8 @@ module Loopback = struct
 
   let create ?readiness ~clock ~n () =
     let rd_backend = resolve_readiness readiness in
-    let stats = make_stats () in
+    let base = counters () in
+    let stats = make_stats base in
     let nodes =
       Array.init n (fun id ->
           {
@@ -261,6 +386,7 @@ module Loopback = struct
             pending = Tr_sim.Pqueue.create ();
             tracked = Atomic.make None;
             queued = Atomic.make false;
+            counts = base;
           })
     in
     (* The frame must outlive the mailbox hop, so crossing domains costs
@@ -269,13 +395,23 @@ module Loopback = struct
     let send ~src ~dst ~delay frame =
       check_node ~what:"send src" ~n src;
       check_node ~what:"send dst" ~n dst;
-      Atomic.incr stats.frames_sent;
-      ignore (Atomic.fetch_and_add stats.bytes_sent (String.length frame));
+      let c = nodes.(src).counts in
+      c.c_frames_sent <- c.c_frames_sent + 1;
+      c.c_bytes_sent <- c.c_bytes_sent + String.length frame;
       let node = nodes.(dst) in
       Mailbox.push node.inbox (Clock.now clock +. Float.max 0.0 delay, frame);
       match Atomic.get node.tracked with
       | None -> ()
       | Some set -> ring set.bell ~queued:node.queued node
+    in
+    let rec deliver_due c f node now =
+      if
+        (not (Tr_sim.Pqueue.is_empty node.pending))
+        && Tr_sim.Pqueue.top_time_exn node.pending <= now
+      then begin
+        deliver_exact c f (Tr_sim.Pqueue.pop_exn node.pending);
+        deliver_due c f node now
+      end
     in
     let poll ~owner ~upto f =
       check_node ~what:"poll owner" ~n owner;
@@ -286,13 +422,7 @@ module Loopback = struct
             (Printf.sprintf "Transport.poll: node %d is not adopted" owner)
       | Some set ->
           settle set node;
-          let now = Float.min (Clock.now clock) upto in
-          while
-            (not (Tr_sim.Pqueue.is_empty node.pending))
-            && Tr_sim.Pqueue.top_time_exn node.pending <= now
-          do
-            deliver_exact stats f (Tr_sim.Pqueue.pop_exn node.pending)
-          done
+          deliver_due set.bell.counts f node (Float.min (Clock.now clock) upto)
     in
     (* Report every owner with a frame already due; sleep only if there
        is none, until the earliest due frame, a wake or the timeout. *)
@@ -320,8 +450,8 @@ module Loopback = struct
               *. Clock.unit_s clock)
         in
         ignore
-          (block stats set.bell ~timeout_s:(Float.min timeout_s max_wait_s)
-             (fun ~fd:_ ~readable:_ ~writable:_ -> drain_wake stats set.bell)
+          (block set.bell ~timeout_s:(Float.min timeout_s max_wait_s)
+             (fun ~fd:_ ~readable:_ ~writable:_ -> drain_wake set.bell)
             : int);
         settle_notified ();
         fire ()
@@ -339,6 +469,7 @@ module Loopback = struct
       in
       List.iter
         (fun node ->
+          node.counts <- set.bell.counts;
           Atomic.set node.tracked (Some set);
           (* Salvage half of the Dekker pair in [send]: frames sent
              before adoption carried no notification. *)
@@ -346,7 +477,18 @@ module Loopback = struct
             ring set.bell ~queued:node.queued node)
         owned;
       shard_sets := set :: !shard_sets;
-      { shard_wait = wait set; shard_wake = set.bell.wake }
+      let deadline = { timeout_s = 0.0 } in
+      {
+        shard_wait =
+          (fun on_ready -> wait set ~timeout_s:deadline.timeout_s ~on_ready);
+        shard_deadline = deadline;
+        shard_wake = set.bell.wake;
+      }
+    in
+    let decode_error owner =
+      check_node ~what:"decode error owner" ~n owner;
+      let c = nodes.(owner).counts in
+      c.c_decode_errors <- c.c_decode_errors + 1
     in
     let close () =
       List.iter (fun set -> close_doorbell set.bell) !shard_sets;
@@ -357,11 +499,12 @@ module Loopback = struct
       readiness = Readiness.backend_name rd_backend;
       stats;
       send;
-      send_frame =
-        (fun ~src ~dst ~delay buf ->
-          send ~src ~dst ~delay (Buffer.contents buf));
+      send_payload =
+        (fun ~src ~dst ~delay payload ->
+          send ~src ~dst ~delay (frame_string payload));
       poll;
       adopt;
+      decode_error;
       close;
     }
 end
@@ -409,7 +552,11 @@ module Sockets = struct
         (** The receive end of this connection's socket pair, registered
             in the same shard; [None] for a dialled connection. *)
     out : Stream_io.out;
-    bounds : int Queue.t;  (** Byte length of each queued frame, in order. *)
+    mutable bounds : int array;
+        (** Byte length of each queued frame, in order: a ring of
+            power-of-two size from [bounds_head]. *)
+    mutable bounds_head : int;
+    mutable bounds_len : int;
     mutable head_off : int;  (** Bytes of the head frame already written. *)
     mutable backoff : float;
     mutable retry_at : float;  (** Wall time before which we won't dial. *)
@@ -435,9 +582,15 @@ module Sockets = struct
         (** Set once, by [adopt]. Atomic because in-process senders on
             other domains must see the adoption (or be seen — see the
             salvage in [track_node]). *)
+    mutable counts : counters;
+        (** Its shard's counters once adopted, the transport's before. *)
     mutable accept_ready : bool;
-    mutable ready_ins : conn_in list;
-    mutable busy : conn_out list;  (** Conns with unflushed bytes. *)
+    mutable ready_ins : conn_in array;
+    mutable ready_len : int;
+        (** Inbound connections to read, a stack: the last queued is
+            read first. *)
+    mutable busy : conn_out array;
+    mutable busy_len : int;  (** Conns with unflushed bytes. *)
     ipc : string Mailbox.t;  (** In-process fast path: inbound frames. *)
     ipc_queued : bool Atomic.t;  (** Queued in its shard's [bell.notified]. *)
   }
@@ -479,11 +632,40 @@ module Sockets = struct
 
   let queued co = Stream_io.queued co.out
 
+  (* [a] with room for index [len], the new tail filled with [fill]. *)
+  let room a len fill =
+    if len < Array.length a then a
+    else begin
+      let b = Array.make (Int.max 16 (2 * len)) fill in
+      Array.blit a 0 b 0 len;
+      b
+    end
+
+  let push_bound co len =
+    let cap = Array.length co.bounds in
+    if co.bounds_len = cap then begin
+      let b = Array.make (2 * cap) 0 in
+      for k = 0 to cap - 1 do
+        b.(k) <- co.bounds.((co.bounds_head + k) land (cap - 1))
+      done;
+      co.bounds <- b;
+      co.bounds_head <- 0
+    end;
+    co.bounds.((co.bounds_head + co.bounds_len) land (Array.length co.bounds - 1))
+    <- len;
+    co.bounds_len <- co.bounds_len + 1
+
+  let pop_bound co =
+    let len = co.bounds.(co.bounds_head) in
+    co.bounds_head <- (co.bounds_head + 1) land (Array.length co.bounds - 1);
+    co.bounds_len <- co.bounds_len - 1;
+    len
+
   (* Registration keeps the [fds_registered] gauge honest: an fd counts
      once, however often its interest mask changes. Removal must happen
      before the fd is closed (epoll auto-forgets closed fds, but the
      poll set would otherwise scan a dead descriptor). *)
-  let reg stats set fd entry ~read ~write =
+  let reg set fd entry ~read ~write =
     let key = fd_int fd in
     let len = Array.length set.fdx in
     if key >= len then begin
@@ -493,25 +675,28 @@ module Sockets = struct
     end;
     if set.fdx.(key) == Free then begin
       set.fdx.(key) <- entry;
-      Atomic.incr stats.fds_registered
+      let c = set.bell.counts in
+      c.c_fds_registered <- c.c_fds_registered + 1
     end;
     Readiness.set set.bell.rd fd ~read ~write
 
   let entry_at set key =
     if key < Array.length set.fdx then set.fdx.(key) else Free
 
-  let unreg stats set fd =
+  let unreg set fd =
     let key = fd_int fd in
     if entry_at set key != Free then begin
       set.fdx.(key) <- Free;
-      Atomic.decr stats.fds_registered;
+      let c = set.bell.counts in
+      c.c_fds_registered <- c.c_fds_registered - 1;
       Readiness.remove set.bell.rd fd
     end
 
-  let tear_down stats set co =
+  let tear_down set co =
+    let c = set.bell.counts in
     (match co.fd with
     | Some fd ->
-        unreg stats set fd;
+        unreg set fd;
         close_quietly fd
     | None -> ());
     co.fd <- None;
@@ -519,14 +704,14 @@ module Sockets = struct
     if co.head_off > 0 then begin
       (* Drop the half-written head frame whole; its tail must not open
          the next connection mid-frame. *)
-      let head = Queue.pop co.bounds in
+      let head = pop_bound co in
       Stream_io.advance co.out (head - co.head_off);
       co.head_off <- 0;
-      Atomic.incr stats.frames_dropped
+      c.c_frames_dropped <- c.c_frames_dropped + 1
     end;
     co.backoff <- Float.min backoff_max (Float.max backoff_min (2.0 *. co.backoff));
     co.retry_at <- Unix.gettimeofday () +. co.backoff;
-    Atomic.incr stats.reconnects
+    c.c_reconnects <- c.c_reconnects + 1
 
   (* A destination in this very shard needs neither its listener nor the
      kernel's readiness report: both ends of a socket pair are registered
@@ -536,7 +721,7 @@ module Sockets = struct
      for writability only once a write is cut short. A failing
      [socketpair] (fd exhaustion) raises, as [socket] does in
      [connect]. *)
-  let pair stats set node co dnode =
+  let pair set node co dnode =
     let snd, rcv =
       Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
     in
@@ -544,12 +729,12 @@ module Sockets = struct
     Unix.set_nonblock rcv;
     let ci = { fd = rcv; dec = Frame.Decoder.create (); ready = false } in
     dnode.ins <- ci :: dnode.ins;
-    reg stats set rcv (In (dnode, ci)) ~read:true ~write:false;
+    reg set rcv (In (dnode, ci)) ~read:true ~write:false;
     co.fd <- Some snd;
     co.peer <- Some ci;
-    reg stats set snd (Out (node, co)) ~read:false ~write:false
+    reg set snd (Out (node, co)) ~read:false ~write:false
 
-  let connect stats set node co =
+  let connect set node co =
     let fd = Unix.socket (Unix.domain_of_sockaddr co.addr) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     (match co.addr with
@@ -560,7 +745,7 @@ module Sockets = struct
       (* Write interest from the start: dialing only ever happens with
          bytes queued, and a connect still in progress completes as a
          writability event. *)
-      reg stats set fd (Out (node, co)) ~read:false ~write:true
+      reg set fd (Out (node, co)) ~read:false ~write:true
     in
     match Unix.connect fd co.addr with
     | () -> connected ()
@@ -570,44 +755,26 @@ module Sockets = struct
     | exception Unix.Unix_error (_, _, _) ->
         close_quietly fd;
         co.fd <- None;
-        tear_down stats set co
+        tear_down set co
 
   let in_shard set dnode =
     match Atomic.get dnode.tracked with Some s -> s == set | None -> false
 
-  let dial stats set node co =
+  let dial set node co =
     match co.local with
-    | Some dnode when in_shard set dnode -> pair stats set node co dnode
-    | _ -> connect stats set node co
+    | Some dnode when in_shard set dnode -> pair set node co dnode
+    | _ -> connect set node co
 
-  (* Append one [len]-byte frame; the caller has already counted it. *)
-  let append co ~len blit =
-    Stream_io.append co.out ~len blit;
-    Queue.add len co.bounds
-
-  (* Account [wrote] flushed bytes against the frame-boundary queue. *)
-  let advance co wrote =
-    let rec pop w =
-      if w > 0 then begin
-        let head = Queue.peek co.bounds in
-        let rem = head - co.head_off in
-        if w >= rem then begin
-          ignore (Queue.pop co.bounds);
-          co.head_off <- 0;
-          pop (w - rem)
-        end
-        else co.head_off <- co.head_off + w
+  (* Account [wrote] flushed bytes against the frame-boundary ring. *)
+  let rec retire co wrote =
+    if wrote > 0 then begin
+      let rem = co.bounds.(co.bounds_head) - co.head_off in
+      if wrote >= rem then begin
+        ignore (pop_bound co : int);
+        co.head_off <- 0;
+        retire co (wrote - rem)
       end
-    in
-    pop wrote
-
-  (* [a] with room for index [len], the new tail filled with [fill]. *)
-  let room a len fill =
-    if len < Array.length a then a
-    else begin
-      let b = Array.make (Int.max 16 (2 * len)) fill in
-      Array.blit a 0 b 0 len;
-      b
+      else co.head_off <- co.head_off + wrote
     end
 
   (* A flush filled a pair's receive end: keep it for the next wait,
@@ -629,29 +796,47 @@ module Sockets = struct
   (* One [write] covering every queued frame; a partial write means the
      kernel buffer is full, so stop rather than spin. Sends between two
      polls therefore cost at most one syscall total. *)
-  let rec flush stats set node co =
+  let rec flush set node co =
     if queued co > 0 then
       match co.fd with
       | None ->
           if Unix.gettimeofday () >= co.retry_at then begin
-            dial stats set node co;
-            if co.fd <> None then flush stats set node co
+            dial set node co;
+            if co.fd <> None then flush set node co
           end
       | Some fd ->
           let wrote = Stream_io.flush fd co.out in
-          Atomic.incr stats.write_syscalls;
+          let c = set.bell.counts in
+          c.c_write_syscalls <- c.c_write_syscalls + 1;
           if wrote >= 0 then begin
-            co.backoff <- backoff_min;
-            advance co wrote;
+            (* A float field of a mixed record: storing it is a write
+               barrier, so only a change stores. *)
+            if co.backoff <> backoff_min then co.backoff <- backoff_min;
+            retire co wrote;
             match co.peer with
             | Some ci when wrote > 0 -> hand set co ci
             | _ -> ()
           end
-          else if wrote = Stream_io.failed then tear_down stats set co
+          else if wrote = Stream_io.failed then tear_down set co
           (* Otherwise still connecting, or the kernel buffer is full;
              the bytes stay queued for the next poll. *)
 
-  let accept_all stats set node =
+  let queue_in node ci =
+    let len = node.ready_len in
+    node.ready_ins <- room node.ready_ins len ci;
+    node.ready_ins.(len) <- ci;
+    node.ready_len <- len + 1
+
+  let queue_busy node co =
+    if not co.in_busy then begin
+      co.in_busy <- true;
+      let len = node.busy_len in
+      node.busy <- room node.busy len co;
+      node.busy.(len) <- co;
+      node.busy_len <- len + 1
+    end
+
+  let accept_all set node =
     let rec go () =
       match Unix.accept ~cloexec:true node.listen with
       | fd, _ ->
@@ -663,8 +848,8 @@ module Sockets = struct
              report readable. *)
           let ci = { fd; dec = Frame.Decoder.create (); ready = true } in
           node.ins <- ci :: node.ins;
-          node.ready_ins <- ci :: node.ready_ins;
-          reg stats set fd (In (node, ci)) ~read:true ~write:false;
+          queue_in node ci;
+          reg set fd (In (node, ci)) ~read:true ~write:false;
           go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     in
@@ -673,64 +858,70 @@ module Sockets = struct
   (* Read everything available on one inbound connection. Returns false
      when the connection is finished (EOF or error) and should drop —
      the caller deregisters before closing. *)
-  let read_conn stats set (ci : conn_in) f =
+  let read_conn set (ci : conn_in) f =
     let r = set.reader in
     let reads = r.Stream_io.reads in
     let open_ =
       Stream_io.read_frames r ci.fd ci.dec ~skip:set.resync ~view:set.deliver f
     in
-    ignore
-      (Atomic.fetch_and_add stats.read_syscalls (r.Stream_io.reads - reads));
+    let c = set.bell.counts in
+    c.c_read_syscalls <- c.c_read_syscalls + (r.Stream_io.reads - reads);
     open_
 
-  let drop_in stats set node (ci : conn_in) =
+  let drop_in set node (ci : conn_in) =
     ci.ready <- true;
-    unreg stats set ci.fd;
+    unreg set ci.fd;
     close_quietly ci.fd;
     node.ins <- List.filter (fun c -> c != ci) node.ins
 
+  (* Read the queued inbound connections, the last queued first. *)
+  let rec read_ready set node f =
+    let k = node.ready_len - 1 in
+    if k >= 0 then begin
+      let ci = node.ready_ins.(k) in
+      node.ready_len <- k;
+      ci.ready <- false;
+      if not (read_conn set ci f) then drop_in set node ci;
+      read_ready set node f
+    end
+
+  (* Flush every busy connection; those still holding bytes stay busy,
+     in order. Write interest tracks the busy state, so an idle cluster
+     registers no write-side events at all. *)
+  let flush_busy set node =
+    let len = node.busy_len in
+    node.busy_len <- 0;
+    for k = 0 to len - 1 do
+      let co = node.busy.(k) in
+      flush set node co;
+      if queued co = 0 then begin
+        co.in_busy <- false;
+        match co.fd with
+        | Some fd -> Readiness.set set.bell.rd fd ~read:false ~write:false
+        | None -> ()
+      end
+      else begin
+        node.busy.(node.busy_len) <- co;
+        node.busy_len <- node.busy_len + 1;
+        match co.fd with
+        | Some fd -> reg set fd (Out (node, co)) ~read:false ~write:true
+        | None ->
+            if not co.in_retry then begin
+              co.in_retry <- true;
+              set.retry_outs <- (node, co) :: set.retry_outs
+            end
+      end
+    done
+
   (* Tracked poll: touch only what readiness reported (accept_ready,
-     ready_ins) plus connections with unflushed bytes (busy). Write
-     interest tracks the busy state so an idle cluster registers no
-     write-side events at all. *)
-  let poll_tracked stats set node f =
+     ready_ins) plus connections with unflushed bytes (busy). *)
+  let poll_tracked set node f =
     if node.accept_ready then begin
       node.accept_ready <- false;
-      accept_all stats set node
+      accept_all set node
     end;
-    (match node.ready_ins with
-    | [] -> ()
-    | ris ->
-        node.ready_ins <- [];
-        List.iter
-          (fun ci ->
-            ci.ready <- false;
-            if not (read_conn stats set ci f) then drop_in stats set node ci)
-          ris);
-    match node.busy with
-    | [] -> ()
-    | busy ->
-        node.busy <- [];
-        List.iter
-          (fun co ->
-            flush stats set node co;
-            if queued co = 0 then begin
-              co.in_busy <- false;
-              match co.fd with
-              | Some fd -> Readiness.set set.bell.rd fd ~read:false ~write:false
-              | None -> ()
-            end
-            else begin
-              node.busy <- co :: node.busy;
-              match co.fd with
-              | Some fd -> reg stats set fd (Out (node, co)) ~read:false ~write:true
-              | None ->
-                  if not co.in_retry then begin
-                    co.in_retry <- true;
-                    set.retry_outs <- (node, co) :: set.retry_outs
-                  end
-            end)
-          busy
+    read_ready set node f;
+    if node.busy_len > 0 then flush_busy set node
 
   (* Queue the paired receive ends flushed since the last wait and
      activate their nodes; whether there were any. *)
@@ -738,7 +929,7 @@ module Sockets = struct
     let handed = set.hand_len > 0 in
     for k = 0 to set.hand_len - 1 do
       let dnode = set.hand_nodes.(k) in
-      dnode.ready_ins <- set.hand_ins.(k) :: dnode.ready_ins;
+      queue_in dnode set.hand_ins.(k);
       on_ready dnode.id
     done;
     set.hand_len <- 0;
@@ -752,6 +943,12 @@ module Sockets = struct
         Atomic.set dnode.ipc_queued false;
         on_ready dnode.id;
         activate on_ready rest
+
+  let rec deliver_all c f = function
+    | [] -> ()
+    | frame :: rest ->
+        deliver_exact c f frame;
+        deliver_all c f rest
 
   let env_flag name =
     match Sys.getenv_opt name with
@@ -784,7 +981,8 @@ module Sockets = struct
     if Array.length addrs <> n then
       invalid_arg "Transport.sockets: addrs array must have one entry per node";
     List.iter (fun i -> check_node ~what:"owned" ~n i) owned;
-    let stats = make_stats () in
+    let base = counters () in
+    let stats = make_stats base in
     let hosted = Array.make n None in
     (try
        List.iter
@@ -803,9 +1001,12 @@ module Sockets = struct
                  last_dst = -1;
                  last_out = None;
                  tracked = Atomic.make None;
+                 counts = base;
                  accept_ready = false;
-                 ready_ins = [];
-                 busy = [];
+                 ready_ins = [||];
+                 ready_len = 0;
+                 busy = [||];
+                 busy_len = 0;
                  ipc = Mailbox.create ();
                  ipc_queued = Atomic.make false;
                })
@@ -844,7 +1045,9 @@ module Sockets = struct
                     fd = None;
                     peer = None;
                     out = Stream_io.out out_initial;
-                    bounds = Queue.create ();
+                    bounds = Array.make 16 0;
+                    bounds_head = 0;
+                    bounds_len = 0;
                     head_off = 0;
                     backoff = backoff_min;
                     retry_at = 0.0;
@@ -864,40 +1067,37 @@ module Sockets = struct
        what the socket would carry), then rings the destination shard's
        doorbell. A sender that finds the destination unadopted leaves
        the notification to [track_node]'s salvage. *)
-    let deliver_inproc dnode frame =
-      Atomic.incr stats.frames_sent;
-      ignore (Atomic.fetch_and_add stats.bytes_sent (String.length frame));
-      Atomic.incr stats.inproc_frames;
+    let deliver_inproc c dnode frame =
+      c.c_frames_sent <- c.c_frames_sent + 1;
+      c.c_bytes_sent <- c.c_bytes_sent + String.length frame;
+      c.c_inproc_frames <- c.c_inproc_frames + 1;
       Mailbox.push dnode.ipc frame;
       match Atomic.get dnode.tracked with
       | None -> ()
       | Some dset -> ring dset.bell ~queued:dnode.ipc_queued dnode
     in
-    (* Enqueue only — the coalesced buffer is flushed once per [poll],
-       so a burst of sends inside one loop iteration shares a single
-       write syscall. *)
-    let enqueue ~src ~dst ~len blit =
-      check_node ~what:"send dst" ~n dst;
-      let node = host ~what:"send src" src in
-      let co = out_conn node dst in
-      if queued co + len > high_water then Atomic.incr stats.frames_dropped
-      else begin
-        Atomic.incr stats.frames_sent;
-        ignore (Atomic.fetch_and_add stats.bytes_sent len);
-        append co ~len blit;
-        (* Monotone max of any single peer's backlog — how close the run
-           came to the high-water drop threshold. *)
-        let rec bump v =
-          let cur = Atomic.get stats.out_hwm_bytes in
-          if v > cur && not (Atomic.compare_and_set stats.out_hwm_bytes cur v)
-          then bump v
-        in
-        bump (queued co);
-        if not co.in_busy then begin
-          co.in_busy <- true;
-          node.busy <- co :: node.busy
-        end
+    (* Whether [co] takes a [len]-byte frame, which is then counted sent;
+       one it refuses is counted dropped. *)
+    let admit c co len =
+      if queued co + len > high_water then begin
+        c.c_frames_dropped <- c.c_frames_dropped + 1;
+        false
       end
+      else begin
+        c.c_frames_sent <- c.c_frames_sent + 1;
+        c.c_bytes_sent <- c.c_bytes_sent + len;
+        true
+      end
+    in
+    (* After an append: the frame's bound, the monotone max of any single
+       peer's backlog (how close the run came to the high-water drop
+       threshold), and the busy mark. Only [poll] flushes, so a burst of
+       sends inside one loop iteration shares a single write syscall. *)
+    let appended c node co len =
+      push_bound co len;
+      let q = queued co in
+      if q > c.c_out_hwm_bytes then c.c_out_hwm_bytes <- q;
+      queue_busy node co
     in
     (* The hosted destination of an in-process send, if this is one. *)
     let inproc_dst ~src dst =
@@ -910,17 +1110,33 @@ module Sockets = struct
     in
     let send ~src ~dst ~delay:_ frame =
       match inproc_dst ~src dst with
-      | Some dnode -> deliver_inproc dnode frame
+      | Some dnode ->
+          deliver_inproc (host ~what:"send src" src).counts dnode frame
       | None ->
-          enqueue ~src ~dst ~len:(String.length frame) (fun dst_buf dst_off ->
-              Bytes.blit_string frame 0 dst_buf dst_off (String.length frame))
+          check_node ~what:"send dst" ~n dst;
+          let node = host ~what:"send src" src in
+          let co = out_conn node dst and len = String.length frame in
+          if admit node.counts co len then begin
+            Stream_io.append co.out ~len (fun dst_buf dst_off ->
+                Bytes.blit_string frame 0 dst_buf dst_off len);
+            appended node.counts node co len
+          end
     in
-    let send_frame ~src ~dst ~delay:_ buf =
+    (* The hop path: the payload is framed straight into the out
+       buffer. *)
+    let send_payload ~src ~dst ~delay:_ payload =
       match inproc_dst ~src dst with
-      | Some dnode -> deliver_inproc dnode (Buffer.contents buf)
+      | Some dnode ->
+          deliver_inproc (host ~what:"send src" src).counts dnode
+            (frame_string payload)
       | None ->
-          enqueue ~src ~dst ~len:(Buffer.length buf) (fun dst_buf dst_off ->
-              Buffer.blit buf 0 dst_buf dst_off (Buffer.length buf))
+          check_node ~what:"send dst" ~n dst;
+          let node = host ~what:"send src" src in
+          let co = out_conn node dst and len = Stream_io.frame_length payload in
+          if admit node.counts co len then begin
+            Stream_io.append_frame co.out payload;
+            appended node.counts node co len
+          end
     in
     let poll ~owner ~upto:_ f =
       (* Socket arrival times are physical: any buffered byte arrived in
@@ -933,9 +1149,8 @@ module Sockets = struct
       | Some set ->
           (* In-process fast path: frames co-resident nodes pushed
              straight into this node's mailbox — no fd, no syscall. *)
-          if inproc then
-            List.iter (deliver_exact stats f) (Mailbox.drain node.ipc);
-          poll_tracked stats set node f
+          if inproc then deliver_all set.bell.counts f (Mailbox.drain node.ipc);
+          poll_tracked set node f
     in
     (* Every adopted shard's set, so close can release the epoll fds. *)
     let shard_sets = ref [] in
@@ -947,13 +1162,14 @@ module Sockets = struct
        peers dialed before it, so a shard's first pass carries a frame
        across as many of its nodes as it reaches, without a wait. *)
     let track_node set node =
+      node.counts <- set.bell.counts;
       Atomic.set node.tracked (Some set);
       (* Salvage: frames that arrived while this node was unadopted
          carried no notification — queue one now, before the shard's
          first wait. *)
       if not (Mailbox.is_empty node.ipc) then
         ring set.bell ~queued:node.ipc_queued node;
-      reg stats set node.listen (Listener node) ~read:true ~write:false;
+      reg set node.listen (Listener node) ~read:true ~write:false;
       node.accept_ready <- true
     in
     (* Block in the shard's readiness set until an owner's fd is ready;
@@ -961,6 +1177,7 @@ module Sockets = struct
        caller as an [on_ready owner] activation, so the shard loop knows
        exactly which nodes to poll — no per-node scan at any point. *)
     let visit set ~in_hand ~timeout_s ~on_ready =
+      let c = set.bell.counts in
       let timeout = ref (Float.max 0.0 (Float.min timeout_s max_wait_s)) in
       if in_hand then timeout := 0.0;
       (* Down peers with queued bytes wake their owner when the backoff
@@ -976,10 +1193,7 @@ module Sockets = struct
               end
               else if co.retry_at <= now then begin
                 co.in_retry <- false;
-                if not co.in_busy then begin
-                  co.in_busy <- true;
-                  node.busy <- co :: node.busy
-                end;
+                queue_busy node co;
                 on_ready node.id;
                 timeout := 0.0;
                 false
@@ -1006,10 +1220,10 @@ module Sockets = struct
            hit := signal ()
          done;
          if !hit then begin
-           Atomic.incr stats.spin_hits;
+           c.c_spin_hits <- c.c_spin_hits + 1;
            timeout := 0.0
          end
-         else Atomic.incr stats.spin_misses
+         else c.c_spin_misses <- c.c_spin_misses + 1
        end);
       (* Work in hand skips the kernel here too, once the retries are
          settled (see [wait]). *)
@@ -1024,9 +1238,9 @@ module Sockets = struct
            poll backend's dense arrays mid-iteration. *)
         let dead_outs = ref [] in
         let ready =
-          block stats set.bell ~timeout_s:!timeout
+          block set.bell ~timeout_s:!timeout
             (fun ~fd ~readable ~writable ->
-              if fd = set.bell.wake_fd then drain_wake stats set.bell
+              if fd = set.bell.wake_fd then drain_wake set.bell
               else
               match entry_at set fd with
               | Free -> ()
@@ -1038,7 +1252,7 @@ module Sockets = struct
               | In (node, ci) ->
                   if readable && not ci.ready then begin
                     ci.ready <- true;
-                    node.ready_ins <- ci :: node.ready_ins;
+                    queue_in node ci;
                     on_ready node.id
                   end
               | Out (node, co) ->
@@ -1056,7 +1270,7 @@ module Sockets = struct
         in
         List.iter
           (fun (cfd, co) ->
-            unreg stats set cfd;
+            unreg set cfd;
             close_quietly cfd;
             co.fd <- None;
             co.peer <- None)
@@ -1078,15 +1292,19 @@ module Sockets = struct
        processes) cannot be proved from user space, so skips are
        bounded: every 64th wait visits the kernel and picks up whatever
        accrued. A skip allocates nothing. *)
-    let wait set ~timeout_s ~on_ready =
+    let wait set deadline on_ready =
       let handed = hand_out set on_ready in
-      let woken = Mailbox.drain set.bell.notified in
+      (* A read, not an exchange, when nothing was notified. *)
+      let woken =
+        if Mailbox.is_empty set.bell.notified then []
+        else Mailbox.drain set.bell.notified
+      in
       activate on_ready woken;
       let in_hand = handed || match woken with [] -> false | _ -> true in
       match set.retry_outs with
       | [] when in_hand && set.wait_skips < 63 ->
           set.wait_skips <- set.wait_skips + 1
-      | _ -> visit set ~in_hand ~timeout_s ~on_ready
+      | _ -> visit set ~in_hand ~timeout_s:deadline.timeout_s ~on_ready
     in
     (* Build the shard's set with its wake pipe and listeners
        registered, once. *)
@@ -1095,17 +1313,19 @@ module Sockets = struct
       let nodes =
         claim ~n ~lookup:(host ~what:"adopt owner") ~adopted owners
       in
+      let bell = doorbell stats rd_backend in
+      let c = bell.counts in
       let set =
         {
-          bell = doorbell stats rd_backend;
+          bell;
           fdx = Array.make 256 Free;
           reader = Stream_io.reader ();
           deliver =
             (fun f v ->
-              Atomic.incr stats.frames_received;
+              c.c_frames_received <- c.c_frames_received + 1;
               f v;
               true);
-          resync = (fun _ -> Atomic.incr stats.resync_skips);
+          resync = (fun _ -> c.c_resync_skips <- c.c_resync_skips + 1);
           retry_outs = [];
           hand_nodes = [||];
           hand_ins = [||];
@@ -1119,7 +1339,16 @@ module Sockets = struct
       in
       List.iter (track_node set) nodes;
       shard_sets := set :: !shard_sets;
-      { shard_wait = wait set; shard_wake = set.bell.wake }
+      let deadline = { timeout_s = 0.0 } in
+      {
+        shard_wait = wait set deadline;
+        shard_deadline = deadline;
+        shard_wake = set.bell.wake;
+      }
+    in
+    let decode_error owner =
+      let c = (host ~what:"decode error owner" owner).counts in
+      c.c_decode_errors <- c.c_decode_errors + 1
     in
     let close () =
       Array.iter
@@ -1149,9 +1378,10 @@ module Sockets = struct
       readiness = Readiness.backend_name rd_backend;
       stats;
       send;
-      send_frame;
+      send_payload;
       poll;
       adopt;
+      decode_error;
       close;
     }
 end

@@ -52,72 +52,83 @@
     in another process or behind TCP addresses keep connect/accept and
     the kernel's readiness report. *)
 
-type stats = {
+type counters
+(** One shard's live counters. *)
+
+(** A transport's counters. Each one is a plain int in a per-shard block
+    that only the shard's own domain writes, so a hop pays no atomic
+    read-modify-write for its bookkeeping; a node no shard has adopted
+    yet counts in the transport's own block. {!snapshot_of_stats} sums
+    the blocks and publishes the totals in the named fields: each holds
+    what the latest {!stats}, {!snapshot} or {!snapshot_of_stats} call
+    read into the same-named [snap_] field. *)
+type stats = private {
   frames_sent : int Atomic.t;
   bytes_sent : int Atomic.t;
   frames_received : int Atomic.t;
   decode_errors : int Atomic.t;
-      (** Envelope decode failures reported via {!count_decode_error}. *)
   resync_skips : int Atomic.t;
-      (** Framing-level skips: bytes discarded to resynchronise after
-          garbage, plus unknown-version frames skipped whole. *)
   reconnects : int Atomic.t;
-      (** Times an outgoing connection was torn down and rescheduled. *)
   frames_dropped : int Atomic.t;
-      (** Sends refused because the per-peer outgoing buffer was over its
-          high-water mark, plus half-written frames discarded at
-          tear-down (sockets only). *)
   out_hwm_bytes : int Atomic.t;
-      (** High-water mark: the largest backlog any single peer's outgoing
-          buffer reached (sockets only) — how close the run came to the
-          4 MiB drop threshold, visible while it happens. *)
   write_syscalls : int Atomic.t;
-      (** [write(2)] calls issued (sockets only) — with batching this
-          stays well below [frames_sent]. *)
-  read_syscalls : int Atomic.t;  (** [read(2)] calls, wake drains included. *)
+  read_syscalls : int Atomic.t;
   wait_calls : int Atomic.t;
-      (** {!wait} invocations that reached the kernel. *)
   fds_ready : int Atomic.t;
-      (** Total fds reported ready across all waits; divided by
-          [wait_calls] this gives the average readiness batch — the
-          O(ready) dispatch cost — independent of [fds_registered]. *)
   fds_registered : int Atomic.t;
-      (** Gauge: fds currently registered across all shard readiness
-          sets (listeners, connections, wake pipes). *)
   spin_hits : int Atomic.t;
-      (** Adaptive-spin windows that ended with work already in hand
-          (in-process mailbox non-empty), so the kernel wait became a
-          free zero-timeout drain. *)
   spin_misses : int Atomic.t;
-      (** Spin windows that expired empty and fell through to a blocking
-          wait. *)
   inproc_frames : int Atomic.t;
-      (** Frames delivered through the in-process fast path — no socket,
-          no syscall, never counted in [write_syscalls]/[read_syscalls]. *)
+  blocks : counters list Atomic.t;
+      (** The live blocks: each adopted shard's and the transport's. *)
 }
 
-(** One coherent reading of every counter. Each field is a single
-    [Atomic.get] of the corresponding {!stats} counter, all taken in one
-    call — the way to print or export totals while shard domains are
-    still running (or racing to finish), instead of re-reading live
-    atomics one by one mid-report. *)
+(** One coherent reading of every counter: each shard's block is read
+    once and the blocks summed (the high-water mark is a maximum), all in
+    one call — the way to print or export totals while shard domains are
+    still running (or racing to finish). After the shards have stopped
+    it is exact. *)
 type snapshot = {
   snap_frames_sent : int;
   snap_bytes_sent : int;
   snap_frames_received : int;
   snap_decode_errors : int;
+      (** Envelope decode failures reported via {!count_decode_error}. *)
   snap_resync_skips : int;
+      (** Framing-level skips: bytes discarded to resynchronise after
+          garbage, plus unknown-version frames skipped whole. *)
   snap_reconnects : int;
+      (** Times an outgoing connection was torn down and rescheduled. *)
   snap_frames_dropped : int;
+      (** Sends refused because the per-peer outgoing buffer was over its
+          high-water mark, plus half-written frames discarded at
+          tear-down (sockets only). *)
   snap_out_hwm_bytes : int;
+      (** High-water mark: the largest backlog any single peer's outgoing
+          buffer reached (sockets only) — how close the run came to the
+          4 MiB drop threshold, visible while it happens. *)
   snap_write_syscalls : int;
-  snap_read_syscalls : int;
-  snap_wait_calls : int;
+      (** [write(2)] calls issued (sockets only) — with batching this
+          stays well below [snap_frames_sent]. *)
+  snap_read_syscalls : int;  (** [read(2)] calls, wake drains included. *)
+  snap_wait_calls : int;  (** {!wait} invocations that reached the kernel. *)
   snap_fds_ready : int;
+      (** Total fds reported ready across all waits; divided by
+          [snap_wait_calls] this gives the average readiness batch — the
+          O(ready) dispatch cost — independent of [snap_fds_registered]. *)
   snap_fds_registered : int;
+      (** Gauge: fds currently registered across all shard readiness
+          sets (listeners, connections, wake pipes). *)
   snap_spin_hits : int;
+      (** Adaptive-spin windows that ended with work already in hand
+          (in-process mailbox non-empty), so the kernel wait became a
+          free zero-timeout drain. *)
   snap_spin_misses : int;
+      (** Spin windows that expired empty and fell through to a blocking
+          wait. *)
   snap_inproc_frames : int;
+      (** Frames delivered through the in-process fast path — no socket,
+          no syscall, never counted in the syscall counts. *)
 }
 
 type t
@@ -130,28 +141,29 @@ val readiness_backend : t -> string
     actually in use after loud fallback, not the one requested. *)
 
 val stats : t -> stats
+(** The transport's stats, their totals refreshed as by {!snapshot}. *)
 
 val snapshot : t -> snapshot
-(** Read every counter once, atomically enough for reporting: no
-    counter is read twice, so a report printed while shards still run
-    cannot show a ratio computed from two different moments of the same
-    counter. *)
+(** [snapshot_of_stats (stats t)]. *)
 
 val snapshot_of_stats : stats -> snapshot
-(** As {!snapshot}, from a bare {!stats} record — for embedders that
-    hold only {!Cluster.control.transport_stats} (the service front-end
-    printing periodic reports while the cluster is live, or racing its
-    teardown). *)
+(** Read every counter once: no counter is read twice, so a report
+    printed while shards still run cannot show a ratio computed from two
+    different moments of the same counter. It takes the bare {!stats} for
+    embedders that hold only {!Cluster.control.transport_stats} (the
+    service front-end printing periodic reports while the cluster is
+    live, or racing its teardown). *)
 
 val send : t -> src:int -> dst:int -> delay:float -> string -> unit
 (** Ship one complete frame. [delay] is in clock units (loopback only).
     Never blocks; socket sends coalesce until the next {!poll} flush. *)
 
-val send_frame : t -> src:int -> dst:int -> delay:float -> Buffer.t -> unit
-(** As {!send}, straight out of an encode buffer (see
-    {!Tr_wire.Codec.encode_frame}): the contents are copied out before
-    returning, so the caller may reuse the buffer immediately. On the
-    sockets backend this path allocates nothing. *)
+val send_payload : t -> src:int -> dst:int -> delay:float -> Buffer.t -> unit
+(** As {!send}, for a frame whose payload is the buffer's contents (see
+    {!Tr_wire.Codec.encode_payload}): the frame header is written and
+    the payload copied before returning, so the caller may reuse the
+    buffer immediately. On the sockets backend both go straight into the
+    connection's out buffer, allocating nothing. *)
 
 val poll : t -> ?upto:float -> owner:int -> (Tr_wire.Frame.view -> unit) -> unit
 (** Deliver every frame payload currently due for node [owner] to the
@@ -202,9 +214,10 @@ val wake : shard -> unit
 (** Interrupt the shard's current or next {!wait} (a wake before the
     wait is kept), from any domain. *)
 
-val count_decode_error : t -> unit
+val count_decode_error : t -> owner:int -> unit
 (** Record an envelope-level decode failure (bad codec key/version or
-    malformed message) against this transport's stats. *)
+    malformed message) in a frame delivered to [owner], on [owner]'s
+    shard, against this transport's stats. *)
 
 val close : t -> unit
 

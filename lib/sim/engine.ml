@@ -265,6 +265,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
         Node_host.tee (Some (Trace.observe trace ~label:P.label)) observe
       else observe
     in
+    (* Every node's instant is the engine's clock, copied on demand. *)
+    let instants = Array.make config.n 0.0 in
     let t =
       {
         config;
@@ -283,7 +285,8 @@ module Make (P : Node_intf.PROTOCOL) = struct
           Node_host.create
             (module P)
             ~n:config.n ~seed:config.seed ~metrics ?observe ~chaos:config.chaos
-            ~now:(fun _ -> clock.now)
+            ~instants
+            ~stamp:(fun node -> instants.(node) <- clock.now)
             ();
         crashed = Array.make config.n false;
         events_processed = 0;

@@ -6,14 +6,17 @@ type 'msg t = {
   observe : 'msg Node_intf.observer option;
   chaos : Tr_chaos.Injector.t option;
   lock : Mutex.t option;
-  now : int -> float;  (** The instant of a node's running handler. *)
+  instants : float array;
+  stamp : int -> unit;
+      (** [stamp node] leaves the instant of [node]'s running handler
+          in [instants.(node)]: a float array holds it unboxed. *)
   (* [epochs.(node).(key)]; a key past its row is epoch 0. A row
      grows when its own node cancels a key past its end. *)
   epochs : int array array;
 }
 
 let create (type m) (module P : Node_intf.PROTOCOL with type msg = m) ~n ~seed
-    ~metrics ?observe ~chaos ?lock ~now () : m t =
+    ~metrics ?observe ~chaos ?lock ~instants ~stamp () : m t =
   {
     n;
     seed;
@@ -22,7 +25,8 @@ let create (type m) (module P : Node_intf.PROTOCOL with type msg = m) ~n ~seed
     observe;
     chaos;
     lock;
-    now;
+    instants;
+    stamp;
     epochs = Array.init n (fun _ -> Array.make 8 0);
   }
 
@@ -35,6 +39,10 @@ let tee a b =
    usually no observer, each of these helpers costs one test, not a
    call. Each event kind is built at one site below, inside the test,
    so no event is allocated when no observer is attached. *)
+let[@inline] now h node =
+  h.stamp node;
+  h.instants.(node)
+
 let[@inline] lock h = match h.lock with Some mu -> Mutex.lock mu | None -> ()
 
 let[@inline] unlock h =
@@ -62,12 +70,12 @@ let cancel h ~node ~key =
 let[@inline] down h ~node =
   match h.chaos with
   | None -> false
-  | Some inj -> Tr_chaos.Injector.node_down inj ~now:(h.now node) ~node
+  | Some inj -> Tr_chaos.Injector.node_down inj ~now:(now h node) ~node
 
 let down_until h ~node =
   match h.chaos with
-  | None -> h.now node
-  | Some inj -> Tr_chaos.Injector.down_until inj ~now:(h.now node) ~node
+  | None -> now h node
+  | Some inj -> Tr_chaos.Injector.down_until inj ~now:(now h node) ~node
 
 let[@inline] request h ~time ~node =
   lock h;
@@ -77,22 +85,22 @@ let[@inline] request h ~time ~node =
 
 let[@inline] delivered h ~src ~dst msg =
   match h.observe with
-  | Some f -> f ~time:(h.now dst) (Delivered { src; dst; msg })
+  | Some f -> f ~time:(now h dst) (Delivered { src; dst; msg })
   | None -> ()
 
 let dropped h ~src ~dst msg =
   match h.observe with
-  | Some f -> f ~time:(h.now src) (Dropped { src; dst; msg })
+  | Some f -> f ~time:(now h src) (Dropped { src; dst; msg })
   | None -> ()
 
 let[@inline] timer_fired h ~node ~key =
   match h.observe with
-  | Some f -> f ~time:(h.now node) (Timer_fired { node; key })
+  | Some f -> f ~time:(now h node) (Timer_fired { node; key })
   | None -> ()
 
 let crashed h ~node =
   match h.observe with
-  | Some f -> f ~time:(h.now node) (Crashed { node })
+  | Some f -> f ~time:(now h node) (Crashed { node })
   | None -> ()
 
 let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
@@ -104,7 +112,7 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
     Metrics.on_message h.metrics channel cls;
     unlock h;
     (match h.observe with
-    | Some f -> f ~time:(h.now node) (Sent { src = node; dst; channel; msg })
+    | Some f -> f ~time:(now h node) (Sent { src = node; dst; channel; msg })
     | None -> ());
     (* The message is counted and observed before it leaves: the trace
        digests pin the Sent line ahead of any Dropped line, and the
@@ -119,11 +127,11 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
     match h.chaos with
     | None -> arm ~node ~delay ~key ~epoch
     | Some inj ->
-        let scale = Tr_chaos.Injector.timer_scale inj ~now:(h.now node) ~node in
+        let scale = Tr_chaos.Injector.timer_scale inj ~now:(now h node) ~node in
         arm ~node ~delay:(delay *. scale) ~key ~epoch
   in
   let serve () =
-    let time = h.now node in
+    let time = now h node in
     if Metrics.pending h.metrics ~node = 0 then
       invalid_arg
         (Printf.sprintf "Node_host: node %d served with no pending request"
@@ -147,7 +155,7 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
   {
     Node_intf.self = node;
     n = h.n;
-    now = (fun () -> h.now node);
+    now = (fun () -> now h node);
     rng = Rng.create ((h.seed * 1_000_003) + node);
     send;
     set_timer;
@@ -161,7 +169,7 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
         Metrics.on_token_possession h.metrics ~node;
         unlock h;
         match h.observe with
-        | Some f -> f ~time:(h.now node) (Token_at { node })
+        | Some f -> f ~time:(now h node) (Token_at { node })
         | None -> ());
     search_forward =
       (fun () ->
@@ -169,11 +177,11 @@ let ctx h node ~leave ~arm ~served : _ Node_intf.ctx =
         Metrics.on_search_forward h.metrics;
         unlock h;
         match h.observe with
-        | Some f -> f ~time:(h.now node) (Search_forward { node })
+        | Some f -> f ~time:(now h node) (Search_forward { node })
         | None -> ());
     note =
       (fun thunk ->
         match h.observe with
-        | Some f -> f ~time:(h.now node) (Note { node; text = thunk () })
+        | Some f -> f ~time:(now h node) (Note { node; text = thunk () })
         | None -> ());
   }

@@ -21,16 +21,17 @@ val create :
   ?observe:'msg Node_intf.observer ->
   chaos:Tr_chaos.Injector.t option ->
   ?lock:Mutex.t ->
-  now:(int -> float) ->
+  instants:float array ->
+  stamp:(int -> unit) ->
   unit ->
   'msg t
 (** [lock], when given, is held around every {!Metrics} update the host
     makes. A node's own pending count is read without it, so a runtime
     must run each node's requests, serves and handlers on one domain at
-    a time. [now node] is the instant, in time units, of the handler
-    running at [node]: every event, metric and due time that handler
-    makes reads it, and a runtime may read its clock once per handler
-    for all of them. [observe]
+    a time. [stamp node] must leave in [instants.(node)] the instant, in
+    time units, of the handler running at [node]: every event, metric
+    and due time that handler makes reads it there, unboxed, and a
+    runtime may read its clock once per handler for all of them. [observe]
     sees every event, outside the lock, on the domain that caused it;
     with none attached an event costs one test. *)
 

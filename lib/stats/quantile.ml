@@ -78,13 +78,21 @@ let add t x =
 let add_many t xs = List.iter (add t) xs
 let count t = t.len
 
+(* Sample [i], for [i] in [0, len): every caller's index is, so the
+   accesses skip the bounds checks. *)
 let[@inline] get t i =
-  if on_heap t then t.first.(i)
-  else A1.get t.chunks.(i lsr chunk_bits) (i land chunk_mask)
+  if on_heap t then Array.unsafe_get t.first i
+  else
+    A1.unsafe_get
+      (Array.unsafe_get t.chunks (i lsr chunk_bits))
+      (i land chunk_mask)
 
 let[@inline] set t i x =
-  if on_heap t then t.first.(i) <- x
-  else A1.set t.chunks.(i lsr chunk_bits) (i land chunk_mask) x
+  if on_heap t then Array.unsafe_set t.first i x
+  else
+    A1.unsafe_set
+      (Array.unsafe_get t.chunks (i lsr chunk_bits))
+      (i land chunk_mask) x
 
 (* One transient array of [len] floats, in insertion order. *)
 let gather t =
@@ -94,81 +102,101 @@ let gather t =
   done;
   all
 
-(* Stdlib's [Array.sort] (a ternary heap sort) step for step, run on
-   the samples where they are stored. Its comparator is [Float.compare]
-   on unboxed floats, its recursion and its [Bottom] exception become
-   loops and a -1 child, and no float is boxed, so the sort allocates
-   one closure. The same comparisons on the same elements make the same
-   moves: the samples come out exactly as [Array.sort Float.compare]
-   leaves them, down to which of two equal keys (0.0 and -0.0) lands
-   first. *)
+(* The samples' order: [Float.compare]'s (NaN first), with -0.0 before
+   0.0, which [Float.compare] calls equal. A total order leaves a sort
+   no ties to place, so the sorted samples depend on the multiset
+   alone, not on the sort. *)
+let[@inline] before a b =
+  if a < b then true
+  else if b < a then false
+  else
+    (* Equal, or a NaN: the rare case. *)
+    let c = Float.compare a b in
+    c < 0 || (c = 0 && Float.sign_bit a && not (Float.sign_bit b))
+
+let[@inline] swap t i j =
+  let x = get t i in
+  set t i (get t j);
+  set t j x
+
+(* [lo, hi) by insertion: the short ranges the partitions leave. *)
+let insertion t lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = get t i in
+    let j = ref (i - 1) in
+    while !j >= lo && before x (get t !j) do
+      set t (!j + 1) (get t !j);
+      decr j
+    done;
+    set t (!j + 1) x
+  done
+
+(* [lo, hi) by a binary heap rooted at [lo]: the fallback that bounds
+   the worst case at O(n log n) when partitions keep coming out
+   lopsided. *)
+let heap_sort t lo hi =
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c =
+        if l + 1 < len && before (get t (lo + l)) (get t (lo + l + 1)) then
+          l + 1
+        else l
+      in
+      if before (get t (lo + i)) (get t (lo + c)) then begin
+        swap t (lo + i) (lo + c);
+        sift c len
+      end
+    end
+  in
+  let len = hi - lo in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for last = len - 1 downto 1 do
+    swap t lo (lo + last);
+    sift 0 last
+  done
+
+(* Introsort on the samples where they are stored: median-of-three
+   quicksort with Hoare partitions, insertion below 16 samples, and a
+   heap sort once the depth passes twice the log of the length. It
+   moves floats without boxing them and allocates nothing. Quicksort
+   scans its range in order, which suits the chunked storage and the
+   cache; a heap sort alone jumps across the whole stream on every
+   sift. *)
+let rec intro t lo hi depth =
+  if hi - lo <= 16 then insertion t lo hi
+  else if depth = 0 then heap_sort t lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) and last = hi - 1 in
+    if before (get t mid) (get t lo) then swap t mid lo;
+    if before (get t last) (get t mid) then begin
+      swap t last mid;
+      if before (get t mid) (get t lo) then swap t mid lo
+    end;
+    (* [lo] and [last] now bound the scans: neither index runs off. *)
+    let p = get t mid in
+    let i = ref lo and j = ref last and go = ref true in
+    while !go do
+      incr i;
+      while before (get t !i) p do
+        incr i
+      done;
+      decr j;
+      while before p (get t !j) do
+        decr j
+      done;
+      if !i < !j then swap t !i !j else go := false
+    done;
+    intro t lo (!j + 1) (depth - 1);
+    intro t (!j + 1) hi (depth - 1)
+  end
+
 let sort_in_place t =
   if not t.sorted then begin
-    (* The larger child of [i] in a heap of [l] samples; -1 at a leaf. *)
-    let maxson l i =
-      let i31 = i + i + i + 1 in
-      if i31 + 2 < l then begin
-        let x =
-          if Float.compare (get t i31) (get t (i31 + 1)) < 0 then i31 + 1
-          else i31
-        in
-        if Float.compare (get t x) (get t (i31 + 2)) < 0 then i31 + 2 else x
-      end
-      else if i31 + 1 < l && Float.compare (get t i31) (get t (i31 + 1)) < 0
-      then i31 + 1
-      else if i31 < l then i31
-      else -1
-    in
-    let l = t.len in
-    (* Heapify: sift each inner node's sample down. *)
-    for i0 = ((l + 1) / 3) - 1 downto 0 do
-      let e = get t i0 in
-      let i = ref i0 and sifting = ref true in
-      while !sifting do
-        let j = maxson l !i in
-        if j >= 0 && Float.compare (get t j) e > 0 then begin
-          set t !i (get t j);
-          i := j
-        end
-        else begin
-          set t !i e;
-          sifting := false
-        end
-      done
-    done;
-    (* Move the root to the end, walk the hole down to a leaf along the
-       larger children, then sift the displaced sample up from there. *)
-    for last = l - 1 downto 2 do
-      let e = get t last in
-      set t last (get t 0);
-      let i = ref 0 and j = ref (maxson last 0) in
-      while !j >= 0 do
-        set t !i (get t !j);
-        i := !j;
-        j := maxson last !i
-      done;
-      let sifting = ref true in
-      while !sifting do
-        let father = (!i - 1) / 3 in
-        if Float.compare (get t father) e < 0 then begin
-          set t !i (get t father);
-          if father > 0 then i := father
-          else begin
-            set t 0 e;
-            sifting := false
-          end
-        end
-        else begin
-          set t !i e;
-          sifting := false
-        end
-      done
-    done;
-    if l > 1 then begin
-      let e = get t 1 in
-      set t 1 (get t 0);
-      set t 0 e
-    end;
+    let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+    intro t 0 t.len (2 * log2 t.len);
     t.sorted <- true
   end
 

@@ -11,8 +11,9 @@
     malloc: they count in the process's RSS, not in [Gc] [heap_words],
     so the major heap does not grow with them. Capacity exceeds
     the count by less than one chunk, and growth never copies a sample
-    after the move. A sort gathers the samples, in insertion order, into
-    one transient heap array of [count] floats. *)
+    after the move. The sort works where the samples are stored and
+    allocates nothing; it orders them as [Float.compare] does, with
+    -0.0 before 0.0. *)
 
 type t
 
@@ -33,6 +34,7 @@ val iqr : t -> float
 (** Interquartile range, [quantile 0.75 - quantile 0.25]. *)
 
 val to_sorted_array : t -> float array
-(** Snapshot of the samples in ascending order. *)
+(** Snapshot of the samples in ascending order, in one fresh array of
+    [count] floats. *)
 
 val pp : Format.formatter -> t -> unit

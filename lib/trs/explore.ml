@@ -35,21 +35,6 @@ type stats = {
 
 type violation = { state : Term.t; depth : int; message : string }
 
-type perf = {
-  wall_s : float;
-  states_per_s : float;
-  domains_used : int;
-  peak_rss_kb : int;
-}
-
-type outcome = {
-  visited_order : Term.t list;
-  edge_list : (Term.t * string * Term.t) list;
-  stats : stats;
-  violations : violation list;
-  perf : perf;
-}
-
 (* ---------------- process introspection ---------------- *)
 
 (* VmHWM from /proc/self/status, in kB; 0 where /proc is unavailable. *)
@@ -294,64 +279,52 @@ let run ~max_states ~max_depth ~check ~want_order ~want_edges ~pool ~domains:d
     },
     List.rev !violations )
 
-(* [want_order:false] leaves [visited_order] empty: [bfs] and [edges]
-   neither retain the layers nor build the 3-words-a-state list. *)
-let explore_gen ~want_order ?(max_states = default_max_states) ?max_depth
-    ?check ?(want_edges = false) ?pool ?domains system ~init =
+(* Validate the bounds, lend or make the pool, and run. [want_order]
+   and [want_edges] choose what [run] keeps beside the stats and
+   violations: the visited order (the layers, 3 words a state) and the
+   edge list. *)
+let search ~want_order ~want_edges ?(max_states = default_max_states)
+    ?max_depth ?check ?pool ?domains system ~init =
   let domains =
     match domains with
     | Some d ->
-        if d < 1 then invalid_arg "Explore.explore: domains < 1";
+        if d < 1 then invalid_arg "Explore: domains < 1";
         d
     | None -> ( match pool with Some p -> Pool.domains p | None -> 1)
   in
-  if max_states < 1 then invalid_arg "Explore.explore: max_states < 1";
+  if max_states < 1 then invalid_arg "Explore: max_states < 1";
   (match max_depth with
-  | Some dm when dm < 0 -> invalid_arg "Explore.explore: max_depth < 0"
+  | Some dm when dm < 0 -> invalid_arg "Explore: max_depth < 0"
   | _ -> ());
-  let t0 = Unix.gettimeofday () in
   let go pool =
-    let visited_order, edge_list, stats, violations =
-      run ~max_states ~max_depth ~check ~want_order ~want_edges ~pool ~domains
-        system ~init
-    in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    {
-      visited_order;
-      edge_list;
-      stats;
-      violations;
-      perf =
-        {
-          wall_s;
-          states_per_s =
-            (if wall_s > 0.0 then float_of_int stats.states /. wall_s else 0.0);
-          domains_used = domains;
-          peak_rss_kb = peak_rss_kb ();
-        };
-    }
+    run ~max_states ~max_depth ~check ~want_order ~want_edges ~pool ~domains
+      system ~init
   in
   match pool with
   | Some _ -> go pool
   | None when domains > 1 -> Pool.with_pool ~domains (fun p -> go (Some p))
   | None -> go None
 
-let explore = explore_gen ~want_order:true
-
 let bfs ?max_states ?max_depth ?check ?pool ?domains system ~init =
-  let outcome =
-    explore_gen ~want_order:false ?max_states ?max_depth ?check ?pool ?domains
-      system ~init
+  let _, _, stats, violations =
+    search ~want_order:false ~want_edges:false ?max_states ?max_depth ?check
+      ?pool ?domains system ~init
   in
-  (outcome.stats, outcome.violations)
+  (stats, violations)
 
 let reachable ?max_states ?max_depth ?pool ?domains system ~init =
-  (explore ?max_states ?max_depth ?pool ?domains system ~init).visited_order
+  let order, _, _, _ =
+    search ~want_order:true ~want_edges:false ?max_states ?max_depth ?pool
+      ?domains system ~init
+  in
+  order
 
 let edges ?max_states ?max_depth ?pool ?domains system ~init =
-  (explore_gen ~want_order:false ?max_states ?max_depth ?pool ?domains
-     ~want_edges:true system ~init)
-    .edge_list
+  let _, edges, _, _ =
+    search ~want_order:false ~want_edges:true ?max_states ?max_depth ?pool
+      ?domains system ~init
+  in
+  edges
 
 (* Alphabetical by rule name; ties (impossible for distinct registry
    names, but explicit anyway) break on the count. Deliberately not the
@@ -412,11 +385,12 @@ let backward_closure ~edges ~seeds =
   closure
 
 let eventually ?max_states ?max_depth ?pool ?domains ~goal system ~init =
-  let outcome =
-    explore ?max_states ?max_depth ?pool ?domains ~want_edges:true system ~init
+  let visited_order, edge_list, _, _ =
+    search ~want_order:true ~want_edges:true ?max_states ?max_depth ?pool
+      ?domains system ~init
   in
-  let visited = hset_of_list outcome.visited_order in
-  let goals = hset_of_list (List.filter goal outcome.visited_order) in
+  let visited = hset_of_list visited_order in
+  let goals = hset_of_list (List.filter goal visited_order) in
   let goal_count = Term.Tbl.length goals in
   (* States whose forward cone may leave the explored set: any state with
      an edge to an unexplored target, plus everything that can reach such
@@ -426,15 +400,15 @@ let eventually ?max_states ?max_depth ?pool ?domains ~goal system ~init =
     (fun (src, _, dst) ->
       if not (Term.Tbl.mem visited (Term.Hashed.make dst)) then
         Term.Tbl.replace leaky (Term.Hashed.make src) ())
-    outcome.edge_list;
-  let can = backward_closure ~edges:outcome.edge_list ~seeds:goals in
-  let may_escape = backward_closure ~edges:outcome.edge_list ~seeds:leaky in
+    edge_list;
+  let can = backward_closure ~edges:edge_list ~seeds:goals in
+  let may_escape = backward_closure ~edges:edge_list ~seeds:leaky in
   let cannot =
     List.filter
       (fun s ->
         let h = Term.Hashed.make s in
         (not (Term.Tbl.mem can h)) && not (Term.Tbl.mem may_escape h))
-      outcome.visited_order
+      visited_order
   in
   let undecided =
     Term.Tbl.fold
@@ -464,7 +438,10 @@ let escape s =
 
 let to_dot ?max_states ?max_depth ?(node_label = Term.to_string) system ~init =
   let init = Term.canonicalize init in
-  let outcome = explore ?max_states ?max_depth ~want_edges:true system ~init in
+  let visited_order, edge_list, _, _ =
+    search ~want_order:true ~want_edges:true ?max_states ?max_depth system
+      ~init
+  in
   let id_table = Term.Tbl.create 64 in
   let next_id = ref 0 in
   let id_of state =
@@ -486,7 +463,7 @@ let to_dot ?max_states ?max_depth ?(node_label = Term.to_string) system ~init =
         (Printf.sprintf "  s%d [label=\"%s\"%s];\n" i
            (escape (node_label state))
            (if Term.equal state init then " peripheries=2" else "")))
-    outcome.visited_order;
+    visited_order;
   List.iter
     (fun (src, rule, dst) ->
       (* Only draw edges between visited states (the frontier may have
@@ -498,6 +475,6 @@ let to_dot ?max_states ?max_depth ?(node_label = Term.to_string) system ~init =
         Buffer.add_string buffer
           (Printf.sprintf "  s%d -> s%d [label=\"%s\"];\n" (id_of src)
              (id_of dst) (escape rule)))
-    outcome.edge_list;
+    edge_list;
   Buffer.add_string buffer "}\n";
   Buffer.contents buffer

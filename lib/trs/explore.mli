@@ -22,51 +22,6 @@ type stats = {
 
 type violation = { state : Term.t; depth : int; message : string }
 
-type perf = {
-  wall_s : float;  (** Wall-clock seconds for the exploration. *)
-  states_per_s : float;  (** [states /. wall_s] (0 for instant runs). *)
-  domains_used : int;  (** Domains the exploration ran on. *)
-  peak_rss_kb : int;
-      (** Process peak RSS (VmHWM) sampled at the end of the run, in
-          kB; 0 where /proc is unavailable. Process-wide and monotone
-          unless {!reset_peak_rss} succeeded beforehand. *)
-}
-
-type outcome = {
-  visited_order : Term.t list;
-      (** The visited set in BFS order. Its states share equal proper
-          subterms. *)
-  edge_list : (Term.t * string * Term.t) list;
-      (** [(state, rule, successor)] in traversal order; populated only
-          when [want_edges] was set. *)
-  stats : stats;
-  violations : violation list;
-  perf : perf;
-}
-
-val explore :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?check:(Term.t -> (unit, string) result) ->
-  ?want_edges:bool ->
-  ?pool:Tr_sim.Pool.t ->
-  ?domains:int ->
-  System.t ->
-  init:Term.t ->
-  outcome
-(** Explore from [init] (canonicalized). Defaults: [max_states =
-    100_000], [max_depth] unbounded, [check] absent, [want_edges] false.
-    [max_states < 1], [max_depth < 0] and [domains < 1] raise
-    [Invalid_argument].
-
-    Parallelism: [pool] lends an existing domain pool; [domains]
-    overrides the worker count (defaulting to the pool's size, or 1).
-    [domains > 1] without a pool spins up a private pool for the call.
-    Results are deterministic and identical across all settings.
-
-    Exploration continues past violations so a run reports them all (up
-    to the bounds). *)
-
 val bfs :
   ?max_states:int ->
   ?max_depth:int ->
@@ -76,9 +31,21 @@ val bfs :
   System.t ->
   init:Term.t ->
   stats * violation list
-(** [explore] restricted to the stats and violations. It neither keeps
-    the BFS layers nor builds the visited-order list, which at 100k
-    states would add 2.4 MB at the exploration's memory peak. *)
+(** Explore from [init] (canonicalized): the stats, and every state that
+    fails [check], in BFS order. Defaults: [max_states = 100_000],
+    [max_depth] unbounded, [check] absent. [max_states < 1],
+    [max_depth < 0] and [domains < 1] raise [Invalid_argument], here and
+    in every function below.
+
+    Parallelism, here and below: [pool] lends an existing domain pool;
+    [domains] overrides the worker count (defaulting to the pool's size,
+    or 1). [domains > 1] without a pool spins up a private pool for the
+    call. Results are deterministic and identical across all settings.
+
+    Exploration continues past violations so a run reports them all (up
+    to the bounds). It neither keeps the BFS layers nor builds the
+    visited-order list, which at 100k states would add 2.4 MB at the
+    exploration's memory peak. *)
 
 val reachable :
   ?max_states:int ->

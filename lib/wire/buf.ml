@@ -58,13 +58,22 @@ module Dec = struct
      decoder never writes while a cursor is live, and [of_string] wraps
      without copying ([unsafe_of_string] is sound because no code path
      here mutates [data]). *)
-  type t = { data : bytes; mutable pos : int; limit : int }
+  type t = { mutable data : bytes; mutable pos : int; mutable limit : int }
+
+  let check_bounds data ~pos ~limit =
+    if pos < 0 || limit > Bytes.length data || pos > limit then
+      invalid_arg "Wire.Dec.of_bytes: bad bounds"
 
   let of_bytes ?(pos = 0) ?limit data =
     let limit = match limit with None -> Bytes.length data | Some l -> l in
-    if pos < 0 || limit > Bytes.length data || pos > limit then
-      invalid_arg "Wire.Dec.of_bytes: bad bounds";
+    check_bounds data ~pos ~limit;
     { data; pos; limit }
+
+  let reset t data ~pos ~limit =
+    check_bounds data ~pos ~limit;
+    t.data <- data;
+    t.pos <- pos;
+    t.limit <- limit
 
   let of_string ?pos ?limit data =
     of_bytes ?pos ?limit (Bytes.unsafe_of_string data)
@@ -74,39 +83,49 @@ module Dec = struct
 
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-  let byte t =
-    if t.pos >= t.limit then Error Truncated
+  exception Failed of error
+
+  (* Raised as they are: a failing read allocates nothing either. *)
+  let truncated = Failed Truncated
+  let too_long = Failed (Malformed "varint too long")
+
+  let byte_exn t =
+    if t.pos >= t.limit then raise truncated
     else begin
       let c = Char.code (Bytes.unsafe_get t.data t.pos) in
       t.pos <- t.pos + 1;
-      Ok c
+      c
     end
 
   (* 63-bit ints need at most 9 LEB128 groups; a tenth continuation byte
      means the input is garbage, not merely long. *)
   let max_varint_bytes = 9
 
-  (* The varint loop is the hot path of every decode: written as a
-     top-level recursion with the byte read inlined so one call
-     allocates exactly one result, not a closure plus a result per
-     byte. *)
+  (* The varint loop is the hot path of every decode: a top-level
+     recursion with the byte read inlined, so a call allocates
+     nothing. *)
   let rec uvarint_loop t acc shift count =
-    if count > max_varint_bytes then Error (Malformed "varint too long")
-    else if t.pos >= t.limit then Error Truncated
+    if count > max_varint_bytes then raise too_long
+    else if t.pos >= t.limit then raise truncated
     else begin
       let b = Char.code (Bytes.unsafe_get t.data t.pos) in
       t.pos <- t.pos + 1;
       let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Ok acc
+      if b land 0x80 = 0 then acc
       else uvarint_loop t acc (shift + 7) (count + 1)
     end
 
-  let uvarint t = uvarint_loop t 0 0 1
+  let uvarint_exn t = uvarint_loop t 0 0 1
+
+  let byte t = match byte_exn t with c -> Ok c | exception Failed e -> Error e
+
+  let uvarint t =
+    match uvarint_exn t with v -> Ok v | exception Failed e -> Error e
 
   let int t =
-    match uvarint t with
-    | Ok u -> Ok (unzigzag u)
-    | Error _ as e -> e
+    match uvarint_exn t with
+    | u -> Ok (unzigzag u)
+    | exception Failed e -> Error e
 
   let bool t =
     match byte t with

@@ -59,11 +59,24 @@ module Dec : sig
       decoder's buffer). The caller must not mutate
       [data.[pos .. limit-1]] while the cursor is in use. *)
 
+  val reset : t -> bytes -> pos:int -> limit:int -> unit
+  (** Point the cursor at another window, with {!of_bytes}'s checks,
+      without allocating: one cursor can serve every frame a loop
+      decodes. *)
+
   val pos : t -> int
   val remaining : t -> int
 
   val byte : t -> (int, error) result
   val uvarint : t -> (int, error) result
+
+  exception Failed of error
+
+  val byte_exn : t -> int
+  val uvarint_exn : t -> int
+  (** As {!byte} and {!uvarint}, allocating nothing: the value itself,
+      or [Failed] with the error the result form returns. *)
+
   val int : t -> (int, error) result
   val bool : t -> (bool, error) result
   val option : (t -> ('a, error) result) -> t -> ('a option, error) result

@@ -21,7 +21,7 @@ let channel_of_byte = function
   | 1 -> Ok Tr_sim.Network.Cheap
   | b -> Error (Buf.Malformed (Printf.sprintf "channel byte %#x" b))
 
-let encode_payload codec payload ~src ~channel msg =
+let write_envelope codec payload ~src ~channel msg =
   Buf.Enc.uvarint payload codec.key;
   Buf.Enc.byte payload codec.version;
   Buf.Enc.uvarint payload src;
@@ -36,52 +36,61 @@ type scratch = { payload : Buffer.t; frame : Buffer.t }
 
 let scratch () = { payload = Buffer.create 256; frame = Buffer.create 256 }
 
-let encode_frame scratch codec ~src ~channel msg =
+let encode_payload scratch codec ~src ~channel msg =
   Buffer.clear scratch.payload;
-  encode_payload codec scratch.payload ~src ~channel msg;
+  write_envelope codec scratch.payload ~src ~channel msg;
+  scratch.payload
+
+let encode_frame scratch codec ~src ~channel msg =
+  let payload = encode_payload scratch codec ~src ~channel msg in
   Buffer.clear scratch.frame;
-  Frame.encode_buffer scratch.frame scratch.payload;
+  Frame.encode_buffer scratch.frame payload;
   scratch.frame
 
 let encode_envelope codec ~src ~channel msg =
   let payload = Buffer.create 32 in
-  encode_payload codec payload ~src ~channel msg;
+  write_envelope codec payload ~src ~channel msg;
   Frame.to_string (Buffer.contents payload)
 
-(* Direct match chains, not [let*]: the bind operator costs a closure
-   per step, and this runs once per received frame. *)
-let decode_payload codec dec =
-  match Buf.Dec.uvarint dec with
-  | Error _ as e -> e
-  | Ok key when key <> codec.key ->
-      Error
+(* The one envelope decoder. The header is read with the raising
+   primitives and the steps nest instead of binding, so nothing is
+   allocated but what [decode_msg] builds and what [ok] makes of it. *)
+let decode_with codec dec ~ok ~error =
+  match Buf.Dec.uvarint_exn dec with
+  | exception Buf.Dec.Failed e -> error e
+  | key when key <> codec.key ->
+      error
         (Buf.Malformed
            (Printf.sprintf "codec key %d, expected %d (%s)" key codec.key
               codec.name))
-  | Ok _ -> (
-      match Buf.Dec.byte dec with
-      | Error _ as e -> e
-      | Ok v when v <> codec.version ->
-          Error
+  | _ -> (
+      match Buf.Dec.byte_exn dec with
+      | exception Buf.Dec.Failed e -> error e
+      | v when v <> codec.version ->
+          error
             (Buf.Malformed
                (Printf.sprintf "codec version %d, expected %d (%s)" v
                   codec.version codec.name))
-      | Ok _ -> (
-          match Buf.Dec.uvarint dec with
-          | Error _ as e -> e
-          | Ok src -> (
-              match Buf.Dec.byte dec with
-              | Error _ as e -> e
-              | Ok cb -> (
+      | _ -> (
+          match Buf.Dec.uvarint_exn dec with
+          | exception Buf.Dec.Failed e -> error e
+          | src -> (
+              match Buf.Dec.byte_exn dec with
+              | exception Buf.Dec.Failed e -> error e
+              | cb -> (
                   match channel_of_byte cb with
-                  | Error _ as e -> e
+                  | Error e -> error e
                   | Ok channel -> (
                       match codec.decode_msg dec with
-                      | Error _ as e -> e
+                      | Error e -> error e
                       | Ok msg -> (
                           match Buf.Dec.expect_end dec with
-                          | Error _ as e -> e
-                          | Ok () -> Ok { src; channel; msg }))))))
+                          | Error e -> error e
+                          | Ok () -> ok src channel msg))))))
+
+let envelope src channel msg = Ok { src; channel; msg }
+let failed e = Error e
+let decode_payload codec dec = decode_with codec dec ~ok:envelope ~error:failed
 
 let decode_envelope codec payload =
   decode_payload codec (Buf.Dec.of_string payload)

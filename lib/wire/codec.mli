@@ -37,6 +37,20 @@ type scratch
 
 val scratch : unit -> scratch
 
+val encode_payload :
+  scratch ->
+  'msg t ->
+  src:int ->
+  channel:Tr_sim.Network.channel ->
+  'msg ->
+  Buffer.t
+(** Encode one frame {e payload} (the envelope, without the frame
+    header) into the scratch and return the buffer holding it, valid
+    until the next encode on the same scratch. The socket transport
+    frames it straight into a connection's out buffer
+    ({!Transport.send_payload}); {!encode_frame} frames it into the
+    scratch. *)
+
 val encode_frame :
   scratch ->
   'msg t ->
@@ -46,9 +60,9 @@ val encode_frame :
   Buffer.t
 (** Encode one complete frame into the scratch and return the buffer
     holding it. The contents are only valid until the next
-    [encode_frame] on the same scratch — the transport blits them out
-    immediately ({!Transport.send_frame}). Steady-state calls allocate
-    nothing beyond what the message encoder itself allocates. *)
+    encode on the same scratch. It is {!encode_payload} plus the frame
+    header. Steady-state calls allocate nothing beyond what the message
+    encoder itself allocates. *)
 
 val decode_envelope : 'msg t -> string -> ('msg envelope, Buf.error) result
 (** Decode one frame {e payload} (as produced by {!Frame.Decoder.next}).
@@ -62,3 +76,15 @@ val decode_view : 'msg t -> Frame.view -> ('msg envelope, Buf.error) result
 
 val decode_payload : 'msg t -> Buf.Dec.t -> ('msg envelope, Buf.error) result
 (** As {!decode_envelope}, over an existing cursor. *)
+
+val decode_with :
+  'msg t ->
+  Buf.Dec.t ->
+  ok:(int -> Tr_sim.Network.channel -> 'msg -> 'r) ->
+  error:(Buf.error -> 'r) ->
+  'r
+(** The decoder behind every function above: [ok src channel msg] for a
+    well-formed envelope, else [error] with the error they return. It
+    allocates nothing but the message itself, so a loop that builds [ok]
+    and [error] once and reuses one cursor ({!Buf.Dec.reset}) decodes a
+    frame with no envelope or result record. *)

@@ -19,13 +19,13 @@ let ring =
     (* Match chains, not [let*]: the bind closure would allocate on
        every token hop, and this is the loopback benchmark's message. *)
     (fun d ->
-      match byte d with
-      | Ok 0 -> (
+      match byte_exn d with
+      | 0 -> (
           match int d with
           | Ok stamp -> Ok (Token { stamp })
           | Error _ as e -> e)
-      | Ok t -> bad_tag "ring" t
-      | Error _ as e -> e)
+      | t -> bad_tag "ring" t
+      | exception Failed e -> Error e)
 
 (* ---------------- tree ---------------- *)
 

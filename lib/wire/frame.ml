@@ -27,7 +27,29 @@ let encode_buffer buf payload =
   Buf.Enc.uvarint buf len;
   Buffer.add_buffer buf payload
 
-type view = { buf : Bytes.t; off : int; len : int }
+let rec varint_length v = if v < 0x80 then 1 else 1 + varint_length (v lsr 7)
+
+let header_length plen = 2 + varint_length plen
+
+let rec write_varint dst off v =
+  if v < 0x80 then Bytes.unsafe_set dst off (Char.unsafe_chr v)
+  else begin
+    Bytes.unsafe_set dst off (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    write_varint dst (off + 1) (v lsr 7)
+  end
+
+let write_header dst off plen =
+  if plen < 0 || plen > max_payload then
+    invalid_arg "Wire.Frame.write_header: bad payload length";
+  let h = header_length plen in
+  if off < 0 || off + h > Bytes.length dst then
+    invalid_arg "Wire.Frame.write_header: bad bounds";
+  Bytes.unsafe_set dst off (Char.unsafe_chr magic);
+  Bytes.unsafe_set dst (off + 1) (Char.unsafe_chr version);
+  write_varint dst (off + 2) plen;
+  h
+
+type view = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
 let view_to_string { buf; off; len } = Bytes.sub_string buf off len
 
@@ -36,16 +58,35 @@ module Decoder = struct
 
   type view_progress = View of view | Await_view | Skip_view of string
 
+  type step = Payload | Wait | Skipped
+
   (* Unconsumed input lives in [buf.[start .. start+len-1]]; [feed]
-     appends, [next] consumes from the front and compacts lazily. *)
+     appends, [next] consumes from the front and compacts lazily. The
+     last step's payload and skip reason are kept in the record, so
+     stepping allocates nothing but a skip's reason. *)
   type t = {
     mutable buf : Bytes.t;
     mutable start : int;
     mutable len : int;
     mutable skips : int;
+    mutable payload_off : int;
+    mutable payload_len : int;
+    mutable varint : int;
+    mutable reason : string;
   }
 
-  let create () = { buf = Bytes.create 256; start = 0; len = 0; skips = 0 }
+  let create () =
+    {
+      buf = Bytes.create 256;
+      start = 0;
+      len = 0;
+      skips = 0;
+      payload_off = 0;
+      payload_len = 0;
+      varint = 0;
+      reason = "";
+    }
+
   let skipped_events t = t.skips
   let buffered t = t.len
 
@@ -84,23 +125,22 @@ module Decoder = struct
     t.len <- t.len - k;
     if t.len = 0 then t.start <- 0
 
-  (* Read a uvarint at offset [off]; [Ok (value, bytes_used)], [Error
-     `Await] when the buffered input ends mid-varint, [Error `Malformed]
-     on an overlong encoding. Mirrors [Buf.Dec.uvarint]: 63-bit ints
-     need at most 9 LEB128 groups (shift cap 56); a 10th byte would
-     shift by 63, which is unspecified for OCaml ints, so reject before
-     reading it. *)
-  let read_uvarint t off =
-    let rec go acc shift used =
-      if used >= 9 then Error `Malformed
-      else if off + used >= t.len then Error `Await
-      else
-        let b = peek t (off + used) in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then Ok (acc, used + 1)
-        else go acc (shift + 7) (used + 1)
-    in
-    go 0 0 0
+  (* Read a uvarint at offset [off] into [t.varint]: the bytes it used,
+     0 when the buffered input ends mid-varint, -1 on an overlong
+     encoding. Mirrors [Buf.Dec.uvarint]: 63-bit ints need at most 9
+     LEB128 groups (shift cap 56); a 10th byte would shift by 63, which
+     is unspecified for OCaml ints, so reject before reading it. *)
+  let rec read_uvarint t off acc shift used =
+    if used >= 9 then -1
+    else if off + used >= t.len then 0
+    else
+      let b = peek t (off + used) in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then begin
+        t.varint <- acc;
+        used + 1
+      end
+      else read_uvarint t off acc (shift + 7) (used + 1)
 
   (* Drop the bogus leading byte and scan to the next candidate magic so
      the stream re-locks at the following frame boundary. *)
@@ -112,46 +152,65 @@ module Decoder = struct
       incr skipped
     done;
     t.skips <- t.skips + 1;
-    Printf.sprintf "%s; skipped %d bytes" reason !skipped
+    t.reason <- Printf.sprintf "%s; skipped %d bytes" reason !skipped;
+    Skipped
 
-  (* The returned view aliases [t.buf]: [consume] only moves indices, so
-     the slice stays intact until the next [feed]/[feed_sub] (which may
+  (* The payload aliases [t.buf]: [consume] only moves indices, so the
+     slice stays intact until the next [feed]/[feed_sub] (which may
      compact or reallocate the buffer). *)
-  let next_view t =
-    if t.len = 0 then Await_view
-    else if peek t 0 <> magic then Skip_view (resync t "bad magic")
-    else if t.len < 2 then Await_view
+  let step t =
+    if t.len = 0 then Wait
+    else if peek t 0 <> magic then resync t "bad magic"
+    else if t.len < 2 then Wait
     else
       let v = peek t 1 in
-      match read_uvarint t 2 with
-      | Error `Await -> Await_view
-      | Error `Malformed -> Skip_view (resync t "malformed length varint")
-      | Ok (plen, used) ->
-          (* A sign-overflowed varint decodes negative — treat it like
-             any oversized declaration, never as an offset. *)
-          if plen < 0 || plen > max_payload then
-            Skip_view
-              (resync t (Printf.sprintf "declared payload %d exceeds cap" plen))
-          else begin
-            let total = 2 + used + plen in
-            if t.len < total then Await_view
-            else if v <> version then begin
-              consume t total;
-              t.skips <- t.skips + 1;
-              Skip_view (Printf.sprintf "unsupported frame version %d" v)
-            end
-            else begin
-              let off = t.start + 2 + used in
-              consume t total;
-              View { buf = t.buf; off; len = plen }
-            end
+      let used = read_uvarint t 2 0 0 0 in
+      if used = 0 then Wait
+      else if used < 0 then resync t "malformed length varint"
+      else
+        let plen = t.varint in
+        (* A sign-overflowed varint decodes negative — treat it like any
+           oversized declaration, never as an offset. *)
+        if plen < 0 || plen > max_payload then
+          resync t (Printf.sprintf "declared payload %d exceeds cap" plen)
+        else begin
+          let total = 2 + used + plen in
+          if t.len < total then Wait
+          else if v <> version then begin
+            consume t total;
+            t.skips <- t.skips + 1;
+            t.reason <- Printf.sprintf "unsupported frame version %d" v;
+            Skipped
           end
+          else begin
+            t.payload_off <- t.start + 2 + used;
+            t.payload_len <- plen;
+            consume t total;
+            Payload
+          end
+        end
+
+  let next_into t (v : view) =
+    match step t with
+    | Payload ->
+        v.buf <- t.buf;
+        v.off <- t.payload_off;
+        v.len <- t.payload_len;
+        Payload
+    | (Wait | Skipped) as s -> s
+
+  let next_view t =
+    match step t with
+    | Payload -> View { buf = t.buf; off = t.payload_off; len = t.payload_len }
+    | Wait -> Await_view
+    | Skipped -> Skip_view t.reason
 
   let next t =
-    match next_view t with
-    | View v -> Frame (view_to_string v)
-    | Await_view -> Await
-    | Skip_view reason -> Skip reason
+    match step t with
+    | Payload ->
+        Frame (Bytes.sub_string t.buf t.payload_off t.payload_len)
+    | Wait -> Await
+    | Skipped -> Skip t.reason
 end
 
 (* Length varint of a whole-string frame, packed as

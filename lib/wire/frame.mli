@@ -34,12 +34,26 @@ val encode_buffer : Buffer.t -> Buffer.t -> unit
 val to_string : string -> string
 (** [to_string payload] is a single encoded frame. *)
 
-type view = { buf : Bytes.t; off : int; len : int }
+val header_length : int -> int
+(** Bytes of the header in front of a payload of this length. *)
+
+val write_header : Bytes.t -> int -> int -> int
+(** [write_header dst off plen] writes, at [dst.[off]], the header of a
+    frame whose [plen]-byte payload follows it, and returns its length
+    ({!header_length}): the same bytes {!encode} writes, so an encoder
+    can frame a payload in place in its own buffer.
+    @raise Invalid_argument if [plen] is negative or over
+    {!max_payload}, or the header does not fit. *)
+
+type view = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 (** A borrowed slice [buf.[off .. off+len-1]] holding one frame payload.
     Views alias buffers owned by a decoder (or by the string passed to
     {!decode_exact}); they are only valid until the owner's next mutation
     — for {!Decoder.next_view}, until the next [feed]. Copy out with
-    {!view_to_string} to keep a payload longer. *)
+    {!view_to_string} to keep a payload longer. The fields are mutable
+    so that a loop can lend one view for every payload it reads
+    ({!Decoder.next_into}); a view made by anything else is never
+    changed. *)
 
 val view_to_string : view -> string
 
@@ -78,6 +92,16 @@ module Decoder : sig
       invalidated by the next [feed]/[feed_sub] (decoding may compact or
       grow the internal buffer); calling [next_view] again first is
       fine. *)
+
+  type step = Payload | Wait | Skipped
+
+  val next_into : t -> view -> step
+  (** The allocation-free form of {!next_view}, which with {!next} is
+      built on the same step: [Payload] points [v] at the next complete
+      payload (valid as a {!next_view} view is), [Wait] needs more input,
+      [Skipped] discarded bytes (counted in {!skipped_events}). Only a
+      skip allocates (its reason, which {!next_view} and {!next}
+      return). *)
 
   val skipped_events : t -> int
   (** Number of [Skip] results produced so far (decode-error counter). *)

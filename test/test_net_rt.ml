@@ -515,8 +515,9 @@ let test_unix_sockets_cluster () =
 
 (* One timed window on a one-shard 1024-node closed UDS ring, shared by
    the two per-grant allocation guards below: 20k deliveries after two
-   revolutions of warm-up, with the shard's minor words, promoted words
-   and major collections read by the tap at both ends of the window. *)
+   revolutions of warm-up and a minor collection, with the shard's minor
+   words, promoted words and major collections read by the tap at both
+   ends of the window. *)
 type ring_alloc = {
   minor_per_grant : float;
   promoted_per_grant : float;
@@ -555,7 +556,14 @@ let ring_alloc =
          in
          let tap (control : Cluster.control) ~self:_ _ =
            incr deliveries;
-           if !deliveries = warm then mark 0
+           if !deliveries = warm then begin
+             (* Promote the start-up data (node states, connections,
+                buffers) before the window opens: at a few dozen words
+                a grant the minor heap may otherwise first fill, and
+                promote it all, inside the window. *)
+             Gc.minor ();
+             mark 0
+           end
            else if !deliveries = warm + window then begin
              mark 1;
              control.Cluster.request_stop ()
@@ -600,18 +608,21 @@ let test_ring_promotion_budget () =
    builds for the tap's observer. The count is a pure function of
    the code (every delivery takes the same path), so it repeats
    exactly (the kernel is asked for readiness on every 64th shard
-   pass, hence the fraction). The budget is 230, this code's reading of
-   208.3 words plus about 10 %. Compiled with -opaque (dune's dev
-   profile), so that no call across modules is inlined, it reads 229.3.
-   A kernel wait on every hop read 228.0 (247.0 with -opaque), and
-   per-hop hash lookups, [Mutex.protect] closures and boxed clock
-   reads 317.0. *)
+   pass, hence the fraction). The budget is 31, this code's reading of
+   28.3 words plus about 10 %, on the default build. Compiled with
+   -opaque (dune's dev profile), so that no call across modules is
+   inlined and floats cross module boundaries boxed, it reads 45.3 and
+   does not meet it. A decoded envelope, its result and a view per
+   frame, callbacks built on every node step, a re-request through a
+   mailbox and a boxed handler time read 208.3 (229.3 with -opaque); a
+   kernel wait on every hop 228.0, and per-hop hash lookups,
+   [Mutex.protect] closures and boxed clock reads 317.0. *)
 let test_ring_minor_budget () =
   let w = Lazy.force ring_alloc in
   let reading = Printf.sprintf "%.1f minor words per grant" w.minor_per_grant in
   print_endline reading;
-  if not (w.minor_per_grant <= 230.0) then
-    Alcotest.failf "%s (budget 230)" reading
+  if not (w.minor_per_grant <= 31.0) then
+    Alcotest.failf "%s (budget 31)" reading
 
 (* The simulator's hot path, beside the socket ring's promotion budget:
    minor and major words allocated per simulated event at seed 1, over a
@@ -742,10 +753,10 @@ let test_uds_pump_batching () =
           let scratch = Tr_wire.Codec.scratch () in
           for b = 0 to batches - 1 do
             for k = 0 to batch - 1 do
-              Tr_wire.Codec.encode_frame scratch Codecs.ring ~src:0
+              Tr_wire.Codec.encode_payload scratch Codecs.ring ~src:0
                 ~channel:Network.Reliable
                 (Tr_proto.Ring.Token { stamp = (b * batch) + k })
-              |> Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0
+              |> Transport.send_payload t ~src:0 ~dst:1 ~delay:0.0
             done;
             step ();
             (* Unix-domain connect and write complete synchronously, and a
@@ -789,8 +800,8 @@ let test_sockets_io_errors () =
           let wait () = Transport.wait t shard ~timeout_s:1.0 () in
           let snap () = Transport.snapshot t in
           let scratch = Tr_wire.Codec.scratch () in
-          let frame stamp =
-            Tr_wire.Codec.encode_frame scratch Codecs.ring ~src:0
+          let payload stamp =
+            Tr_wire.Codec.encode_payload scratch Codecs.ring ~src:0
               ~channel:Network.Reliable
               (Tr_proto.Ring.Token { stamp })
           in
@@ -808,7 +819,7 @@ let test_sockets_io_errors () =
           Alcotest.(check int) "and keeps the connection"
             (a.Transport.snap_fds_registered + 1)
             b.Transport.snap_fds_registered;
-          let f = Buffer.contents (frame 7) in
+          let f = Tr_wire.Frame.to_string (Buffer.contents (payload 7)) in
           ignore (Unix.write_substring client f 0 (String.length f) : int);
           wait ();
           poll ();
@@ -824,9 +835,9 @@ let test_sockets_io_errors () =
           let sent = ref 0 in
           let send k =
             for i = 1 to k do
-              let buf = frame i in
-              sent := !sent + Buffer.length buf;
-              Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0 buf
+              let buf = payload i in
+              sent := !sent + Tr_net_rt.Stream_io.frame_length buf;
+              Transport.send_payload t ~src:0 ~dst:1 ~delay:0.0 buf
             done
           in
           send 1;
@@ -925,8 +936,9 @@ let test_paired_reads_exact () =
     (Printf.sprintf "%.3f reads per received frame (at most 1.1)" per_frame)
     true (per_frame <= 1.1)
 
-let ring_frame scratch ~src stamp =
-  Tr_wire.Codec.encode_frame scratch Codecs.ring ~src ~channel:Network.Reliable
+let ring_payload scratch ~src stamp =
+  Tr_wire.Codec.encode_payload scratch Codecs.ring ~src
+    ~channel:Network.Reliable
     (Tr_proto.Ring.Token { stamp })
 
 (* One pass of a shard loop driven by hand: wait without blocking, then
@@ -963,8 +975,8 @@ let test_paired_fairness () =
             | Ok { Tr_wire.Codec.src = 2; _ } ->
                 if !from_other < 0 then from_other := !pass
             | Ok _ ->
-                ring_frame scratch ~src:self 0
-                |> Transport.send_frame t ~src:self ~dst:(1 - self) ~delay:0.0
+                ring_payload scratch ~src:self 0
+                |> Transport.send_payload t ~src:self ~dst:(1 - self) ~delay:0.0
             | Error _ -> Alcotest.fail "decode error"
           in
           let step () =
@@ -972,15 +984,15 @@ let test_paired_fairness () =
             if not (hand_pass t shard on_frame) then
               Alcotest.failf "pass %d: the pair ran dry" !pass
           in
-          ring_frame scratch ~src:0 0
-          |> Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0;
+          ring_payload scratch ~src:0 0
+          |> Transport.send_payload t ~src:0 ~dst:1 ~delay:0.0;
           Transport.poll t ~owner:0 (on_frame 0);
           for _ = 1 to 100 do
             step ()
           done;
           let before = Transport.snapshot t in
-          ring_frame scratch ~src:2 7
-          |> Transport.send_frame other ~src:2 ~dst:0 ~delay:0.0;
+          ring_payload scratch ~src:2 7
+          |> Transport.send_payload other ~src:2 ~dst:0 ~delay:0.0;
           Transport.poll other ~owner:2 (fun _ -> ());
           let sent_at = !pass in
           while !from_other < 0 && !pass < sent_at + 200 do
@@ -1031,8 +1043,8 @@ let test_paired_drop () =
               | Error _ -> Alcotest.fail "decode error"
             in
             let send stamp =
-              ring_frame scratch ~src:0 stamp
-              |> Transport.send_frame t ~src:0 ~dst:1 ~delay:0.0;
+              ring_payload scratch ~src:0 stamp
+              |> Transport.send_payload t ~src:0 ~dst:1 ~delay:0.0;
               Transport.poll t ~owner:0 (on_frame 0)
             in
             let passes k =
@@ -1078,6 +1090,109 @@ let test_paired_drop () =
               (List.rev !got);
             Alcotest.(check int) "one read per frame" 50
               (b.Transport.snap_read_syscalls - a.Transport.snap_read_syscalls)))
+
+(* Two shards, each counting in its own block: after the stop, the
+   summed counters must be exact. Every frame sent is one [Sent] event
+   and every frame received one delivery, each counted here on the
+   domain that caused it; the report, and a snapshot of the control
+   block's stats taken after the run, must read the same totals. A
+   counter lost to two domains writing one block would show as a
+   shortfall: Suzuki-Kasami's broadcasts keep both shards busy at
+   once. *)
+let two_shard_totals (type m) (module P : Node_intf.PROTOCOL with type msg = m)
+    (codec : m Tr_wire.Codec.t) ~depth ~grants =
+  with_temp_dir (fun dir ->
+      let n = 16 in
+      let sent = Atomic.make 0 and delivered = Atomic.make 0 in
+      let control = ref None in
+      let observe ~time:_ = function
+        | Node_intf.Sent _ -> Atomic.incr sent
+        | _ -> ()
+      in
+      let tap c ~self:_ _ =
+        control := Some c;
+        Atomic.incr delivered
+      in
+      let config =
+        {
+          (quick_config ~unit_s:1e-4 ~n ~seed:9
+             ~load:(Cluster.Closed_loop { depth })
+             ~stop:(Cluster.Grants grants) ())
+          with
+          shards = 2;
+        }
+      in
+      let r =
+        Cluster.run ~observe ~tap
+          ~backend:
+            (Cluster.Sockets
+               {
+                 owned = List.init n Fun.id;
+                 addrs = Transport.uds_addrs ~dir ~n;
+               })
+          config
+          (module P)
+          codec
+      in
+      let name = P.name in
+      Alcotest.(check int) (name ^ ": two shards") 2 r.Cluster.shards;
+      Alcotest.(check int)
+        (name ^ ": frames sent, one a Sent event")
+        (Atomic.get sent) r.Cluster.frames_sent;
+      Alcotest.(check int)
+        (name ^ ": frames received, one a delivery")
+        (Atomic.get delivered) r.Cluster.frames_received;
+      let s =
+        match !control with
+        | Some c -> Transport.snapshot_of_stats c.Cluster.transport_stats
+        | None -> Alcotest.fail "no delivery"
+      in
+      Alcotest.(check (list int))
+        (name ^ ": a snapshot after the stop reads the report")
+        [
+          r.Cluster.frames_sent;
+          r.Cluster.frames_received;
+          r.Cluster.bytes_sent;
+          r.Cluster.write_syscalls;
+          r.Cluster.read_syscalls;
+          r.Cluster.wait_calls;
+        ]
+        [
+          s.Transport.snap_frames_sent;
+          s.Transport.snap_frames_received;
+          s.Transport.snap_bytes_sent;
+          s.Transport.snap_write_syscalls;
+          s.Transport.snap_read_syscalls;
+          s.Transport.snap_wait_calls;
+        ];
+      Alcotest.(check (float 1e-9))
+        (name ^ ": syscalls per grant from the counts")
+        (float_of_int
+           (r.Cluster.write_syscalls + r.Cluster.read_syscalls
+          + r.Cluster.wait_calls)
+        /. float_of_int r.Cluster.grants)
+        r.Cluster.syscalls_per_grant;
+      r)
+
+let test_two_shard_totals () =
+  (* At depth 3 a node serves three requests a visit and re-requests
+     three times, so each shard grows its re-request rings. *)
+  let r =
+    two_shard_totals (module Tr_proto.Ring) Codecs.ring ~depth:3 ~grants:4_000
+  in
+  Alcotest.(check bool) "ring: grants reached" true (r.Cluster.grants >= 4_000);
+  (* The one token is the only frame in flight when the shards stop. *)
+  let d = r.Cluster.frames_sent - r.Cluster.frames_received in
+  Alcotest.(check bool)
+    (Printf.sprintf "ring: %d sent, %d received: at most the token in flight"
+       r.Cluster.frames_sent r.Cluster.frames_received)
+    true
+    (d = 0 || d = 1);
+  ignore
+    (two_shard_totals
+       (module (val Tr_proto.Suzuki_kasami.protocol_t))
+       Codecs.suzuki_kasami ~depth:2 ~grants:2_000
+      : Cluster.report)
 
 (* ---------------- the shared stream layer ---------------- *)
 
@@ -2107,6 +2222,8 @@ let () =
             test_paired_fairness;
           Alcotest.test_case "a dropped pair end stays out" `Quick
             test_paired_drop;
+          Alcotest.test_case "two shards: exact counter totals" `Quick
+            test_two_shard_totals;
         ] );
       ( "readiness",
         [

@@ -633,22 +633,40 @@ let add_stats b (s : Explore.stats) =
 
 let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* One exploration's stats, visited order, edges and violations, each
+   from the function that reports it, at the same bounds. *)
+type outcome = {
+  stats : Explore.stats;
+  order : Term.t list;
+  edges : (Term.t * string * Term.t) list;
+  violations : Explore.violation list;
+}
+
+let outcome ?max_states ?max_depth ~check ~domains system ~init =
+  let stats, violations =
+    Explore.bfs ?max_states ?max_depth ~check ~domains system ~init
+  in
+  {
+    stats;
+    order = Explore.reachable ?max_states ?max_depth ~domains system ~init;
+    edges = Explore.edges ?max_states ?max_depth ~domains system ~init;
+    violations;
+  }
+
 (* Stats, visited order, edges and violations, terms printed. *)
-let outcome_digest (o : Explore.outcome) =
+let outcome_digest o =
   let b = Buffer.create 65536 in
-  add_stats b o.Explore.stats;
-  List.iter
-    (fun t -> Printf.bprintf b "%s\n" (Term.to_string t))
-    o.Explore.visited_order;
+  add_stats b o.stats;
+  List.iter (fun t -> Printf.bprintf b "%s\n" (Term.to_string t)) o.order;
   List.iter
     (fun (s, r, t) ->
       Printf.bprintf b "%s -%s-> %s\n" (Term.to_string s) r (Term.to_string t))
-    o.Explore.edge_list;
+    o.edges;
   List.iter
     (fun (v : Explore.violation) ->
       Printf.bprintf b "%d %s %s\n" v.Explore.depth v.Explore.message
         (Term.to_string v.Explore.state))
-    o.Explore.violations;
+    o.violations;
   md5 b
 
 let counts_digest counts =
@@ -678,8 +696,7 @@ let test_parity_all_systems () =
         (Printf.sprintf "cap=%d" max_states)
         (fun ~domains ~system ~init ~checker ->
           outcome_digest
-            (Explore.explore ~max_states ~check:checker ~want_edges:true
-               ~domains system ~init))
+            (outcome ~max_states ~check:checker ~domains system ~init))
         want)
     [ (700, fun r -> r.cap700); (3000, fun r -> r.cap3000) ]
 
@@ -693,8 +710,7 @@ let test_parity_max_depth () =
   check_digests "depth=4"
     (fun ~domains ~system ~init ~checker ->
       outcome_digest
-        (Explore.explore ~max_depth:4 ~check:checker ~want_edges:true ~domains
-           system ~init))
+        (outcome ~max_depth:4 ~check:checker ~domains system ~init))
     (fun r -> r.depth4)
 
 (* Explored states share their proper subterms: at 20,000 BinarySearch
@@ -711,9 +727,11 @@ let test_parity_shared_states () =
   Tr_sim.Pool.with_pool ~domains:1 @@ fun pool ->
   List.iter
     (fun domains ->
-      let o = Explore.explore ~max_states:states ~domains ~pool system ~init in
-      Alcotest.(check int) "states" states o.Explore.stats.Explore.states;
-      let words = Obj.reachable_words (Obj.repr o.Explore.visited_order) in
+      let order =
+        Explore.reachable ~max_states:states ~domains ~pool system ~init
+      in
+      Alcotest.(check int) "states" states (List.length order);
+      let words = Obj.reachable_words (Obj.repr order) in
       let per_state = float_of_int words /. float_of_int states in
       if per_state > 32.0 then
         Alcotest.failf "D=%d: %.1f words per retained state (bound 32)" domains
@@ -735,9 +753,11 @@ let test_parity_promoted_words () =
     (fun domains ->
       let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
       let before = promoted () in
-      let o = Explore.explore ~max_states:states ~domains ~pool system ~init in
+      let order =
+        Explore.reachable ~max_states:states ~domains ~pool system ~init
+      in
       let per_state = (promoted () -. before) /. float_of_int states in
-      Alcotest.(check int) "states" states o.Explore.stats.Explore.states;
+      Alcotest.(check int) "states" states (List.length order);
       if per_state > 62.0 then
         Alcotest.failf "D=%d: %.1f words promoted per state (bound 62)" domains
           per_state)
@@ -781,14 +801,9 @@ let test_parity_random_rule_orders =
           ~rules:(List.map (List.nth rules) perm)
       in
       let run domains =
-        Explore.explore ~max_states:600 ~check:checker ~want_edges:true
-          ~domains shuffled ~init
+        outcome ~max_states:600 ~check:checker ~domains shuffled ~init
       in
-      let one = run 1 and three = run 3 in
-      one.Explore.visited_order = three.Explore.visited_order
-      && one.Explore.stats = three.Explore.stats
-      && one.Explore.edge_list = three.Explore.edge_list
-      && one.Explore.violations = three.Explore.violations)
+      run 1 = run 3)
 
 (* ---------------- fault transitions ---------------- *)
 

@@ -342,6 +342,70 @@ let prop_quantile_matches_sorted_reference =
           agrees k)
         (stops @ [ len ]))
 
+(* The sort against [Array.sort Float.compare]: samples with many
+   duplicates, both zeros, NaNs and negatives, in short streams and in
+   streams just past the 2^16-sample chunk edge. [Float.compare] calls
+   -0.0 and 0.0 equal, and the reference's heap sort places such ties
+   wherever its moves leave them; the sort puts -0.0 first. So the two
+   must agree by [Float.compare] everywhere and by bits wherever the
+   sample is neither a zero nor a NaN, and no 0.0 may precede a -0.0.
+   Quantiles must agree by [Float.compare]. *)
+let prop_sort_matches_array_sort =
+  let gen =
+    let open QCheck.Gen in
+    let* len =
+      oneof [ 0 -- 300; map (fun d -> (1 lsl 16) + d) (-3 -- 3000) ]
+    in
+    let+ seed = int_bound 1_000_000 in
+    (len, seed)
+  in
+  QCheck.Test.make ~name:"the sort matches Array.sort Float.compare" ~count:8
+    (QCheck.make
+       ~print:(fun (len, seed) -> Printf.sprintf "len=%d seed=%d" len seed)
+       gen)
+    (fun (len, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let xs =
+        Array.init len (fun _ ->
+            match Random.State.int rng 8 with
+            | 0 -> 0.0
+            | 1 -> -0.0
+            | 2 -> nan
+            | 3 | 4 -> float_of_int (Random.State.int rng 20 - 10)
+            | _ -> Random.State.float rng 2e3 -. 1e3)
+      in
+      let t = Quantile.create () in
+      Array.iter (Quantile.add t) xs;
+      let reference = Array.copy xs in
+      Array.sort Float.compare reference;
+      let got = Quantile.to_sorted_array t in
+      let bits x = Int64.bits_of_float x in
+      let agree a b =
+        Float.compare a b = 0
+        && (a = 0.0 || Float.is_nan a || Int64.equal (bits a) (bits b))
+      in
+      let zeros_in_order = ref true in
+      for i = 0 to len - 2 do
+        if
+          got.(i) = 0.0
+          && (not (Float.sign_bit got.(i)))
+          && got.(i + 1) = 0.0
+          && Float.sign_bit got.(i + 1)
+        then zeros_in_order := false
+      done;
+      let quantiles_agree =
+        len = 0
+        || List.for_all
+             (fun q ->
+               Float.compare (Quantile.quantile t q)
+                 (reference_quantile reference q)
+               = 0)
+             [ 0.0; 0.01; 0.25; 0.5; 0.9; 0.99; 1.0 ]
+      in
+      Array.length got = len
+      && Array.for_all2 agree got reference
+      && !zeros_in_order && quantiles_agree)
+
 (* OCaml-heap storage stays within one 2^16-float chunk of the samples.
    After 2^18 + 1 adds, what [t] keeps on the heap is a few words of
    chunk headers and spine (the chunks' floats are malloc'd, and
@@ -411,8 +475,9 @@ let test_quantile_off_heap () =
    [p99] allocates less than one word per sample; sorting through
    [Array.sort Float.compare], which boxes both operands of every
    comparison, read about 130. The samples mix 0.0 with -0.0 and hold
-   NaNs, so the sorted order of equal keys is pinned too: it must match
-   [Array.sort Float.compare] bit for bit. *)
+   NaNs, so the sorted order of keys [Float.compare] calls equal is
+   pinned too: it must match [Array.sort] under [Float.compare] with
+   -0.0 before 0.0, bit for bit. *)
 let test_quantile_sort_alloc () =
   let n = 1_000_000 in
   let x i =
@@ -434,7 +499,12 @@ let test_quantile_sort_alloc () =
   if allocated >= float_of_int n then
     Alcotest.failf "first p99 allocated %.0f words for %d samples" allocated n;
   let sorted = Array.init n x in
-  Array.sort Float.compare sorted;
+  Array.sort
+    (fun a b ->
+      match Float.compare a b with
+      | 0 -> Bool.compare (Float.sign_bit b) (Float.sign_bit a)
+      | c -> c)
+    sorted;
   let bits x = Int64.bits_of_float x in
   Alcotest.(check int64)
     "p99 bits" (bits (reference_quantile sorted 0.99)) (bits p99);
@@ -671,6 +741,7 @@ let () =
               prop_quantile_monotone;
               prop_iqr_nonnegative;
               prop_quantile_matches_sorted_reference;
+              prop_sort_matches_array_sort;
             ] );
       ( "p2",
         [

@@ -524,23 +524,20 @@ let test_explore_shared_pool () =
   (* A caller-supplied pool is borrowed, not consumed: several
      explorations can share it, and results match a one-domain run. *)
   Tr_sim.Pool.with_pool ~domains:2 (fun pool ->
-      let a = Explore.explore ~pool counter_system ~init:(Term.Int 0) in
-      let b = Explore.explore ~pool counter_system ~init:(Term.Int 1) in
-      let one = Explore.explore counter_system ~init:(Term.Int 0) in
-      Alcotest.(check int) "domains recorded" 2 a.Explore.perf.Explore.domains_used;
-      Alcotest.(check (list term)) "same order" one.Explore.visited_order
-        a.Explore.visited_order;
-      Alcotest.(check int) "second exploration" 4 b.Explore.stats.Explore.states)
+      let a = Explore.reachable ~pool counter_system ~init:(Term.Int 0) in
+      let b, _ = Explore.bfs ~pool counter_system ~init:(Term.Int 1) in
+      let edges = Explore.edges ~pool counter_system ~init:(Term.Int 0) in
+      let one = Explore.reachable counter_system ~init:(Term.Int 0) in
+      Alcotest.(check (list term)) "same order" one a;
+      Alcotest.(check bool) "same edges" true
+        (edges = Explore.edges counter_system ~init:(Term.Int 0));
+      Alcotest.(check int) "second exploration" 4 b.Explore.states)
 
-let test_explore_perf_fields () =
-  let o = Explore.explore counter_system ~init:(Term.Int 0) in
-  Alcotest.(check int) "one domain" 1 o.Explore.perf.Explore.domains_used;
-  Alcotest.(check bool) "wall time non-negative" true
-    (o.Explore.perf.Explore.wall_s >= 0.0);
-  Alcotest.(check bool) "throughput non-negative" true
-    (o.Explore.perf.Explore.states_per_s >= 0.0);
-  (* /proc is available on the platforms we test on. *)
-  Alcotest.(check bool) "rss sampled" true (o.Explore.perf.Explore.peak_rss_kb > 0)
+(* Process introspection: the peak resident set is read from /proc,
+   which the platforms we test on have. *)
+let test_explore_peak_rss () =
+  ignore (Explore.reachable counter_system ~init:(Term.Int 0) : Term.t list);
+  Alcotest.(check bool) "rss sampled" true (Explore.peak_rss_kb () > 0)
 
 let test_explore_invalid_args () =
   let raises f =
@@ -551,18 +548,18 @@ let test_explore_invalid_args () =
   in
   Alcotest.(check bool) "domains < 1 rejected" true
     (raises (fun () ->
-         Explore.explore ~domains:0 counter_system ~init:(Term.Int 0)));
+         Explore.bfs ~domains:0 counter_system ~init:(Term.Int 0)));
   List.iter
     (fun max_states ->
       Alcotest.(check bool)
         (Printf.sprintf "max_states = %d rejected" max_states)
         true
         (raises (fun () ->
-             Explore.explore ~max_states counter_system ~init:(Term.Int 0))))
+             Explore.reachable ~max_states counter_system ~init:(Term.Int 0))))
     [ 0; -5 ];
   Alcotest.(check bool) "max_depth < 0 rejected" true
     (raises (fun () ->
-         Explore.explore ~max_depth:(-3) counter_system ~init:(Term.Int 0)))
+         Explore.edges ~max_depth:(-3) counter_system ~init:(Term.Int 0)))
 
 (* ---------------- Parse ---------------- *)
 
@@ -735,7 +732,7 @@ let () =
             test_explore_eventually_undecided_on_truncation;
           Alcotest.test_case "deadlocks" `Quick test_explore_deadlocks;
           Alcotest.test_case "shared pool" `Quick test_explore_shared_pool;
-          Alcotest.test_case "perf fields" `Quick test_explore_perf_fields;
+          Alcotest.test_case "peak rss" `Quick test_explore_peak_rss;
           Alcotest.test_case "invalid args" `Quick test_explore_invalid_args;
           Alcotest.test_case "rule counts sorted" `Quick
             test_explore_rule_counts_sorted;
